@@ -6,7 +6,10 @@ Identical config and seed give byte-identical machine-readable reports
 (probe nodes may be evaluated concurrently, but results are merged in index
 order).
 
-Exit codes: 0 all checks pass, 1 configuration error, 2 acceptance failure.
+Exit codes: 0 all checks pass, 1 configuration error, 2 acceptance failure,
+3 flow failure (the flow raised WindowError, WindowExitError,
+FeshbachPairError or ArithmeticError; the report is still written, with a
+failed check.flow and the exception in flow.error).
 """
 
 from __future__ import annotations
@@ -22,15 +25,24 @@ import numpy as np
 
 from . import config as cfgmod
 from . import fock, kernels, symmetry
-from .feshbach import CutoffSpec, first_feshbach, isospectrality_suite
-from .model import InfraredError, ModelSpec, build_hamiltonian, verify_hypotheses
+from .feshbach import (
+    CutoffSpec,
+    FeshbachPairError,
+    first_feshbach,
+    isospectrality_suite,
+    neumann_check,
+)
+from .model import InfraredError, ModelSpec, WindowError, build_hamiltonian, verify_hypotheses
 from .oracle import compare, dense_spectrum, perturbation_scaling
 from .rg import (
     RGConfig,
+    WindowExitError,
     build_eigenprojection,
     build_eigenvectors,
     iterate_to_fixed_point,
 )
+
+FLOW_ERRORS = (WindowError, WindowExitError, FeshbachPairError, ArithmeticError)
 
 _RG_KEYS = ("rho", "mu", "c_chi", "n_iter_max", "tol_z", "tol_fixed_point",
             "window_factor", "schur_tol", "check_winding", "polydisc_strict",
@@ -199,13 +211,14 @@ def run_pipeline(run: RunConfig, spec: ModelSpec, report: Report,
     report.say(f"hypotheses: {'all pass' if hyp.all_passed else 'FAILURES'}")
 
     ff = first_feshbach(spec, s, spec.e_at(s))
-    report.put("first.neumann_discrepancy", ff.neumann_discrepancy)
-    report.put("first.neumann_terms", ff.neumann_terms)
-    report.put("first.neumann_tail_bound", ff.neumann_tail_bound)
+    neumann = neumann_check(spec, s, spec.e_at(s))
+    report.put("first.neumann_discrepancy", neumann.discrepancy)
+    report.put("first.neumann_terms", neumann.terms)
+    report.put("first.neumann_tail_bound", neumann.tail_bound)
     report.put("first.contraction", ff.pair_report.contraction_left)
     report.put("first.t_margin", ff.pair_report.t_margin)
-    report.check("first_feshbach_consistency", ff.neumann_discrepancy < 1e-10,
-                 f"direct vs Neumann discrepancy {ff.neumann_discrepancy:.3e}")
+    report.check("first_feshbach_consistency", neumann.discrepancy < 1e-10,
+                 f"direct vs Neumann discrepancy {neumann.discrepancy:.3e}")
 
     res = iterate_to_fixed_point(spec, s, cfg)
     report.put("z_inf", res.z_inf)
@@ -255,8 +268,7 @@ def run_pipeline(run: RunConfig, spec: ModelSpec, report: Report,
         report.check("ground_state_identity",
                      cmp_rep.ground_state_error < 1e-8)
     _write(out_dir, "spectrum.txt", _spectrum_dump(oracle_rep))
-    _write(out_dir, "kernel.txt", _kernel_dump(
-        kernels.extract_w00(res.final_ladder.levels[0].h)))
+    _write(out_dir, "kernel.txt", _kernel_dump(res.final_ladder.levels[0].extraction))
 
     if spec.complex_selfadjoint and spec.jconj is not None:
         jfull = np.kron(spec.jconj, np.eye(ff.full_basis.size))
@@ -475,6 +487,7 @@ def main(argv=None) -> int:
     report = Report()
     stem = {"run": "run", "verify": "verify", "probe-analyticity": "probe",
             "sweep-g": "sweep", "suite": "suite"}[args.command]
+    flow_failed = False
     try:
         if args.command == "run":
             run_pipeline(run, spec, report, args.out)
@@ -496,6 +509,11 @@ def main(argv=None) -> int:
     except cfgmod.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
+    except FLOW_ERRORS as exc:
+        flow_failed = True
+        message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        report.put("flow.error", message)
+        report.check("flow", False, message)
 
     report.put("command", args.command)
     report.put("all_passed", report.all_passed)
@@ -503,6 +521,8 @@ def main(argv=None) -> int:
     _write(args.out, f"{stem}.txt", report.digest_text())
     sys.stdout.write(report.kv_text() if args.format == "kv"
                      else report.digest_text())
+    if flow_failed:
+        return 3
     return 0 if report.all_passed else 2
 
 

@@ -4,6 +4,10 @@ The map F(H, T) = H_chi - chi W chibar (H_chibar|_Ran chibar)^-1 chibar W chi
 with W = H - T, chi^2 + chibar^2 = 1, preserves kernel dimension and bounded
 invertibility.  Restricted inverses are computed on an orthonormal basis of
 Ran chibar obtained from a rank-revealing SVD.
+
+The first decimation runs at every z the flow evaluates; its Neumann
+cross-check and its eigenvector lift are separate functions, so a ``run``
+computes each once, at its own (s, z).
 """
 
 from __future__ import annotations
@@ -241,14 +245,10 @@ class FirstFeshbachResult:
     e_at: complex
     z: complex
     pair_report: FeshbachPairReport
-    neumann_discrepancy: float
-    neumann_terms: int
-    neumann_tail_bound: float
     invariance_leak: float
     full_basis: FockBasis
     reduced_basis: FockBasis
     frame: np.ndarray            # (d_at * n_full) x (d * n_red) isometry
-    q_full: np.ndarray           # ker H^(0) -> ker (H_g - z) lift
     atomic_frame: np.ndarray
     hyp5_u: np.ndarray | None = None
 
@@ -263,17 +263,12 @@ def reduced_frame(spec: ModelSpec, full_basis: FockBasis,
     return np.kron(atomic_frame, inject)
 
 
-def first_feshbach(spec: ModelSpec, s: complex, z: complex,
-                   basis: FockBasis | None = None, g: float | None = None,
-                   neumann_max_terms: int = 30,
-                   neumann_tol: float = 1e-13) -> FirstFeshbachResult:
-    """Decimate (H_g(s) - z, H_0(s) - z) with the projection-weighted cutoff
-    P_at (x) chi_1(H_f), restricted to the reduced space.
-
-    The result is computed by direct block inversion and cross-checked
-    against the truncated Neumann expansion of the same object, with an
-    a-posteriori tail bound from the measured contraction norm.
-    """
+def _first_pair(spec: ModelSpec, s: complex, z: complex,
+                basis: FockBasis | None, g: float | None):
+    """(basis, H_g(s) - z, H_0(s) - z, chi, chibar, U) of the first
+    decimation: the cutoff pair is P_at (x) chi_1(H_f) and its partner, and
+    when P_at(s) differs from P_at(s0) both operators are conjugated by the
+    Hypothesis-5 frame U(s) (else U is None)."""
     if g is None:
         g = spec.g
     if not spec.in_window(s, z):
@@ -303,8 +298,21 @@ def first_feshbach(spec: ModelSpec, s: complex, z: complex,
                    + np.kron(p0, np.diag(cbar_f.astype(complex))))
 
     eye = np.eye(basis.dim)
-    hz = h_full - z * eye
-    tz = h0_full - z * eye
+    return basis, h_full - z * eye, h0_full - z * eye, chi_bold, chibar_bold, hyp5_u
+
+
+def first_feshbach(spec: ModelSpec, s: complex, z: complex,
+                   basis: FockBasis | None = None,
+                   g: float | None = None) -> FirstFeshbachResult:
+    """Decimate (H_g(s) - z, H_0(s) - z) with the projection-weighted cutoff
+    P_at (x) chi_1(H_f), restricted to the reduced space.
+
+    The result is computed by direct block inversion.  The flow calls this
+    at every z; the cross-check against the Neumann expansion
+    (``neumann_check``) and the eigenvector lift (``first_lift``) do not
+    depend on the flow, so a ``run`` computes each once.
+    """
+    basis, hz, tz, chi_bold, chibar_bold, hyp5_u = _first_pair(spec, s, z, basis, g)
     pieces = _PairPieces(hz, tz, chi_bold, chibar_bold)
     report = verify_pair(hz, tz, chi_bold, chibar_bold)
     if not (report.t_margin > 0 and report.h_margin > 0):
@@ -313,7 +321,37 @@ def first_feshbach(spec: ModelSpec, s: complex, z: complex,
 
     f_direct = feshbach_map(hz, tz, chi_bold, chibar_bold, check=False)
 
-    # Neumann expansion of the same Schur complement:
+    reduced_fock = spec.reduced_fock_basis()
+    vat = spec.atomic_frame()
+    frame = reduced_frame(spec, basis, reduced_fock, vat)
+    h0_red = frame.conj().T @ f_direct @ frame
+    e_at = spec.e_at(s)
+    return FirstFeshbachResult(
+        h0=OperatorMatrix(h0_red, reduced_fock),
+        e_at=e_at, z=z, pair_report=report, invariance_leak=leak,
+        full_basis=basis, reduced_basis=reduced_fock, frame=frame,
+        atomic_frame=vat, hyp5_u=hyp5_u,
+    )
+
+
+@dataclass
+class NeumannCheck:
+    """Direct first decimation against its truncated Neumann expansion."""
+
+    discrepancy: float     # ||F_direct - F_Neumann|| / max(1, ||F_direct||)
+    terms: int
+    tail_bound: float      # a-posteriori bound from the contraction norm
+
+
+def neumann_check(spec: ModelSpec, s: complex, z: complex,
+                  max_terms: int = 30, tol: float = 1e-13) -> NeumannCheck:
+    """Cross-check the first decimation at (s, z) against the truncated
+    Neumann expansion of the same Schur complement, with an a-posteriori
+    tail bound from the measured contraction norm."""
+    _, hz, tz, chi_bold, chibar_bold, _ = _first_pair(spec, s, z, None, None)
+    pieces = _PairPieces(hz, tz, chi_bold, chibar_bold)
+    f_direct = feshbach_map(hz, tz, chi_bold, chibar_bold, check=False)
+
     # F = T + chi W chi - sum_{L>=1} (-1)^(L-1) chi W chibar (R0 chibar W chibar)^(L-1) R0 chibar W chi
     # with R0 the restricted inverse of T on Ran chibar and W = g W(s).
     w = pieces.w
@@ -326,12 +364,12 @@ def first_feshbach(spec: ModelSpec, s: complex, z: complex,
     cur = r0 @ (chibar_bold @ w @ chi_bold)
     n_terms = 0
     last_norm = 0.0
-    for L in range(1, neumann_max_terms + 1):
+    for L in range(1, max_terms + 1):
         term = lead @ cur
         series += ((-1) ** (L - 1)) * term
         n_terms = L
         last_norm = float(np.linalg.norm(term, 2))
-        if last_norm < neumann_tol * scale:
+        if last_norm < tol * scale:
             break
         cur = r0 @ (inner @ cur)
     if contraction < 1.0:
@@ -340,18 +378,13 @@ def first_feshbach(spec: ModelSpec, s: complex, z: complex,
         tail_bound = np.inf
     f_neumann = tz + chi_bold @ w @ chi_bold - series
     discrepancy = float(np.linalg.norm(f_direct - f_neumann) / scale)
+    return NeumannCheck(discrepancy, n_terms, tail_bound)
 
-    reduced_fock = spec.reduced_fock_basis()
-    vat = spec.atomic_frame()
-    frame = reduced_frame(spec, basis, reduced_fock, vat)
-    h0_red = frame.conj().T @ f_direct @ frame
-    e_at = spec.e_at(s)
-    q_full, _ = q_ops(hz, tz, chi_bold, chibar_bold)
-    return FirstFeshbachResult(
-        h0=OperatorMatrix(h0_red, reduced_fock),
-        e_at=e_at, z=z, pair_report=report,
-        neumann_discrepancy=discrepancy, neumann_terms=n_terms,
-        neumann_tail_bound=tail_bound, invariance_leak=leak,
-        full_basis=basis, reduced_basis=reduced_fock, frame=frame,
-        q_full=q_full, atomic_frame=vat, hyp5_u=hyp5_u,
-    )
+
+def first_lift(spec: ModelSpec, s: complex, z: complex,
+               g: float | None = None) -> np.ndarray:
+    """Auxiliary operator Q of the first decimation at (s, z): it lifts
+    ker F to ker (H_g(s) - z) on the full space (in the Hypothesis-5 frame
+    when P_at varies)."""
+    _, hz, tz, chi_bold, chibar_bold, _ = _first_pair(spec, s, z, None, g)
+    return q_ops(hz, tz, chi_bold, chibar_bold)[0]

@@ -10,6 +10,7 @@ closed-form radial integrals are reproduced to quadrature tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -288,7 +289,19 @@ class ExtractionResult:
     kernel: KernelC1
     nodes: np.ndarray
     node_values: np.ndarray
-    contamination: np.ndarray
+    source: OperatorMatrix = field(repr=False)
+
+    @cached_property
+    def contamination(self) -> np.ndarray:
+        """Per-node bound mu_j * ||H - w00(0) (x) 1|| on the (1,1) admixture
+        of the one-photon blocks (0 at the vacuum node).  It costs a full
+        SVD, so it is computed on first access."""
+        basis = self.source.basis
+        d, nF = basis.d_at, basis.size
+        diag_guess = _diagonal_block_matrix(
+            np.array([self.node_values[0]] * nF), d, nF)
+        off_scale = np.linalg.norm(self.source.mat - diag_guess, 2)
+        return np.concatenate([[0.0], basis.grid.weights[::-1]]) * off_scale
 
 
 def extract_w00(h: OperatorMatrix, n_r: int = 65) -> ExtractionResult:
@@ -297,9 +310,12 @@ def extract_w00(h: OperatorMatrix, n_r: int = 65) -> ExtractionResult:
     w00(0) is the exact vacuum block; w00(omega_j) is read off the one-photon
     diagonal block of shell j, which carries an O(shell measure) additive
     contamination from any (1,1) kernel component; the per-node bound
-    mu_j * ||offdiagonal part|| is attached.  Nodes are interpolated onto a
-    uniform r-grid with a monotone cubic (PCHIP), and the derivative samples
-    come from the interpolant.
+    mu_j * ||offdiagonal part|| is available as ``contamination``.  The
+    nodes are interpolated onto a uniform r-grid with a monotone cubic
+    (PCHIP, Fritsch & Carlson 1980): one vector fit over the stacked
+    real/imaginary parts of all d x d entries, which gives each entry the
+    same values as its own scalar fit.  The derivative samples come from the
+    interpolant.
     """
     from scipy.interpolate import PchipInterpolator
 
@@ -322,30 +338,15 @@ def extract_w00(h: OperatorMatrix, n_r: int = 65) -> ExtractionResult:
         rows = np.arange(d) * nF + i
         node_vals[t] = mat[np.ix_(rows, rows)]
 
-    diag_guess = _diagonal_block_matrix(
-        np.array([node_vals[0]] * nF), d, nF)
-    off_scale = np.linalg.norm(mat - diag_guess, 2)
-    contamination = np.concatenate([[0.0], basis.grid.weights[::-1]]) * off_scale
-
-    grid = np.linspace(0.0, 1.0, n_r)
     if nodes.size == 1:
-        vals = np.repeat(node_vals[:1], n_r, axis=0)
         ker = KernelC1(np.array([0.0]), node_vals[:1], np.zeros_like(node_vals[:1]))
-        return ExtractionResult(ker, nodes, node_vals, contamination)
-    vals = np.empty((n_r, d, d), dtype=complex)
-    ders = np.empty((n_r, d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            for part, sel in ((np.real, 1.0), (np.imag, 1j)):
-                f = PchipInterpolator(nodes, part(node_vals[:, a, b]))
-                if part is np.real:
-                    vals[:, a, b] = f(grid)
-                    ders[:, a, b] = f.derivative()(grid)
-                else:
-                    vals[:, a, b] += 1j * f(grid)
-                    ders[:, a, b] += 1j * f.derivative()(grid)
-    ker = KernelC1(grid, vals, ders)
-    return ExtractionResult(ker, nodes, node_vals, contamination)
+        return ExtractionResult(ker, nodes, node_vals, h)
+    grid = np.linspace(0.0, 1.0, n_r)
+    f = PchipInterpolator(nodes, np.stack([node_vals.real, node_vals.imag], axis=1),
+                          axis=0)
+    y, dy = f(grid), f.derivative()(grid)
+    ker = KernelC1(grid, y[:, 0] + 1j * y[:, 1], dy[:, 0] + 1j * dy[:, 1])
+    return ExtractionResult(ker, nodes, node_vals, h)
 
 
 @dataclass
@@ -397,13 +398,14 @@ class PolydiscCheck:
                  "surrogate is necessary, not sufficient")
 
 
-def polydisc_check(h: OperatorMatrix, params: PolydiscParams) -> PolydiscCheck:
-    """Measure (alpha_hat, beta_hat, gamma_hat) of H against the polydisc.
+def polydisc_check(ext: ExtractionResult, params: PolydiscParams) -> PolydiscCheck:
+    """Measure (alpha_hat, beta_hat, gamma_hat) of the extracted operator H
+    against the polydisc.
 
     alpha_hat = ||w00(0)||, beta_hat = sup ||w00' - 1||, and gamma_hat is the
     operator-norm surrogate for the interaction size (see note).
     """
-    ext = extract_w00(h)
+    h = ext.source
     d = h.basis.d_at
     alpha_hat = float(np.linalg.norm(ext.node_values[0], 2))
     if ext.kernel.r_grid.size > 1:

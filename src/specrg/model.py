@@ -9,6 +9,7 @@ rotation-invariant radial profiles times an atomic matrix polynomial, so the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -114,6 +115,9 @@ class ModelSpec:
     reflection_symmetric: bool = False
     complex_selfadjoint: bool = False
     jconj: np.ndarray | None = None                  # atomic part of J (with conj)
+    # p_at memo, keyed by complex s; a dataclasses.replace copy starts empty
+    _projections: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def h_at(self, s: complex) -> np.ndarray:
         return _poly_eval(self.hat_coeffs, s)
@@ -136,18 +140,29 @@ class ModelSpec:
             return False
         return True
 
+    @cached_property
     def _cluster_center(self) -> complex:
-        """Center of the tracked cluster: the d lowest (by real part)
-        eigenvalues of H_at(s0)."""
+        """Center of the tracked cluster: the mean of the d lowest (by real
+        part) eigenvalues of H_at(s0)."""
         eigs = np.linalg.eigvals(self.h_at(self.s0))
         lead = eigs[np.argsort(eigs.real)[: self.d]]
         return complex(np.mean(lead))
 
     def p_at(self, s: complex) -> np.ndarray:
         """Spectral projection of H_at(s) onto the tracked degenerate
-        cluster, via the declared isolation contour around E_at(s0)."""
-        return spectral_projection(self.h_at(s), self._cluster_center(),
-                                   self.contour_radius)
+        cluster, via the declared isolation contour around E_at(s0).
+
+        Computed once per s and returned read-only.  Threads sharing the spec
+        may both compute a missing entry; the results are identical.
+        """
+        s = complex(s)
+        p = self._projections.get(s)
+        if p is None:
+            p = spectral_projection(self.h_at(s), self._cluster_center,
+                                    self.contour_radius)
+            p.setflags(write=False)
+            self._projections[s] = p
+        return p
 
     def e_at(self, s: complex) -> complex:
         p = self.p_at(s)
@@ -241,7 +256,8 @@ def spectral_projection(h: np.ndarray, center: complex, radius: float,
     56, 2014), so with ``check=True`` N is raised until the largest of these
     is at most idem_tol/100. The 10% exclusion around the contour keeps N
     below about 290 for the default idem_tol. With ``check=False`` no
-    eigenvalues are computed and ``n_nodes`` is used as given.
+    eigenvalues are computed and ``n_nodes`` is used as given.  The node
+    resolvents come from one stacked solve and are summed in node order.
     """
     h = np.asarray(h, dtype=complex)
     n = h.shape[0]
@@ -257,11 +273,12 @@ def spectral_projection(h: np.ndarray, center: complex, radius: float,
         if q > 0.0:
             n_nodes = max(n_nodes, int(np.ceil(np.log(idem_tol / 100) / np.log(q))))
     theta = 2 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
-    p = np.zeros_like(h)
+    ws = [radius * np.exp(1j * t) for t in theta]
     eye = np.eye(n)
-    for t in theta:
-        w = radius * np.exp(1j * t)
-        p += w * np.linalg.solve((center + w) * eye - h, eye)
+    resolvents = np.linalg.solve(np.stack([(center + w) * eye - h for w in ws]), eye)
+    p = np.zeros_like(h)
+    for w, r in zip(ws, resolvents):
+        p += w * r
     p /= n_nodes
     residual = np.linalg.norm(p @ p - p)
     if residual > idem_tol * max(1.0, np.linalg.norm(p)):

@@ -21,11 +21,19 @@ from .feshbach import (
     FeshbachPairReport,
     feshbach_map,
     first_feshbach,
+    first_lift,
     q_ops,
     verify_pair,
 )
 from .fock import DilationMap, OperatorMatrix, dilation
-from .kernels import PolydiscCheck, PolydiscParams, extract_w00, kernel_c1_of_hf, polydisc_check
+from .kernels import (
+    ExtractionResult,
+    PolydiscCheck,
+    PolydiscParams,
+    extract_w00,
+    kernel_c1_of_hf,
+    polydisc_check,
+)
 from .model import ModelSpec, build_hamiltonian
 from .symmetry import is_symmetry_of, schur_scalar
 
@@ -113,13 +121,15 @@ class RGStepInfo:
     polydisc_violation: bool = False
 
 
-def rg_step(h: OperatorMatrix, cfg: RGConfig, collect_q: bool = False):
-    """One renormalization step; returns (next operator, info[, q]).
+def rg_step(level: LadderLevel, cfg: RGConfig, collect_q: bool = False):
+    """One renormalization step from a ladder level; returns (next operator,
+    info[, q]).
 
-    The unperturbed part is re-extracted from the matrix, so the pair is
-    valid independently of extraction error; on the vacuum-only terminal
-    space the step degenerates to exact division by rho.
+    The unperturbed part is the level's extracted diagonal kernel, so the
+    pair is valid independently of extraction error; on the vacuum-only
+    terminal space the step degenerates to exact division by rho.
     """
+    h = level.h
     basis = h.basis
     if basis.grid.levels == 0:
         info = RGStepInfo(None, None, trivial=True)
@@ -128,12 +138,11 @@ def rg_step(h: OperatorMatrix, cfg: RGConfig, collect_q: bool = False):
             return out, info, np.eye(h.mat.shape[0], dtype=complex)
         return out, info
 
-    ext = extract_w00(h)
-    t = kernel_c1_of_hf(ext.kernel, basis)
+    t = kernel_c1_of_hf(level.extraction.kernel, basis)
     cut = CutoffSpec(cfg.rho)
     chi, chibar = cut.matrices(basis)
 
-    chk = polydisc_check(h, cfg.gate_params())
+    chk = level.polydisc
     violation = not chk.member
     if violation and cfg.polydisc_strict:
         raise FeshbachPairError(
@@ -164,6 +173,7 @@ class LadderLevel:
     symmetry_residual: float
     step_info: RGStepInfo | None   # margins of the step INTO this level
     polydisc: PolydiscCheck        # measured radii of this level's operator
+    extraction: ExtractionResult   # diagonal kernel of this level's operator
 
     @property
     def gamma_hat(self) -> float:
@@ -208,8 +218,9 @@ def run_ladder(spec: ModelSpec, s: complex, z: complex, n_levels: int,
                 worst = max(worst, r)
         else:
             worst = 0.0
-        chk = polydisc_check(h_op, cfg.gate_params())
-        return LadderLevel(n, h_op, c, dev, worst, info, chk)
+        ext = extract_w00(h_op)
+        chk = polydisc_check(ext, cfg.gate_params())
+        return LadderLevel(n, h_op, c, dev, worst, info, chk, ext)
 
     levels.append(make_level(0, h, None))
     for n in range(1, n_levels + 1):
@@ -217,10 +228,10 @@ def run_ladder(spec: ModelSpec, s: complex, z: complex, n_levels: int,
         if check_windows and abs(prev.e_value) > cfg.window_threshold:
             raise WindowExitError(prev.n, prev.e_value, cfg.window_threshold)
         if collect_q:
-            h, info, q = rg_step(prev.h, cfg, collect_q=True)
+            h, info, q = rg_step(prev, cfg, collect_q=True)
             qs.append(q)
         else:
-            h, info = rg_step(prev.h, cfg)
+            h, info = rg_step(prev, cfg)
         levels.append(make_level(n, h, info))
     return Ladder(levels, first, qs)
 
@@ -251,12 +262,12 @@ def find_zn(spec: ModelSpec, s: complex, n: int, cfg: RGConfig,
     (dE/dz ~ -rho^-n) and window-violation backtracking; uniqueness is
     cross-checked by the image winding of E^(n) on a small circle."""
 
-    ladders = {}
+    last = None   # ladder of the latest successful evaluation
 
     def e_val(z):
-        lad = run_ladder(spec, s, z, n, cfg, g=g)
-        ladders[z] = lad
-        return lad.top.e_value
+        nonlocal last
+        last = run_ladder(spec, s, z, n, cfg, g=g)
+        return last.top.e_value
 
     z0 = complex(z_start)
     e0 = e_val(z0)
@@ -297,7 +308,7 @@ def find_zn(spec: ModelSpec, s: complex, n: int, cfg: RGConfig,
             raise ArithmeticError(
                 f"argument-principle count at depth {n} gave winding "
                 f"{winding}, expected a unique simple zero")
-    return RootResult(z0, abs(e0), iters, winding, ladders[z0])
+    return RootResult(z0, abs(e0), iters, winding, last)
 
 
 def _winding_count(spec, s, n, cfg, z_center, g, n_nodes: int = 16):
@@ -482,6 +493,7 @@ def build_eigenvectors(spec: ModelSpec, s: complex, z_inf: complex,
     start_basis = lad.levels[n_star].h.basis
 
     h_full = build_hamiltonian(spec, s, spec.g if g is None else g).mat
+    q_full = first_lift(spec, s, z_inf, g=g)
     vectors = []
     reduced = []
     residuals = []
@@ -495,7 +507,7 @@ def build_eigenvectors(spec: ModelSpec, s: complex, z_inf: complex,
             vec = lad.qs[k] @ vec
         phi0 = vec  # now on the level-0 reduced space
         reduced.append(phi0)
-        psi = lad.first.q_full @ (lad.first.frame @ phi0)
+        psi = q_full @ (lad.first.frame @ phi0)
         if lad.first.hyp5_u is not None:
             psi = np.kron(lad.first.hyp5_u,
                           np.eye(lad.first.full_basis.size)) @ psi

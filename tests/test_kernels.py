@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specrg.fock import ModeGrid, build_fock_basis, creation_op, field_energy
+from specrg.fock import ModeGrid, OperatorMatrix, build_fock_basis, creation_op, field_energy
 from specrg.kernels import (
     KernelC1,
     KernelMN,
@@ -206,6 +206,24 @@ class TestExtraction:
             got = np.abs(ext.node_values[t]).max()
             assert got <= ext.contamination[t] * (1 + 1e-9) + 1e-15
 
+    def test_vector_fit_matches_scalar_fits(self):
+        from scipy.interpolate import PchipInterpolator
+
+        b = make_basis(J=5, d=2)
+        rng = np.random.default_rng(3)
+        mat = rng.standard_normal((b.dim, b.dim)) + 1j * rng.standard_normal((b.dim, b.dim))
+        ext = extract_w00(OperatorMatrix(mat, b))
+        r = ext.kernel.r_grid
+        for a in range(2):
+            for c in range(2):
+                col = ext.node_values[:, a, c]
+                fr = PchipInterpolator(ext.nodes, col.real)
+                fi = PchipInterpolator(ext.nodes, col.imag)
+                vals = fr(r) + 1j * fi(r)
+                ders = fr.derivative()(r) + 1j * fi.derivative()(r)
+                assert np.abs(ext.kernel.values[:, a, c] - vals).max() <= 1e-15
+                assert np.abs(ext.kernel.derivs[:, a, c] - ders).max() <= 1e-15
+
     def test_interpolation_derivative(self):
         b = make_basis(J=5, d=1)
         w00 = linear_kernel_c1(np.array([[0.5]]), np.array([[2.0]]))
@@ -218,7 +236,7 @@ class TestPolydisc:
     def test_field_energy_in_every_disc(self):
         b = make_basis()
         h = build_H_of_w({(0, 0): linear_kernel_c1(np.zeros((2, 2)), np.eye(2))}, b)
-        chk = polydisc_check(h, PolydiscParams(0.0, 0.0, 0.0))
+        chk = polydisc_check(extract_w00(h), PolydiscParams(0.0, 0.0, 0.0))
         assert chk.member
         assert chk.alpha_hat == 0.0 and chk.beta_hat < 1e-12 and chk.gamma_hat < 1e-12
 
@@ -226,7 +244,7 @@ class TestPolydisc:
         b = make_basis(d=1)
         w00 = linear_kernel_c1(np.array([[0.2]]), np.array([[1.3]]))
         h = build_H_of_w({(0, 0): w00}, b)
-        chk = polydisc_check(h, PolydiscParams(0.25, 0.35, 0.1))
+        chk = polydisc_check(extract_w00(h), PolydiscParams(0.25, 0.35, 0.1))
         assert chk.alpha_hat == pytest.approx(0.2, abs=1e-10)
         assert chk.beta_hat == pytest.approx(0.3, abs=1e-8)
         assert chk.member
@@ -237,7 +255,7 @@ class TestPolydisc:
         h = build_H_of_w({
             (0, 0): linear_kernel_c1(np.array([[0.0]]), np.array([[1.0]])),
             (1, 0): k}, b)
-        chk = polydisc_check(h, PolydiscParams(0.1, 0.1, 1e-6))
+        chk = polydisc_check(extract_w00(h), PolydiscParams(0.1, 0.1, 1e-6))
         assert chk.gamma_hat > 1e-3
         assert not chk.member
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -291,6 +292,23 @@ class TestVaryingProjection:
         p0, ps = spec.p_at(spec.s0), spec.p_at(s)
         resid = np.linalg.norm(u @ p0 @ np.linalg.inv(u) - ps)
         assert resid < 1e-8
+
+    def test_p_at_memo_is_read_only_and_per_spec(self):
+        spec = varying_projection_spec()
+        s = 0.1
+        p = spec.p_at(s)
+        assert not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0, 0] = 1.0
+        assert spec.p_at(complex(s)) is p
+        assert np.array_equal(p, spectral_projection(spec.h_at(s), 0.0, 0.4))
+        # shifted and steeper family: the copy must get its own center and memo
+        other = dataclasses.replace(spec, hat_coeffs=[
+            spec.hat_coeffs[0] + 0.3 * np.eye(2), 2.0 * spec.hat_coeffs[1]])
+        q = other.p_at(s)
+        assert np.array_equal(q, spectral_projection(other.h_at(s), 0.3, 0.4))
+        assert np.linalg.norm(q - p) > 1e-3
+        assert spec.p_at(s) is p
 
     def test_pipeline_with_preprocessing_hits_oracle(self):
         from specrg.rg import RGConfig, iterate_to_fixed_point

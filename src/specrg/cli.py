@@ -366,6 +366,23 @@ def sweep_g(run: RunConfig, spec: ModelSpec, report: Report) -> None:
     report.check("sweep_flow_matches_oracle", worst < 1e-7)
 
 
+def random_feshbach_pair(rng):
+    """(H, T, chi, chibar) with 6 to 19 rows: T and the cutoffs diagonal in
+    one random unitary frame, H = T + W with ||W|| = 0.1."""
+    n = int(rng.integers(6, 20))
+    frame, _ = np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+    hfvals = np.sort(rng.uniform(0, 2, n))
+    cut = CutoffSpec(1.0)
+    chi = frame @ np.diag(cut.chi(hfvals).astype(complex)) @ frame.conj().T
+    cbar = frame @ np.diag(cut.chibar(hfvals).astype(complex)) @ frame.conj().T
+    tvals = hfvals + 0.3 + 0.1j * rng.standard_normal(n)
+    t = frame @ np.diag(tvals.astype(complex)) @ frame.conj().T
+    w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w *= 0.1 / np.linalg.norm(w, 2)
+    return t + w, t, chi, cbar
+
+
 def property_suite(run: RunConfig, spec: ModelSpec, report: Report) -> None:
     """Cross-module invariant battery with the configured seed; failures are
     data (reported, never raised)."""
@@ -403,19 +420,8 @@ def property_suite(run: RunConfig, spec: ModelSpec, report: Report) -> None:
     report.check("symmetry_vacuum_adjoint", worst == 0.0)
 
     reports = []
-    for k in range(20):
-        n = int(rng.integers(6, 20))
-        frame, _ = np.linalg.qr(rng.standard_normal((n, n))
-                                + 1j * rng.standard_normal((n, n)))
-        hfvals = np.sort(rng.uniform(0, 2, n))
-        cut = CutoffSpec(1.0)
-        chi = frame @ np.diag(cut.chi(hfvals).astype(complex)) @ frame.conj().T
-        cbar = frame @ np.diag(cut.chibar(hfvals).astype(complex)) @ frame.conj().T
-        tvals = hfvals + 0.3 + 0.1j * rng.standard_normal(n)
-        t = frame @ np.diag(tvals.astype(complex)) @ frame.conj().T
-        w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        w *= 0.1 / np.linalg.norm(w, 2)
-        reports.extend(isospectrality_suite(t + w, t, chi, cbar))
+    for _ in range(20):
+        reports.extend(isospectrality_suite(*random_feshbach_pair(rng)))
     id_res = max(max(r.inverse_identity_h, r.inverse_identity_f)
                  for r in reports)
     report.check("feshbach_inverse_identities", id_res < 1e-9,

@@ -3,7 +3,9 @@
 The map F(H, T) = H_chi - chi W chibar (H_chibar|_Ran chibar)^-1 chibar W chi
 with W = H - T, chi^2 + chibar^2 = 1, preserves kernel dimension and bounded
 invertibility.  Restricted inverses are computed on an orthonormal basis of
-Ran chibar obtained from a rank-revealing SVD.
+Ran chibar obtained from a rank-revealing SVD.  Each decimation builds one
+``FeshbachPair``, so that factorization is made once per pair and read by
+``verify_pair``, ``feshbach_map`` and ``q_ops``.
 
 The first decimation runs at every z the flow evaluates; its Neumann
 cross-check and its eigenvector lift are separate functions, so a ``run``
@@ -12,11 +14,12 @@ computes each once, at its own (s, z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .fock import FockBasis, OperatorMatrix, build_fock_basis
+from .fock import FockBasis, OperatorMatrix
 from .model import ModelSpec, WindowError, build_h0, build_hamiltonian, hyp5_frame
 
 RANK_THRESHOLD = 1e-10
@@ -87,10 +90,13 @@ class FeshbachPairReport:
         return self.t_margin > 0.0 and self.h_margin > 0.0 and self.contractions_ok
 
 
-class _PairPieces:
-    """Shared factorizations for one (H, T, chi, chibar) quadruple."""
+class FeshbachPair:
+    """One (H, T, chi, chibar) quadruple and its one factorization: an
+    orthonormal basis V of Ran chibar from a rank-revealing SVD, and the
+    restrictions of H_chibar and T to it.  ``verify_pair``, ``feshbach_map``
+    and ``q_ops`` all read the same pair."""
 
-    def __init__(self, h, t, chi, chibar, thresh=RANK_THRESHOLD):
+    def __init__(self, h, t, chi, chibar):
         self.h = np.asarray(h, dtype=complex)
         self.t = np.asarray(t, dtype=complex)
         self.chi = np.asarray(chi, dtype=complex)
@@ -98,41 +104,38 @@ class _PairPieces:
         self.w = self.h - self.t
         u, sv, _ = np.linalg.svd(self.chibar)
         scale = sv[0] if sv.size and sv[0] > 0 else 1.0
-        self.rank = int(np.sum(sv > thresh * scale))
-        self.near_threshold = bool(np.any((sv > 0.1 * thresh * scale)
-                                          & (sv <= 10 * thresh * scale)))
+        self.rank = int(np.sum(sv > RANK_THRESHOLD * scale))
+        self.near_threshold = bool(np.any((sv > 0.1 * RANK_THRESHOLD * scale)
+                                          & (sv <= 10 * RANK_THRESHOLD * scale)))
         self.v = u[:, : self.rank]
-        self.h_bar = self.t + self.chibar @ self.w @ self.chibar
+        self.w_bar = self.chibar @ self.w @ self.chibar   # chibar W chibar
+        self.h_bar = self.t + self.w_bar
         self.m_h = self.v.conj().T @ self.h_bar @ self.v
         self.m_t = self.v.conj().T @ self.t @ self.v
 
-    def invariance_leak(self) -> float:
-        """How far H_chibar maps Ran chibar outside itself (0 when the
-        commutation conditions hold)."""
+    def _restricted_inverse(self, m) -> np.ndarray:
         if self.rank == 0:
-            return 0.0
-        img = self.h_bar @ self.v
-        return float(np.linalg.norm(img - self.v @ (self.v.conj().T @ img)))
+            return np.zeros_like(self.h)
+        return self.v @ np.linalg.solve(m, self.v.conj().T)
 
-    def restricted_inverse_h(self) -> np.ndarray:
+    @cached_property
+    def inverse_h(self) -> np.ndarray:
         """(H_chibar|_Ran chibar)^-1 as a full-space matrix V M^-1 V^dag."""
-        if self.rank == 0:
-            return np.zeros_like(self.h)
-        return self.v @ np.linalg.solve(self.m_h, self.v.conj().T)
+        return self._restricted_inverse(self.m_h)
 
-    def restricted_inverse_t(self) -> np.ndarray:
-        if self.rank == 0:
-            return np.zeros_like(self.h)
-        return self.v @ np.linalg.solve(self.m_t, self.v.conj().T)
+    @cached_property
+    def inverse_t(self) -> np.ndarray:
+        """(T|_Ran chibar)^-1 as a full-space matrix."""
+        return self._restricted_inverse(self.m_t)
 
 
-def verify_pair(h, t, chi, chibar, thresh=RANK_THRESHOLD) -> FeshbachPairReport:
+def verify_pair(pair: FeshbachPair) -> FeshbachPairReport:
     """Check the sufficient pair conditions and report margins.
 
     Margins are smallest singular values of the restrictions to Ran chibar;
     contraction norms are ||T^-1 chibar W chibar|| and ||chibar W T^-1 chibar||.
     """
-    p = _PairPieces(h, t, chi, chibar, thresh)
+    p = pair
     comm_chi = float(np.linalg.norm(p.chi @ p.t - p.t @ p.chi))
     comm_chibar = float(np.linalg.norm(p.chibar @ p.t - p.t @ p.chibar))
     if p.rank == 0:
@@ -141,10 +144,8 @@ def verify_pair(h, t, chi, chibar, thresh=RANK_THRESHOLD) -> FeshbachPairReport:
     t_margin = float(np.linalg.svd(p.m_t, compute_uv=False)[-1])
     h_margin = float(np.linalg.svd(p.m_h, compute_uv=False)[-1])
     if t_margin > 0:
-        rt = p.restricted_inverse_t()
-        mid = p.chibar @ p.w @ p.chibar
-        left = float(np.linalg.norm(rt @ mid, 2))
-        right = float(np.linalg.norm(mid @ rt, 2))
+        left = float(np.linalg.norm(p.inverse_t @ p.w_bar, 2))
+        right = float(np.linalg.norm(p.w_bar @ p.inverse_t, 2))
     else:
         left = right = np.inf
     return FeshbachPairReport(comm_chi, comm_chibar, t_margin, h_margin,
@@ -157,33 +158,26 @@ class FeshbachPairError(ArithmeticError):
         super().__init__(msg or f"Feshbach pair conditions failed: {report}")
 
 
-def feshbach_map(h, t, chi, chibar, check: bool = True,
-                 thresh=RANK_THRESHOLD) -> np.ndarray:
+def feshbach_map(pair: FeshbachPair) -> np.ndarray:
     """F(H, T) = T + chi W chi - chi W chibar (H_chibar|)^-1 chibar W chi."""
-    p = _PairPieces(h, t, chi, chibar, thresh)
-    if check:
-        rep = verify_pair(h, t, chi, chibar, thresh)
-        if not (rep.t_margin > 0 and rep.h_margin > 0):
-            raise FeshbachPairError(rep)
-    rinv = p.restricted_inverse_h()
+    p = pair
     return (p.t + p.chi @ p.w @ p.chi
-            - p.chi @ p.w @ p.chibar @ rinv @ p.chibar @ p.w @ p.chi)
+            - p.chi @ p.w @ p.chibar @ p.inverse_h @ p.chibar @ p.w @ p.chi)
 
 
-def q_ops(h, t, chi, chibar, thresh=RANK_THRESHOLD):
+def q_ops(pair: FeshbachPair):
     """Auxiliary operators mapping ker F -> ker H and back:
     Q = chi - chibar H_chibar^-1 chibar W chi and its sharp partner."""
-    p = _PairPieces(h, t, chi, chibar, thresh)
-    rinv = p.restricted_inverse_h()
-    q = p.chi - p.chibar @ rinv @ p.chibar @ p.w @ p.chi
-    q_sharp = p.chi - p.chi @ p.w @ p.chibar @ rinv @ p.chibar
+    p = pair
+    q = p.chi - p.chibar @ p.inverse_h @ p.chibar @ p.w @ p.chi
+    q_sharp = p.chi - p.chi @ p.w @ p.chibar @ p.inverse_h @ p.chibar
     return q, q_sharp
 
 
-def kernel_dim(mat, rel_thresh=RANK_THRESHOLD) -> int:
+def kernel_dim(mat) -> int:
     sv = np.linalg.svd(np.asarray(mat), compute_uv=False)
     scale = sv[0] if sv.size and sv[0] > 0 else 1.0
-    return int(np.sum(sv <= rel_thresh * scale))
+    return int(np.sum(sv <= RANK_THRESHOLD * scale))
 
 
 @dataclass
@@ -199,8 +193,7 @@ class IsospectralityReport:
         return self.kernel_dim_h == self.kernel_dim_f
 
 
-def isospectrality_suite(h, t, chi, chibar, probe_shifts=(0.0,),
-                         thresh=RANK_THRESHOLD):
+def isospectrality_suite(h, t, chi, chibar, probe_shifts=(0.0,)):
     """Exercise the two inverse identities and the kernel-dimension equality
     for each probe shift z (the pair becomes (H - z, T - z)).
 
@@ -213,26 +206,22 @@ def isospectrality_suite(h, t, chi, chibar, probe_shifts=(0.0,),
     eye = np.eye(h.shape[0])
     reports = []
     for z in probe_shifts:
-        hz, tz = h - z * eye, t - z * eye
-        p = _PairPieces(hz, tz, chi, chibar, thresh)
-        f = feshbach_map(hz, tz, chi, chibar, check=False, thresh=thresh)
-        q, q_sharp = q_ops(hz, tz, chi, chibar, thresh)
-        kd_h = kernel_dim(hz, thresh)
-        kd_f = kernel_dim(f, thresh)
+        hz = h - z * eye
+        p = FeshbachPair(hz, t - z * eye, chi, chibar)
+        f = feshbach_map(p)
+        q, q_sharp = q_ops(p)
+        kd_h = kernel_dim(hz)
+        kd_f = kernel_dim(f)
         res_h = res_f = np.nan
-        sv_h = np.linalg.svd(hz, compute_uv=False)
-        sv_f = np.linalg.svd(f, compute_uv=False)
-        invertible_h = sv_h[-1] > thresh * sv_h[0]
-        invertible_f = sv_f[-1] > thresh * sv_f[0]
-        if invertible_h and invertible_f:
+        if kd_h == 0 and kd_f == 0:
             hinv = np.linalg.inv(hz)
             finv = np.linalg.inv(f)
-            rhs = q @ finv @ q_sharp + p.chibar @ p.restricted_inverse_h() @ p.chibar
+            rhs = q @ finv @ q_sharp + p.chibar @ p.inverse_h @ p.chibar
             res_h = float(np.linalg.norm(hinv - rhs) / np.linalg.norm(hinv))
-            rhs2 = p.chi @ hinv @ p.chi + p.chibar @ p.restricted_inverse_t() @ p.chibar
+            rhs2 = p.chi @ hinv @ p.chi + p.chibar @ p.inverse_t @ p.chibar
             res_f = float(np.linalg.norm(finv - rhs2) / np.linalg.norm(finv))
         reports.append(IsospectralityReport(
-            res_h, res_f, kd_h, kd_f, invertible_h == invertible_f))
+            res_h, res_f, kd_h, kd_f, (kd_h == 0) == (kd_f == 0)))
     return reports
 
 
@@ -245,7 +234,6 @@ class FirstFeshbachResult:
     e_at: complex
     z: complex
     pair_report: FeshbachPairReport
-    invariance_leak: float
     full_basis: FockBasis
     reduced_basis: FockBasis
     frame: np.ndarray            # (d_at * n_full) x (d * n_red) isometry
@@ -264,17 +252,16 @@ def reduced_frame(spec: ModelSpec, full_basis: FockBasis,
 
 
 def _first_pair(spec: ModelSpec, s: complex, z: complex,
-                basis: FockBasis | None, g: float | None):
-    """(basis, H_g(s) - z, H_0(s) - z, chi, chibar, U) of the first
-    decimation: the cutoff pair is P_at (x) chi_1(H_f) and its partner, and
-    when P_at(s) differs from P_at(s0) both operators are conjugated by the
-    Hypothesis-5 frame U(s) (else U is None)."""
+                g: float | None) -> tuple[FockBasis, FeshbachPair, np.ndarray | None]:
+    """(basis, pair, U) of the first decimation: the pair is
+    (H_g(s) - z, H_0(s) - z) with the cutoff P_at (x) chi_1(H_f) and its
+    partner, and when P_at(s) differs from P_at(s0) both operators are
+    conjugated by the Hypothesis-5 frame U(s) (else U is None)."""
     if g is None:
         g = spec.g
     if not spec.in_window(s, z):
         raise WindowError(f"(s, z) = ({s}, {z}) outside the declared window")
-    if basis is None:
-        basis = spec.full_basis()
+    basis = spec.full_basis()
 
     hyp5_u = None
     p0 = spec.p_at(spec.s0)
@@ -298,11 +285,11 @@ def _first_pair(spec: ModelSpec, s: complex, z: complex,
                    + np.kron(p0, np.diag(cbar_f.astype(complex))))
 
     eye = np.eye(basis.dim)
-    return basis, h_full - z * eye, h0_full - z * eye, chi_bold, chibar_bold, hyp5_u
+    pair = FeshbachPair(h_full - z * eye, h0_full - z * eye, chi_bold, chibar_bold)
+    return basis, pair, hyp5_u
 
 
 def first_feshbach(spec: ModelSpec, s: complex, z: complex,
-                   basis: FockBasis | None = None,
                    g: float | None = None) -> FirstFeshbachResult:
     """Decimate (H_g(s) - z, H_0(s) - z) with the projection-weighted cutoff
     P_at (x) chi_1(H_f), restricted to the reduced space.
@@ -312,14 +299,11 @@ def first_feshbach(spec: ModelSpec, s: complex, z: complex,
     (``neumann_check``) and the eigenvector lift (``first_lift``) do not
     depend on the flow, so a ``run`` computes each once.
     """
-    basis, hz, tz, chi_bold, chibar_bold, hyp5_u = _first_pair(spec, s, z, basis, g)
-    pieces = _PairPieces(hz, tz, chi_bold, chibar_bold)
-    report = verify_pair(hz, tz, chi_bold, chibar_bold)
+    basis, pair, hyp5_u = _first_pair(spec, s, z, g)
+    report = verify_pair(pair)
     if not (report.t_margin > 0 and report.h_margin > 0):
         raise FeshbachPairError(report)
-    leak = pieces.invariance_leak()
-
-    f_direct = feshbach_map(hz, tz, chi_bold, chibar_bold, check=False)
+    f_direct = feshbach_map(pair)
 
     reduced_fock = spec.reduced_fock_basis()
     vat = spec.atomic_frame()
@@ -328,7 +312,7 @@ def first_feshbach(spec: ModelSpec, s: complex, z: complex,
     e_at = spec.e_at(s)
     return FirstFeshbachResult(
         h0=OperatorMatrix(h0_red, reduced_fock),
-        e_at=e_at, z=z, pair_report=report, invariance_leak=leak,
+        e_at=e_at, z=z, pair_report=report,
         full_basis=basis, reduced_basis=reduced_fock, frame=frame,
         atomic_frame=vat, hyp5_u=hyp5_u,
     )
@@ -343,40 +327,40 @@ class NeumannCheck:
     tail_bound: float      # a-posteriori bound from the contraction norm
 
 
-def neumann_check(spec: ModelSpec, s: complex, z: complex,
-                  max_terms: int = 30, tol: float = 1e-13) -> NeumannCheck:
+NEUMANN_MAX_TERMS = 30
+NEUMANN_TOL = 1e-13       # stop when a term falls below this, relative to ||F||
+
+
+def neumann_check(spec: ModelSpec, s: complex, z: complex) -> NeumannCheck:
     """Cross-check the first decimation at (s, z) against the truncated
     Neumann expansion of the same Schur complement, with an a-posteriori
     tail bound from the measured contraction norm."""
-    _, hz, tz, chi_bold, chibar_bold, _ = _first_pair(spec, s, z, None, None)
-    pieces = _PairPieces(hz, tz, chi_bold, chibar_bold)
-    f_direct = feshbach_map(hz, tz, chi_bold, chibar_bold, check=False)
+    pair = _first_pair(spec, s, z, None)[1]
+    f_direct = feshbach_map(pair)
 
     # F = T + chi W chi - sum_{L>=1} (-1)^(L-1) chi W chibar (R0 chibar W chibar)^(L-1) R0 chibar W chi
     # with R0 the restricted inverse of T on Ran chibar and W = g W(s).
-    w = pieces.w
-    r0 = pieces.restricted_inverse_t()
-    lead = chi_bold @ w @ chibar_bold
-    inner = chibar_bold @ w @ chibar_bold
-    contraction = float(np.linalg.norm(r0 @ inner, 2))
+    chi, chibar, w, r0 = pair.chi, pair.chibar, pair.w, pair.inverse_t
+    lead = chi @ w @ chibar
+    contraction = float(np.linalg.norm(r0 @ pair.w_bar, 2))
     scale = max(1.0, float(np.linalg.norm(f_direct)))
     series = np.zeros_like(f_direct)
-    cur = r0 @ (chibar_bold @ w @ chi_bold)
+    cur = r0 @ (chibar @ w @ chi)
     n_terms = 0
     last_norm = 0.0
-    for L in range(1, max_terms + 1):
+    for L in range(1, NEUMANN_MAX_TERMS + 1):
         term = lead @ cur
         series += ((-1) ** (L - 1)) * term
         n_terms = L
         last_norm = float(np.linalg.norm(term, 2))
-        if last_norm < tol * scale:
+        if last_norm < NEUMANN_TOL * scale:
             break
-        cur = r0 @ (inner @ cur)
+        cur = r0 @ (pair.w_bar @ cur)
     if contraction < 1.0:
         tail_bound = last_norm * contraction / (1.0 - contraction)
     else:
         tail_bound = np.inf
-    f_neumann = tz + chi_bold @ w @ chi_bold - series
+    f_neumann = pair.t + chi @ w @ chi - series
     discrepancy = float(np.linalg.norm(f_direct - f_neumann) / scale)
     return NeumannCheck(discrepancy, n_terms, tail_bound)
 
@@ -386,5 +370,4 @@ def first_lift(spec: ModelSpec, s: complex, z: complex,
     """Auxiliary operator Q of the first decimation at (s, z): it lifts
     ker F to ker (H_g(s) - z) on the full space (in the Hypothesis-5 frame
     when P_at varies)."""
-    _, hz, tz, chi_bold, chibar_bold, _ = _first_pair(spec, s, z, None, g)
-    return q_ops(hz, tz, chi_bold, chibar_bold)[0]
+    return q_ops(_first_pair(spec, s, z, g)[1])[0]

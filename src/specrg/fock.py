@@ -160,7 +160,6 @@ class OperatorMatrix:
     mat: np.ndarray
     basis: FockBasis
     selfadjoint_known: bool = False
-    block_note: str = ""
 
     def __post_init__(self):
         self.mat = np.asarray(self.mat, dtype=complex)

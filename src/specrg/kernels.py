@@ -351,40 +351,11 @@ def extract_w00(h: OperatorMatrix, n_r: int = 65) -> ExtractionResult:
 
 @dataclass
 class PolydiscParams:
-    """Polydisc radii and the cutoff-dependent recursion constants."""
+    """Polydisc radii (alpha, beta, gamma) of the flow's membership gate."""
 
     alpha: float
     beta: float
     gamma: float
-    rho: float = 0.5
-    mu: float = 0.5
-    c_chi: float = 1.0
-    xi: float | None = None
-
-    def __post_init__(self):
-        if self.xi is None:
-            self.xi = np.sqrt(self.rho) / (4.0 * self.c_chi)
-
-    @property
-    def c_beta(self) -> float:
-        return 1.5 * self.c_chi
-
-    @property
-    def c_gamma(self) -> float:
-        return 128.0 * self.c_chi**2
-
-    @property
-    def contraction_admissible(self) -> bool:
-        return self.c_gamma * self.rho**self.mu < 1.0
-
-    def sustained_iteration_ok(self) -> bool:
-        """beta_0 + (C_beta/rho)/(1-(C_gamma rho^mu)^2) gamma_0^2 within the
-        budget rho/(8 C_chi); requires theoretical contraction."""
-        if not self.contraction_admissible:
-            return False
-        q = self.c_gamma * self.rho**self.mu
-        lhs = self.beta + (self.c_beta / self.rho) / (1 - q * q) * self.gamma**2
-        return lhs <= self.rho / (8 * self.c_chi)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .fock import FOUR_PI, FockBasis, ModeGrid, OperatorMatrix, build_fock_basis, creation_op, field_energy
-from .symmetry import SymmetryGroup, SymmetryOp, is_irreducible, is_symmetry_of, transformation_function
+from .symmetry import SymmetryOp, is_irreducible, is_symmetry_of, transformation_function
 
 
 class InfraredError(ValueError):
@@ -77,20 +77,6 @@ def _poly_eval(coeffs, s: complex) -> np.ndarray:
 
 
 @dataclass
-class SpectralWindow:
-    """Neighborhood {|s-s0| <= r_s, |z-E_at(s)| <= r_z} with r_z < 1/2."""
-
-    center: complex
-    contour_radius: float
-    r_s: float
-    r_z: float
-
-    def __post_init__(self):
-        if not self.r_z < 0.5:
-            raise ValueError(f"window radius r_z must be < 1/2, got {self.r_z}")
-
-
-@dataclass
 class ModelSpec:
     """Full definition of one model: atomic family, coupling, grid,
     truncation, symmetry group and flags."""
@@ -127,10 +113,6 @@ class ModelSpec:
 
     def b2(self, s: complex) -> np.ndarray:
         return _poly_eval(self.b2_coeffs, s)
-
-    def window(self) -> SpectralWindow:
-        return SpectralWindow(self.e_at(self.s0), self.contour_radius,
-                              self.region_radius, self.window_radius)
 
     def in_window(self, s: complex, z: complex | None = None,
                   tol: float = 1e-9) -> bool:
@@ -196,19 +178,6 @@ class ModelSpec:
 
     def reduced_fock_basis(self) -> FockBasis:
         return build_fock_basis(self.grid, self.n_max, 1.0, self.d)
-
-    def full_generators(self, basis: FockBasis) -> list:
-        """Generators lifted to the full space; the Fock factor is the
-        identity footprint (conjugation in the occupation basis for
-        antiunitary elements, which fixes the vacuum, the one-particle
-        subspace and the real dilation permutation)."""
-        eye = np.eye(basis.size)
-        out = []
-        for gat in self.generators:
-            out.append(SymmetryOp(np.kron(gat.matrix, eye), gat.antiunitary,
-                                  atomic_part=gat.matrix, fock_part=eye,
-                                  label=gat.label))
-        return out
 
     def reduced_generators(self, reduced_basis: FockBasis) -> list:
         """Generators restricted to Ran P_at (x) reduced Fock space."""

@@ -17,6 +17,7 @@ import numpy as np
 
 from .feshbach import (
     CutoffSpec,
+    FeshbachPair,
     FeshbachPairError,
     FeshbachPairReport,
     feshbach_map,
@@ -82,22 +83,7 @@ class RGConfig:
         return self.c_gamma * self.rho**self.mu < 1.0
 
     def gate_params(self) -> PolydiscParams:
-        return PolydiscParams(self.rho / 2, self.rho / 8, self.rho / 8,
-                              rho=self.rho, mu=self.mu, c_chi=self.c_chi)
-
-
-def param_step(alpha: float, beta: float, gamma: float, cfg: RGConfig):
-    """One step of the theoretical polydisc recursion:
-    alpha' = C_beta gamma^2 / rho, beta' = beta + alpha', gamma' = C_gamma rho^mu gamma.
-
-    Returns ((alpha', beta', gamma'), admissible) where admissible reflects
-    the sustained-iteration budget beta' , gamma' <= rho/(8 C_chi).
-    """
-    shift = cfg.c_beta * gamma**2 / cfg.rho
-    nxt = (shift, beta + shift, cfg.c_gamma * cfg.rho**cfg.mu * gamma)
-    budget = cfg.rho / (8.0 * cfg.c_chi)
-    admissible = nxt[1] <= budget and nxt[2] <= budget
-    return nxt, admissible
+        return PolydiscParams(self.rho / 2, self.rho / 8, self.rho / 8)
 
 
 class WindowExitError(ValueError):
@@ -139,27 +125,25 @@ def rg_step(level: LadderLevel, cfg: RGConfig, collect_q: bool = False):
         return out, info
 
     t = kernel_c1_of_hf(level.extraction.kernel, basis)
-    cut = CutoffSpec(cfg.rho)
-    chi, chibar = cut.matrices(basis)
+    pair = FeshbachPair(h.mat, t, *CutoffSpec(cfg.rho).matrices(basis))
+    report = verify_pair(pair)
 
     chk = level.polydisc
     violation = not chk.member
     if violation and cfg.polydisc_strict:
         raise FeshbachPairError(
-            verify_pair(h.mat, t, chi, chibar),
+            report,
             f"polydisc gate failed: measured ({chk.alpha_hat:.3g}, "
             f"{chk.beta_hat:.3g}, {chk.gamma_hat:.3g})")
-
-    report = verify_pair(h.mat, t, chi, chibar)
     if not (report.t_margin > 0 and report.h_margin > 0):
         raise FeshbachPairError(report)
-    f = feshbach_map(h.mat, t, chi, chibar, check=False)
+    f = feshbach_map(pair)
     dil = dilation(basis, cfg.rho)
     out = OperatorMatrix(dil.conjugate(f) / cfg.rho, dil.target)
     info = RGStepInfo(report, chk, dilation_map=dil,
                       polydisc_violation=violation)
     if collect_q:
-        q, _ = q_ops(h.mat, t, chi, chibar)
+        q, _ = q_ops(pair)
         return out, info, q
     return out, info
 
@@ -234,17 +218,6 @@ def run_ladder(spec: ModelSpec, s: complex, z: complex, n_levels: int,
             h, info = rg_step(prev, cfg)
         levels.append(make_level(n, h, info))
     return Ladder(levels, first, qs)
-
-
-def energy_function(spec: ModelSpec, s: complex, n: int, cfg: RGConfig,
-                    g: float | None = None, check_windows: bool = True):
-    """E^(n)(z) = tr<H^(n)[z]>_Omega / d as a callable of z."""
-
-    def e_of_z(z: complex) -> complex:
-        lad = run_ladder(spec, s, z, n, cfg, g=g, check_windows=check_windows)
-        return lad.top.e_value
-
-    return e_of_z
 
 
 @dataclass

@@ -18,6 +18,7 @@ from specrg.kernels import (
     sharp_norm,
     shell_weight_mu,
 )
+from specrg.rg import RGConfig
 
 
 def make_basis(J=4, rho=0.5, d=2, n_max=2, e_cut=1.0):
@@ -260,7 +261,7 @@ class TestPolydisc:
         assert not chk.member
 
     def test_recursion_constants(self):
-        p = PolydiscParams(0.1, 0.01, 0.01, rho=0.5, mu=0.5, c_chi=1.0)
+        p = RGConfig(rho=0.5, mu=0.5, c_chi=1.0)
         assert p.c_beta == 1.5
         assert p.c_gamma == 128.0
         assert p.xi == pytest.approx(np.sqrt(0.5) / 4.0)

@@ -28,6 +28,7 @@ from . import fock, kernels, symmetry
 from .feshbach import (
     CutoffSpec,
     FeshbachPairError,
+    FirstDecimation,
     first_feshbach,
     isospectrality_suite,
     neumann_check,
@@ -44,7 +45,8 @@ from .rg import (
 
 FLOW_ERRORS = (WindowError, WindowExitError, FeshbachPairError, ArithmeticError)
 
-_RG_KEYS = ("rho", "mu", "c_chi", "n_iter_max", "tol_z", "tol_fixed_point",
+# rho and mu come from the model (grid ratio and infrared exponent)
+_RG_KEYS = ("c_chi", "n_iter_max", "tol_z", "tol_fixed_point",
             "window_factor", "schur_tol", "check_winding", "polydisc_strict",
             "secant_max_iter")
 
@@ -187,6 +189,21 @@ def _kernel_dump(ext) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _first_decimation_checks(spec: ModelSpec, report: Report) -> None:
+    """Report the first decimation at (s0, E_at(s0)) and its Neumann
+    cross-check.  The full-space pair is freed on return, before the flow."""
+    s = spec.s0
+    _, pair, pair_report = first_feshbach(FirstDecimation(spec, s), spec.e_at(s))
+    neumann = neumann_check(pair)
+    report.put("first.neumann_discrepancy", neumann.discrepancy)
+    report.put("first.neumann_terms", neumann.terms)
+    report.put("first.neumann_tail_bound", neumann.tail_bound)
+    report.put("first.contraction", pair_report.contraction_left)
+    report.put("first.t_margin", pair_report.t_margin)
+    report.check("first_feshbach_consistency", neumann.discrepancy < 1e-10,
+                 f"direct vs Neumann discrepancy {neumann.discrepancy:.3e}")
+
+
 def run_pipeline(run: RunConfig, spec: ModelSpec, report: Report,
                  out_dir: str | None = None) -> None:
     """verify -> first decimation sanity -> flow to the fixed point ->
@@ -210,15 +227,7 @@ def run_pipeline(run: RunConfig, spec: ModelSpec, report: Report,
             report.check(f"hyp.{e.name}", e.passed, e.detail)
     report.say(f"hypotheses: {'all pass' if hyp.all_passed else 'FAILURES'}")
 
-    ff = first_feshbach(spec, s, spec.e_at(s))
-    neumann = neumann_check(spec, s, spec.e_at(s))
-    report.put("first.neumann_discrepancy", neumann.discrepancy)
-    report.put("first.neumann_terms", neumann.terms)
-    report.put("first.neumann_tail_bound", neumann.tail_bound)
-    report.put("first.contraction", ff.pair_report.contraction_left)
-    report.put("first.t_margin", ff.pair_report.t_margin)
-    report.check("first_feshbach_consistency", neumann.discrepancy < 1e-10,
-                 f"direct vs Neumann discrepancy {neumann.discrepancy:.3e}")
+    _first_decimation_checks(spec, report)
 
     res = iterate_to_fixed_point(spec, s, cfg)
     report.put("z_inf", res.z_inf)
@@ -271,7 +280,7 @@ def run_pipeline(run: RunConfig, spec: ModelSpec, report: Report,
     _write(out_dir, "kernel.txt", _kernel_dump(res.final_ladder.levels[0].extraction))
 
     if spec.complex_selfadjoint and spec.jconj is not None:
-        jfull = np.kron(spec.jconj, np.eye(ff.full_basis.size))
+        jfull = np.kron(spec.jconj, np.eye(h_full.basis.size))
         proj = build_eigenprojection(ev.vectors, "conjugation", jmatrix=jfull,
                                      h_full=h_full.mat, z=res.z_inf)
     elif spec.reflection_symmetric and abs(np.imag(s)) == 0.0:
@@ -430,8 +439,8 @@ def property_suite(run: RunConfig, spec: ModelSpec, report: Report) -> None:
                  all(r.kernel_dims_match for r in reports))
 
     # Schur scalarization of the first decimation under the declared group
-    ff = first_feshbach(spec, spec.s0, spec.e_at(spec.s0))
-    c, dev = symmetry.schur_scalar(ff.h0.mat, spec.d, ff.reduced_basis.size)
+    h0 = first_feshbach(FirstDecimation(spec, spec.s0), spec.e_at(spec.s0)).h0
+    c, dev = symmetry.schur_scalar(h0.mat, spec.d, h0.basis.size)
     limit = run.rg.schur_tol * max(1.0, abs(c))
     if spec.d >= 2:
         frame = spec.atomic_frame()
@@ -449,9 +458,9 @@ def property_suite(run: RunConfig, spec: ModelSpec, report: Report) -> None:
     else:
         report.check("suite_schur_scalar", dev <= limit)
 
-    ext = kernels.extract_w00(ff.h0)
-    rebuilt = kernels.kernel_c1_of_hf(ext.kernel, ff.reduced_basis)
-    gamma_hat = float(np.linalg.norm(ff.h0.mat - rebuilt, 2))
+    ext = kernels.extract_w00(h0)
+    rebuilt = kernels.kernel_c1_of_hf(ext.kernel, h0.basis)
+    gamma_hat = float(np.linalg.norm(h0.mat - rebuilt, 2))
     report.put("suite.gamma_hat0", gamma_hat)
     report.say("suite complete")
 

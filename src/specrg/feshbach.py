@@ -7,15 +7,17 @@ Ran chibar obtained from a rank-revealing SVD.  Each decimation builds one
 ``FeshbachPair``, so that factorization is made once per pair and read by
 ``verify_pair``, ``feshbach_map`` and ``q_ops``.
 
-The first decimation runs at every z the flow evaluates; its Neumann
-cross-check and its eigenvector lift are separate functions, so a ``run``
-computes each once, at its own (s, z).
+The first decimation's z-independent data (H_g(s), H_0(s), the cutoffs, the
+bases and the frame) is a ``FirstDecimation``, built once per (model, s);
+``FirstDecimation.pair(z)`` is the only work left per z.  ``first_feshbach``
+maps that pair to the reduced space, and ``neumann_check`` cross-checks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,15 +56,12 @@ class CutoffSpec:
         c = self.chi(r)
         return np.sqrt(1.0 - c * c)
 
-    def fock_diagonals(self, basis: FockBasis):
-        """(chi(H_f), chibar(H_f)) as diagonal vectors on the full product
-        basis (identity on the atomic factor)."""
-        chi = np.kron(np.ones(basis.d_at), self.chi(basis.hf_values))
-        cbar = np.kron(np.ones(basis.d_at), self.chibar(basis.hf_values))
-        return chi, cbar
-
     def matrices(self, basis: FockBasis):
-        chi, cbar = self.fock_diagonals(basis)
+        """chi(H_f) and chibar(H_f) as diagonal matrices on the full product
+        basis (identity on the atomic factor)."""
+        ones = np.ones(basis.d_at)
+        chi = np.kron(ones, self.chi(basis.hf_values))
+        cbar = np.kron(ones, self.chibar(basis.hf_values))
         return np.diag(chi.astype(complex)), np.diag(cbar.astype(complex))
 
 
@@ -225,97 +224,72 @@ def isospectrality_suite(h, t, chi, chibar, probe_shifts=(0.0,)):
     return reports
 
 
-@dataclass
-class FirstFeshbachResult:
-    """First decimation of the full Hamiltonian onto
-    Ran(P_at (x) 1_{H_f <= 1}), with diagnostics."""
+class FirstDecimation:
+    """z-independent data of the first decimation at (model, s, g): the
+    operators H_g(s) and H_0(s) on the full space, conjugated by the
+    Hypothesis-5 frame U(s) when P_at(s) differs from P_at(s0) (``hyp5_u``,
+    else None); the cutoff P_at(s0) (x) chi_1(H_f) and its partner; the full
+    and reduced bases and the isometry ``frame`` from C^d (x) (reduced Fock
+    states) into the full space."""
+
+    def __init__(self, spec: ModelSpec, s: complex, g: float | None = None):
+        self.spec = spec
+        self.s = s
+        self.basis = basis = spec.full_basis()
+        self.reduced_basis = spec.reduced_fock_basis()
+
+        p0 = spec.p_at(spec.s0)
+        h = build_hamiltonian(spec, s, g, basis).mat
+        t = build_h0(spec, s, basis)
+        self.hyp5_u = None
+        if np.linalg.norm(spec.p_at(s) - p0) > 1e-12:
+            u = self.hyp5_u = hyp5_frame(spec, s)
+            uf = np.kron(u, np.eye(basis.size))
+            ufinv = np.kron(np.linalg.inv(u), np.eye(basis.size))
+            h, t = ufinv @ h @ uf, ufinv @ t @ uf
+        self.h, self.t = h, t
+
+        cut = CutoffSpec(1.0)
+        chi_f = cut.chi(basis.hf_values)
+        cbar_f = cut.chibar(basis.hf_values)
+        pbar0 = np.eye(spec.d_at) - p0
+        self.chi = np.kron(p0, np.diag(chi_f.astype(complex)))
+        self.chibar = (np.kron(pbar0, np.eye(basis.size))
+                       + np.kron(p0, np.diag(cbar_f.astype(complex))))
+
+        inject = np.zeros((basis.size, self.reduced_basis.size))
+        for i, occ in enumerate(self.reduced_basis.states):
+            inject[basis.index[occ], i] = 1.0
+        self.frame = np.kron(spec.atomic_frame(), inject)
+
+    def pair(self, z: complex) -> FeshbachPair:
+        """The pair (H_g(s) - z, H_0(s) - z) with the first cutoffs."""
+        if not self.spec.in_window(self.s, z):
+            raise WindowError(f"(s, z) = ({self.s}, {z}) outside the declared window")
+        eye = np.eye(self.basis.dim)
+        return FeshbachPair(self.h - z * eye, self.t - z * eye, self.chi, self.chibar)
+
+
+class FirstFeshbachResult(NamedTuple):
+    """First decimation at one z: the reduced operator, its pair and the
+    pair's report."""
 
     h0: OperatorMatrix
-    e_at: complex
-    z: complex
+    pair: FeshbachPair
     pair_report: FeshbachPairReport
-    full_basis: FockBasis
-    reduced_basis: FockBasis
-    frame: np.ndarray            # (d_at * n_full) x (d * n_red) isometry
-    atomic_frame: np.ndarray
-    hyp5_u: np.ndarray | None = None
 
 
-def reduced_frame(spec: ModelSpec, full_basis: FockBasis,
-                  reduced_basis: FockBasis, atomic_frame: np.ndarray) -> np.ndarray:
-    """Isometry embedding C^d (x) (reduced Fock states) into the full space."""
-    n_full = full_basis.size
-    inject = np.zeros((n_full, reduced_basis.size))
-    for i, occ in enumerate(reduced_basis.states):
-        inject[full_basis.index[occ], i] = 1.0
-    return np.kron(atomic_frame, inject)
-
-
-def _first_pair(spec: ModelSpec, s: complex, z: complex,
-                g: float | None) -> tuple[FockBasis, FeshbachPair, np.ndarray | None]:
-    """(basis, pair, U) of the first decimation: the pair is
-    (H_g(s) - z, H_0(s) - z) with the cutoff P_at (x) chi_1(H_f) and its
-    partner, and when P_at(s) differs from P_at(s0) both operators are
-    conjugated by the Hypothesis-5 frame U(s) (else U is None)."""
-    if g is None:
-        g = spec.g
-    if not spec.in_window(s, z):
-        raise WindowError(f"(s, z) = ({s}, {z}) outside the declared window")
-    basis = spec.full_basis()
-
-    hyp5_u = None
-    p0 = spec.p_at(spec.s0)
-    h_full = build_hamiltonian(spec, s, g, basis).mat
-    if np.linalg.norm(spec.p_at(s) - p0) > 1e-12:
-        u = hyp5_frame(spec, s)
-        hyp5_u = u
-        uf = np.kron(u, np.eye(basis.size))
-        ufinv = np.kron(np.linalg.inv(u), np.eye(basis.size))
-        h_full = ufinv @ h_full @ uf
-        h0_full = ufinv @ build_h0(spec, s, basis) @ uf
-    else:
-        h0_full = build_h0(spec, s, basis)
-
-    cut = CutoffSpec(1.0)
-    chi_f = cut.chi(basis.hf_values)
-    cbar_f = cut.chibar(basis.hf_values)
-    pbar0 = np.eye(spec.d_at) - p0
-    chi_bold = np.kron(p0, np.diag(chi_f.astype(complex)))
-    chibar_bold = (np.kron(pbar0, np.eye(basis.size))
-                   + np.kron(p0, np.diag(cbar_f.astype(complex))))
-
-    eye = np.eye(basis.dim)
-    pair = FeshbachPair(h_full - z * eye, h0_full - z * eye, chi_bold, chibar_bold)
-    return basis, pair, hyp5_u
-
-
-def first_feshbach(spec: ModelSpec, s: complex, z: complex,
-                   g: float | None = None) -> FirstFeshbachResult:
+def first_feshbach(first: FirstDecimation, z: complex) -> FirstFeshbachResult:
     """Decimate (H_g(s) - z, H_0(s) - z) with the projection-weighted cutoff
-    P_at (x) chi_1(H_f), restricted to the reduced space.
-
-    The result is computed by direct block inversion.  The flow calls this
-    at every z; the cross-check against the Neumann expansion
-    (``neumann_check``) and the eigenvector lift (``first_lift``) do not
-    depend on the flow, so a ``run`` computes each once.
-    """
-    basis, pair, hyp5_u = _first_pair(spec, s, z, g)
+    P_at (x) chi_1(H_f) by direct block inversion, and restrict the result to
+    the reduced space Ran(P_at (x) 1_{H_f <= 1})."""
+    pair = first.pair(z)
     report = verify_pair(pair)
     if not (report.t_margin > 0 and report.h_margin > 0):
         raise FeshbachPairError(report)
     f_direct = feshbach_map(pair)
-
-    reduced_fock = spec.reduced_fock_basis()
-    vat = spec.atomic_frame()
-    frame = reduced_frame(spec, basis, reduced_fock, vat)
-    h0_red = frame.conj().T @ f_direct @ frame
-    e_at = spec.e_at(s)
-    return FirstFeshbachResult(
-        h0=OperatorMatrix(h0_red, reduced_fock),
-        e_at=e_at, z=z, pair_report=report,
-        full_basis=basis, reduced_basis=reduced_fock, frame=frame,
-        atomic_frame=vat, hyp5_u=hyp5_u,
-    )
+    h0 = first.frame.conj().T @ f_direct @ first.frame
+    return FirstFeshbachResult(OperatorMatrix(h0, first.reduced_basis), pair, report)
 
 
 @dataclass
@@ -331,11 +305,10 @@ NEUMANN_MAX_TERMS = 30
 NEUMANN_TOL = 1e-13       # stop when a term falls below this, relative to ||F||
 
 
-def neumann_check(spec: ModelSpec, s: complex, z: complex) -> NeumannCheck:
-    """Cross-check the first decimation at (s, z) against the truncated
-    Neumann expansion of the same Schur complement, with an a-posteriori
-    tail bound from the measured contraction norm."""
-    pair = _first_pair(spec, s, z, None)[1]
+def neumann_check(pair: FeshbachPair) -> NeumannCheck:
+    """Cross-check the Feshbach map of a pair against the truncated Neumann
+    expansion of the same Schur complement, with an a-posteriori tail bound
+    from the measured contraction norm."""
     f_direct = feshbach_map(pair)
 
     # F = T + chi W chi - sum_{L>=1} (-1)^(L-1) chi W chibar (R0 chibar W chibar)^(L-1) R0 chibar W chi
@@ -364,10 +337,3 @@ def neumann_check(spec: ModelSpec, s: complex, z: complex) -> NeumannCheck:
     discrepancy = float(np.linalg.norm(f_direct - f_neumann) / scale)
     return NeumannCheck(discrepancy, n_terms, tail_bound)
 
-
-def first_lift(spec: ModelSpec, s: complex, z: complex,
-               g: float | None = None) -> np.ndarray:
-    """Auxiliary operator Q of the first decimation at (s, z): it lifts
-    ker F to ker (H_g(s) - z) on the full space (in the Hypothesis-5 frame
-    when P_at varies)."""
-    return q_ops(_first_pair(spec, s, z, g)[1])[0]

@@ -65,13 +65,8 @@ def dense_spectrum(h, hermitian: bool | None = None,
 class ComparisonReport:
     eigenvalue_error: float       # |z_inf - nearest oracle eigenvalue|
     nearest: complex
-    principal_angles: np.ndarray
     max_angle: float
     ground_state_error: float | None  # |z_inf - min| for self-adjoint real runs
-
-    @property
-    def subspace_distance(self) -> float:
-        return float(np.sin(self.max_angle))
 
 
 def compare(z_inf: complex, psis, oracle: OracleReport,
@@ -86,7 +81,7 @@ def compare(z_inf: complex, psis, oracle: OracleReport,
         b = oracle.cluster_vectors()
         angles = subspace_angles(a, b)
     gs_err = abs(z_inf - oracle.lowest) if ground_state_expected else None
-    return ComparisonReport(float(errs[k]), nearest, angles,
+    return ComparisonReport(float(errs[k]), nearest,
                             float(np.max(angles)) if angles.size else 0.0,
                             gs_err)
 

@@ -7,6 +7,11 @@ dilation and division by rho.  On a truncated grid the flow terminates: after
 J steps only the bare degenerate subspace is left and the energy function's
 zero is an exact eigenvalue of the truncated Hamiltonian (every step is
 kernel-preserving at the matrix level).
+
+Only H - z changes from one evaluation of E^(n)(z) to the next.  A ``Flow``
+holds what does not, once per (model, s): the first decimation's operators
+and cutoffs, and per depth the basis, restricted generators, cutoff matrices
+and dilation.  ``run_ladder(flow, z, n)`` does only the work that depends on z.
 """
 
 from __future__ import annotations
@@ -20,13 +25,13 @@ from .feshbach import (
     FeshbachPair,
     FeshbachPairError,
     FeshbachPairReport,
+    FirstDecimation,
     feshbach_map,
     first_feshbach,
-    first_lift,
     q_ops,
     verify_pair,
 )
-from .fock import DilationMap, OperatorMatrix, dilation
+from .fock import DilationMap, FockBasis, OperatorMatrix, dilation
 from .kernels import (
     ExtractionResult,
     PolydiscCheck,
@@ -52,7 +57,7 @@ class RGConfig:
     window_factor: float = 0.125    # threshold = window_factor * rho
     schur_tol: float = 1e-9
     check_winding: bool = True
-    polydisc_strict: bool = False   # abort (True) or warn (False) on exit
+    polydisc_strict: bool = False   # a level outside the polydisc raises (True) or not
     secant_max_iter: int = 50
 
     def __post_init__(self):
@@ -98,39 +103,76 @@ class WindowExitError(ValueError):
             f"{threshold:.3e}")
 
 
-@dataclass
-class RGStepInfo:
-    pair_report: FeshbachPairReport | None
-    polydisc: PolydiscCheck | None
-    trivial: bool = False
-    dilation_map: DilationMap | None = None
-    polydisc_violation: bool = False
+@dataclass(frozen=True)
+class Depth:
+    """z-independent data of one flow depth: the reduced basis, the symmetry
+    generators restricted to it, the cutoff matrices chi_rho(H_f) and
+    chibar_rho(H_f), and the dilation to the next depth (None on the
+    vacuum-only terminal space, where a step is division by rho)."""
+
+    basis: FockBasis
+    generators: list
+    chi: np.ndarray | None
+    chibar: np.ndarray | None
+    dilation: DilationMap | None
 
 
-def rg_step(level: LadderLevel, cfg: RGConfig, collect_q: bool = False):
-    """One renormalization step from a ladder level; returns (next operator,
-    info[, q]).
+class Flow:
+    """Everything of the flow at one (model, s) that does not depend on z:
+    the first decimation's operators and cutoffs, and one ``Depth`` per
+    flow depth, built on first use.  A ladder is then only the work that
+    depends on z."""
+
+    def __init__(self, spec: ModelSpec, s: complex, cfg: RGConfig,
+                 g: float | None = None):
+        self.spec = spec
+        self.cfg = cfg
+        self.first = FirstDecimation(spec, s, g)
+        self._depths = []
+
+    def depth(self, n: int) -> Depth:
+        """Data of depth n, built on first use; every depth past the
+        vacuum-only terminal space is that space."""
+        while len(self._depths) <= n:
+            prev = self._depths[-1] if self._depths else None
+            if prev is None:
+                self._depths.append(self._build(self.first.reduced_basis))
+            elif prev.dilation is None:
+                self._depths.append(prev)
+            else:
+                self._depths.append(self._build(prev.dilation.target))
+        return self._depths[n]
+
+    def _build(self, basis: FockBasis) -> Depth:
+        spec, rho = self.spec, self.cfg.rho
+        gens = spec.reduced_generators(basis) if spec.generators else []
+        if basis.grid.levels == 0:
+            return Depth(basis, gens, None, None, None)
+        return Depth(basis, gens, *CutoffSpec(rho).matrices(basis), dilation(basis, rho))
+
+
+def rg_step(level: LadderLevel, depth: Depth, cfg: RGConfig, collect_q: bool = False):
+    """One renormalization step from a ladder level at the given depth;
+    returns (next operator, pair report[, q]).
 
     The unperturbed part is the level's extracted diagonal kernel, so the
     pair is valid independently of extraction error; on the vacuum-only
-    terminal space the step degenerates to exact division by rho.
+    terminal space the step degenerates to exact division by rho, with no
+    pair and no report.
     """
     h = level.h
-    basis = h.basis
-    if basis.grid.levels == 0:
-        info = RGStepInfo(None, None, trivial=True)
-        out = OperatorMatrix(h.mat / cfg.rho, basis)
+    if depth.dilation is None:
+        out = OperatorMatrix(h.mat / cfg.rho, h.basis)
         if collect_q:
-            return out, info, np.eye(h.mat.shape[0], dtype=complex)
-        return out, info
+            return out, None, np.eye(h.mat.shape[0], dtype=complex)
+        return out, None
 
-    t = kernel_c1_of_hf(level.extraction.kernel, basis)
-    pair = FeshbachPair(h.mat, t, *CutoffSpec(cfg.rho).matrices(basis))
+    t = kernel_c1_of_hf(level.extraction.kernel, depth.basis)
+    pair = FeshbachPair(h.mat, t, depth.chi, depth.chibar)
     report = verify_pair(pair)
 
     chk = level.polydisc
-    violation = not chk.member
-    if violation and cfg.polydisc_strict:
+    if not chk.member and cfg.polydisc_strict:
         raise FeshbachPairError(
             report,
             f"polydisc gate failed: measured ({chk.alpha_hat:.3g}, "
@@ -138,14 +180,12 @@ def rg_step(level: LadderLevel, cfg: RGConfig, collect_q: bool = False):
     if not (report.t_margin > 0 and report.h_margin > 0):
         raise FeshbachPairError(report)
     f = feshbach_map(pair)
-    dil = dilation(basis, cfg.rho)
+    dil = depth.dilation
     out = OperatorMatrix(dil.conjugate(f) / cfg.rho, dil.target)
-    info = RGStepInfo(report, chk, dilation_map=dil,
-                      polydisc_violation=violation)
     if collect_q:
         q, _ = q_ops(pair)
-        return out, info, q
-    return out, info
+        return out, report, q
+    return out, report
 
 
 @dataclass
@@ -155,7 +195,7 @@ class LadderLevel:
     e_value: complex
     schur_deviation: float
     symmetry_residual: float
-    step_info: RGStepInfo | None   # margins of the step INTO this level
+    pair_report: FeshbachPairReport | None   # pair of the step INTO this level
     polydisc: PolydiscCheck        # measured radii of this level's operator
     extraction: ExtractionResult   # diagonal kernel of this level's operator
 
@@ -167,44 +207,35 @@ class LadderLevel:
 @dataclass
 class Ladder:
     levels: list
-    first: object            # FirstFeshbachResult
-    qs: list | None = None   # per-level auxiliary operators when collected
+    qs: list | None = None   # first decimation's lift, then one per step, when collected
 
     @property
     def top(self) -> LadderLevel:
         return self.levels[-1]
 
 
-def run_ladder(spec: ModelSpec, s: complex, z: complex, n_levels: int,
-               cfg: RGConfig, g: float | None = None,
+def run_ladder(flow: Flow, z: complex, n_levels: int,
                check_windows: bool = True, collect_q: bool = False) -> Ladder:
     """First decimation followed by n_levels flow steps at fixed z.
 
     Windows gate the descent: going from depth k to k+1 requires
     |E^(k)(z)| <= threshold; violation raises WindowExitError(k).
     """
-    first = first_feshbach(spec, s, z, g=g)
-    d = spec.d
+    cfg = flow.cfg
+    h, pair, _ = first_feshbach(flow.first, z)
+    qs = [q_ops(pair)[0]] if collect_q else None
+    del pair   # the full-space pair is not needed by the steps
     levels = []
-    qs = [] if collect_q else None
-    h = first.h0
-    gens_cache = {}
 
-    def make_level(n, h_op, info):
-        c, dev = schur_scalar(h_op.mat, d, h_op.basis.size)
-        key = h_op.basis.grid.levels
-        if spec.generators:
-            if key not in gens_cache:
-                gens_cache[key] = spec.reduced_generators(h_op.basis)
-            worst = 0.0
-            for gen in gens_cache[key]:
-                _, r = is_symmetry_of(gen, h_op.mat)
-                worst = max(worst, r)
-        else:
-            worst = 0.0
+    def make_level(n, h_op, report):
+        c, dev = schur_scalar(h_op.mat, flow.spec.d, h_op.basis.size)
+        worst = 0.0
+        for gen in flow.depth(n).generators:
+            _, r = is_symmetry_of(gen, h_op.mat)
+            worst = max(worst, r)
         ext = extract_w00(h_op)
         chk = polydisc_check(ext, cfg.gate_params())
-        return LadderLevel(n, h_op, c, dev, worst, info, chk, ext)
+        return LadderLevel(n, h_op, c, dev, worst, report, chk, ext)
 
     levels.append(make_level(0, h, None))
     for n in range(1, n_levels + 1):
@@ -212,34 +243,33 @@ def run_ladder(spec: ModelSpec, s: complex, z: complex, n_levels: int,
         if check_windows and abs(prev.e_value) > cfg.window_threshold:
             raise WindowExitError(prev.n, prev.e_value, cfg.window_threshold)
         if collect_q:
-            h, info, q = rg_step(prev, cfg, collect_q=True)
+            h, report, q = rg_step(prev, flow.depth(n - 1), cfg, collect_q=True)
             qs.append(q)
         else:
-            h, info = rg_step(prev, cfg)
-        levels.append(make_level(n, h, info))
-    return Ladder(levels, first, qs)
+            h, report = rg_step(prev, flow.depth(n - 1), cfg)
+        levels.append(make_level(n, h, report))
+    return Ladder(levels, qs)
 
 
 @dataclass
 class RootResult:
     z: complex
     e_abs: float
-    iterations: int
     winding: int | None
     ladder: Ladder
 
 
-def find_zn(spec: ModelSpec, s: complex, n: int, cfg: RGConfig,
-            z_start: complex, g: float | None = None) -> RootResult:
+def find_zn(flow: Flow, n: int, z_start: complex) -> RootResult:
     """Secant root of E^(n) from z_start, with a slope-prior first step
     (dE/dz ~ -rho^-n) and window-violation backtracking; uniqueness is
     cross-checked by the image winding of E^(n) on a small circle."""
 
+    cfg = flow.cfg
     last = None   # ladder of the latest successful evaluation
 
     def e_val(z):
         nonlocal last
-        last = run_ladder(spec, s, z, n, cfg, g=g)
+        last = run_ladder(flow, z, n)
         return last.top.e_value
 
     z0 = complex(z_start)
@@ -276,23 +306,23 @@ def find_zn(spec: ModelSpec, s: complex, n: int, cfg: RGConfig,
 
     winding = None
     if cfg.check_winding:
-        winding = _winding_count(spec, s, n, cfg, z0, g)
+        winding = _winding_count(flow, n, z0)
         if winding != 1:
             raise ArithmeticError(
                 f"argument-principle count at depth {n} gave winding "
                 f"{winding}, expected a unique simple zero")
-    return RootResult(z0, abs(e0), iters, winding, last)
+    return RootResult(z0, abs(e0), winding, last)
 
 
-def _winding_count(spec, s, n, cfg, z_center, g, n_nodes: int = 16):
+def _winding_count(flow: Flow, n: int, z_center: complex, n_nodes: int = 16):
     """Winding of E^(n) around 0 along a small circle inside the window."""
-    radius = cfg.rho ** (n + 1) / 16.0
+    radius = flow.cfg.rho ** (n + 1) / 16.0
     for _ in range(5):
         try:
             vals = []
             for k in range(n_nodes):
                 zc = z_center + radius * np.exp(2j * np.pi * k / n_nodes)
-                lad = run_ladder(spec, s, zc, n, cfg, g=g)
+                lad = run_ladder(flow, zc, n)
                 vals.append(lad.top.e_value)
             vals = np.array(vals)
             if np.any(vals == 0):
@@ -321,7 +351,6 @@ class TraceRecord:
     contraction_left: float
     gamma_ratio: float
     winding: int | None
-    secant_iterations: int = 0
 
     def line(self) -> str:
         w = "-" if self.winding is None else str(self.winding)
@@ -386,16 +415,15 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, cfg: RGConfig,
     trace.theoretical_note = (
         f"theoretical contraction C_gamma rho^mu = "
         f"{cfg.c_gamma * cfg.rho ** cfg.mu:.4g} ({word})")
+    flow = Flow(spec, s, cfg, g)
     converged = False
     result = None
     prev_gamma = 0.0
     for n in range(cfg.n_iter_max + 1):
-        root = find_zn(spec, s, n, cfg, z_start=z, g=g)
-        lad = root.ladder
-        top = lad.top
-        info = top.step_info
+        root = find_zn(flow, n, z_start=z)
+        top = root.ladder.top
         ghat = top.gamma_hat
-        pairrep = info.pair_report if info and info.pair_report else None
+        pairrep = top.pair_report
         rec = TraceRecord(
             n=n, z=root.z, dz=abs(root.z - z) if n > 0 else 0.0,
             e_abs=root.e_abs,
@@ -408,7 +436,6 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, cfg: RGConfig,
             contraction_left=pairrep.contraction_left if pairrep else 0.0,
             gamma_ratio=(ghat / prev_gamma) if prev_gamma > 0 else 0.0,
             winding=root.winding,
-            secant_iterations=root.iterations,
         )
         trace.append(rec)
         prev_gamma = ghat
@@ -439,8 +466,6 @@ class EigenvectorResult:
     gram_smallest_sv: float
     gram_largest_sv: float
     depth: int
-    tail_estimate: float
-    reduced_vectors: list         # kernel vectors of H^(0)[z_inf]
 
     @property
     def independent(self) -> bool:
@@ -455,48 +480,37 @@ def build_eigenvectors(spec: ModelSpec, s: complex, z_inf: complex,
     decimation.  On a truncated grid the product stabilizes exactly at the
     terminal depth."""
     depth = spec.grid.levels + 1
-    lad = run_ladder(spec, s, z_inf, depth, cfg, g=g,
-                     check_windows=False, collect_q=True)
+    flow = Flow(spec, s, cfg, g)
+    lad = run_ladder(flow, z_inf, depth, check_windows=False, collect_q=True)
+    lift, qs = lad.qs[0], lad.qs[1:]   # qs[k]: the step from level k to k+1
+    first = flow.first
     d = spec.d
     if basis_vectors is None:
         basis_vectors = [np.eye(d)[:, j] for j in range(d)]
-    # gammas[k]: dilation taking level k to level k+1 (None for trivial steps)
-    gammas = [lvl.step_info.dilation_map for lvl in lad.levels[1:]]
     n_star = depth - 1  # deepest level whose auxiliary operator was collected
-    start_basis = lad.levels[n_star].h.basis
+    start_basis = flow.depth(n_star).basis
 
     h_full = build_hamiltonian(spec, s, spec.g if g is None else g).mat
-    q_full = first_lift(spec, s, z_inf, g=g)
     vectors = []
-    reduced = []
     residuals = []
     for v in basis_vectors:
         # phi = Q_0 Gamma* Q_1 Gamma* ... Gamma* Q_{n*} (v (x) Omega)
-        vec = lad.qs[n_star] @ np.kron(v, start_basis.vacuum_vector())
+        vec = qs[n_star] @ np.kron(v, start_basis.vacuum_vector())
         for k in range(n_star - 1, -1, -1):
-            dil = gammas[k]
+            dil = flow.depth(k).dilation   # level k to k+1; None if trivial
             if dil is not None:
                 vec = dil.matrix().conj().T @ vec
-            vec = lad.qs[k] @ vec
-        phi0 = vec  # now on the level-0 reduced space
-        reduced.append(phi0)
-        psi = q_full @ (lad.first.frame @ phi0)
-        if lad.first.hyp5_u is not None:
-            psi = np.kron(lad.first.hyp5_u,
-                          np.eye(lad.first.full_basis.size)) @ psi
+            vec = qs[k] @ vec
+        psi = lift @ (first.frame @ vec)   # vec is on the level-0 reduced space
+        if first.hyp5_u is not None:
+            psi = np.kron(first.hyp5_u, np.eye(first.basis.size)) @ psi
         nrm = np.linalg.norm(psi)
         residuals.append(float(np.linalg.norm(h_full @ psi - z_inf * psi)
                                / max(nrm, 1e-300)))
         vectors.append(psi)
     gram = np.array([[np.vdot(a, b) for b in vectors] for a in vectors])
     sv = np.linalg.svd(gram, compute_uv=False)
-    gammas_hat = [lvl.gamma_hat for lvl in lad.levels]
-    xi = cfg.xi
-    c = (8 / cfg.rho) * (xi / (1 - xi)) * float(
-        np.exp((8 / cfg.rho) * (xi / (1 - xi)) * sum(gammas_hat)))
-    tail = c * sum(gammas_hat[depth:]) if len(gammas_hat) > depth else 0.0
-    return EigenvectorResult(vectors, residuals, float(sv[-1]), float(sv[0]),
-                             depth, tail, reduced)
+    return EigenvectorResult(vectors, residuals, float(sv[-1]), float(sv[0]), depth)
 
 
 @dataclass
@@ -505,7 +519,6 @@ class ProjectionResult:
     idempotency: float
     rank: int
     eigen_residual: float
-    gram_condition: float
 
 
 def build_eigenprojection(psis, mode: str, psis_conj=None, jmatrix=None,
@@ -543,4 +556,4 @@ def build_eigenprojection(psis, mode: str, psis_conj=None, jmatrix=None,
     resid = 0.0
     if h_full is not None and z is not None:
         resid = float(np.linalg.norm(h_full @ p - z * p) / max(1.0, np.linalg.norm(p)))
-    return ProjectionResult(p, idem, rank, resid, float(sv[0] / sv[-1]))
+    return ProjectionResult(p, idem, rank, resid)

@@ -14,7 +14,7 @@ from specrg.feshbach import (
     q_ops,
     verify_pair,
 )
-from specrg.rg import RGConfig, rg_step, run_ladder
+from specrg.rg import Flow, RGConfig, rg_step, run_ladder
 
 
 RNG = np.random.default_rng(0)
@@ -87,10 +87,11 @@ class TestRGStep:
     def test_strict_polydisc_gate_reports_the_step_pair(self):
         spec = load_model("m_kramers")
         cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu)
-        level = run_ladder(spec, spec.s0, spec.e_at(spec.s0), 0, cfg).levels[0]
+        flow = Flow(spec, spec.s0, cfg)
+        level = run_ladder(flow, spec.e_at(spec.s0), 0).levels[0]
         assert level.h.basis.grid.levels > 0
-        normal = rg_step(level, cfg)[1].pair_report
+        normal = rg_step(level, flow.depth(0), cfg)[1]
         outside = replace(level, polydisc=replace(level.polydisc, member=False))
         with pytest.raises(FeshbachPairError, match="polydisc gate failed") as exc:
-            rg_step(outside, replace(cfg, polydisc_strict=True))
+            rg_step(outside, flow.depth(0), replace(cfg, polydisc_strict=True))
         assert exc.value.report == normal

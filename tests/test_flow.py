@@ -1,19 +1,25 @@
 import json
+import sys
 from importlib import resources
 
 import numpy as np
+import pytest
 
+from specrg import fock, model
 from specrg.cli import main
 from specrg.config import load_model
 from specrg.kernels import extract_w00, polydisc_check
-from specrg.rg import RGConfig, run_ladder
+from specrg.rg import Flow, RGConfig, iterate_to_fixed_point, run_ladder
 
 
-def cut_fixture(tmp_path, name, levels=3, **overrides):
-    """Shipped fixture with its mode grid cut to ``levels`` shells."""
+def cut_fixture(tmp_path, name, levels=3, edit=None, **overrides):
+    """Shipped fixture with its mode grid cut to ``levels`` shells; ``edit``
+    may change the parsed document before it is written."""
     doc = json.loads(resources.files("specrg").joinpath(f"fixtures/{name}.json").read_text())
     doc["grid"]["levels"] = levels
     doc.update(overrides)
+    if edit is not None:
+        edit(doc)
     path = tmp_path / f"{name}_l{levels}.json"
     path.write_text(json.dumps(doc))
     return path
@@ -23,12 +29,28 @@ def read_kv(path):
     return dict(line.split("=", 1) for line in path.read_text().splitlines())
 
 
+def count_calls(monkeypatch, module, name):
+    """List that grows by one at each call of ``module.name``, made through
+    any binding of it in a specrg module."""
+    fn = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("specrg") and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 class TestLadder:
     def test_levels_keep_their_own_extraction(self):
         spec = load_model("m_kramers")
         cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu)
         s = spec.s0
-        lad = run_ladder(spec, s, spec.e_at(s), spec.grid.levels + 1, cfg,
+        lad = run_ladder(Flow(spec, s, cfg), spec.e_at(s), spec.grid.levels + 1,
                          check_windows=False)
         assert len(lad.levels) == spec.grid.levels + 2
         for level in lad.levels:
@@ -36,6 +58,17 @@ class TestLadder:
             assert np.array_equal(level.extraction.kernel.values, fresh.kernel.values)
             assert np.array_equal(level.extraction.kernel.derivs, fresh.kernel.derivs)
             assert level.polydisc == polydisc_check(fresh, cfg.gate_params())
+
+
+class TestFlow:
+    def test_z_independent_data_is_built_once(self, tmp_path, monkeypatch):
+        spec = load_model(cut_fixture(tmp_path, "m_kramers"))
+        hamiltonians = count_calls(monkeypatch, model, "build_hamiltonian")
+        dilations = count_calls(monkeypatch, fock, "dilation")
+        res = iterate_to_fixed_point(spec, spec.s0, RGConfig(rho=spec.grid.ratio, mu=spec.mu))
+        assert res.converged
+        assert len(hamiltonians) == 1
+        assert len(dilations) == spec.grid.levels
 
 
 class TestCli:
@@ -75,3 +108,48 @@ class TestCli:
             texts.append((out / "probe.kv").read_bytes())
         assert texts[0] == texts[1]
 
+    # z_inf at coupling factor 1.00 in perfbench/reference.json (fixtures-run)
+    @pytest.mark.parametrize("name, z_ref", [("m_pauli", -0.025954561352956353),
+                                             ("m_kramers", -0.0282885516831636)])
+    def test_golden_run_on_three_levels(self, tmp_path, capsys, name, z_ref):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cut_fixture(tmp_path, name)),
+                     "--out", str(out)]) == 0
+        kv = read_kv(out / "run.kv")
+        failed = [k for k, v in kv.items() if k.startswith("check.") and v != "pass"]
+        assert failed == []
+        assert kv["all_passed"] == "true"
+        assert abs(float(kv["z_inf.re"]) - z_ref) <= 1e-12
+
+
+class TestExitCodes:
+    def test_verify_passes_with_0(self, tmp_path, capsys):
+        assert main(["verify", "--config", "m_triv", "--out", str(tmp_path)]) == 0
+        assert read_kv(tmp_path / "verify.kv")["all_passed"] == "true"
+
+    def test_missing_config_exits_1(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(tmp_path / "missing.json")])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("key, value", [("rho", 0.3), ("mu", 0.9)])
+    def test_model_owned_rg_key_exits_1(self, tmp_path, capsys, key, value):
+        # rho is the grid ratio and mu the infrared exponent of the model
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"schema_version": 1, "model": "m_triv",
+                                      "rg": {key: value}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(config)])
+        assert exc.value.code == 1
+        assert f"unknown keys in rg: ['{key}']" in capsys.readouterr().err
+
+    def test_suite_failure_exits_2(self, tmp_path, capsys):
+        def unitary_kramers(doc):
+            doc["symmetry_generators"][0]["antiunitary"] = False
+
+        config = cut_fixture(tmp_path, "m_kramers", edit=unitary_kramers)
+        out = tmp_path / "out"
+        assert main(["suite", "--config", str(config), "--out", str(out)]) == 2
+        kv = read_kv(out / "suite.kv")
+        assert kv["check.suite_group_irreducible"] == "fail"
+        assert kv["all_passed"] == "false"

@@ -319,3 +319,13 @@ class TestVaryingProjection:
         rep = dense_spectrum(build_hamiltonian(spec, s))
         assert res.converged
         assert np.min(np.abs(rep.eigenvalues - res.z_inf)) < 1e-7
+
+    def test_eigenvectors_lift_through_the_frame(self):
+        from specrg.feshbach import FirstDecimation
+        from specrg.rg import RGConfig, build_eigenvectors, iterate_to_fixed_point
+        spec = varying_projection_spec()
+        s = 0.1
+        assert FirstDecimation(spec, s).hyp5_u is not None   # the U(s) branch
+        cfg = RGConfig(check_winding=False)
+        ev = build_eigenvectors(spec, s, iterate_to_fixed_point(spec, s, cfg).z_inf, cfg)
+        assert max(ev.residuals) <= 1e-10

@@ -33,7 +33,7 @@ from .feshbach import (
     isospectrality_suite,
     neumann_check,
 )
-from .model import InfraredError, ModelSpec, WindowError, build_hamiltonian, verify_hypotheses
+from .model import InfraredError, ModelSpec, WindowError, verify_hypotheses
 from .oracle import compare, dense_spectrum, perturbation_scaling
 from .rg import (
     RGConfig,
@@ -248,14 +248,14 @@ def run_pipeline(run: RunConfig, spec: ModelSpec, report: Report,
                  all(w == 1 for w in windings) if windings else True)
     _write(out_dir, "trace.txt", "\n".join(res.trace.lines()) + "\n")
 
-    ev = build_eigenvectors(spec, s, res.z_inf, cfg)
+    ev = build_eigenvectors(res.flow, res.z_inf)
     report.put("eigvec.depth", ev.depth)
     report.put("eigvec.max_residual", max(ev.residuals))
     report.put("eigvec.gram_ratio", ev.gram_smallest_sv / ev.gram_largest_sv)
     report.check("eigenvectors_residual", max(ev.residuals) <= 1e-7)
     report.check("eigenvectors_independent", ev.independent)
 
-    h_full = build_hamiltonian(spec, s)
+    h_full = res.flow.first.hamiltonian
     oracle_rep = dense_spectrum(h_full)
     cmp_rep = compare(res.z_inf, ev.vectors, oracle_rep,
                       ground_state_expected=h_full.selfadjoint_known
@@ -369,7 +369,7 @@ def sweep_g(run: RunConfig, spec: ModelSpec, report: Report) -> None:
     worst = 0.0
     for g in run.sweep:
         res = iterate_to_fixed_point(spec, spec.s0, cfg, g=float(g))
-        rep = dense_spectrum(build_hamiltonian(spec, spec.s0, float(g)))
+        rep = dense_spectrum(res.flow.first.hamiltonian)
         worst = max(worst, float(np.min(np.abs(rep.eigenvalues - res.z_inf))))
     report.put("sweep.max_flow_oracle_error", worst)
     report.check("sweep_flow_matches_oracle", worst < 1e-7)
@@ -465,14 +465,6 @@ def property_suite(run: RunConfig, spec: ModelSpec, report: Report) -> None:
     report.say("suite complete")
 
 
-def _load_or_exit(path: str, validate: bool = True):
-    try:
-        return load_run_config(path, validate=validate)
-    except (cfgmod.ConfigError, InfraredError, FileNotFoundError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="specrg",
@@ -493,8 +485,12 @@ def main(argv=None) -> int:
         p.add_argument("--jobs", type=int, default=None)
     args = ap.parse_args(argv)
 
-    # the property suite treats broken symmetry declarations as data
-    run, spec = _load_or_exit(args.config, validate=args.command != "suite")
+    try:
+        # the property suite treats broken symmetry declarations as data
+        run, spec = load_run_config(args.config, validate=args.command != "suite")
+    except (cfgmod.ConfigError, InfraredError, OSError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
     if args.seed is not None:
         run.seed = args.seed
     if args.jobs is not None:

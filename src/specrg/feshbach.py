@@ -226,11 +226,12 @@ def isospectrality_suite(h, t, chi, chibar, probe_shifts=(0.0,)):
 
 class FirstDecimation:
     """z-independent data of the first decimation at (model, s, g): the
-    operators H_g(s) and H_0(s) on the full space, conjugated by the
-    Hypothesis-5 frame U(s) when P_at(s) differs from P_at(s0) (``hyp5_u``,
-    else None); the cutoff P_at(s0) (x) chi_1(H_f) and its partner; the full
-    and reduced bases and the isometry ``frame`` from C^d (x) (reduced Fock
-    states) into the full space."""
+    truncated H_g(s) as built (``hamiltonian``); the operators H_g(s) and
+    H_0(s) on the full space (``h``, ``t``), conjugated by the Hypothesis-5
+    frame U(s) when P_at(s) differs from P_at(s0) (``hyp5_u``; else None and
+    ``h`` is ``hamiltonian.mat``); the cutoff P_at(s0) (x) chi_1(H_f) and its
+    partner; the full and reduced bases and the isometry ``frame`` from
+    C^d (x) (reduced Fock states) into the full space."""
 
     def __init__(self, spec: ModelSpec, s: complex, g: float | None = None):
         self.spec = spec
@@ -239,7 +240,8 @@ class FirstDecimation:
         self.reduced_basis = spec.reduced_fock_basis()
 
         p0 = spec.p_at(spec.s0)
-        h = build_hamiltonian(spec, s, g, basis).mat
+        self.hamiltonian = build_hamiltonian(spec, s, g, basis)
+        h = self.hamiltonian.mat
         t = build_h0(spec, s, basis)
         self.hyp5_u = None
         if np.linalg.norm(spec.p_at(s) - p0) > 1e-12:

@@ -40,7 +40,7 @@ from .kernels import (
     kernel_c1_of_hf,
     polydisc_check,
 )
-from .model import ModelSpec, build_hamiltonian
+from .model import ModelSpec
 from .symmetry import is_symmetry_of, schur_scalar
 
 
@@ -402,6 +402,7 @@ class PipelineResult:
     n_levels: int
     final_ladder: Ladder
     tail_bound: float
+    flow: Flow   # z-independent data of the run, for its eigenvectors and oracle
 
 
 def iterate_to_fixed_point(spec: ModelSpec, s: complex, cfg: RGConfig,
@@ -456,7 +457,7 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, cfg: RGConfig,
     else:
         tail = np.inf
     return PipelineResult(z, trace, converged, len(trace.records) - 1,
-                          result.ladder, tail)
+                          result.ladder, tail, flow)
 
 
 @dataclass
@@ -472,25 +473,23 @@ class EigenvectorResult:
         return self.gram_smallest_sv > 1e-3 * self.gram_largest_sv
 
 
-def build_eigenvectors(spec: ModelSpec, s: complex, z_inf: complex,
-                       cfg: RGConfig, g: float | None = None,
+def build_eigenvectors(flow: Flow, z_inf: complex,
                        basis_vectors=None) -> EigenvectorResult:
-    """Assemble d eigenvectors from the truncated auxiliary-operator product
-    Q_0 Gamma* Q_1 ... Q_n (v (x) Omega), then lift through the first
-    decimation.  On a truncated grid the product stabilizes exactly at the
-    terminal depth."""
-    depth = spec.grid.levels + 1
-    flow = Flow(spec, s, cfg, g)
+    """Assemble d eigenvectors of the flow's truncated H_g(s) from the
+    auxiliary-operator product Q_0 Gamma* Q_1 ... Q_n (v (x) Omega), then
+    lift through the first decimation.  On a truncated grid the product
+    stabilizes exactly at the terminal depth."""
+    depth = flow.spec.grid.levels + 1
     lad = run_ladder(flow, z_inf, depth, check_windows=False, collect_q=True)
     lift, qs = lad.qs[0], lad.qs[1:]   # qs[k]: the step from level k to k+1
     first = flow.first
-    d = spec.d
+    d = flow.spec.d
     if basis_vectors is None:
         basis_vectors = [np.eye(d)[:, j] for j in range(d)]
     n_star = depth - 1  # deepest level whose auxiliary operator was collected
     start_basis = flow.depth(n_star).basis
 
-    h_full = build_hamiltonian(spec, s, spec.g if g is None else g).mat
+    h_full = first.hamiltonian.mat
     vectors = []
     residuals = []
     for v in basis_vectors:

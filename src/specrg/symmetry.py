@@ -56,19 +56,6 @@ class SymmetryOp:
             return self.matrix @ np.conj(psi)
         return self.matrix @ psi
 
-    def compose(self, other: "SymmetryOp") -> "SymmetryOp":
-        """self o other; antiunitary o antiunitary is unitary."""
-        if self.antiunitary:
-            m = self.matrix @ np.conj(other.matrix)
-        else:
-            m = self.matrix @ other.matrix
-        return SymmetryOp(m, self.antiunitary != other.antiunitary)
-
-    def inverse(self) -> "SymmetryOp":
-        if self.antiunitary:
-            return SymmetryOp(self.matrix.T, True)
-        return SymmetryOp(self.matrix.conj().T, False)
-
     def restricted(self, frame: np.ndarray, tol: float = 1e-10) -> "SymmetryOp":
         """Restriction to the subspace spanned by the orthonormal columns of
         frame.  Raises if the subspace is not invariant (residual > tol)."""
@@ -98,60 +85,6 @@ def is_symmetry_of(s: SymmetryOp, t: np.ndarray, tol: float = 1e-12):
     target = t.conj().T if s.antiunitary else t
     res = np.linalg.norm(conjugate(s, t) - target) / max(1.0, np.linalg.norm(t))
     return bool(res <= tol), float(res)
-
-
-class SymmetryGroup:
-    """Finite group generated by a list of SymmetryOp, closed up to a cap."""
-
-    def __init__(self, generators, cap: int = 64, tol: float = 1e-10):
-        self.generators = list(generators)
-        self.cap = cap
-        self.tol = tol
-        if self.generators:
-            dim = self.generators[0].dim
-            if any(g.dim != dim for g in self.generators):
-                raise ValueError("generators act on different dimensions")
-        self.elements = self._close()
-
-    def _key(self, op: SymmetryOp):
-        m = np.round(op.matrix / self.tol) * self.tol + 0.0  # kill -0.0
-        return (op.antiunitary, m.tobytes())
-
-    def _close(self):
-        if not self.generators:
-            return []
-        dim = self.generators[0].dim
-        elems = [SymmetryOp(np.eye(dim), False)]
-        seen = {self._key(elems[0])}
-        frontier = list(elems)
-        gens = self.generators + [g.inverse() for g in self.generators]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g in gens:
-                    c = e.compose(g)
-                    k = self._key(c)
-                    if k not in seen:
-                        seen.add(k)
-                        elems.append(c)
-                        nxt.append(c)
-                        if len(elems) > self.cap:
-                            raise ValueError(
-                                f"group closure exceeded cap of {self.cap} elements"
-                            )
-            frontier = nxt
-        return elems
-
-    def __len__(self):
-        return len(self.elements)
-
-    def is_symmetry_of(self, t: np.ndarray, tol: float = 1e-12):
-        """Worst residual of the symmetry condition over all generators."""
-        worst = 0.0
-        for g in self.generators:
-            _, res = is_symmetry_of(g, t, tol)
-            worst = max(worst, res)
-        return worst <= tol, worst
 
 
 def _commutant_nullspace(ops, dim: int, tol: float = 1e-10):

@@ -9,6 +9,7 @@ from specrg import fock, model
 from specrg.cli import main
 from specrg.config import load_model
 from specrg.kernels import extract_w00, polydisc_check
+from specrg.oracle import dense_spectrum
 from specrg.rg import Flow, RGConfig, iterate_to_fixed_point, run_ladder
 
 
@@ -70,6 +71,38 @@ class TestFlow:
         assert len(hamiltonians) == 1
         assert len(dilations) == spec.grid.levels
 
+    # H_g(s0) once for the first-decimation checks and once for the flow,
+    # whose eigenvectors and oracle reuse it; one dilation per flow depth.
+    # m_kramers' hypothesis checks add the complex-selfadjointness H on a
+    # small basis and the dilation-commutation check.
+    @pytest.mark.parametrize("name, hamiltonians, dilations",
+                             [("m_triv", 2, 3), ("m_kramers", 3, 4)])
+    def test_one_run_builds_each_operator_once(self, tmp_path, monkeypatch, capsys,
+                                               name, hamiltonians, dilations):
+        config = cut_fixture(tmp_path, name)
+        built = count_calls(monkeypatch, model, "build_hamiltonian")
+        dilated = count_calls(monkeypatch, fock, "dilation")
+        assert main(["run", "--config", str(config)]) == 0
+        assert (len(built), len(dilated)) == (hamiltonians, dilations)
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli"])
+    def test_terminal_energy_vanishes_at_the_oracle_eigenvalue(self, tmp_path, name):
+        """At the terminal depth J the Feshbach maps are exact, so E^(J)
+        vanishes at an eigenvalue of the truncated H_g(s0) and has slope
+        about -rho^-J next to it."""
+        spec = load_model(cut_fixture(tmp_path, name))
+        cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu, check_winding=False)
+        res = iterate_to_fixed_point(spec, spec.s0, cfg)
+        eigs = dense_spectrum(res.flow.first.hamiltonian).eigenvalues
+        z_o = eigs[np.argmin(np.abs(eigs - res.z_inf))]
+        J = spec.grid.levels
+
+        def energy(z):
+            return abs(run_ladder(res.flow, z, J, check_windows=False).top.e_value)
+
+        assert energy(z_o) <= 1e-12
+        assert energy(z_o + 1e-6) >= 0.5e-6 * cfg.rho ** -J
+
 
 class TestCli:
     def test_m_exact_matches_m_triv_bit_for_bit(self, tmp_path, capsys):
@@ -128,9 +161,7 @@ class TestExitCodes:
         assert read_kv(tmp_path / "verify.kv")["all_passed"] == "true"
 
     def test_missing_config_exits_1(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(tmp_path / "missing.json")])
-        assert exc.value.code == 1
+        assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
 
     @pytest.mark.parametrize("key, value", [("rho", 0.3), ("mu", 0.9)])
     def test_model_owned_rg_key_exits_1(self, tmp_path, capsys, key, value):
@@ -138,9 +169,7 @@ class TestExitCodes:
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"schema_version": 1, "model": "m_triv",
                                       "rg": {key: value}}))
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(config)])
-        assert exc.value.code == 1
+        assert main(["run", "--config", str(config)]) == 1
         assert f"unknown keys in rg: ['{key}']" in capsys.readouterr().err
 
     def test_suite_failure_exits_2(self, tmp_path, capsys):

@@ -1,12 +1,18 @@
-"""Every top-level import of a specrg module is used in that module."""
+"""Every top-level import of a specrg module is used in that module, and every
+definition in specrg is named by the program outside its own definition."""
 
 import ast
+import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "specrg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "specrg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the program: the package and the benchmark that drives it
+PROGRAM = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,3 +38,39 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unnamed_definitions(sources: dict, defining: list) -> list[str]:
+    """Non-dunder functions, classes and methods defined in the files named
+    by ``defining`` whose name occurs, as a word in code, a docstring or a
+    comment, nowhere in ``sources`` (file name -> text) outside the lines of
+    their own definition."""
+    where = defaultdict(list)   # word -> [(file, line)]
+    for name, text in sources.items():
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for word in set(re.findall(r"\w+", line)):
+                where[word].append((name, lineno))
+    dead = []
+    for name in defining:
+        for node in ast.walk(ast.parse(sources[name])):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if all(f == name and node.lineno <= line <= node.end_lineno
+                   for f, line in where[node.name]):
+                dead.append(node.name)
+    return sorted(dead)
+
+
+def test_detects_an_unnamed_definition():
+    sources = {"a.py": "def used():\n    return 1\n\ndef dead():\n    return dead\n\n"
+                       "class C:\n    def __len__(self):\n        return used()\n",
+               "b.py": "from a import C\n"}
+    assert unnamed_definitions(sources, ["a.py"]) == ["dead"]
+
+
+def test_every_definition_is_named_by_the_program():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PROGRAM}
+    defining = [str(p.relative_to(ROOT)) for p in sorted(SRC.glob("*.py"))]
+    assert unnamed_definitions(sources, defining) == []

@@ -327,5 +327,6 @@ class TestVaryingProjection:
         s = 0.1
         assert FirstDecimation(spec, s).hyp5_u is not None   # the U(s) branch
         cfg = RGConfig(check_winding=False)
-        ev = build_eigenvectors(spec, s, iterate_to_fixed_point(spec, s, cfg).z_inf, cfg)
+        res = iterate_to_fixed_point(spec, s, cfg)
+        ev = build_eigenvectors(res.flow, res.z_inf)
         assert max(ev.residuals) <= 1e-10

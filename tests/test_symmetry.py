@@ -1,10 +1,7 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from specrg.symmetry import (
-    SymmetryGroup,
     SymmetryOp,
     conjugate,
     is_irreducible,
@@ -73,46 +70,6 @@ class TestIsSymmetryOf:
         assert ok, res
         ok_sy, _ = is_symmetry_of(SymmetryOp(1j * SY, antiunitary=True), SY)
         assert not ok_sy
-
-
-class TestGroupClosure:
-    def test_composition_parity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            q1, _ = np.linalg.qr(rng.standard_normal((3, 3))
-                                 + 1j * rng.standard_normal((3, 3)))
-            q2, _ = np.linalg.qr(rng.standard_normal((3, 3))
-                                 + 1j * rng.standard_normal((3, 3)))
-            for a1, a2 in itertools.product([False, True], repeat=2):
-                s = SymmetryOp(q1, a1).compose(SymmetryOp(q2, a2))
-                assert s.antiunitary == (a1 != a2)
-
-    def test_inverse_roundtrip(self):
-        rng = np.random.default_rng(2)
-        q, _ = np.linalg.qr(rng.standard_normal((3, 3))
-                            + 1j * rng.standard_normal((3, 3)))
-        for anti in (False, True):
-            s = SymmetryOp(q, anti)
-            r = s.compose(s.inverse())
-            assert not r.antiunitary
-            assert np.linalg.norm(r.matrix - np.eye(3)) < 1e-12
-
-    def test_pauli_group_closure(self):
-        g = SymmetryGroup([SymmetryOp(SX), SymmetryOp(SZ)])
-        # <sx, sz> = {+-1, +-sx, +-sz, +-i sy}, order 8
-        assert len(g) == 8
-        assert all(not e.antiunitary for e in g.elements)
-
-    def test_kramers_closure(self):
-        g = SymmetryGroup([SymmetryOp(1j * SY, antiunitary=True)])
-        assert len(g) == 4  # {1, -1, T, -T}
-
-    def test_cap_overflow(self):
-        theta = 2 * np.pi / 1000.0
-        rot = np.array([[np.cos(theta), -np.sin(theta)],
-                        [np.sin(theta), np.cos(theta)]], dtype=complex)
-        with pytest.raises(ValueError):
-            SymmetryGroup([SymmetryOp(rot)], cap=64)
 
 
 def invariant_subspace_search(ops, n_grid=60):

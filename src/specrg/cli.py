@@ -376,20 +376,19 @@ def sweep_g(run: RunConfig, spec: ModelSpec, report: Report) -> None:
 
 
 def random_feshbach_pair(rng):
-    """(H, T, chi, chibar) with 6 to 19 rows: T and the cutoffs diagonal in
-    one random unitary frame, H = T + W with ||W|| = 0.1."""
+    """(H, T, chi, chibar) with 6 to 19 rows, in the frame where T and the
+    cutoffs are diagonal: H = T + W with W a random unitary conjugate of a
+    draw with ||W|| = 0.1; chi and chibar are given by their diagonals."""
     n = int(rng.integers(6, 20))
     frame, _ = np.linalg.qr(rng.standard_normal((n, n))
                             + 1j * rng.standard_normal((n, n)))
     hfvals = np.sort(rng.uniform(0, 2, n))
     cut = CutoffSpec(1.0)
-    chi = frame @ np.diag(cut.chi(hfvals).astype(complex)) @ frame.conj().T
-    cbar = frame @ np.diag(cut.chibar(hfvals).astype(complex)) @ frame.conj().T
     tvals = hfvals + 0.3 + 0.1j * rng.standard_normal(n)
-    t = frame @ np.diag(tvals.astype(complex)) @ frame.conj().T
+    t = np.diag(tvals.astype(complex))
     w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     w *= 0.1 / np.linalg.norm(w, 2)
-    return t + w, t, chi, cbar
+    return t + frame.conj().T @ w @ frame, t, cut.chi(hfvals), cut.chibar(hfvals)
 
 
 def property_suite(run: RunConfig, spec: ModelSpec, report: Report) -> None:

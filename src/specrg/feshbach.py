@@ -2,15 +2,21 @@
 
 The map F(H, T) = H_chi - chi W chibar (H_chibar|_Ran chibar)^-1 chibar W chi
 with W = H - T, chi^2 + chibar^2 = 1, preserves kernel dimension and bounded
-invertibility.  Restricted inverses are computed on an orthonormal basis of
-Ran chibar obtained from a rank-revealing SVD.  Each decimation builds one
-``FeshbachPair``, so that factorization is made once per pair and read by
+invertibility.  The cutoffs are functions of H_f, so in the occupation basis
+they are diagonal and a pair takes them as 1-D arrays: Ran chibar is the set
+``on`` of coordinates where chibar is not negligible, a restricted inverse is
+the inverse of a principal submatrix, and multiplying by a cutoff scales rows
+or columns.  Each decimation builds one ``FeshbachPair``, read by
 ``verify_pair``, ``feshbach_map`` and ``q_ops``.
 
-The first decimation's z-independent data (H_g(s), H_0(s), the cutoffs, the
-bases and the frame) is a ``FirstDecimation``, built once per (model, s);
-``FirstDecimation.pair(z)`` is the only work left per z.  ``first_feshbach``
-maps that pair to the reduced space, and ``neumann_check`` cross-checks it.
+The first cutoff P_at(s0) (x) chi_1(H_f) is diagonal in the atomic frame
+u = [basis of Ran P_at(s0) | basis of Ran(1 - P_at(s0))], times U(s) when
+P_at(s) varies.  A ``FirstDecimation`` conjugates H_g(s) and H_0(s) by u (x) 1
+once per (model, s); ``FirstDecimation.pair(z)`` is the only work left per z.
+The frame is unitary when P_at(s0) is an orthogonal projection; for an
+oblique one the first pair's margins are measured in that frame.
+``first_feshbach`` maps the pair to the reduced space, and ``neumann_check``
+cross-checks it.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import FockBasis, OperatorMatrix
-from .model import ModelSpec, WindowError, build_h0, build_hamiltonian, hyp5_frame
+from .model import ModelSpec, WindowError, build_h0, build_hamiltonian, hyp5_frame, projection_frame
 
 RANK_THRESHOLD = 1e-10
 
@@ -56,29 +62,24 @@ class CutoffSpec:
         c = self.chi(r)
         return np.sqrt(1.0 - c * c)
 
-    def matrices(self, basis: FockBasis):
-        """chi(H_f) and chibar(H_f) as diagonal matrices on the full product
+    def diagonals(self, basis: FockBasis):
+        """The diagonals of chi(H_f) and chibar(H_f) on the full product
         basis (identity on the atomic factor)."""
         ones = np.ones(basis.d_at)
-        chi = np.kron(ones, self.chi(basis.hf_values))
-        cbar = np.kron(ones, self.chibar(basis.hf_values))
-        return np.diag(chi.astype(complex)), np.diag(cbar.astype(complex))
+        return (np.kron(ones, self.chi(basis.hf_values)),
+                np.kron(ones, self.chibar(basis.hf_values)))
 
 
 @dataclass
 class FeshbachPairReport:
-    """Quantitative pair-condition check: commutation residuals, the
-    invertibility margin of T (and H_chibar) on Ran chibar, and the two
-    contraction norms whose smallness certifies the Neumann expansion."""
+    """Quantitative pair-condition check: the invertibility margin of T (and
+    H_chibar) on Ran chibar, and the two contraction norms whose smallness
+    certifies the Neumann expansion."""
 
-    comm_chi: float
-    comm_chibar: float
     t_margin: float
     h_margin: float
     contraction_left: float
     contraction_right: float
-    rank_chibar: int
-    conditioning_warning: bool = False
 
     @property
     def contractions_ok(self) -> bool:
@@ -90,56 +91,48 @@ class FeshbachPairReport:
 
 
 class FeshbachPair:
-    """One (H, T, chi, chibar) quadruple and its one factorization: an
-    orthonormal basis V of Ran chibar from a rank-revealing SVD, and the
-    restrictions of H_chibar and T to it.  ``verify_pair``, ``feshbach_map``
-    and ``q_ops`` all read the same pair."""
+    """One (H, T, chi, chibar) quadruple with the cutoffs given by their
+    diagonals.  Ran chibar is the coordinate set ``on`` (chibar above
+    RANK_THRESHOLD times its largest entry, the rank decision of an SVD of
+    the diagonal matrix); ``m_h`` and ``m_t`` are the restrictions of
+    H_chibar and T to it, and ``left``, ``right``, ``w_bar`` the blocks of
+    chi W chibar, chibar W chi and chibar W chibar that meet it.
+    ``verify_pair``, ``feshbach_map`` and ``q_ops`` all read the same pair."""
 
     def __init__(self, h, t, chi, chibar):
-        self.h = np.asarray(h, dtype=complex)
         self.t = np.asarray(t, dtype=complex)
-        self.chi = np.asarray(chi, dtype=complex)
-        self.chibar = np.asarray(chibar, dtype=complex)
-        self.w = self.h - self.t
-        u, sv, _ = np.linalg.svd(self.chibar)
-        scale = sv[0] if sv.size and sv[0] > 0 else 1.0
-        self.rank = int(np.sum(sv > RANK_THRESHOLD * scale))
-        self.near_threshold = bool(np.any((sv > 0.1 * RANK_THRESHOLD * scale)
-                                          & (sv <= 10 * RANK_THRESHOLD * scale)))
-        self.v = u[:, : self.rank]
-        self.w_bar = self.chibar @ self.w @ self.chibar   # chibar W chibar
-        self.h_bar = self.t + self.w_bar
-        self.m_h = self.v.conj().T @ self.h_bar @ self.v
-        self.m_t = self.v.conj().T @ self.t @ self.v
-
-    def _restricted_inverse(self, m) -> np.ndarray:
-        if self.rank == 0:
-            return np.zeros_like(self.h)
-        return self.v @ np.linalg.solve(m, self.v.conj().T)
+        self.chi = np.asarray(chi, dtype=float)
+        self.chibar = np.asarray(chibar, dtype=float)
+        self.w = np.asarray(h, dtype=complex) - self.t
+        self.on = on = self.chibar > RANK_THRESHOLD * self.chibar.max(initial=0.0)
+        cb = self.chibar[on]
+        self.left = self.chi[:, None] * self.w[:, on] * cb         # chi W chibar
+        self.right = cb[:, None] * self.w[on, :] * self.chi        # chibar W chi
+        self.m_t = self.t[np.ix_(on, on)]
+        self.w_bar = cb[:, None] * self.w[np.ix_(on, on)] * cb     # chibar W chibar
+        self.m_h = self.m_t + self.w_bar
 
     @cached_property
     def inverse_h(self) -> np.ndarray:
-        """(H_chibar|_Ran chibar)^-1 as a full-space matrix V M^-1 V^dag."""
-        return self._restricted_inverse(self.m_h)
+        """(H_chibar|_Ran chibar)^-1 on the coordinates ``on``."""
+        return np.linalg.inv(self.m_h)
 
     @cached_property
     def inverse_t(self) -> np.ndarray:
-        """(T|_Ran chibar)^-1 as a full-space matrix."""
-        return self._restricted_inverse(self.m_t)
+        """(T|_Ran chibar)^-1 on the coordinates ``on``."""
+        return np.linalg.inv(self.m_t)
 
 
 def verify_pair(pair: FeshbachPair) -> FeshbachPairReport:
     """Check the sufficient pair conditions and report margins.
 
     Margins are smallest singular values of the restrictions to Ran chibar;
-    contraction norms are ||T^-1 chibar W chibar|| and ||chibar W T^-1 chibar||.
+    contraction norms are ||T^-1 chibar W chibar|| and ||chibar W T^-1 chibar||,
+    both on Ran chibar.
     """
     p = pair
-    comm_chi = float(np.linalg.norm(p.chi @ p.t - p.t @ p.chi))
-    comm_chibar = float(np.linalg.norm(p.chibar @ p.t - p.t @ p.chibar))
-    if p.rank == 0:
-        return FeshbachPairReport(comm_chi, comm_chibar, np.inf, np.inf,
-                                  0.0, 0.0, 0, p.near_threshold)
+    if not p.on.any():
+        return FeshbachPairReport(np.inf, np.inf, 0.0, 0.0)
     t_margin = float(np.linalg.svd(p.m_t, compute_uv=False)[-1])
     h_margin = float(np.linalg.svd(p.m_h, compute_uv=False)[-1])
     if t_margin > 0:
@@ -147,8 +140,7 @@ def verify_pair(pair: FeshbachPair) -> FeshbachPairReport:
         right = float(np.linalg.norm(p.w_bar @ p.inverse_t, 2))
     else:
         left = right = np.inf
-    return FeshbachPairReport(comm_chi, comm_chibar, t_margin, h_margin,
-                              left, right, p.rank, p.near_threshold)
+    return FeshbachPairReport(t_margin, h_margin, left, right)
 
 
 class FeshbachPairError(ArithmeticError):
@@ -160,16 +152,18 @@ class FeshbachPairError(ArithmeticError):
 def feshbach_map(pair: FeshbachPair) -> np.ndarray:
     """F(H, T) = T + chi W chi - chi W chibar (H_chibar|)^-1 chibar W chi."""
     p = pair
-    return (p.t + p.chi @ p.w @ p.chi
-            - p.chi @ p.w @ p.chibar @ p.inverse_h @ p.chibar @ p.w @ p.chi)
+    return p.t + p.chi[:, None] * p.w * p.chi - p.left @ (p.inverse_h @ p.right)
 
 
 def q_ops(pair: FeshbachPair):
     """Auxiliary operators mapping ker F -> ker H and back:
     Q = chi - chibar H_chibar^-1 chibar W chi and its sharp partner."""
     p = pair
-    q = p.chi - p.chibar @ p.inverse_h @ p.chibar @ p.w @ p.chi
-    q_sharp = p.chi - p.chi @ p.w @ p.chibar @ p.inverse_h @ p.chibar
+    cb = p.chibar[p.on]
+    q = np.diag(p.chi.astype(complex))
+    q[p.on, :] -= cb[:, None] * (p.inverse_h @ p.right)
+    q_sharp = np.diag(p.chi.astype(complex))
+    q_sharp[:, p.on] -= (p.left @ p.inverse_h) * cb
     return q, q_sharp
 
 
@@ -194,7 +188,8 @@ class IsospectralityReport:
 
 def isospectrality_suite(h, t, chi, chibar, probe_shifts=(0.0,)):
     """Exercise the two inverse identities and the kernel-dimension equality
-    for each probe shift z (the pair becomes (H - z, T - z)).
+    for each probe shift z (the pair becomes (H - z, T - z)); chi and chibar
+    are the diagonals of the cutoffs.
 
     Identities, in the full-matrix embedding (F (+) T on the chi-null
     coordinates):  H^-1 = Q F^-1 Q# + chibar H_chibar^-1 chibar   and
@@ -203,6 +198,12 @@ def isospectrality_suite(h, t, chi, chibar, probe_shifts=(0.0,)):
     h = np.asarray(h, dtype=complex)
     t = np.asarray(t, dtype=complex)
     eye = np.eye(h.shape[0])
+
+    def chibar_sandwich(p, inv):   # chibar (.|_Ran chibar)^-1 chibar, full size
+        out = np.zeros_like(h)
+        out[np.ix_(p.on, p.on)] = p.chibar[p.on, None] * inv * p.chibar[p.on]
+        return out
+
     reports = []
     for z in probe_shifts:
         hz = h - z * eye
@@ -215,9 +216,9 @@ def isospectrality_suite(h, t, chi, chibar, probe_shifts=(0.0,)):
         if kd_h == 0 and kd_f == 0:
             hinv = np.linalg.inv(hz)
             finv = np.linalg.inv(f)
-            rhs = q @ finv @ q_sharp + p.chibar @ p.inverse_h @ p.chibar
+            rhs = q @ finv @ q_sharp + chibar_sandwich(p, p.inverse_h)
             res_h = float(np.linalg.norm(hinv - rhs) / np.linalg.norm(hinv))
-            rhs2 = p.chi @ hinv @ p.chi + p.chibar @ p.inverse_t @ p.chibar
+            rhs2 = p.chi[:, None] * hinv * p.chi + chibar_sandwich(p, p.inverse_t)
             res_f = float(np.linalg.norm(finv - rhs2) / np.linalg.norm(finv))
         reports.append(IsospectralityReport(
             res_h, res_f, kd_h, kd_f, (kd_h == 0) == (kd_f == 0)))
@@ -225,13 +226,14 @@ def isospectrality_suite(h, t, chi, chibar, probe_shifts=(0.0,)):
 
 
 class FirstDecimation:
-    """z-independent data of the first decimation at (model, s, g): the
-    truncated H_g(s) as built (``hamiltonian``); the operators H_g(s) and
-    H_0(s) on the full space (``h``, ``t``), conjugated by the Hypothesis-5
-    frame U(s) when P_at(s) differs from P_at(s0) (``hyp5_u``; else None and
-    ``h`` is ``hamiltonian.mat``); the cutoff P_at(s0) (x) chi_1(H_f) and its
-    partner; the full and reduced bases and the isometry ``frame`` from
-    C^d (x) (reduced Fock states) into the full space."""
+    """z-independent data of the first decimation at (model, s, g):
+    ``hamiltonian``, the truncated H_g(s) as built; ``h`` and ``t``, H_g(s)
+    and H_0(s) conjugated by u (x) 1 with the atomic frame ``u`` of the
+    module docstring (``atomic_frame()`` first, times the Hypothesis-5 frame
+    U(s) when P_at(s) differs from P_at(s0)); ``chi`` and ``chibar``, the
+    diagonals of the cutoff P_at(s0) (x) chi_1(H_f) and its partner in that
+    frame; the full and reduced bases, and ``reduced_index``, the
+    coordinates of the reduced space Ran(P_at(s0) (x) 1_{H_f <= 1})."""
 
     def __init__(self, spec: ModelSpec, s: complex, g: float | None = None):
         self.spec = spec
@@ -240,29 +242,24 @@ class FirstDecimation:
         self.reduced_basis = spec.reduced_fock_basis()
 
         p0 = spec.p_at(spec.s0)
-        self.hamiltonian = build_hamiltonian(spec, s, g, basis)
-        h = self.hamiltonian.mat
-        t = build_h0(spec, s, basis)
-        self.hyp5_u = None
+        u = np.hstack([spec.atomic_frame(),
+                       projection_frame(np.eye(spec.d_at) - p0, spec.d_at - spec.d)])
         if np.linalg.norm(spec.p_at(s) - p0) > 1e-12:
-            u = self.hyp5_u = hyp5_frame(spec, s)
-            uf = np.kron(u, np.eye(basis.size))
-            ufinv = np.kron(np.linalg.inv(u), np.eye(basis.size))
-            h, t = ufinv @ h @ uf, ufinv @ t @ uf
-        self.h, self.t = h, t
+            u = hyp5_frame(spec, s) @ u
+        self.u = u
+        uf = np.kron(u, np.eye(basis.size))
+        ufinv = np.kron(np.linalg.inv(u), np.eye(basis.size))
+        self.hamiltonian = build_hamiltonian(spec, s, g, basis)
+        self.h = ufinv @ self.hamiltonian.mat @ uf
+        self.t = ufinv @ build_h0(spec, s, basis) @ uf
 
         cut = CutoffSpec(1.0)
-        chi_f = cut.chi(basis.hf_values)
-        cbar_f = cut.chibar(basis.hf_values)
-        pbar0 = np.eye(spec.d_at) - p0
-        self.chi = np.kron(p0, np.diag(chi_f.astype(complex)))
-        self.chibar = (np.kron(pbar0, np.eye(basis.size))
-                       + np.kron(p0, np.diag(cbar_f.astype(complex))))
-
-        inject = np.zeros((basis.size, self.reduced_basis.size))
-        for i, occ in enumerate(self.reduced_basis.states):
-            inject[basis.index[occ], i] = 1.0
-        self.frame = np.kron(spec.atomic_frame(), inject)
+        on_d = np.arange(spec.d_at) < spec.d   # Ran P_at(s0) in the frame u
+        self.chi = np.kron(on_d, cut.chi(basis.hf_values))
+        self.chibar = (np.kron(~on_d, np.ones(basis.size))
+                       + np.kron(on_d, cut.chibar(basis.hf_values)))
+        fock = np.array([basis.index[occ] for occ in self.reduced_basis.states])
+        self.reduced_index = (np.arange(spec.d)[:, None] * basis.size + fock).ravel()
 
     def pair(self, z: complex) -> FeshbachPair:
         """The pair (H_g(s) - z, H_0(s) - z) with the first cutoffs."""
@@ -284,13 +281,14 @@ class FirstFeshbachResult(NamedTuple):
 def first_feshbach(first: FirstDecimation, z: complex) -> FirstFeshbachResult:
     """Decimate (H_g(s) - z, H_0(s) - z) with the projection-weighted cutoff
     P_at (x) chi_1(H_f) by direct block inversion, and restrict the result to
-    the reduced space Ran(P_at (x) 1_{H_f <= 1})."""
+    the reduced space: its principal submatrix on ``reduced_index``, which
+    the map leaves invariant."""
     pair = first.pair(z)
     report = verify_pair(pair)
     if not (report.t_margin > 0 and report.h_margin > 0):
         raise FeshbachPairError(report)
-    f_direct = feshbach_map(pair)
-    h0 = first.frame.conj().T @ f_direct @ first.frame
+    idx = first.reduced_index
+    h0 = feshbach_map(pair)[np.ix_(idx, idx)]
     return FirstFeshbachResult(OperatorMatrix(h0, first.reduced_basis), pair, report)
 
 
@@ -314,17 +312,17 @@ def neumann_check(pair: FeshbachPair) -> NeumannCheck:
     f_direct = feshbach_map(pair)
 
     # F = T + chi W chi - sum_{L>=1} (-1)^(L-1) chi W chibar (R0 chibar W chibar)^(L-1) R0 chibar W chi
-    # with R0 the restricted inverse of T on Ran chibar and W = g W(s).
-    chi, chibar, w, r0 = pair.chi, pair.chibar, pair.w, pair.inverse_t
-    lead = chi @ w @ chibar
+    # with R0 the restricted inverse of T on Ran chibar and W = g W(s); the
+    # factors between chi W chibar and chibar W chi act on Ran chibar.
+    r0 = pair.inverse_t
     contraction = float(np.linalg.norm(r0 @ pair.w_bar, 2))
     scale = max(1.0, float(np.linalg.norm(f_direct)))
     series = np.zeros_like(f_direct)
-    cur = r0 @ (chibar @ w @ chi)
+    cur = r0 @ pair.right
     n_terms = 0
     last_norm = 0.0
     for L in range(1, NEUMANN_MAX_TERMS + 1):
-        term = lead @ cur
+        term = pair.left @ cur
         series += ((-1) ** (L - 1)) * term
         n_terms = L
         last_norm = float(np.linalg.norm(term, 2))
@@ -335,7 +333,6 @@ def neumann_check(pair: FeshbachPair) -> NeumannCheck:
         tail_bound = last_norm * contraction / (1.0 - contraction)
     else:
         tail_bound = np.inf
-    f_neumann = pair.t + chi @ w @ chi - series
+    f_neumann = pair.t + pair.chi[:, None] * pair.w * pair.chi - series
     discrepancy = float(np.linalg.norm(f_direct - f_neumann) / scale)
     return NeumannCheck(discrepancy, n_terms, tail_bound)
-

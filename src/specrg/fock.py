@@ -271,19 +271,8 @@ class DilationMap:
         self.low_sector = np.zeros(basis.size, dtype=bool)
         self.low_sector[src] = True
 
-    def matrix(self, with_atomic: bool = True) -> np.ndarray:
-        if with_atomic:
-            return np.kron(np.eye(self.source.d_at), self.gamma_fock)
-        return self.gamma_fock
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Gamma_rho applied to a full-space vector supported on the low sector."""
-        g = self.matrix()
-        out = g @ vec
-        leak = np.linalg.norm(vec) ** 2 - np.linalg.norm(out) ** 2
-        if leak > 1e-12 * max(1.0, np.linalg.norm(vec) ** 2):
-            raise ValueError("vector is not supported on the H_f <= rho sector")
-        return out
+    def matrix(self) -> np.ndarray:
+        return np.kron(np.eye(self.source.d_at), self.gamma_fock)
 
     def conjugate(self, mat: np.ndarray) -> np.ndarray:
         """Gamma M Gamma* for a full-space matrix M (restriction + shift)."""

@@ -12,7 +12,6 @@ H - w_{0,0}(H_f), not a kernel norm of the higher-order parts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -91,28 +90,16 @@ class ExtractionResult:
     node_values: np.ndarray
     source: OperatorMatrix = field(repr=False)
 
-    @cached_property
-    def contamination(self) -> np.ndarray:
-        """Per-node bound mu_j * ||H - w00(0) (x) 1|| on the (1,1) admixture
-        of the one-photon blocks (0 at the vacuum node).  It costs a full
-        SVD, so it is computed on first access."""
-        basis = self.source.basis
-        d, nF = basis.d_at, basis.size
-        diag_guess = _diagonal_block_matrix(
-            np.array([self.node_values[0]] * nF), d, nF)
-        off_scale = np.linalg.norm(self.source.mat - diag_guess, 2)
-        return np.concatenate([[0.0], basis.grid.weights[::-1]]) * off_scale
-
 
 def extract_w00(h: OperatorMatrix, n_r: int = 65) -> ExtractionResult:
     """Recover the diagonal kernel from vacuum and one-photon blocks.
 
     w00(0) is the exact vacuum block; w00(omega_j) is read off the one-photon
     diagonal block of shell j, which carries an O(shell measure) additive
-    contamination from any (1,1) kernel component; the per-node bound
-    mu_j * ||offdiagonal part|| is available as ``contamination``.  The
-    nodes are interpolated onto a uniform r-grid with a monotone cubic
-    (PCHIP, Fritsch & Carlson 1980): one vector fit over the stacked
+    contamination from any (1,1) kernel component, at most
+    mu_j * ||H - w00(0) (x) 1|| with mu_j the shell measure.  The nodes are
+    interpolated onto a uniform r-grid with a monotone cubic (PCHIP,
+    Fritsch & Carlson 1980): one vector fit over the stacked
     real/imaginary parts of all d x d entries, which gives each entry the
     same values as its own scalar fit.  The derivative samples come from the
     interpolant.

@@ -150,15 +150,9 @@ class ModelSpec:
         p = self.p_at(s)
         return complex(np.trace(self.h_at(s) @ p) / self.d)
 
-    def atomic_frame(self, s: complex | None = None) -> np.ndarray:
-        """Orthonormal columns spanning Ran P_at(s) (default s0)."""
-        p = self.p_at(self.s0 if s is None else s)
-        u, sv, _ = np.linalg.svd(p)
-        rank = int(np.sum(sv > 0.5))
-        if rank != self.d:
-            raise ValueError(
-                f"projection rank {rank} does not match declared degeneracy {self.d}")
-        return u[:, : self.d]
+    def atomic_frame(self) -> np.ndarray:
+        """Orthonormal columns spanning Ran P_at(s0) (see ``projection_frame``)."""
+        return projection_frame(self.p_at(self.s0), self.d)
 
     def mode_coeff_scalars(self) -> np.ndarray:
         return self.profile.shell_coeffs(self.grid)
@@ -186,10 +180,20 @@ class ModelSpec:
         out = []
         for gat in self.generators:
             r = gat.restricted(frame)
-            out.append(SymmetryOp(np.kron(r.matrix, eye), r.antiunitary,
-                                  atomic_part=r.matrix, fock_part=eye,
-                                  label=gat.label))
+            out.append(SymmetryOp(np.kron(r.matrix, eye), r.antiunitary, label=gat.label))
         return out
+
+
+def projection_frame(p: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal columns spanning Ran p, for a projection p of the given
+    rank, from an SVD; each column is scaled so that its largest entry is
+    real positive, so a frame of coordinate vectors comes out exact."""
+    u, sv, _ = np.linalg.svd(p)
+    if int(np.sum(sv > 0.5)) != rank:
+        raise ValueError(f"projection rank {int(np.sum(sv > 0.5))} is not {rank}")
+    u = u[:, :rank]
+    lead = u[np.argmax(np.abs(u), axis=0), np.arange(rank)]
+    return u * (np.conj(lead) / np.abs(lead))
 
 
 def build_hamiltonian(spec: ModelSpec, s: complex, g: float | None = None,

@@ -10,7 +10,7 @@ kernel-preserving at the matrix level).
 
 Only H - z changes from one evaluation of E^(n)(z) to the next.  A ``Flow``
 holds what does not, once per (model, s): the first decimation's operators
-and cutoffs, and per depth the basis, restricted generators, cutoff matrices
+and cutoffs, and per depth the basis, restricted generators, cutoff diagonals
 and dilation.  ``run_ladder(flow, z, n)`` does only the work that depends on z.
 """
 
@@ -106,7 +106,7 @@ class WindowExitError(ValueError):
 @dataclass(frozen=True)
 class Depth:
     """z-independent data of one flow depth: the reduced basis, the symmetry
-    generators restricted to it, the cutoff matrices chi_rho(H_f) and
+    generators restricted to it, the diagonals of the cutoffs chi_rho(H_f) and
     chibar_rho(H_f), and the dilation to the next depth (None on the
     vacuum-only terminal space, where a step is division by rho)."""
 
@@ -148,7 +148,7 @@ class Flow:
         gens = spec.reduced_generators(basis) if spec.generators else []
         if basis.grid.levels == 0:
             return Depth(basis, gens, None, None, None)
-        return Depth(basis, gens, *CutoffSpec(rho).matrices(basis), dilation(basis, rho))
+        return Depth(basis, gens, *CutoffSpec(rho).diagonals(basis), dilation(basis, rho))
 
 
 def rg_step(level: LadderLevel, depth: Depth, cfg: RGConfig, collect_q: bool = False):
@@ -500,9 +500,9 @@ def build_eigenvectors(flow: Flow, z_inf: complex,
             if dil is not None:
                 vec = dil.matrix().conj().T @ vec
             vec = qs[k] @ vec
-        psi = lift @ (first.frame @ vec)   # vec is on the level-0 reduced space
-        if first.hyp5_u is not None:
-            psi = np.kron(first.hyp5_u, np.eye(first.basis.size)) @ psi
+        full = np.zeros(first.basis.dim, dtype=complex)
+        full[first.reduced_index] = vec   # vec is on the level-0 reduced space
+        psi = np.kron(first.u, np.eye(first.basis.size)) @ (lift @ full)
         nrm = np.linalg.norm(psi)
         residuals.append(float(np.linalg.norm(h_full @ psi - z_inf * psi)
                                / max(nrm, 1e-300)))

@@ -19,15 +19,10 @@ class SymmetryOp:
     """A unitary or antiunitary operator.
 
     Action: psi -> U psi (unitary) or psi -> U conj(psi) (antiunitary).
-    Optional factorization (atomic_part, fock_part) is kept for operators
-    assembled as S1 (x) S2; fock_part is the matrix of S2 in the occupation
-    basis (conjugation acts entrywise there, which is basis-real).
     """
 
     matrix: np.ndarray
     antiunitary: bool = False
-    atomic_part: np.ndarray | None = None
-    fock_part: np.ndarray | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -38,23 +33,10 @@ class SymmetryOp:
         dev = np.linalg.norm(self.matrix @ self.matrix.conj().T - np.eye(n))
         if dev > _UNITARITY_TOL * max(1.0, n):
             raise ValueError(f"matrix part is not unitary (deviation {dev:g})")
-        if (self.atomic_part is None) != (self.fock_part is None):
-            raise ValueError("factorization needs both atomic and fock parts")
-        if self.atomic_part is not None:
-            self.atomic_part = np.asarray(self.atomic_part, dtype=complex)
-            self.fock_part = np.asarray(self.fock_part, dtype=complex)
-            rebuilt = np.kron(self.atomic_part, self.fock_part)
-            if np.linalg.norm(rebuilt - self.matrix) > 1e-10 * max(1.0, n):
-                raise ValueError("factorization does not reproduce the full matrix")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        if self.antiunitary:
-            return self.matrix @ np.conj(psi)
-        return self.matrix @ psi
 
     def restricted(self, frame: np.ndarray, tol: float = 1e-10) -> "SymmetryOp":
         """Restriction to the subspace spanned by the orthonormal columns of

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 from importlib import resources
@@ -10,7 +11,8 @@ from specrg.cli import main
 from specrg.config import load_model
 from specrg.kernels import extract_w00, polydisc_check
 from specrg.oracle import dense_spectrum
-from specrg.rg import Flow, RGConfig, iterate_to_fixed_point, run_ladder
+from specrg.rg import Flow, RGConfig, build_eigenvectors, iterate_to_fixed_point, run_ladder
+from specrg.symmetry import SymmetryOp
 
 
 def cut_fixture(tmp_path, name, levels=3, edit=None, **overrides):
@@ -102,6 +104,36 @@ class TestFlow:
 
         assert energy(z_o) <= 1e-12
         assert energy(z_o + 1e-6) >= 0.5e-6 * cfg.rho ** -J
+
+    def test_rotated_atomic_frame_gives_the_same_flow(self):
+        """m_pauli with every atomic matrix conjugated by a real rotation R,
+        so that P_at(s0) is no longer diagonal and the first decimation
+        works in a rotated atomic frame."""
+        spec = load_model("m_pauli")
+        spec = dataclasses.replace(spec, grid=fock.ModeGrid(spec.grid.ratio, 3,
+                                                            spec.grid.channel_weight))
+        a, b = 0.7, 0.5
+        r = (np.array([[1, 0, 0], [0, np.cos(a), -np.sin(a)], [0, np.sin(a), np.cos(a)]])
+             @ np.array([[np.cos(b), 0, -np.sin(b)], [0, 1, 0], [np.sin(b), 0, np.cos(b)]]))
+
+        def rot(mats):
+            return [r @ m @ r.T for m in mats]
+
+        rotated = dataclasses.replace(
+            spec, hat_coeffs=rot(spec.hat_coeffs), b1_coeffs=rot(spec.b1_coeffs),
+            b2_coeffs=rot(spec.b2_coeffs),
+            generators=[SymmetryOp(r @ g.matrix @ r.T, g.antiunitary)
+                        for g in spec.generators],
+            jconj=None if spec.jconj is None else r @ spec.jconj @ r.T)
+        p0 = rotated.p_at(rotated.s0)
+        assert np.abs(p0 - np.diag(np.diag(p0))).max() > 0.3
+        cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu)
+        plain = iterate_to_fixed_point(spec, spec.s0, cfg)
+        res = iterate_to_fixed_point(rotated, rotated.s0, cfg)
+        assert plain.converged and res.converged
+        assert abs(res.z_inf - plain.z_inf) <= 1e-12
+        assert max(build_eigenvectors(res.flow, res.z_inf).residuals) <= 1e-10
+        assert max(rec.symmetry_residual for rec in res.trace.records) <= 1e-9
 
 
 class TestCli:

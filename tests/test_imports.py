@@ -1,8 +1,8 @@
 """Every top-level import of a specrg module is used in that module, and every
-definition in specrg is named by the program outside its own definition."""
+definition in specrg is referred to by the code of the program outside its own
+definition."""
 
 import ast
-import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -40,16 +40,33 @@ def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def references(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every name the code refers to: variable names,
+    attribute names, keyword-argument names and imported names.  Docstrings,
+    comments and the names of definitions are not references."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.end_lineno))
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            out.append((node.arg, node.lineno))
+        elif isinstance(node, ast.alias):
+            out.append((node.name.split(".")[-1], node.lineno))
+            if node.asname:
+                out.append((node.asname, node.lineno))
+    return out
+
+
 def unnamed_definitions(sources: dict, defining: list) -> list[str]:
     """Non-dunder functions, classes and methods defined in the files named
-    by ``defining`` whose name occurs, as a word in code, a docstring or a
-    comment, nowhere in ``sources`` (file name -> text) outside the lines of
-    their own definition."""
-    where = defaultdict(list)   # word -> [(file, line)]
+    by ``defining`` that no code in ``sources`` (file name -> text) refers to
+    outside the lines of their own definition."""
+    where = defaultdict(list)   # name -> [(file, line)]
     for name, text in sources.items():
-        for lineno, line in enumerate(text.splitlines(), 1):
-            for word in set(re.findall(r"\w+", line)):
-                where[word].append((name, lineno))
+        for ref, lineno in references(text):
+            where[ref].append((name, lineno))
     dead = []
     for name in defining:
         for node in ast.walk(ast.parse(sources[name])):
@@ -64,10 +81,15 @@ def unnamed_definitions(sources: dict, defining: list) -> list[str]:
 
 
 def test_detects_an_unnamed_definition():
-    sources = {"a.py": "def used():\n    return 1\n\ndef dead():\n    return dead\n\n"
-                       "class C:\n    def __len__(self):\n        return used()\n",
-               "b.py": "from a import C\n"}
-    assert unnamed_definitions(sources, ["a.py"]) == ["dead"]
+    # a docstring naming a definition, or another definition of the same
+    # name, does not keep it alive
+    sources = {"a.py": "def used():\n    \"\"\"Unlike dead.\"\"\"\n    return 1\n\n"
+                       "def dead():\n    return dead\n\n"
+                       "class C:\n    def __len__(self):\n        return used()\n\n"
+                       "    def twin(self):\n        return 0\n\n"
+                       "class D:\n    def twin(self):\n        return 1\n",
+               "b.py": "from a import C as K, D\n# twin\nK().__len__(), D\n"}
+    assert unnamed_definitions(sources, ["a.py"]) == ["dead", "twin", "twin"]
 
 
 def test_every_definition_is_named_by_the_program():

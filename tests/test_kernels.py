@@ -84,11 +84,13 @@ class TestExtraction:
         h = OperatorMatrix(creation_op(b, coeffs).mat @ annihilation_op(b, coeffs).mat, b)
         ext = extract_w00(h)
         # pure (1,1) kernel: vacuum block 0; one-photon blocks are the
-        # contamination mu_j * w11; declared bound must cover them
+        # contamination mu_j * w11, within mu_j * ||H - w00(0) (x) 1||
         assert np.abs(ext.node_values[0]).max() == 0.0
+        off_scale = np.linalg.norm(h.mat - ext.node_values[0][0, 0] * np.eye(b.dim), 2)
+        bound = np.concatenate([[0.0], b.grid.weights[::-1]]) * off_scale
         for t in range(1, ext.nodes.size):
             got = np.abs(ext.node_values[t]).max()
-            assert got <= ext.contamination[t] * (1 + 1e-9) + 1e-15
+            assert got <= bound[t] * (1 + 1e-9) + 1e-15
 
     def test_vector_fit_matches_scalar_fits(self):
         from scipy.interpolate import PchipInterpolator

@@ -321,11 +321,11 @@ class TestVaryingProjection:
         assert np.min(np.abs(rep.eigenvalues - res.z_inf)) < 1e-7
 
     def test_eigenvectors_lift_through_the_frame(self):
-        from specrg.feshbach import FirstDecimation
         from specrg.rg import RGConfig, build_eigenvectors, iterate_to_fixed_point
         spec = varying_projection_spec()
         s = 0.1
-        assert FirstDecimation(spec, s).hyp5_u is not None   # the U(s) branch
+        # P_at varies, so U(s) enters the first decimation's frame
+        assert np.linalg.norm(spec.p_at(s) - spec.p_at(spec.s0)) > 1e-12
         cfg = RGConfig(check_winding=False)
         res = iterate_to_fixed_point(spec, s, cfg)
         ev = build_eigenvectors(res.flow, res.z_inf)

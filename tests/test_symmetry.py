@@ -82,7 +82,7 @@ def invariant_subspace_search(ops, n_grid=60):
         v = np.array([np.cos(a), np.sin(a) * np.exp(1j * b)])
         worst = 0.0
         for op in ops:
-            w = op.apply(v)
+            w = op.matrix @ (np.conj(v) if op.antiunitary else v)
             worst = max(worst, np.linalg.norm(w - np.vdot(v, w) * v))
         return worst
 

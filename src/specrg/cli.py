@@ -32,6 +32,7 @@ from .feshbach import (
     first_feshbach,
     isospectrality_suite,
     neumann_check,
+    verify_pair,
 )
 from .model import InfraredError, ModelSpec, WindowError, verify_hypotheses
 from .oracle import compare, dense_spectrum, perturbation_scaling
@@ -174,7 +175,7 @@ def _spectrum_dump(rep) -> str:
 def _kernel_dump(ext) -> str:
     """Columnar diagonal-kernel dump: r then re/im of each matrix entry."""
     ker = ext.kernel
-    d = ker.dim
+    d = ker.values.shape[-1]
     head = "# r " + " ".join(f"re{a}{b} im{a}{b}"
                              for a in range(d) for b in range(d))
     lines = [head]
@@ -193,7 +194,8 @@ def _first_decimation_checks(spec: ModelSpec, report: Report) -> None:
     """Report the first decimation at (s0, E_at(s0)) and its Neumann
     cross-check.  The full-space pair is freed on return, before the flow."""
     s = spec.s0
-    _, pair, pair_report = first_feshbach(FirstDecimation(spec, s), spec.e_at(s))
+    _, pair = first_feshbach(FirstDecimation(spec, s), spec.e_at(s))
+    pair_report = verify_pair(pair)
     neumann = neumann_check(pair)
     report.put("first.neumann_discrepancy", neumann.discrepancy)
     report.put("first.neumann_terms", neumann.terms)
@@ -438,7 +440,7 @@ def property_suite(run: RunConfig, spec: ModelSpec, report: Report) -> None:
                  all(r.kernel_dims_match for r in reports))
 
     # Schur scalarization of the first decimation under the declared group
-    h0 = first_feshbach(FirstDecimation(spec, spec.s0), spec.e_at(spec.s0)).h0
+    h0, _ = first_feshbach(FirstDecimation(spec, spec.s0), spec.e_at(spec.s0))
     c, dev = symmetry.schur_scalar(h0.mat, spec.d, h0.basis.size)
     limit = run.rg.schur_tol * max(1.0, abs(c))
     if spec.d >= 2:
@@ -457,8 +459,7 @@ def property_suite(run: RunConfig, spec: ModelSpec, report: Report) -> None:
     else:
         report.check("suite_schur_scalar", dev <= limit)
 
-    ext = kernels.extract_w00(h0)
-    rebuilt = kernels.kernel_c1_of_hf(ext.kernel, h0.basis)
+    rebuilt = kernels.extract_w00(h0).hf_matrix()
     gamma_hat = float(np.linalg.norm(h0.mat - rebuilt, 2))
     report.put("suite.gamma_hat0", gamma_hat)
     report.say("suite complete")
@@ -524,6 +525,8 @@ def main(argv=None) -> int:
         message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
         report.put("flow.error", message)
         report.check("flow", False, message)
+    finally:
+        spec.built.clear()   # bases and depths serve one command; a caller may keep the spec
 
     report.put("command", args.command)
     report.put("all_passed", report.all_passed)

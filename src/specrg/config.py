@@ -107,14 +107,14 @@ def parse_model_config(doc: dict, validate: bool = True) -> ModelSpec:
 
     gens = []
     for i, gdoc in enumerate(doc.get("symmetry_generators", [])):
+        # "label" names the generator for the reader; the program does not store it
         _require_keys(gdoc, ["matrix"], ["antiunitary", "label"],
                       where=f"symmetry_generators[{i}]")
         m = _parse_matrix(gdoc["matrix"], f"symmetry_generators[{i}].matrix")
         if m.shape != (d_at, d_at):
             raise ConfigError(f"generator {i} must be {d_at}x{d_at}")
         try:
-            gens.append(SymmetryOp(m, bool(gdoc.get("antiunitary", False)),
-                                   label=str(gdoc.get("label", f"S{i}"))))
+            gens.append(SymmetryOp(m, bool(gdoc.get("antiunitary", False))))
         except ValueError as exc:
             raise ConfigError(f"generator {i}: {exc}") from None
 

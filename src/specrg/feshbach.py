@@ -7,7 +7,8 @@ they are diagonal and a pair takes them as 1-D arrays: Ran chibar is the set
 ``on`` of coordinates where chibar is not negligible, a restricted inverse is
 the inverse of a principal submatrix, and multiplying by a cutoff scales rows
 or columns.  Each decimation builds one ``FeshbachPair``, read by
-``verify_pair``, ``feshbach_map`` and ``q_ops``.
+``feshbach_map`` and ``q_ops``.  A step needs only the pair's ``margins``;
+``verify_pair`` adds the contraction norms where a report is read.
 
 The first cutoff P_at(s0) (x) chi_1(H_f) is diagonal in the atomic frame
 u = [basis of Ran P_at(s0) | basis of Ran(1 - P_at(s0))], times U(s) when
@@ -23,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
-
 import numpy as np
 
 from .fock import FockBasis, OperatorMatrix
@@ -113,6 +112,21 @@ class FeshbachPair:
         self.m_h = self.m_t + self.w_bar
 
     @cached_property
+    def margins(self) -> tuple[float, float]:
+        """(t_margin, h_margin): the smallest singular values of T and
+        H_chibar restricted to Ran chibar, inf when Ran chibar is empty."""
+        if not self.on.any():
+            return np.inf, np.inf
+        return (float(np.linalg.svd(self.m_t, compute_uv=False)[-1]),
+                float(np.linalg.svd(self.m_h, compute_uv=False)[-1]))
+
+    def require_margins(self):
+        """Raise FeshbachPairError unless both margins are positive."""
+        t_margin, h_margin = self.margins
+        if not (t_margin > 0 and h_margin > 0):
+            raise FeshbachPairError(verify_pair(self))
+
+    @cached_property
     def inverse_h(self) -> np.ndarray:
         """(H_chibar|_Ran chibar)^-1 on the coordinates ``on``."""
         return np.linalg.inv(self.m_h)
@@ -126,15 +140,13 @@ class FeshbachPair:
 def verify_pair(pair: FeshbachPair) -> FeshbachPairReport:
     """Check the sufficient pair conditions and report margins.
 
-    Margins are smallest singular values of the restrictions to Ran chibar;
-    contraction norms are ||T^-1 chibar W chibar|| and ||chibar W T^-1 chibar||,
-    both on Ran chibar.
+    The margins are the pair's ``margins``, which gate every step; the
+    contraction norms ||T^-1 chibar W chibar||, ||chibar W T^-1 chibar|| are computed here.
     """
     p = pair
+    t_margin, h_margin = p.margins
     if not p.on.any():
-        return FeshbachPairReport(np.inf, np.inf, 0.0, 0.0)
-    t_margin = float(np.linalg.svd(p.m_t, compute_uv=False)[-1])
-    h_margin = float(np.linalg.svd(p.m_h, compute_uv=False)[-1])
+        return FeshbachPairReport(t_margin, h_margin, 0.0, 0.0)
     if t_margin > 0:
         left = float(np.linalg.norm(p.inverse_t @ p.w_bar, 2))
         right = float(np.linalg.norm(p.w_bar @ p.inverse_t, 2))
@@ -225,6 +237,13 @@ def isospectrality_suite(h, t, chi, chibar, probe_shifts=(0.0,)):
     return reports
 
 
+def _conjugate_atomic(uinv: np.ndarray, mat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(u^-1 (x) 1) mat (u (x) 1) in atomic-major layout, block by block."""
+    d = u.shape[0]
+    blocks = mat.reshape(d, mat.shape[0] // d, d, -1)
+    return np.einsum("ac,cidj,db->aibj", uinv, blocks, u).reshape(mat.shape)
+
+
 class FirstDecimation:
     """z-independent data of the first decimation at (model, s, g):
     ``hamiltonian``, the truncated H_g(s) as built; ``h`` and ``t``, H_g(s)
@@ -247,11 +266,10 @@ class FirstDecimation:
         if np.linalg.norm(spec.p_at(s) - p0) > 1e-12:
             u = hyp5_frame(spec, s) @ u
         self.u = u
-        uf = np.kron(u, np.eye(basis.size))
-        ufinv = np.kron(np.linalg.inv(u), np.eye(basis.size))
+        uinv = np.linalg.inv(u)
         self.hamiltonian = build_hamiltonian(spec, s, g, basis)
-        self.h = ufinv @ self.hamiltonian.mat @ uf
-        self.t = ufinv @ build_h0(spec, s, basis) @ uf
+        self.h = _conjugate_atomic(uinv, self.hamiltonian.mat, u)
+        self.t = _conjugate_atomic(uinv, build_h0(spec, s, basis), u)
 
         cut = CutoffSpec(1.0)
         on_d = np.arange(spec.d_at) < spec.d   # Ran P_at(s0) in the frame u
@@ -269,27 +287,16 @@ class FirstDecimation:
         return FeshbachPair(self.h - z * eye, self.t - z * eye, self.chi, self.chibar)
 
 
-class FirstFeshbachResult(NamedTuple):
-    """First decimation at one z: the reduced operator, its pair and the
-    pair's report."""
-
-    h0: OperatorMatrix
-    pair: FeshbachPair
-    pair_report: FeshbachPairReport
-
-
-def first_feshbach(first: FirstDecimation, z: complex) -> FirstFeshbachResult:
+def first_feshbach(first: FirstDecimation, z: complex) -> tuple[OperatorMatrix, FeshbachPair]:
     """Decimate (H_g(s) - z, H_0(s) - z) with the projection-weighted cutoff
     P_at (x) chi_1(H_f) by direct block inversion, and restrict the result to
     the reduced space: its principal submatrix on ``reduced_index``, which
-    the map leaves invariant."""
+    the map leaves invariant.  Returns the reduced operator and the pair."""
     pair = first.pair(z)
-    report = verify_pair(pair)
-    if not (report.t_margin > 0 and report.h_margin > 0):
-        raise FeshbachPairError(report)
+    pair.require_margins()
     idx = first.reduced_index
     h0 = feshbach_map(pair)[np.ix_(idx, idx)]
-    return FirstFeshbachResult(OperatorMatrix(h0, first.reduced_basis), pair, report)
+    return OperatorMatrix(h0, first.reduced_basis), pair
 
 
 @dataclass

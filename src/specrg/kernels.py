@@ -1,17 +1,19 @@
 """The diagonal kernel w_{0,0} of an operator and the flow's polydisc gate.
 
-``extract_w00`` reads w_{0,0} off the vacuum and one-photon diagonal blocks
-of an operator on a reduced space and interpolates it to a ``KernelC1`` on
-r in [0, 1]; ``kernel_c1_of_hf`` turns it back into the matrix w_{0,0}(H_f),
-the unperturbed part of the next Feshbach pair.  ``polydisc_check`` measures
-the operator against the polydisc radii (alpha, beta, gamma).  Only w_{0,0}
-is extracted, so the size of the interaction is the operator norm of
-H - w_{0,0}(H_f), not a kernel norm of the higher-order parts.
+``extract_w00`` reads the nodes of w_{0,0} off the vacuum and one-photon
+diagonal blocks of an operator; between them w_{0,0} is the monotone cubic
+(PCHIP) of Fritsch & Carlson.  A flow step always reads w_{0,0}(H_f), the
+unperturbed part of the next Feshbach pair, evaluated directly at the
+basis' H_f values; the 65-point ``KernelC1`` on r in [0, 1] is built only
+for beta_hat and ``kernel.txt``.  ``polydisc_check`` measures the operator
+against the polydisc radii (alpha, beta, gamma); only w_{0,0} is extracted,
+so the interaction size is the operator norm of H - w_{0,0}(H_f).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,91 +26,116 @@ def _opnorms(mats: np.ndarray) -> np.ndarray:
         else np.abs(mats[..., 0, 0])
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Shape-preserving one-sided slope at an end node (Moler's pchiptx)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    keep = np.sign(d) == np.sign(m0)
+    big = keep & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    d[~keep] = 0.0
+    d[big] = 3.0 * m0[big]
+    return d
+
+
+def pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Fritsch-Carlson slopes at the increasing nodes x of real samples y,
+    shape (nodes, ...) with at least one trailing axis, as scipy's
+    ``PchipInterpolator`` takes them: zero at an extremum or flat segment,
+    else a weighted harmonic mean of the neighbouring secants."""
+    if x.size == 1:
+        return np.zeros_like(y)
+    hk = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    mk = np.diff(y, axis=0) / hk
+    if x.size == 2:
+        return np.concatenate([mk, mk])
+    flat = (np.sign(mk[1:]) != np.sign(mk[:-1])) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2 * hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2 * hk[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+    dk = np.zeros_like(y)
+    dk[1:-1][~flat] = 1.0 / whmean[~flat]
+    dk[0] = _pchip_end_slope(hk[0], hk[1], mk[0], mk[1])
+    dk[-1] = _pchip_end_slope(hk[-1], hk[-2], mk[-1], mk[-2])
+    return dk
+
+
+def hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, r):
+    """Values and derivatives at r of the cubic Hermite spline through (x, y)
+    with node slopes dy, in scipy's power form; the end pieces extrapolate."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    if x.size == 1:
+        return np.repeat(y[:1], r.size, axis=0), np.zeros((r.size,) + y.shape[1:], y.dtype)
+    i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
+    pad = (1,) * (y.ndim - 1)
+    hk = np.diff(x).reshape((-1,) + pad)
+    secant = np.diff(y, axis=0) / hk
+    t = (dy[:-1] + dy[1:] - 2 * secant) / hk
+    c0, c1, c2, c3 = (c[i] for c in (t / hk, (secant - dy[:-1]) / hk - t, dy[:-1], y[:-1]))
+    s = (r - x[i]).reshape((-1,) + pad)
+    values = c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+    derivs = c2 + (2 * c1) * s + (3 * c0) * (s * s)
+    return values, derivs
+
+
 @dataclass
 class KernelC1:
-    """C^1 diagonal kernel w_{0,0}: [0,1] -> d x d, sampled with derivatives
-    on a uniform r-grid; evaluation is piecewise cubic Hermite."""
+    """w_{0,0} sampled with its derivative on the uniform 65-point r-grid of
+    [0, 1] (one point on the vacuum-only space): the form that beta_hat and
+    ``kernel.txt`` read."""
 
     r_grid: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
 
-    def __post_init__(self):
-        self.r_grid = np.asarray(self.r_grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=complex)
-        self.derivs = np.asarray(self.derivs, dtype=complex)
-        n = self.r_grid.size
-        if n < 1 or self.values.shape[0] != n or self.derivs.shape != self.values.shape:
-            raise ValueError("inconsistent kernel sample shapes")
-        if n > 1:
-            steps = np.diff(self.r_grid)
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-15):
-                raise ValueError("r-grid must be uniform")
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[-1]
-
-    def eval(self, r) -> np.ndarray:
-        """Values at r (scalar or array), shape (..., d, d)."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        if self.r_grid.size == 1:
-            out = np.broadcast_to(self.values[0], r.shape + self.values.shape[1:])
-            return out.copy()
-        h = self.r_grid[1] - self.r_grid[0]
-        idx = np.clip(((r - self.r_grid[0]) / h).astype(int), 0, self.r_grid.size - 2)
-        t = ((r - self.r_grid[idx]) / h)[:, None, None]
-        v0, v1 = self.values[idx], self.values[idx + 1]
-        d0, d1 = self.derivs[idx], self.derivs[idx + 1]
-        h00 = 2 * t**3 - 3 * t**2 + 1
-        h10 = t**3 - 2 * t**2 + t
-        h01 = -2 * t**3 + 3 * t**2
-        h11 = t**3 - t**2
-        return h00 * v0 + h * h10 * d0 + h01 * v1 + h * h11 * d1
-
-
-def _diagonal_block_matrix(blocks: np.ndarray, d: int, n_fock: int) -> np.ndarray:
-    """Operator sum_i blocks[i] (x) |i><i| in atomic-major layout."""
-    out = np.zeros((d * n_fock, d * n_fock), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            out[a * n_fock:(a + 1) * n_fock, b * n_fock:(b + 1) * n_fock][
-                np.diag_indices(n_fock)] = blocks[:, a, b]
-    return out
-
-
-def kernel_c1_of_hf(w00: KernelC1, basis: FockBasis) -> np.ndarray:
-    """w_{0,0}(H_f) as a matrix on the reduced space."""
-    blocks = w00.eval(basis.hf_values)
-    return _diagonal_block_matrix(blocks, basis.d_at, basis.size)
+def w00_matrix(nodes: np.ndarray, node_values: np.ndarray, slopes: np.ndarray,
+               basis: FockBasis) -> np.ndarray:
+    """w_{0,0}(H_f) = sum_i w_{0,0}(hf_i) (x) |i><i| on a reduced basis, in
+    atomic-major layout, for the cubic through the nodes with these slopes."""
+    d, n = basis.d_at, basis.size
+    out = np.zeros((d, n, d, n), dtype=complex)
+    out[:, np.arange(n), :, np.arange(n)] = hermite(nodes, node_values, slopes,
+                                                    basis.hf_values)[0]
+    return out.reshape(d * n, d * n)
 
 
 @dataclass
 class ExtractionResult:
-    kernel: KernelC1
+    """The nodes and d x d node values of w_{0,0} read off ``source``."""
+
     nodes: np.ndarray
     node_values: np.ndarray
     source: OperatorMatrix = field(repr=False)
 
+    @cached_property
+    def slopes(self) -> np.ndarray:
+        """PCHIP slopes of the real and imaginary part of every entry."""
+        v = self.node_values
+        return pchip_slopes(self.nodes, v.real) + 1j * pchip_slopes(self.nodes, v.imag)
 
-def extract_w00(h: OperatorMatrix, n_r: int = 65) -> ExtractionResult:
-    """Recover the diagonal kernel from vacuum and one-photon blocks.
+    def hf_matrix(self) -> np.ndarray:
+        """w_{0,0}(H_f) on the source's basis."""
+        return w00_matrix(self.nodes, self.node_values, self.slopes, self.source.basis)
+
+    @cached_property
+    def kernel(self) -> KernelC1:
+        grid = np.linspace(0.0, 1.0, 65) if self.nodes.size > 1 else np.array([0.0])
+        return KernelC1(grid, *hermite(self.nodes, self.node_values, self.slopes, grid))
+
+
+def extract_w00(h: OperatorMatrix) -> ExtractionResult:
+    """Read the nodes of w_{0,0} off the vacuum and one-photon blocks.
 
     w00(0) is the exact vacuum block; w00(omega_j) is read off the one-photon
     diagonal block of shell j, which carries an O(shell measure) additive
     contamination from any (1,1) kernel component, at most
-    mu_j * ||H - w00(0) (x) 1|| with mu_j the shell measure.  The nodes are
-    interpolated onto a uniform r-grid with a monotone cubic (PCHIP,
-    Fritsch & Carlson 1980): one vector fit over the stacked
-    real/imaginary parts of all d x d entries, which gives each entry the
-    same values as its own scalar fit.  The derivative samples come from the
-    interpolant.
+    mu_j * ||H - w00(0) (x) 1|| with mu_j the shell measure.  A step reads
+    w00(H_f) at the basis' H_f values from the PCHIP slopes (Fritsch &
+    Carlson 1980); the 65-point ``KernelC1`` is sampled only when beta_hat
+    or ``kernel.txt`` reads it.
     """
-    from scipy.interpolate import PchipInterpolator
-
     basis = h.basis
     d, nF = basis.d_at, basis.size
-    mat = h.mat
     J = basis.grid.levels
     nodes = [0.0]
     fock_idx = [0]
@@ -119,21 +146,11 @@ def extract_w00(h: OperatorMatrix, n_r: int = 65) -> ExtractionResult:
             continue
         nodes.append(basis.grid.omega[j])
         fock_idx.append(i)
-    nodes = np.array(nodes)
-    node_vals = np.empty((nodes.size, d, d), dtype=complex)
+    node_vals = np.empty((len(nodes), d, d), dtype=complex)
     for t, i in enumerate(fock_idx):
         rows = np.arange(d) * nF + i
-        node_vals[t] = mat[np.ix_(rows, rows)]
-
-    if nodes.size == 1:
-        ker = KernelC1(np.array([0.0]), node_vals[:1], np.zeros_like(node_vals[:1]))
-        return ExtractionResult(ker, nodes, node_vals, h)
-    grid = np.linspace(0.0, 1.0, n_r)
-    f = PchipInterpolator(nodes, np.stack([node_vals.real, node_vals.imag], axis=1),
-                          axis=0)
-    y, dy = f(grid), f.derivative()(grid)
-    ker = KernelC1(grid, y[:, 0] + 1j * y[:, 1], dy[:, 0] + 1j * dy[:, 1])
-    return ExtractionResult(ker, nodes, node_vals, h)
+        node_vals[t] = h.mat[np.ix_(rows, rows)]
+    return ExtractionResult(np.array(nodes), node_vals, h)
 
 
 @dataclass
@@ -166,12 +183,12 @@ def polydisc_check(ext: ExtractionResult, params: PolydiscParams) -> PolydiscChe
     h = ext.source
     d = h.basis.d_at
     alpha_hat = float(np.linalg.norm(ext.node_values[0], 2))
-    if ext.kernel.r_grid.size > 1:
+    if ext.nodes.size > 1:
         dev = ext.kernel.derivs - np.eye(d)[None]
         beta_hat = float(np.max(_opnorms(dev)))
     else:
         beta_hat = 1.0  # vacuum-only space: w00' has no content, slope 0
-    gamma_hat = float(np.linalg.norm(h.mat - kernel_c1_of_hf(ext.kernel, h.basis), 2))
+    gamma_hat = float(np.linalg.norm(h.mat - ext.hf_matrix(), 2))
     member = (alpha_hat <= params.alpha + 1e-12
               and beta_hat <= params.beta + 1e-12
               and gamma_hat <= params.gamma + 1e-12)

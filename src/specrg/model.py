@@ -101,9 +101,11 @@ class ModelSpec:
     reflection_symmetric: bool = False
     complex_selfadjoint: bool = False
     jconj: np.ndarray | None = None                  # atomic part of J (with conj)
-    # p_at memo, keyed by complex s; a dataclasses.replace copy starts empty
+    # memos: p_at keyed by s; ``built``, the Fock bases and rg.Flow's depths keyed
+    # by ("basis", e_cut, d_at) and ("depth", rho, n); a replace() copy starts empty
     _projections: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
+    built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def h_at(self, s: complex) -> np.ndarray:
         return _poly_eval(self.hat_coeffs, s)
@@ -167,11 +169,18 @@ class ModelSpec:
         anni = creation_op(basis, [cj * b1sbar for cj in c]).mat.conj().T
         return crea + anni
 
+    def _basis(self, e_cut: float, d_at: int) -> FockBasis:
+        """The Fock basis up to energy e_cut, built once per instance."""
+        key = ("basis", e_cut, d_at)
+        if key not in self.built:
+            self.built.setdefault(key, build_fock_basis(self.grid, self.n_max, e_cut, d_at))
+        return self.built[key]   # threads that both build keep the first
+
     def full_basis(self) -> FockBasis:
-        return build_fock_basis(self.grid, self.n_max, self.e_cut, self.d_at)
+        return self._basis(self.e_cut, self.d_at)
 
     def reduced_fock_basis(self) -> FockBasis:
-        return build_fock_basis(self.grid, self.n_max, 1.0, self.d)
+        return self._basis(1.0, self.d)
 
     def reduced_generators(self, reduced_basis: FockBasis) -> list:
         """Generators restricted to Ran P_at (x) reduced Fock space."""
@@ -180,7 +189,7 @@ class ModelSpec:
         out = []
         for gat in self.generators:
             r = gat.restricted(frame)
-            out.append(SymmetryOp(np.kron(r.matrix, eye), r.antiunitary, label=gat.label))
+            out.append(SymmetryOp(np.kron(r.matrix, eye), r.antiunitary))
         return out
 
 

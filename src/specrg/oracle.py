@@ -20,8 +20,6 @@ class OracleReport:
     multiplicity: int
     gap: float                    # distance from the lowest cluster to the next
     cluster_tol: float
-    max_residual: float
-    hermitian: bool
 
     def cluster_vectors(self) -> np.ndarray:
         return self.eigenvectors[:, : self.multiplicity]
@@ -51,20 +49,16 @@ def dense_spectrum(h, hermitian: bool | None = None,
         vals, vecs = np.linalg.eig(mat)
     order = np.argsort(vals.real)
     vals, vecs = vals[order], vecs[:, order]
-    scale = max(1.0, float(np.linalg.norm(mat, 2)))
-    res = float(np.max(np.linalg.norm(mat @ vecs - vecs * vals[None, :], axis=0)))
     lowest = complex(vals[0])
     tol = cluster_tol_factor * max(1.0, abs(lowest))
     mult = int(np.sum(np.abs(vals - lowest) <= tol))
     gap = float(np.abs(vals[mult] - lowest)) if mult < n else np.inf
-    return OracleReport(vals, vecs, lowest, mult, gap, tol, res / scale,
-                        bool(hermitian))
+    return OracleReport(vals, vecs, lowest, mult, gap, tol)
 
 
 @dataclass
 class ComparisonReport:
     eigenvalue_error: float       # |z_inf - nearest oracle eigenvalue|
-    nearest: complex
     max_angle: float
     ground_state_error: float | None  # |z_inf - min| for self-adjoint real runs
 
@@ -74,14 +68,13 @@ def compare(z_inf: complex, psis, oracle: OracleReport,
     """Distance of the flow output to the dense ground truth."""
     errs = np.abs(oracle.eigenvalues - z_inf)
     k = int(np.argmin(errs))
-    nearest = complex(oracle.eigenvalues[k])
     angles = np.array([])
     if psis:
         a = np.column_stack([p / np.linalg.norm(p) for p in psis])
         b = oracle.cluster_vectors()
         angles = subspace_angles(a, b)
     gs_err = abs(z_inf - oracle.lowest) if ground_state_expected else None
-    return ComparisonReport(float(errs[k]), nearest,
+    return ComparisonReport(float(errs[k]),
                             float(np.max(angles)) if angles.size else 0.0,
                             gs_err)
 

@@ -9,14 +9,20 @@ zero is an exact eigenvalue of the truncated Hamiltonian (every step is
 kernel-preserving at the matrix level).
 
 Only H - z changes from one evaluation of E^(n)(z) to the next.  A ``Flow``
-holds what does not, once per (model, s): the first decimation's operators
-and cutoffs, and per depth the basis, restricted generators, cutoff diagonals
-and dilation.  ``run_ladder(flow, z, n)`` does only the work that depends on z.
+holds what does not: the first decimation, once per (model, s), and per depth
+the basis, generators, cutoffs and dilation, once per (model, rho).
+``run_ladder(flow, z, n)`` computes on every level E^(n)(z) = tr<H>_Omega / d,
+and below the top the step's extraction, T = w_{0,0}(H_f), pair margins and
+window check.  The diagnostics (Schur deviation, symmetry residual, polydisc
+radii, contraction norms of the pair into the top) are computed when read:
+by the trace, once per depth on the ladder ``find_zn`` returns, and by
+``rg_step`` on every level when ``polydisc_strict`` is set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,11 +43,10 @@ from .kernels import (
     PolydiscCheck,
     PolydiscParams,
     extract_w00,
-    kernel_c1_of_hf,
     polydisc_check,
 )
 from .model import ModelSpec
-from .symmetry import is_symmetry_of, schur_scalar
+from .symmetry import is_symmetry_of, schur_scalar, vacuum_scalar
 
 
 @dataclass
@@ -108,7 +113,8 @@ class Depth:
     """z-independent data of one flow depth: the reduced basis, the symmetry
     generators restricted to it, the diagonals of the cutoffs chi_rho(H_f) and
     chibar_rho(H_f), and the dilation to the next depth (None on the
-    vacuum-only terminal space, where a step is division by rho)."""
+    vacuum-only terminal space, where a step is division by rho).  It
+    depends on (model, rho), not on s."""
 
     basis: FockBasis
     generators: list
@@ -120,28 +126,26 @@ class Depth:
 class Flow:
     """Everything of the flow at one (model, s) that does not depend on z:
     the first decimation's operators and cutoffs, and one ``Depth`` per
-    flow depth, built on first use.  A ladder is then only the work that
-    depends on z."""
+    flow depth.  A ladder is then only the work that depends on z."""
 
     def __init__(self, spec: ModelSpec, s: complex, cfg: RGConfig,
                  g: float | None = None):
         self.spec = spec
         self.cfg = cfg
         self.first = FirstDecimation(spec, s, g)
-        self._depths = []
 
     def depth(self, n: int) -> Depth:
-        """Data of depth n, built on first use; every depth past the
-        vacuum-only terminal space is that space."""
-        while len(self._depths) <= n:
-            prev = self._depths[-1] if self._depths else None
+        """Data of depth n, kept in ``spec.built`` for every flow of the same
+        rho; every depth past the vacuum-only terminal space is that space."""
+        key = ("depth", self.cfg.rho, n)
+        if key not in self.spec.built:
+            prev = self.depth(n - 1) if n > 0 else None
             if prev is None:
-                self._depths.append(self._build(self.first.reduced_basis))
-            elif prev.dilation is None:
-                self._depths.append(prev)
+                d = self._build(self.spec.reduced_fock_basis())
             else:
-                self._depths.append(self._build(prev.dilation.target))
-        return self._depths[n]
+                d = prev if prev.dilation is None else self._build(prev.dilation.target)
+            self.spec.built.setdefault(key, d)   # threads keep the first record
+        return self.spec.built[key]
 
     def _build(self, basis: FockBasis) -> Depth:
         spec, rho = self.spec, self.cfg.rho
@@ -153,12 +157,12 @@ class Flow:
 
 def rg_step(level: LadderLevel, depth: Depth, cfg: RGConfig, collect_q: bool = False):
     """One renormalization step from a ladder level at the given depth;
-    returns (next operator, pair report[, q]).
+    returns (next operator, pair[, q]).
 
     The unperturbed part is the level's extracted diagonal kernel, so the
     pair is valid independently of extraction error; on the vacuum-only
     terminal space the step degenerates to exact division by rho, with no
-    pair and no report.
+    pair.  A failed gate raises FeshbachPairError with the full report.
     """
     h = level.h
     if depth.dilation is None:
@@ -167,41 +171,54 @@ def rg_step(level: LadderLevel, depth: Depth, cfg: RGConfig, collect_q: bool = F
             return out, None, np.eye(h.mat.shape[0], dtype=complex)
         return out, None
 
-    t = kernel_c1_of_hf(level.extraction.kernel, depth.basis)
-    pair = FeshbachPair(h.mat, t, depth.chi, depth.chibar)
-    report = verify_pair(pair)
-
-    chk = level.polydisc
-    if not chk.member and cfg.polydisc_strict:
+    pair = FeshbachPair(h.mat, level.extraction.hf_matrix(), depth.chi, depth.chibar)
+    if cfg.polydisc_strict and not level.polydisc.member:
+        chk = level.polydisc
         raise FeshbachPairError(
-            report,
+            verify_pair(pair),
             f"polydisc gate failed: measured ({chk.alpha_hat:.3g}, "
             f"{chk.beta_hat:.3g}, {chk.gamma_hat:.3g})")
-    if not (report.t_margin > 0 and report.h_margin > 0):
-        raise FeshbachPairError(report)
+    pair.require_margins()
     f = feshbach_map(pair)
     dil = depth.dilation
     out = OperatorMatrix(dil.conjugate(f) / cfg.rho, dil.target)
     if collect_q:
         q, _ = q_ops(pair)
-        return out, report, q
-    return out, report
+        return out, pair, q
+    return out, pair
 
 
 @dataclass
 class LadderLevel:
+    """Level n of a ladder: its operator and E^(n)(z); the extraction and
+    the diagnostics are computed on first read."""
+
     n: int
     h: OperatorMatrix
     e_value: complex
-    schur_deviation: float
-    symmetry_residual: float
-    pair_report: FeshbachPairReport | None   # pair of the step INTO this level
-    polydisc: PolydiscCheck        # measured radii of this level's operator
-    extraction: ExtractionResult   # diagonal kernel of this level's operator
+    generators: list               # symmetry generators on this level's space
+    gate: PolydiscParams
+    pair: FeshbachPair | None      # pair of the step INTO this level, kept on the top only
 
-    @property
-    def gamma_hat(self) -> float:
-        return self.polydisc.gamma_hat
+    @cached_property
+    def extraction(self) -> ExtractionResult:
+        return extract_w00(self.h)
+
+    @cached_property
+    def polydisc(self) -> PolydiscCheck:
+        return polydisc_check(self.extraction, self.gate)
+
+    @cached_property
+    def schur_deviation(self) -> float:
+        return schur_scalar(self.h.mat, self.h.basis.d_at, self.h.basis.size)[1]
+
+    @cached_property
+    def symmetry_residual(self) -> float:
+        return max([0.0] + [is_symmetry_of(gen, self.h.mat)[1] for gen in self.generators])
+
+    @cached_property
+    def pair_report(self) -> FeshbachPairReport | None:
+        return None if self.pair is None else verify_pair(self.pair)
 
 
 @dataclass
@@ -222,32 +239,28 @@ def run_ladder(flow: Flow, z: complex, n_levels: int,
     |E^(k)(z)| <= threshold; violation raises WindowExitError(k).
     """
     cfg = flow.cfg
-    h, pair, _ = first_feshbach(flow.first, z)
+    gate = cfg.gate_params()
+    h, pair = first_feshbach(flow.first, z)
     qs = [q_ops(pair)[0]] if collect_q else None
     del pair   # the full-space pair is not needed by the steps
-    levels = []
 
-    def make_level(n, h_op, report):
-        c, dev = schur_scalar(h_op.mat, flow.spec.d, h_op.basis.size)
-        worst = 0.0
-        for gen in flow.depth(n).generators:
-            _, r = is_symmetry_of(gen, h_op.mat)
-            worst = max(worst, r)
-        ext = extract_w00(h_op)
-        chk = polydisc_check(ext, cfg.gate_params())
-        return LadderLevel(n, h_op, c, dev, worst, report, chk, ext)
+    def make_level(n, h_op, pair):
+        c = vacuum_scalar(h_op.mat, h_op.basis.d_at, h_op.basis.size)
+        return LadderLevel(n, h_op, c, flow.depth(n).generators, gate, pair)
 
-    levels.append(make_level(0, h, None))
+    levels = [make_level(0, h, None)]
     for n in range(1, n_levels + 1):
         prev = levels[-1]
         if check_windows and abs(prev.e_value) > cfg.window_threshold:
             raise WindowExitError(prev.n, prev.e_value, cfg.window_threshold)
         if collect_q:
-            h, report, q = rg_step(prev, flow.depth(n - 1), cfg, collect_q=True)
+            h, pair, q = rg_step(prev, flow.depth(n - 1), cfg, collect_q=True)
             qs.append(q)
         else:
-            h, report = rg_step(prev, flow.depth(n - 1), cfg)
-        levels.append(make_level(n, h, report))
+            h, pair = rg_step(prev, flow.depth(n - 1), cfg)
+        # only the top level keeps its pair, for its lazy pair report
+        levels.append(make_level(n, h, pair if n == n_levels else None))
+        del pair
     return Ladder(levels, qs)
 
 
@@ -423,7 +436,7 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, cfg: RGConfig,
     for n in range(cfg.n_iter_max + 1):
         root = find_zn(flow, n, z_start=z)
         top = root.ladder.top
-        ghat = top.gamma_hat
+        ghat = top.polydisc.gamma_hat
         pairrep = top.pair_report
         rec = TraceRecord(
             n=n, z=root.z, dz=abs(root.z - z) if n > 0 else 0.0,
@@ -502,7 +515,7 @@ def build_eigenvectors(flow: Flow, z_inf: complex,
             vec = qs[k] @ vec
         full = np.zeros(first.basis.dim, dtype=complex)
         full[first.reduced_index] = vec   # vec is on the level-0 reduced space
-        psi = np.kron(first.u, np.eye(first.basis.size)) @ (lift @ full)
+        psi = (first.u @ (lift @ full).reshape(first.u.shape[0], -1)).ravel()   # (u (x) 1)
         nrm = np.linalg.norm(psi)
         residuals.append(float(np.linalg.norm(h_full @ psi - z_inf * psi)
                                / max(nrm, 1e-300)))

@@ -23,7 +23,6 @@ class SymmetryOp:
 
     matrix: np.ndarray
     antiunitary: bool = False
-    label: str = ""
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -137,16 +136,19 @@ def vacuum_expectation(t: np.ndarray, d: int, n_fock: int,
     return t[np.ix_(idx, idx)].copy()
 
 
+def vacuum_scalar(t: np.ndarray, d: int, n_fock: int) -> complex:
+    """The scalar of the vacuum block: c = tr<T>_Omega / d."""
+    return complex(np.trace(vacuum_expectation(t, d, n_fock)) / d)
+
+
 def schur_scalar(t: np.ndarray, d: int, n_fock: int):
-    """Scalarize the vacuum block: c = tr<T>_Omega / d.
+    """Scalarize the vacuum block: c = ``vacuum_scalar(t, d, n_fock)``.
 
     Returns (c, deviation) with deviation = ||<T>_Omega - c 1||; a large
     deviation signals broken symmetry upstream and is data, not an error.
     """
-    m = vacuum_expectation(t, d, n_fock)
-    c = complex(np.trace(m) / d)
-    dev = float(np.linalg.norm(m - c * np.eye(d), 2))
-    return c, dev
+    c = vacuum_scalar(t, d, n_fock)
+    return c, float(np.linalg.norm(vacuum_expectation(t, d, n_fock) - c * np.eye(d), 2))
 
 
 @dataclass

@@ -90,8 +90,9 @@ class TestRGStep:
         flow = Flow(spec, spec.s0, cfg)
         level = run_ladder(flow, spec.e_at(spec.s0), 0).levels[0]
         assert level.h.basis.grid.levels > 0
-        normal = rg_step(level, flow.depth(0), cfg)[1]
-        outside = replace(level, polydisc=replace(level.polydisc, member=False))
+        normal = verify_pair(rg_step(level, flow.depth(0), cfg)[1])
+        outside = replace(level)   # a fresh level: its lazy fields start unread
+        outside.polydisc = replace(level.polydisc, member=False)
         with pytest.raises(FeshbachPairError, match="polydisc gate failed") as exc:
             rg_step(outside, flow.depth(0), replace(cfg, polydisc_strict=True))
         assert exc.value.report == normal

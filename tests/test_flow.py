@@ -1,18 +1,28 @@
 import dataclasses
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from specrg import fock, model
+from specrg import fock, kernels, model, symmetry
 from specrg.cli import main
 from specrg.config import load_model
+from specrg.feshbach import verify_pair
 from specrg.kernels import extract_w00, polydisc_check
 from specrg.oracle import dense_spectrum
-from specrg.rg import Flow, RGConfig, build_eigenvectors, iterate_to_fixed_point, run_ladder
-from specrg.symmetry import SymmetryOp
+from specrg.rg import (
+    Flow,
+    RGConfig,
+    _winding_count,
+    build_eigenvectors,
+    find_zn,
+    iterate_to_fixed_point,
+    run_ladder,
+)
+from specrg.symmetry import SymmetryOp, is_symmetry_of, schur_scalar
 
 
 def cut_fixture(tmp_path, name, levels=3, edit=None, **overrides):
@@ -62,6 +72,41 @@ class TestLadder:
             assert np.array_equal(level.extraction.kernel.derivs, fresh.kernel.derivs)
             assert level.polydisc == polydisc_check(fresh, cfg.gate_params())
 
+    def test_lazy_diagnostics_equal_eager_calls(self, tmp_path):
+        spec = load_model(cut_fixture(tmp_path, "m_kramers"))
+        cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu)
+        flow = Flow(spec, spec.s0, cfg)
+        n = 2
+        top = find_zn(flow, n, spec.e_at(spec.s0)).ladder.top
+        assert top.n == n and top.pair is not None
+        assert top.polydisc == polydisc_check(extract_w00(top.h), cfg.gate_params())
+        assert top.schur_deviation == schur_scalar(top.h.mat, spec.d, top.h.basis.size)[1]
+        gens = flow.depth(n).generators
+        assert len(gens) == 1
+        assert top.symmetry_residual == is_symmetry_of(gens[0], top.h.mat)[1]
+        assert top.pair_report == verify_pair(top.pair)
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_kramers"])
+    def test_diagnostics_run_once_per_depth(self, tmp_path, monkeypatch, name):
+        spec = load_model(cut_fixture(tmp_path, name))
+        checks = count_calls(monkeypatch, kernels, "polydisc_check")
+        residuals = count_calls(monkeypatch, symmetry, "is_symmetry_of")
+        res = iterate_to_fixed_point(spec, spec.s0, RGConfig(rho=spec.grid.ratio, mu=spec.mu))
+        depths = res.n_levels + 1
+        assert res.converged and all(r.winding == 1 for r in res.trace.records)
+        assert len(checks) == depths
+        assert len(residuals) == depths * len(spec.generators)
+        assert _winding_count(res.flow, res.n_levels, res.z_inf) == 1
+        # a winding ladder reads only E^(n)
+        assert (len(checks), len(residuals)) == (depths, depths * len(spec.generators))
+
+    def test_only_the_top_level_keeps_its_pair(self, tmp_path):
+        spec = load_model(cut_fixture(tmp_path, "m_triv"))
+        cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu)
+        lad = run_ladder(Flow(spec, spec.s0, cfg), spec.e_at(spec.s0), 2)
+        assert [level.pair is None for level in lad.levels] == [True, True, False]
+        assert "extraction" not in vars(lad.top) and "polydisc" not in vars(lad.top)
+
 
 class TestFlow:
     def test_z_independent_data_is_built_once(self, tmp_path, monkeypatch):
@@ -72,6 +117,36 @@ class TestFlow:
         assert res.converged
         assert len(hamiltonians) == 1
         assert len(dilations) == spec.grid.levels
+
+    def test_depths_are_shared_across_s(self, tmp_path, monkeypatch):
+        spec = load_model(cut_fixture(tmp_path, "m_triv"))
+        cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu)
+        dilations = count_calls(monkeypatch, fock, "dilation")
+        flows = [Flow(spec, spec.s0 + ds, cfg) for ds in (0.0, 0.01, 0.01j)]
+        for n in range(spec.grid.levels + 2):
+            assert flows[1].depth(n) is flows[0].depth(n) is flows[2].depth(n)
+        assert flows[0].depth(0).basis is flows[2].first.reduced_basis
+        assert flows[0].first.basis is flows[1].first.basis
+        assert len(dilations) == spec.grid.levels
+        copy = dataclasses.replace(spec)
+        assert copy.built == {}
+        assert Flow(copy, copy.s0, cfg).depth(0) is not flows[0].depth(0)
+
+    def test_threads_share_one_record_per_depth(self, tmp_path):
+        spec = load_model(cut_fixture(tmp_path, "m_triv"))
+        cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu)
+        flows = [Flow(spec, spec.s0 + 0.01 * k, cfg) for k in range(6)]
+        spec.built.clear()   # the flows above built bases; start the race from nothing
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as ex:
+                seen = list(ex.map(lambda f: [f.depth(n) for n in range(5)], flows))
+        finally:
+            sys.setswitchinterval(switch)
+        for n in range(5):
+            assert all(depths[n] is seen[0][n] for depths in seen)
+        assert seen[0][1].basis is seen[0][0].dilation.target
 
     # H_g(s0) once for the first-decimation checks and once for the flow,
     # whose eigenvectors and oracle reuse it; one dilation per flow depth.

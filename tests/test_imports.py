@@ -40,6 +40,29 @@ def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """Top-level package of every import anywhere in the source, function
+    bodies included."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_detects_a_nested_import():
+    src = "import numpy\ndef f():\n    from scipy.interpolate import PchipInterpolator\n"
+    assert imported_modules(src) == {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_oracle_imports_scipy(path):
+    # the flow runs on numpy alone; scipy serves the dense cross-checks
+    assert path.name == "oracle.py" or "scipy" not in imported_modules(path.read_text())
+
+
 def references(source: str) -> list[tuple[str, int]]:
     """(name, line) of every name the code refers to: variable names,
     attribute names, keyword-argument names and imported names.  Docstrings,

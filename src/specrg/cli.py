@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +47,7 @@ from .rg import (
 FLOW_ERRORS = (WindowError, WindowExitError, FeshbachPairError, ArithmeticError)
 
 # rho and mu come from the model (grid ratio and infrared exponent)
-_RG_KEYS = ("c_chi", "n_iter_max", "tol_z", "tol_fixed_point",
-            "window_factor", "schur_tol", "check_winding", "polydisc_strict",
-            "secant_max_iter")
+_MODEL_OWNED = ("rho", "mu")
 
 
 @dataclass
@@ -68,6 +66,24 @@ class RunConfig:
     sweep: tuple = (0.02, 0.04, 0.08, 0.16)
     seed: int = 0
     jobs: int = 1
+
+
+def _build(cls, doc: dict, where: str):
+    """cls(**doc) for a doc of fields of cls that the model does not own,
+    each value of its field's type: bool, int or float (an int is accepted
+    for a float).  A value that cls rejects is a ConfigError."""
+    if not isinstance(doc, dict):
+        raise cfgmod.ConfigError(f"{where} must be an object, got {doc!r}")
+    cfgmod._require_keys(doc, [], [f.name for f in fields(cls) if f.name not in _MODEL_OWNED],
+                         where=where)
+    for f in fields(cls):
+        v, want = doc.get(f.name, f.default), type(f.default)
+        if type(v) is not want and not (want is float and type(v) is int):
+            raise cfgmod.ConfigError(f"{where}.{f.name} must be {want.__name__}, got {v!r}")
+    try:
+        return cls(**doc)
+    except ValueError as exc:
+        raise cfgmod.ConfigError(f"{where}: {exc}") from None
 
 
 def load_run_config(path_or_name: str,
@@ -91,22 +107,22 @@ def load_run_config(path_or_name: str,
         if doc["schema_version"] != cfgmod.SCHEMA_VERSION:
             raise cfgmod.ConfigError(
                 f"unsupported schema_version {doc['schema_version']}")
-        rg_doc = doc.get("rg", {})
-        cfgmod._require_keys(rg_doc, [], _RG_KEYS, where="rg")
-        rg = RGConfig(**rg_doc)
-        probe_doc = doc.get("probe", {})
-        cfgmod._require_keys(probe_doc, [],
-                             ("contour_radius", "contour_nodes", "cr_step",
-                              "reflection_pairs"), where="probe")
-        probe = ProbeSpec(**probe_doc)
-        run = RunConfig(str(doc["model"]), rg, probe,
-                        tuple(doc.get("sweep", (0.02, 0.04, 0.08, 0.16))),
-                        int(doc.get("seed", 0)), int(doc.get("jobs", 1)))
+        rg = _build(RGConfig, doc.get("rg", {}), "rg")
+        probe = _build(ProbeSpec, doc.get("probe", {}), "probe")
+        try:
+            run = RunConfig(str(doc["model"]), rg, probe,
+                            tuple(float(g) for g in doc.get("sweep", RunConfig.sweep)),
+                            int(doc.get("seed", 0)), int(doc.get("jobs", 1)))
+        except (TypeError, ValueError) as exc:
+            raise cfgmod.ConfigError(f"run config: {exc}") from None
         spec = cfgmod.load_model(run.model_source, validate=validate)
     else:
         spec = cfgmod.load_model(name, validate=validate)
         run = RunConfig(name)
-    run.rg = replace(run.rg, rho=spec.grid.ratio, mu=spec.mu)
+    try:
+        run.rg = replace(run.rg, rho=spec.grid.ratio, mu=spec.mu)
+    except ValueError as exc:
+        raise cfgmod.ConfigError(f"model {spec.name}: {exc}") from None
     return run, spec
 
 
@@ -190,6 +206,17 @@ def _kernel_dump(ext) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report_hypotheses(spec: ModelSpec, report: Report) -> bool:
+    """Put each hypothesis' residual and check each applicable one; returns
+    whether all applicable ones pass."""
+    hyp = verify_hypotheses(spec)
+    for e in hyp.entries:
+        report.put(f"hyp.{e.name}.residual", e.residual)
+        if e.applicable:
+            report.check(f"hyp.{e.name}", e.passed, e.detail)
+    return hyp.all_passed
+
+
 def _first_decimation_checks(spec: ModelSpec, report: Report) -> None:
     """Report the first decimation at (s0, E_at(s0)) and its Neumann
     cross-check.  The full-space pair is freed on return, before the flow."""
@@ -222,12 +249,8 @@ def run_pipeline(run: RunConfig, spec: ModelSpec, report: Report,
     report.put("theory.c_gamma_rho_mu", cfg.c_gamma * cfg.rho**cfg.mu)
     report.put("theory.contraction_admissible", cfg.contraction_admissible)
 
-    hyp = verify_hypotheses(spec)
-    for e in hyp.entries:
-        report.put(f"hyp.{e.name}.residual", e.residual)
-        if e.applicable:
-            report.check(f"hyp.{e.name}", e.passed, e.detail)
-    report.say(f"hypotheses: {'all pass' if hyp.all_passed else 'FAILURES'}")
+    passed = _report_hypotheses(spec, report)
+    report.say(f"hypotheses: {'all pass' if passed else 'FAILURES'}")
 
     _first_decimation_checks(spec, report)
 
@@ -409,11 +432,10 @@ def property_suite(run: RunConfig, spec: ModelSpec, report: Report) -> None:
     nop = fock.number_op(basis).mat
     report.check("fock_hf_number_commute",
                  float(np.abs(hf @ nop - nop @ hf).max()) == 0.0)
-    dil = fock.dilation(basis, spec.grid.ratio)
-    gam = dil.matrix()
-    hf_t = fock.field_energy(dil.target.with_atomic_dim(spec.d_at)).mat
+    dil = fock.dilation(basis, spec.grid.ratio)   # H_f^t Gamma = Gamma H_f^s / rho
+    hf_t = np.diag(fock.field_energy(dil.target).mat)
     report.check("fock_dilation_intertwines",
-                 float(np.abs(hf_t @ gam - gam @ hf / spec.grid.ratio).max()) <= 1e-12)
+                 float(np.abs(hf_t - np.diag(hf)[dil.rows] / spec.grid.ratio).max()) <= 1e-12)
     pt = max(fock.verify_pull_through(basis, lambda r: 1.0 / (r + 2.0), j)
              for j in range(J))
     report.check("fock_pull_through", pt <= 1e-12, f"max residual {pt:.2e}")
@@ -503,11 +525,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             run_pipeline(run, spec, report, args.out)
         elif args.command == "verify":
-            hyp = verify_hypotheses(spec)
-            for e in hyp.entries:
-                report.put(f"hyp.{e.name}.residual", e.residual)
-                if e.applicable:
-                    report.check(f"hyp.{e.name}", e.passed, e.detail)
+            _report_hypotheses(spec, report)
         elif args.command == "probe-analyticity":
             analyticity_probe(run, spec, report)
         elif args.command == "sweep-g":

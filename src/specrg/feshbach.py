@@ -191,7 +191,6 @@ class IsospectralityReport:
     inverse_identity_f: float
     kernel_dim_h: int
     kernel_dim_f: int
-    invertibility_consistent: bool
 
     @property
     def kernel_dims_match(self) -> bool:
@@ -232,8 +231,7 @@ def isospectrality_suite(h, t, chi, chibar, probe_shifts=(0.0,)):
             res_h = float(np.linalg.norm(hinv - rhs) / np.linalg.norm(hinv))
             rhs2 = p.chi[:, None] * hinv * p.chi + chibar_sandwich(p, p.inverse_t)
             res_f = float(np.linalg.norm(finv - rhs2) / np.linalg.norm(finv))
-        reports.append(IsospectralityReport(
-            res_h, res_f, kd_h, kd_f, (kd_h == 0) == (kd_f == 0)))
+        reports.append(IsospectralityReport(res_h, res_f, kd_h, kd_f))
     return reports
 
 

@@ -3,7 +3,9 @@
 The single-particle modes are radial shells [rho^(j+1), rho^j] of the unit
 ball, one effective angular/polarization channel per shell, with mode energy
 omega_j = rho^j.  The grid is geometric so that the dilation that rescales
-field energies by 1/rho is an exact shell shift (no interpolation).
+field energies by 1/rho is an exact shell shift (no interpolation): a map of
+coordinates.  ``DilationMap.rows`` holds it, so Gamma M Gamma* is a principal
+submatrix of M and Gamma* v is a scatter of v.
 
 All operators are dense complex matrices on C^d_at (x) span(occupation
 states); the atomic index is the major (slowest) index, i.e. kron(atomic,
@@ -106,12 +108,6 @@ class FockBasis:
         v[0] = 1.0
         return v
 
-    def with_atomic_dim(self, d_at: int) -> "FockBasis":
-        b = FockBasis.__new__(FockBasis)
-        b.__dict__.update(self.__dict__)
-        b.d_at = int(d_at)
-        return b
-
     def __repr__(self):
         return (
             f"FockBasis(J={self.grid.levels}, rho={self.grid.ratio}, "
@@ -173,10 +169,6 @@ class OperatorMatrix:
             if dev > 1e-12 * max(1.0, np.linalg.norm(self.mat)):
                 raise ValueError(f"selfadjoint_known set but adjoint deviates by {dev:g}")
         self.mat.flags.writeable = False
-
-    @property
-    def d_at(self) -> int:
-        return self.basis.d_at
 
 
 def _mode_raising(basis: FockBasis, j: int) -> np.ndarray:
@@ -241,11 +233,15 @@ def number_op(basis: FockBasis) -> OperatorMatrix:
 
 
 class DilationMap:
-    """Isometry from the H_f <= rho sector onto the reduced space of the
-    grid with the lowest shell dropped (shell index j -> j-1).
+    """The dilation Gamma_rho as a map of coordinates: it sends the
+    H_f <= rho sector of ``source`` onto ``target``, the basis of the grid
+    with the lowest shell dropped (shell index j -> j-1, so the occupation
+    (0,) + m goes to m), and rescales H_f by 1/rho.
 
-    The Fock-level matrix gamma has a single 1 per row; gamma gamma* = 1 on
-    the target and gamma* gamma is the projection onto the low sector.
+    ``rows`` holds the atomic-major coordinates of that sector in ``source``,
+    in target order.  Gamma M Gamma* is the principal submatrix
+    M[rows, rows], and Gamma* v is the vector with v at the coordinates
+    ``rows`` and zeros elsewhere.
     """
 
     def __init__(self, basis: FockBasis, rho: float):
@@ -257,34 +253,12 @@ class DilationMap:
         target_grid = basis.grid.drop_lowest_shell()
         self.target = FockBasis(target_grid, basis.n_max,
                                 min(1.0, basis.e_cut), basis.d_at)
-        src = np.empty(self.target.size, dtype=np.int64)
-        for i, m in enumerate(self.target.states):
-            n = (0,) + m
-            k = basis.index.get(n)
-            if k is None:
-                raise ValueError(f"shifted state {n} missing from source basis")
-            src[i] = k
-        self.source_indices = src
-        gamma = np.zeros((self.target.size, basis.size), dtype=complex)
-        gamma[np.arange(self.target.size), src] = 1.0
-        self.gamma_fock = gamma
-        self.low_sector = np.zeros(basis.size, dtype=bool)
-        self.low_sector[src] = True
-
-    def matrix(self) -> np.ndarray:
-        return np.kron(np.eye(self.source.d_at), self.gamma_fock)
-
-    def conjugate(self, mat: np.ndarray) -> np.ndarray:
-        """Gamma M Gamma* for a full-space matrix M (restriction + shift)."""
-        d = self.source.d_at
-        nS, nT = self.source.size, self.target.size
-        rows = (np.arange(d)[:, None] * nS + self.source_indices[None, :]).ravel()
-        sub = mat[np.ix_(rows, rows)]
-        return sub.reshape(d * nT, d * nT).copy()
+        fock = np.array([basis.index[(0,) + m] for m in self.target.states])
+        self.rows = (np.arange(basis.d_at)[:, None] * basis.size + fock).ravel()
 
 
 def dilation(basis: FockBasis, rho: float) -> DilationMap:
-    """Basis-permutation realization of the field-energy rescaling by 1/rho."""
+    """The field-energy rescaling by 1/rho on ``basis``, as a coordinate map."""
     return DilationMap(basis, rho)
 
 

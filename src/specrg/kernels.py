@@ -164,13 +164,14 @@ class PolydiscParams:
 
 @dataclass
 class PolydiscCheck:
+    """Measured polydisc radii and membership.  gamma_hat is the
+    operator-norm surrogate ||H - w00(H_f)||, a lower bound for the kernel
+    norm; membership via the surrogate is necessary, not sufficient."""
+
     alpha_hat: float
     beta_hat: float
     gamma_hat: float
     member: bool
-    note: str = ("gamma_hat is the operator-norm surrogate ||H - w00(H_f)||, "
-                 "a lower bound for the kernel norm; membership via the "
-                 "surrogate is necessary, not sufficient")
 
 
 def polydisc_check(ext: ExtractionResult, params: PolydiscParams) -> PolydiscCheck:
@@ -178,7 +179,7 @@ def polydisc_check(ext: ExtractionResult, params: PolydiscParams) -> PolydiscChe
     against the polydisc.
 
     alpha_hat = ||w00(0)||, beta_hat = sup ||w00' - 1||, and gamma_hat is the
-    operator-norm surrogate for the interaction size (see note).
+    operator-norm surrogate for the interaction size (see ``PolydiscCheck``).
     """
     h = ext.source
     d = h.basis.d_at

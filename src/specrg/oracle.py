@@ -10,6 +10,7 @@ from scipy.linalg import subspace_angles
 from .fock import OperatorMatrix
 
 DIM_BUDGET = 20000
+CLUSTER_TOL_FACTOR = 1e-8
 
 
 @dataclass
@@ -25,24 +26,19 @@ class OracleReport:
         return self.eigenvectors[:, : self.multiplicity]
 
 
-def dense_spectrum(h, hermitian: bool | None = None,
-                   cluster_tol_factor: float = 1e-8) -> OracleReport:
-    """Full eigen-decomposition; Hermitian fast path when flagged.
+def dense_spectrum(h: OperatorMatrix) -> OracleReport:
+    """Full eigen-decomposition; Hermitian fast path when h is flagged
+    self-adjoint.
 
     Multiplicity of the lowest eigenvalue is the number of eigenvalues
-    within cluster_tol_factor * max(1, |lowest|); that tolerance only
+    within CLUSTER_TOL_FACTOR * max(1, |lowest|); that tolerance only
     absorbs floating-point scatter of an exact symmetry degeneracy.
     """
-    if isinstance(h, OperatorMatrix):
-        mat = h.mat
-        if hermitian is None:
-            hermitian = h.selfadjoint_known
-    else:
-        mat = np.asarray(h, dtype=complex)
+    mat = h.mat
     n = mat.shape[0]
     if n > DIM_BUDGET:
         raise ValueError(f"dimension {n} exceeds the dense budget {DIM_BUDGET}")
-    if hermitian:
+    if h.selfadjoint_known:
         vals, vecs = np.linalg.eigh(mat)
         vals = vals.astype(complex)
     else:
@@ -50,7 +46,7 @@ def dense_spectrum(h, hermitian: bool | None = None,
     order = np.argsort(vals.real)
     vals, vecs = vals[order], vecs[:, order]
     lowest = complex(vals[0])
-    tol = cluster_tol_factor * max(1.0, abs(lowest))
+    tol = CLUSTER_TOL_FACTOR * max(1.0, abs(lowest))
     mult = int(np.sum(np.abs(vals - lowest) <= tol))
     gap = float(np.abs(vals[mult] - lowest)) if mult < n else np.inf
     return OracleReport(vals, vecs, lowest, mult, gap, tol)

@@ -155,21 +155,20 @@ class Flow:
         return Depth(basis, gens, *CutoffSpec(rho).diagonals(basis), dilation(basis, rho))
 
 
-def rg_step(level: LadderLevel, depth: Depth, cfg: RGConfig, collect_q: bool = False):
+def rg_step(level: LadderLevel, depth: Depth, cfg: RGConfig):
     """One renormalization step from a ladder level at the given depth;
-    returns (next operator, pair[, q]).
+    returns (next operator, pair).
 
     The unperturbed part is the level's extracted diagonal kernel, so the
-    pair is valid independently of extraction error; on the vacuum-only
-    terminal space the step degenerates to exact division by rho, with no
-    pair.  A failed gate raises FeshbachPairError with the full report.
+    pair is valid independently of extraction error.  The next operator is
+    Gamma F Gamma* / rho, with Gamma F Gamma* the principal submatrix of the
+    Feshbach map F on the dilation's ``rows``; on the vacuum-only terminal
+    space the step is division by rho, with pair None.  A failed gate
+    raises FeshbachPairError with the full report.
     """
     h = level.h
     if depth.dilation is None:
-        out = OperatorMatrix(h.mat / cfg.rho, h.basis)
-        if collect_q:
-            return out, None, np.eye(h.mat.shape[0], dtype=complex)
-        return out, None
+        return OperatorMatrix(h.mat / cfg.rho, h.basis), None
 
     pair = FeshbachPair(h.mat, level.extraction.hf_matrix(), depth.chi, depth.chibar)
     if cfg.polydisc_strict and not level.polydisc.member:
@@ -179,13 +178,9 @@ def rg_step(level: LadderLevel, depth: Depth, cfg: RGConfig, collect_q: bool = F
             f"polydisc gate failed: measured ({chk.alpha_hat:.3g}, "
             f"{chk.beta_hat:.3g}, {chk.gamma_hat:.3g})")
     pair.require_margins()
-    f = feshbach_map(pair)
-    dil = depth.dilation
-    out = OperatorMatrix(dil.conjugate(f) / cfg.rho, dil.target)
-    if collect_q:
-        q, _ = q_ops(pair)
-        return out, pair, q
-    return out, pair
+    rows = depth.dilation.rows
+    return OperatorMatrix(feshbach_map(pair)[np.ix_(rows, rows)] / cfg.rho,
+                          depth.dilation.target), pair
 
 
 @dataclass
@@ -253,11 +248,10 @@ def run_ladder(flow: Flow, z: complex, n_levels: int,
         prev = levels[-1]
         if check_windows and abs(prev.e_value) > cfg.window_threshold:
             raise WindowExitError(prev.n, prev.e_value, cfg.window_threshold)
-        if collect_q:
-            h, pair, q = rg_step(prev, flow.depth(n - 1), cfg, collect_q=True)
-            qs.append(q)
-        else:
-            h, pair = rg_step(prev, flow.depth(n - 1), cfg)
+        h, pair = rg_step(prev, flow.depth(n - 1), cfg)
+        if collect_q:   # the terminal step's auxiliary operator is the identity
+            qs.append(np.eye(h.basis.dim, dtype=complex) if pair is None
+                      else q_ops(pair)[0])
         # only the top level keeps its pair, for its lazy pair report
         levels.append(make_level(n, h, pair if n == n_levels else None))
         del pair
@@ -327,8 +321,9 @@ def find_zn(flow: Flow, n: int, z_start: complex) -> RootResult:
     return RootResult(z0, abs(e0), winding, last)
 
 
-def _winding_count(flow: Flow, n: int, z_center: complex, n_nodes: int = 16):
+def _winding_count(flow: Flow, n: int, z_center: complex):
     """Winding of E^(n) around 0 along a small circle inside the window."""
+    n_nodes = 16
     radius = flow.cfg.rho ** (n + 1) / 16.0
     for _ in range(5):
         try:
@@ -395,10 +390,10 @@ class RGTrace:
             head.append(f"# {self.theoretical_note}")
         return head + [r.line() for r in self.records]
 
-    def fitted_rate(self, n_lo: int = 2, n_hi: int = 6) -> float:
-        """Geometric rate of |z_n - z_{n-1}| over n in [n_lo, n_hi]."""
+    def fitted_rate(self) -> float:
+        """Geometric rate of |z_n - z_{n-1}| over n in [2, 6]."""
         pts = [(r.n, r.dz) for r in self.records
-               if n_lo <= r.n <= n_hi and r.dz > 0]
+               if 2 <= r.n <= 6 and r.dz > 0]
         if len(pts) < 2:
             return 0.0
         ns = np.array([p[0] for p in pts], dtype=float)
@@ -486,35 +481,38 @@ class EigenvectorResult:
         return self.gram_smallest_sv > 1e-3 * self.gram_largest_sv
 
 
-def build_eigenvectors(flow: Flow, z_inf: complex,
-                       basis_vectors=None) -> EigenvectorResult:
+def _scatter(vec: np.ndarray, index: np.ndarray, dim: int) -> np.ndarray:
+    """vec at the coordinates index of a zero length-dim vector."""
+    full = np.zeros(dim, dtype=complex)
+    full[index] = vec
+    return full
+
+
+def build_eigenvectors(flow: Flow, z_inf: complex) -> EigenvectorResult:
     """Assemble d eigenvectors of the flow's truncated H_g(s) from the
-    auxiliary-operator product Q_0 Gamma* Q_1 ... Q_n (v (x) Omega), then
-    lift through the first decimation.  On a truncated grid the product
-    stabilizes exactly at the terminal depth."""
+    auxiliary-operator product Q_0 Gamma* Q_1 ... Q_n (v (x) Omega), one per
+    coordinate vector v of C^d, then lift through the first decimation.
+    Gamma* and the embedding of the reduced space are scatters.  On a
+    truncated grid the product stabilizes exactly at the terminal depth."""
     depth = flow.spec.grid.levels + 1
     lad = run_ladder(flow, z_inf, depth, check_windows=False, collect_q=True)
     lift, qs = lad.qs[0], lad.qs[1:]   # qs[k]: the step from level k to k+1
     first = flow.first
-    d = flow.spec.d
-    if basis_vectors is None:
-        basis_vectors = [np.eye(d)[:, j] for j in range(d)]
     n_star = depth - 1  # deepest level whose auxiliary operator was collected
     start_basis = flow.depth(n_star).basis
 
     h_full = first.hamiltonian.mat
     vectors = []
     residuals = []
-    for v in basis_vectors:
+    for v in np.eye(flow.spec.d):
         # phi = Q_0 Gamma* Q_1 Gamma* ... Gamma* Q_{n*} (v (x) Omega)
         vec = qs[n_star] @ np.kron(v, start_basis.vacuum_vector())
         for k in range(n_star - 1, -1, -1):
             dil = flow.depth(k).dilation   # level k to k+1; None if trivial
             if dil is not None:
-                vec = dil.matrix().conj().T @ vec
+                vec = _scatter(vec, dil.rows, dil.source.dim)
             vec = qs[k] @ vec
-        full = np.zeros(first.basis.dim, dtype=complex)
-        full[first.reduced_index] = vec   # vec is on the level-0 reduced space
+        full = _scatter(vec, first.reduced_index, first.basis.dim)   # from level 0
         psi = (first.u @ (lift @ full).reshape(first.u.shape[0], -1)).ravel()   # (u (x) 1)
         nrm = np.linalg.norm(psi)
         residuals.append(float(np.linalg.norm(h_full @ psi - z_inf * psi)

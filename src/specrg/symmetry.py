@@ -7,7 +7,7 @@ conjugation code branches on the flag explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,12 +37,12 @@ class SymmetryOp:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def restricted(self, frame: np.ndarray, tol: float = 1e-10) -> "SymmetryOp":
+    def restricted(self, frame: np.ndarray) -> "SymmetryOp":
         """Restriction to the subspace spanned by the orthonormal columns of
-        frame.  Raises if the subspace is not invariant (residual > tol)."""
+        frame.  Raises if the subspace is not invariant (residual > 1e-10)."""
         img = self.matrix @ (np.conj(frame) if self.antiunitary else frame)
         leak = np.linalg.norm(img - frame @ (frame.conj().T @ img))
-        if leak > tol:
+        if leak > 1e-10:
             raise ValueError(f"subspace not invariant under symmetry (leak {leak:g})")
         return SymmetryOp(frame.conj().T @ img, self.antiunitary)
 
@@ -58,17 +58,22 @@ def conjugate(s: SymmetryOp, t: np.ndarray) -> np.ndarray:
     return u @ t @ u.conj().T
 
 
-def is_symmetry_of(s: SymmetryOp, t: np.ndarray, tol: float = 1e-12):
-    """True iff S T S^* equals T (unitary) resp. T^* (antiunitary).
+def is_symmetry_of(s: SymmetryOp, t: np.ndarray):
+    """True iff S T S^* equals T (unitary) resp. T^* (antiunitary), within a
+    relative residual of 1e-12.
 
     Returns (flag, relative residual)."""
     t = np.asarray(t, dtype=complex)
     target = t.conj().T if s.antiunitary else t
     res = np.linalg.norm(conjugate(s, t) - target) / max(1.0, np.linalg.norm(t))
-    return bool(res <= tol), float(res)
+    return bool(res <= 1e-12), float(res)
 
 
-def _commutant_nullspace(ops, dim: int, tol: float = 1e-10):
+#: relative rank threshold of the commutant and of a scalar Hermitian element
+_COMMUTANT_TOL = 1e-10
+
+
+def _commutant_nullspace(ops, dim: int):
     """Real-linear solution space of S M = M S (unitary) and
     U conj(M) = M U (antiunitary), returned as a list of d x d matrices."""
     n2 = dim * dim
@@ -95,7 +100,7 @@ def _commutant_nullspace(ops, dim: int, tol: float = 1e-10):
         system = np.vstack(rows)
     _, sv, vt = np.linalg.svd(system)
     scale = sv[0] if sv.size and sv[0] > 0 else 1.0
-    null = [vt[i] for i in range(vt.shape[0]) if i >= len(sv) or sv[i] <= tol * scale]
+    null = [vt[i] for i in range(vt.shape[0]) if i >= len(sv) or sv[i] <= _COMMUTANT_TOL * scale]
     mats = []
     for v in null:
         m = v[:n2].reshape(dim, dim) + 1j * v[n2:].reshape(dim, dim)
@@ -103,7 +108,7 @@ def _commutant_nullspace(ops, dim: int, tol: float = 1e-10):
     return mats
 
 
-def is_irreducible(ops, dim: int | None = None, tol: float = 1e-10) -> bool:
+def is_irreducible(ops, dim: int | None = None) -> bool:
     """Whether the (anti)unitary set acts with no proper invariant subspace.
 
     Decision: an invariant subspace exists iff the real-linear commutant of
@@ -120,19 +125,19 @@ def is_irreducible(ops, dim: int | None = None, tol: float = 1e-10) -> bool:
         dim = ops[0].dim
     if dim == 1:
         return True
-    for m in _commutant_nullspace(ops, dim, tol):
+    for m in _commutant_nullspace(ops, dim):
         h = m + m.conj().T
         dev = np.linalg.norm(h - (np.trace(h) / dim) * np.eye(dim))
-        if dev > tol * max(1.0, np.linalg.norm(h)):
+        if dev > _COMMUTANT_TOL * max(1.0, np.linalg.norm(h)):
             return False
     return True
 
 
-def vacuum_expectation(t: np.ndarray, d: int, n_fock: int,
-                       vacuum_index: int = 0) -> np.ndarray:
-    """<T>_Omega: the d x d matrix <e_a (x) Omega, T e_b (x) Omega>."""
+def vacuum_expectation(t: np.ndarray, d: int, n_fock: int) -> np.ndarray:
+    """<T>_Omega: the d x d matrix <e_a (x) Omega, T e_b (x) Omega>; the
+    vacuum is Fock index 0."""
     t = np.asarray(t, dtype=complex)
-    idx = np.arange(d) * n_fock + vacuum_index
+    idx = np.arange(d) * n_fock
     return t[np.ix_(idx, idx)].copy()
 
 
@@ -151,26 +156,15 @@ def schur_scalar(t: np.ndarray, d: int, n_fock: int):
     return c, float(np.linalg.norm(vacuum_expectation(t, d, n_fock) - c * np.eye(d), 2))
 
 
-@dataclass
-class TransformationResult:
-    """Conjugating family U(s) along a parameter path, with diagnostics."""
-
-    path: np.ndarray
-    u: list
-    v: list
-    max_projection_residual: float = field(default=0.0)
-    max_inverse_residual: float = field(default=0.0)
-
-
-def transformation_function(p, s0: complex, s1: complex, n_steps: int,
-                            proj_tol: float = 1e-8) -> TransformationResult:
-    """Integrate U' = Q U, U(s0) = 1 with Q = P'P - PP' along the straight
-    path from s0 to s1; then U(s) P(s0) U(s)^{-1} = P(s).
+def transformation_function(p, s0: complex, s1: complex, n_steps: int) -> np.ndarray:
+    """Kato's transformation function: integrate U' = Q U, U(s0) = 1 with
+    Q = P'P - PP' along the straight path from s0 to s1 and return U(s1),
+    for which U(s1) P(s0) U(s1)^{-1} = P(s1).
 
     p is a callable returning the projection matrix at a complex parameter;
     P' uses 4th-order central differences, the stepper is classic RK4, so the
-    conjugation residual is O(h^4).  The left-inverse family V' = -V Q is
-    integrated alongside and V U = U V = 1 is monitored.
+    conjugation residual is O(h^4).  P(s0) must be a projection within a
+    relative 1e-8; a singular U(s1) raises ArithmeticError.
     """
     s0 = complex(s0)
     s1 = complex(s1)
@@ -180,7 +174,7 @@ def transformation_function(p, s0: complex, s1: complex, n_steps: int,
 
     p0 = np.asarray(p(s0), dtype=complex)
     dim = p0.shape[0]
-    if np.linalg.norm(p0 @ p0 - p0) > proj_tol * max(1.0, np.linalg.norm(p0)):
+    if np.linalg.norm(p0 @ p0 - p0) > 1e-8 * max(1.0, np.linalg.norm(p0)):
         raise ValueError("input family is not a projection at the base point")
 
     def q_at(s):
@@ -193,9 +187,6 @@ def transformation_function(p, s0: complex, s1: complex, n_steps: int,
 
     path = s0 + h * np.arange(n_steps + 1)
     u = np.eye(dim, dtype=complex)
-    v = np.eye(dim, dtype=complex)
-    us = [u.copy()]
-    vs = [v.copy()]
     for k in range(n_steps):
         s = path[k]
         q1 = q_at(s)
@@ -206,24 +197,6 @@ def transformation_function(p, s0: complex, s1: complex, n_steps: int,
         k3 = q2 @ (u + 0.5 * h * k2)
         k4 = q4 @ (u + h * k3)
         u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        l1 = -v @ q1
-        l2 = -(v + 0.5 * h * l1) @ q2
-        l3 = -(v + 0.5 * h * l2) @ q2
-        l4 = -(v + h * l3) @ q4
-        v = v + (h / 6.0) * (l1 + 2 * l2 + 2 * l3 + l4)
-        us.append(u.copy())
-        vs.append(v.copy())
-
-    max_proj = 0.0
-    max_inv = 0.0
-    eye = np.eye(dim)
-    for s, uk, vk in zip(path, us, vs):
-        ps = np.asarray(p(s), dtype=complex)
-        if np.linalg.norm(ps @ ps - ps) > proj_tol * max(1.0, np.linalg.norm(ps)):
-            raise ValueError(f"input family is not a projection at s={s}")
-        if abs(np.linalg.det(uk)) == 0.0:
-            raise ArithmeticError(f"conjugating family became singular at s={s}")
-        max_proj = max(max_proj, np.linalg.norm(uk @ p0 @ np.linalg.inv(uk) - ps))
-        max_inv = max(max_inv, np.linalg.norm(vk @ uk - eye),
-                      np.linalg.norm(uk @ vk - eye))
-    return TransformationResult(path, us, vs, float(max_proj), float(max_inv))
+    if abs(np.linalg.det(u)) == 0.0:
+        raise ArithmeticError(f"conjugating family became singular at s={path[-1]}")
+    return u

@@ -36,7 +36,7 @@ class TestIsospectrality:
         z = ev[np.argmin(np.abs(ev - 0.3))]
         (rep,) = isospectrality_suite(h, t, chi, cbar, probe_shifts=(z,))
         assert rep.kernel_dim_h == rep.kernel_dim_f == 1
-        assert rep.invertibility_consistent
+        assert rep.kernel_dims_match
 
 
 def diagonal_pair(n=12, seed=3):

@@ -151,9 +151,9 @@ class TestFlow:
     # H_g(s0) once for the first-decimation checks and once for the flow,
     # whose eigenvectors and oracle reuse it; one dilation per flow depth.
     # m_kramers' hypothesis checks add the complex-selfadjointness H on a
-    # small basis and the dilation-commutation check.
+    # small basis.
     @pytest.mark.parametrize("name, hamiltonians, dilations",
-                             [("m_triv", 2, 3), ("m_kramers", 3, 4)])
+                             [("m_triv", 2, 3), ("m_kramers", 3, 3)])
     def test_one_run_builds_each_operator_once(self, tmp_path, monkeypatch, capsys,
                                                name, hamiltonians, dilations):
         config = cut_fixture(tmp_path, name)
@@ -278,6 +278,38 @@ class TestExitCodes:
                                       "rg": {key: value}}))
         assert main(["run", "--config", str(config)]) == 1
         assert f"unknown keys in rg: ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, entries", [
+        ("run", {"rg": {"window_factor": 0.3}}),
+        ("verify", {"rg": {"tol_z": "abc"}}),
+        ("run", {"rg": {"tol_z": "abc"}}),
+        ("run", {"rg": {"check_winding": 1}}),
+        ("run", {"rg": {"n_iter_max": 2.5}}),
+        ("run", {"rg": []}),
+        ("run", {"probe": {"contour_nodes": 16.0}}),
+        ("run", {"seed": "abc"}),
+        ("run", {"jobs": None}),
+        ("run", {"sweep": 0.1}),
+    ], ids=["window_factor", "tol_z-verify", "tol_z-run", "int-for-bool", "float-for-int",
+            "rg-not-an-object", "float-for-probe-int", "seed", "jobs", "sweep"])
+    def test_bad_run_config_value_exits_1(self, tmp_path, capsys, command, entries):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"schema_version": 1, "model": "m_triv", **entries}))
+        assert main([command, "--config", str(config)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_int_is_accepted_for_a_float(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"schema_version": 1, "model": "m_triv",
+                                      "rg": {"tol_z": 0}, "probe": {"cr_step": 1}}))
+        assert main(["verify", "--config", str(config)]) == 0
+
+    @pytest.mark.parametrize("command", ["verify", "run"])
+    def test_grid_ratio_outside_the_flow_range_exits_1(self, tmp_path, capsys, command):
+        # a grid ratio of 0.85 is a valid grid, but the flow needs rho < 4/5
+        config = cut_fixture(tmp_path, "m_triv", edit=lambda doc: doc["grid"].update(ratio=0.85))
+        assert main([command, "--config", str(config)]) == 1
+        assert "configuration error" in capsys.readouterr().err
 
     def test_suite_failure_exits_2(self, tmp_path, capsys):
         def unitary_kramers(doc):

@@ -178,53 +178,66 @@ class TestFieldOperators:
             creation_op(basis, [np.eye(2)] * (basis.grid.levels + 1))
 
 
+def dense_gamma(d):
+    """Gamma as a dense 0/1 matrix, built from the states alone: row
+    (a, m) of the target has its 1 at column (a, (0,) + m) of the source."""
+    src, tgt = d.source, d.target
+    gamma = np.zeros((tgt.dim, src.dim))
+    for a in range(src.d_at):
+        for i, m in enumerate(tgt.states):
+            gamma[a * tgt.size + i, a * src.size + src.index[(0,) + m]] = 1.0
+    return gamma
+
+
 class TestDilation:
     def test_vacuum_fixed(self):
         b = build_fock_basis(ModeGrid(0.5, 4), 2, 1.0)
         d = dilation(b, 0.5)
-        vac_src = b.vacuum_vector()
-        out = d.gamma_fock @ vac_src
-        assert out[0] == 1.0
-        assert np.linalg.norm(out) == pytest.approx(1.0)
+        assert d.target.states[0] == (0, 0, 0)
+        assert d.rows[0] == 0   # target vacuum <- source vacuum
 
     def test_shell_shift(self):
-        b = build_fock_basis(ModeGrid(0.5, 4), 2, 1.0)
+        # (0,) + m goes to m, on every atomic block
+        b = build_fock_basis(ModeGrid(0.5, 4), 2, 1.0, d_at=2)
         d = dilation(b, 0.5)
-        src = np.zeros(b.size)
-        src[b.index[(0, 0, 0, 1)]] = 1.0  # photon in shell 3
-        out = d.gamma_fock @ src
-        tgt_idx = d.target.index[(0, 0, 1)]  # photon in shell 2
-        assert out[tgt_idx] == 1.0
+        assert d.target.d_at == 2
+        assert d.rows[d.target.index[(0, 0, 1)]] == b.index[(0, 0, 0, 1)]
+        for a in range(2):
+            for i, m in enumerate(d.target.states):
+                assert d.rows[a * d.target.size + i] == a * b.size + b.index[(0,) + m]
 
     def test_isometry_on_low_sector(self):
-        b = build_fock_basis(ModeGrid(0.5, 5), 2, 1.0)
-        d = dilation(b, 0.5)
-        rng = np.random.default_rng(3)
-        low = np.where(d.low_sector)[0]
-        for _ in range(50):
-            psi = np.zeros(b.size, dtype=complex)
-            psi[low] = rng.standard_normal(len(low)) + 1j * rng.standard_normal(len(low))
-            out = d.gamma_fock @ psi
-            assert abs(np.linalg.norm(out) - np.linalg.norm(psi)) < 1e-12
+        # rows is injective and is exactly the H_f <= rho sector, so Gamma* is
+        # an isometry onto it and Gamma M Gamma* is a principal submatrix
+        for rho in (0.5, 0.3):
+            b = build_fock_basis(ModeGrid(rho, 5), 2, 1.0, d_at=2)
+            d = dilation(b, rho)
+            hf = np.kron(np.ones(2), b.hf_values)
+            assert np.unique(d.rows).size == d.rows.size == d.target.dim
+            assert set(d.rows) == set(np.flatnonzero(hf <= rho * (1 + 1e-12)))
+            rng = np.random.default_rng(3)
+            m = rng.standard_normal((b.dim, b.dim)) + 1j * rng.standard_normal((b.dim, b.dim))
+            gamma = dense_gamma(d)
+            assert np.array_equal(gamma @ m @ gamma.T, m[np.ix_(d.rows, d.rows)])
 
     def test_intertwines_field_energy(self):
         for rho in (0.5, 0.3):
             b = build_fock_basis(ModeGrid(rho, 5), 2, 1.0, d_at=2)
             d = dilation(b, rho)
-            g = d.matrix()
-            hf_s = field_energy(b).mat
-            hf_t = field_energy(d.target.with_atomic_dim(2)).mat
-            resid = np.abs(hf_t @ g - (1.0 / rho) * g @ hf_s).max()
-            assert resid < 1e-12
+            hf_s = np.diag(field_energy(b).mat)
+            hf_t = np.diag(field_energy(d.target).mat)
+            assert np.abs(hf_t - hf_s[d.rows] / rho).max() < 1e-12
 
     def test_unitary_onto_target(self):
+        # Gamma Gamma* = 1 on the target: the scatter Gamma* v puts v back
         b = build_fock_basis(ModeGrid(0.5, 5), 2, 1.0)
         d = dilation(b, 0.5)
-        gg = d.gamma_fock @ d.gamma_fock.conj().T
-        assert np.linalg.norm(gg - np.eye(d.target.size)) == 0.0
-        proj = d.gamma_fock.conj().T @ d.gamma_fock
-        assert np.linalg.norm(proj @ proj - proj) == 0.0
-        assert int(np.real(np.trace(proj))) == d.target.size
+        v = np.random.default_rng(4).standard_normal(d.target.dim)
+        up = np.zeros(b.dim)
+        up[d.rows] = v
+        assert np.array_equal(up, dense_gamma(d).T @ v)
+        assert np.array_equal(up[d.rows], v)
+        assert np.count_nonzero(up) == d.target.dim
 
     def test_scale_mismatch_rejected(self):
         b = build_fock_basis(ModeGrid(0.5, 4), 2, 1.0)

@@ -1,8 +1,9 @@
-"""Every top-level import of a specrg module is used in that module, and every
+"""Every top-level import of a specrg module is used in that module, every
 definition in specrg is referred to by the code of the program outside its own
-definition."""
+definition, and every defaulted parameter in specrg is passed by some call."""
 
 import ast
+import math
 from collections import defaultdict
 from pathlib import Path
 
@@ -13,6 +14,7 @@ SRC = ROOT / "src" / "specrg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # the program: the package and the benchmark that drives it
 PROGRAM = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -119,3 +121,71 @@ def test_every_definition_is_named_by_the_program():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in PROGRAM}
     defining = [str(p.relative_to(ROOT)) for p in sorted(SRC.glob("*.py"))]
     assert unnamed_definitions(sources, defining) == []
+
+
+def passed_arguments(sources: dict) -> dict:
+    """Callee name -> [(number of positional arguments, keyword names)] over
+    every call in ``sources`` whose callee is a name or an attribute.  A
+    call with *args passes every position; one with **kwargs has the
+    keyword name None, which passes every keyword."""
+    out = defaultdict(list)
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            out[name].append((math.inf if starred else len(node.args),
+                              {k.arg for k in node.keywords}))
+    return out
+
+
+def unpassed_parameters(sources: dict, defining: list) -> list[str]:
+    """``function(parameter)`` (``Class.method(parameter)`` for a method)
+    for every defaulted parameter of a function defined in the files named
+    by ``defining`` that no call in ``sources`` passes, by position or by
+    keyword.  Calls match by name; the calls of ``__init__`` are those
+    through its class name, and a method's positions count after self."""
+    calls = passed_arguments(sources)
+    dead = []
+    for name in defining:
+        tree = ast.parse(sources[name])
+        owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(id(node))
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            skip = 1 if cls is not None else 0   # self
+            defaulted = [(i - skip, p.arg) for i, p in enumerate(positional) if i >= first]
+            defaulted += [(math.inf, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            callee = cls if node.name == "__init__" else node.name
+            label = node.name if cls is None else f"{cls}.{node.name}"
+            for pos, arg in defaulted:
+                if not any(n > pos or arg in kws or None in kws for n, kws in calls[callee]):
+                    dead.append(f"{label}({arg})")
+    return sorted(dead)
+
+
+def test_detects_an_unpassed_parameter():
+    # by position, by keyword, through *args and through the class name
+    sources = {"a.py": "def f(x, y=1, *, z=2):\n    return x\n\n"
+                       "class C:\n    def __init__(self, a=0, b=1):\n        self.a = a\n\n"
+                       "    def m(self, k=3, j=4):\n        return k\n\n"
+                       "f(1, z=3)\nC(5).m(7)\nf(*())\n",
+               "b.py": "import a\na.C(b=2)\n"}
+    assert unpassed_parameters(sources, ["a.py"]) == ["C.m(j)"]
+    del sources["b.py"]
+    sources["a.py"] = sources["a.py"].replace("f(*())\n", "")
+    assert unpassed_parameters(sources, ["a.py"]) == ["C.__init__(b)", "C.m(j)", "f(y)"]
+
+
+def test_every_defaulted_parameter_is_passed():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PROGRAM + TESTS}
+    defining = [str(p.relative_to(ROOT)) for p in sorted(SRC.glob("*.py"))]
+    assert unpassed_parameters(sources, defining) == []

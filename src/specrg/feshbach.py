@@ -156,9 +156,9 @@ def verify_pair(pair: FeshbachPair) -> FeshbachPairReport:
 
 
 class FeshbachPairError(ArithmeticError):
-    def __init__(self, report: FeshbachPairReport, msg=""):
+    def __init__(self, report: FeshbachPairReport):
         self.report = report
-        super().__init__(msg or f"Feshbach pair conditions failed: {report}")
+        super().__init__(f"Feshbach pair conditions failed: {report}")
 
 
 def feshbach_map(pair: FeshbachPair) -> np.ndarray:

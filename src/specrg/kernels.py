@@ -1,13 +1,13 @@
-"""The diagonal kernel w_{0,0} of an operator and the flow's polydisc gate.
+"""The diagonal kernel w_{0,0} of an operator and its polydisc radii.
 
 ``extract_w00`` reads the nodes of w_{0,0} off the vacuum and one-photon
 diagonal blocks of an operator; between them w_{0,0} is the monotone cubic
 (PCHIP) of Fritsch & Carlson.  A flow step always reads w_{0,0}(H_f), the
 unperturbed part of the next Feshbach pair, evaluated directly at the
 basis' H_f values; the 65-point ``KernelC1`` on r in [0, 1] is built only
-for beta_hat and ``kernel.txt``.  ``polydisc_check`` measures the operator
-against the polydisc radii (alpha, beta, gamma); only w_{0,0} is extracted,
-so the interaction size is the operator norm of H - w_{0,0}(H_f).
+for beta_hat and ``kernel.txt``.  ``polydisc_check`` measures the operator's
+polydisc radii (alpha, beta, gamma) for the trace; only w_{0,0} is
+extracted, so the interaction size is the operator norm of H - w_{0,0}(H_f).
 """
 
 from __future__ import annotations
@@ -154,29 +154,18 @@ def extract_w00(h: OperatorMatrix) -> ExtractionResult:
 
 
 @dataclass
-class PolydiscParams:
-    """Polydisc radii (alpha, beta, gamma) of the flow's membership gate."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-
-@dataclass
 class PolydiscCheck:
-    """Measured polydisc radii and membership.  gamma_hat is the
-    operator-norm surrogate ||H - w00(H_f)||, a lower bound for the kernel
-    norm; membership via the surrogate is necessary, not sufficient."""
+    """Measured polydisc radii.  gamma_hat is the operator-norm surrogate
+    ||H - w00(H_f)||, a lower bound for the kernel norm."""
 
     alpha_hat: float
     beta_hat: float
     gamma_hat: float
-    member: bool
 
 
-def polydisc_check(ext: ExtractionResult, params: PolydiscParams) -> PolydiscCheck:
-    """Measure (alpha_hat, beta_hat, gamma_hat) of the extracted operator H
-    against the polydisc.
+def polydisc_check(ext: ExtractionResult) -> PolydiscCheck:
+    """Measure the polydisc radii (alpha_hat, beta_hat, gamma_hat) of the
+    extracted operator H.
 
     alpha_hat = ||w00(0)||, beta_hat = sup ||w00' - 1||, and gamma_hat is the
     operator-norm surrogate for the interaction size (see ``PolydiscCheck``).
@@ -190,7 +179,4 @@ def polydisc_check(ext: ExtractionResult, params: PolydiscParams) -> PolydiscChe
     else:
         beta_hat = 1.0  # vacuum-only space: w00' has no content, slope 0
     gamma_hat = float(np.linalg.norm(h.mat - ext.hf_matrix(), 2))
-    member = (alpha_hat <= params.alpha + 1e-12
-              and beta_hat <= params.beta + 1e-12
-              and gamma_hat <= params.gamma + 1e-12)
-    return PolydiscCheck(alpha_hat, beta_hat, gamma_hat, member)
+    return PolydiscCheck(alpha_hat, beta_hat, gamma_hat)

@@ -400,9 +400,9 @@ def verify_hypotheses(spec: ModelSpec) -> HypothesesReport:
         except ValueError as exc:
             entries.append(HypEntry("symmetry_irreducible", True, False,
                                     np.inf, str(exc)))
-        # a coordinate map commutes with each Fock factor, 1 or complex conjugation
         entries.append(HypEntry("fock_factor_dilation_commute", True, True, 0.0,
-                                "checked on the truncated H_f <= rho sector"))
+                                "by construction: a coordinate map commutes with 1 "
+                                "and with complex conjugation"))
     else:
         entries.append(HypEntry("symmetry_irreducible", False, True, 0.0,
                                 "nondegenerate model, no symmetry needed"))

@@ -11,26 +11,26 @@ kernel-preserving at the matrix level).
 Only H - z changes from one evaluation of E^(n)(z) to the next.  A ``Flow``
 holds what does not: the first decimation, once per (model, s), and per depth
 the basis, generators, cutoffs and dilation, once per (model, rho).
-``run_ladder(flow, z, n)`` computes on every level E^(n)(z) = tr<H>_Omega / d,
-and below the top the step's extraction, T = w_{0,0}(H_f), pair margins and
-window check.  The diagnostics (Schur deviation, symmetry residual, polydisc
-radii, contraction norms of the pair into the top) are computed when read:
-by the trace, once per depth on the ladder ``find_zn`` returns, and by
-``rg_step`` on every level when ``polydisc_strict`` is set.
+``run_ladder(flow, z, n)`` computes on every level its operator and
+E^(n)(z) = tr<H>_Omega / d; each step below the top extracts its own
+T = w_{0,0}(H_f), checks the pair's margins and the window.  The diagnostics
+of a depth (polydisc radii, Schur deviation, symmetry residual, contraction
+norms of the pair into the top) are computed once per depth by
+``iterate_to_fixed_point``, on the top of the ladder ``find_zn`` returns.
+
+The map is iterated with the fixed constants below; only rho and mu come
+from the model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .feshbach import (
     CutoffSpec,
     FeshbachPair,
-    FeshbachPairError,
-    FeshbachPairReport,
     FirstDecimation,
     feshbach_map,
     first_feshbach,
@@ -38,62 +38,51 @@ from .feshbach import (
     verify_pair,
 )
 from .fock import DilationMap, FockBasis, OperatorMatrix, dilation
-from .kernels import (
-    ExtractionResult,
-    PolydiscCheck,
-    PolydiscParams,
-    extract_w00,
-    polydisc_check,
-)
+from .kernels import extract_w00, polydisc_check
 from .model import ModelSpec
 from .symmetry import is_symmetry_of, schur_scalar, vacuum_scalar
+
+C_CHI = 1.0              # cutoff constant, sets xi, C_beta and C_gamma
+N_ITER_MAX = 24          # deepest flow depth
+TOL_Z = 1e-12            # secant target for |E^(n)(z_n)|
+TOL_FIXED_POINT = 1e-9   # stop when |z_n - z_{n-1}| is below
+WINDOW_FACTOR = 0.125    # window threshold = WINDOW_FACTOR * rho (the construction's 1/8)
+SCHUR_TOL = 1e-9         # relative Schur deviation accepted as scalar
+SECANT_MAX_ITER = 50     # evaluations of E^(n) per secant root
 
 
 @dataclass
 class RGConfig:
-    """Scale, window and stopping parameters of the flow."""
+    """Scale of the flow, set from the model, and whether each root's
+    uniqueness is checked by the winding of E^(n)."""
 
     rho: float = 0.5
     mu: float = 0.5
-    c_chi: float = 1.0
-    n_iter_max: int = 24
-    tol_z: float = 1e-12            # secant target for |E^(n)(z_n)|
-    tol_fixed_point: float = 1e-9   # stop when |z_n - z_{n-1}| is below
-    window_factor: float = 0.125    # threshold = window_factor * rho
-    schur_tol: float = 1e-9
     check_winding: bool = True
-    polydisc_strict: bool = False   # a level outside the polydisc raises (True) or not
-    secant_max_iter: int = 50
 
     def __post_init__(self):
         if not (0.0 < self.rho < 0.8):
             raise ValueError(f"rho must lie in (0, 4/5), got {self.rho}")
-        if self.window_factor not in (0.125, 0.5):
-            # both thresholds from the construction are supported
-            raise ValueError("window_factor must be 1/8 or 1/2")
 
     @property
     def xi(self) -> float:
-        return float(np.sqrt(self.rho) / (4.0 * self.c_chi))
+        return float(np.sqrt(self.rho) / (4.0 * C_CHI))
 
     @property
     def window_threshold(self) -> float:
-        return self.rho * self.window_factor
+        return self.rho * WINDOW_FACTOR
 
     @property
     def c_beta(self) -> float:
-        return 1.5 * self.c_chi
+        return 1.5 * C_CHI
 
     @property
     def c_gamma(self) -> float:
-        return 128.0 * self.c_chi**2
+        return 128.0 * C_CHI**2
 
     @property
     def contraction_admissible(self) -> bool:
         return self.c_gamma * self.rho**self.mu < 1.0
-
-    def gate_params(self) -> PolydiscParams:
-        return PolydiscParams(self.rho / 2, self.rho / 8, self.rho / 8)
 
 
 class WindowExitError(ValueError):
@@ -155,65 +144,35 @@ class Flow:
         return Depth(basis, gens, *CutoffSpec(rho).diagonals(basis), dilation(basis, rho))
 
 
-def rg_step(level: LadderLevel, depth: Depth, cfg: RGConfig):
-    """One renormalization step from a ladder level at the given depth;
+def rg_step(h: OperatorMatrix, depth: Depth, rho: float):
+    """One renormalization step from the operator h at the given depth;
     returns (next operator, pair).
 
-    The unperturbed part is the level's extracted diagonal kernel, so the
-    pair is valid independently of extraction error.  The next operator is
+    The unperturbed part is h's extracted diagonal kernel, so the pair is
+    valid independently of extraction error.  The next operator is
     Gamma F Gamma* / rho, with Gamma F Gamma* the principal submatrix of the
     Feshbach map F on the dilation's ``rows``; on the vacuum-only terminal
-    space the step is division by rho, with pair None.  A failed gate
-    raises FeshbachPairError with the full report.
+    space the step is division by rho, with pair None.  A pair outside its
+    margins raises FeshbachPairError with the full report.
     """
-    h = level.h
     if depth.dilation is None:
-        return OperatorMatrix(h.mat / cfg.rho, h.basis), None
+        return OperatorMatrix(h.mat / rho, h.basis), None
 
-    pair = FeshbachPair(h.mat, level.extraction.hf_matrix(), depth.chi, depth.chibar)
-    if cfg.polydisc_strict and not level.polydisc.member:
-        chk = level.polydisc
-        raise FeshbachPairError(
-            verify_pair(pair),
-            f"polydisc gate failed: measured ({chk.alpha_hat:.3g}, "
-            f"{chk.beta_hat:.3g}, {chk.gamma_hat:.3g})")
+    pair = FeshbachPair(h.mat, extract_w00(h).hf_matrix(), depth.chi, depth.chibar)
     pair.require_margins()
     rows = depth.dilation.rows
-    return OperatorMatrix(feshbach_map(pair)[np.ix_(rows, rows)] / cfg.rho,
+    return OperatorMatrix(feshbach_map(pair)[np.ix_(rows, rows)] / rho,
                           depth.dilation.target), pair
 
 
 @dataclass
 class LadderLevel:
-    """Level n of a ladder: its operator and E^(n)(z); the extraction and
-    the diagnostics are computed on first read."""
+    """Level n of a ladder: its operator and E^(n)(z)."""
 
     n: int
     h: OperatorMatrix
     e_value: complex
-    generators: list               # symmetry generators on this level's space
-    gate: PolydiscParams
     pair: FeshbachPair | None      # pair of the step INTO this level, kept on the top only
-
-    @cached_property
-    def extraction(self) -> ExtractionResult:
-        return extract_w00(self.h)
-
-    @cached_property
-    def polydisc(self) -> PolydiscCheck:
-        return polydisc_check(self.extraction, self.gate)
-
-    @cached_property
-    def schur_deviation(self) -> float:
-        return schur_scalar(self.h.mat, self.h.basis.d_at, self.h.basis.size)[1]
-
-    @cached_property
-    def symmetry_residual(self) -> float:
-        return max([0.0] + [is_symmetry_of(gen, self.h.mat)[1] for gen in self.generators])
-
-    @cached_property
-    def pair_report(self) -> FeshbachPairReport | None:
-        return None if self.pair is None else verify_pair(self.pair)
 
 
 @dataclass
@@ -234,25 +193,24 @@ def run_ladder(flow: Flow, z: complex, n_levels: int,
     |E^(k)(z)| <= threshold; violation raises WindowExitError(k).
     """
     cfg = flow.cfg
-    gate = cfg.gate_params()
     h, pair = first_feshbach(flow.first, z)
     qs = [q_ops(pair)[0]] if collect_q else None
     del pair   # the full-space pair is not needed by the steps
 
     def make_level(n, h_op, pair):
         c = vacuum_scalar(h_op.mat, h_op.basis.d_at, h_op.basis.size)
-        return LadderLevel(n, h_op, c, flow.depth(n).generators, gate, pair)
+        return LadderLevel(n, h_op, c, pair)
 
     levels = [make_level(0, h, None)]
     for n in range(1, n_levels + 1):
         prev = levels[-1]
         if check_windows and abs(prev.e_value) > cfg.window_threshold:
             raise WindowExitError(prev.n, prev.e_value, cfg.window_threshold)
-        h, pair = rg_step(prev, flow.depth(n - 1), cfg)
+        h, pair = rg_step(prev.h, flow.depth(n - 1), cfg.rho)
         if collect_q:   # the terminal step's auxiliary operator is the identity
             qs.append(np.eye(h.basis.dim, dtype=complex) if pair is None
                       else q_ops(pair)[0])
-        # only the top level keeps its pair, for its lazy pair report
+        # only the top level keeps its pair, for the trace's pair report
         levels.append(make_level(n, h, pair if n == n_levels else None))
         del pair
     return Ladder(levels, qs)
@@ -282,7 +240,7 @@ def find_zn(flow: Flow, n: int, z_start: complex) -> RootResult:
     z0 = complex(z_start)
     e0 = e_val(z0)
     iters = 1
-    if abs(e0) >= cfg.tol_z:
+    if abs(e0) >= TOL_Z:
         z1 = z0 + e0 * cfg.rho**n
         z_prev, e_prev = z0, e0
         z_cur = z1
@@ -292,17 +250,17 @@ def find_zn(flow: Flow, n: int, z_start: complex) -> RootResult:
             except WindowExitError:
                 z_cur = 0.5 * (z_cur + z_prev)   # backtrack toward last good
                 iters += 1
-                if iters > cfg.secant_max_iter:
+                if iters > SECANT_MAX_ITER:
                     raise ArithmeticError(
                         f"secant failed to stay inside the window at depth {n}")
                 continue
             iters += 1
-            if abs(e_cur) < cfg.tol_z:
+            if abs(e_cur) < TOL_Z:
                 z0, e0 = z_cur, e_cur
                 break
-            if iters > cfg.secant_max_iter:
+            if iters > SECANT_MAX_ITER:
                 raise ArithmeticError(
-                    f"secant did not converge in {cfg.secant_max_iter} "
+                    f"secant did not converge in {SECANT_MAX_ITER} "
                     f"evaluations at depth {n} (|E| = {abs(e_cur):.3e})")
             denom = e_cur - e_prev
             if denom == 0:
@@ -428,19 +386,21 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, cfg: RGConfig,
     converged = False
     result = None
     prev_gamma = 0.0
-    for n in range(cfg.n_iter_max + 1):
+    for n in range(N_ITER_MAX + 1):
         root = find_zn(flow, n, z_start=z)
         top = root.ladder.top
-        ghat = top.polydisc.gamma_hat
-        pairrep = top.pair_report
+        polydisc = polydisc_check(extract_w00(top.h))
+        ghat = polydisc.gamma_hat
+        pairrep = None if top.pair is None else verify_pair(top.pair)
         rec = TraceRecord(
             n=n, z=root.z, dz=abs(root.z - z) if n > 0 else 0.0,
             e_abs=root.e_abs,
             alpha_hat=cfg.c_beta * prev_gamma**2 / cfg.rho,
-            beta_hat=top.polydisc.beta_hat,
+            beta_hat=polydisc.beta_hat,
             gamma_hat=ghat,
-            schur_deviation=top.schur_deviation,
-            symmetry_residual=top.symmetry_residual,
+            schur_deviation=schur_scalar(top.h.mat, top.h.basis.d_at, top.h.basis.size)[1],
+            symmetry_residual=max([0.0] + [is_symmetry_of(gen, top.h.mat)[1]
+                                           for gen in flow.depth(n).generators]),
             t_margin=pairrep.t_margin if pairrep else np.inf,
             contraction_left=pairrep.contraction_left if pairrep else 0.0,
             gamma_ratio=(ghat / prev_gamma) if prev_gamma > 0 else 0.0,
@@ -449,7 +409,7 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, cfg: RGConfig,
         trace.append(rec)
         prev_gamma = ghat
         margins_ok = pairrep.passed if pairrep else True
-        if n >= 1 and abs(root.z - z) < cfg.tol_fixed_point and margins_ok:
+        if n >= 1 and abs(root.z - z) < TOL_FIXED_POINT and margins_ok:
             converged = True
             z = root.z
             result = root
@@ -525,30 +485,17 @@ def build_eigenvectors(flow: Flow, z_inf: complex) -> EigenvectorResult:
 
 @dataclass
 class ProjectionResult:
-    projection: np.ndarray
     idempotency: float
     rank: int
     eigen_residual: float
 
 
-def build_eigenprojection(psis, mode: str, psis_conj=None, jmatrix=None,
-                          h_full=None, z=None) -> ProjectionResult:
-    """Rank-d spectral projection from eigenvectors.
-
-    mode "reflection": pairing <psi_a(sbar), psi_b(s)>; needs psis_conj, the
-    eigenvectors at the conjugate parameter.  mode "conjugation": pairing
-    <J psi_a, psi_b> for the antiunitary J given by jmatrix (x) conj."""
+def build_eigenprojection(psis, duals, h_full: np.ndarray, z: complex) -> ProjectionResult:
+    """Rank-d spectral projection sum_ab (M^-1)_ab |psi_a><dual_b| from
+    eigenvectors psis and their duals, with M_ab = <dual_a, psi_b>: the
+    eigenvectors at the conjugate parameter for the reflection pairing,
+    J psi_a for the conjugation pairing with the antiunitary J."""
     k = len(psis)
-    if mode == "reflection":
-        if psis_conj is None:
-            raise ValueError("reflection pairing needs conjugate-point vectors")
-        duals = psis_conj
-    elif mode == "conjugation":
-        if jmatrix is None:
-            raise ValueError("conjugation pairing needs the antiunitary matrix")
-        duals = [jmatrix @ np.conj(p) for p in psis]
-    else:
-        raise ValueError(f"unknown pairing mode '{mode}'")
     m = np.array([[np.vdot(duals[a], psis[b]) for b in range(k)]
                   for a in range(k)])
     sv = np.linalg.svd(m, compute_uv=False)
@@ -563,7 +510,5 @@ def build_eigenprojection(psis, mode: str, psis_conj=None, jmatrix=None,
             p += minv[a, b] * np.outer(psis[a], np.conj(duals[b]))
     idem = float(np.linalg.norm(p @ p - p) / max(1.0, np.linalg.norm(p)))
     rank = int(round(float(np.real(np.trace(p)))))
-    resid = 0.0
-    if h_full is not None and z is not None:
-        resid = float(np.linalg.norm(h_full @ p - z * p) / max(1.0, np.linalg.norm(p)))
-    return ProjectionResult(p, idem, rank, resid)
+    resid = float(np.linalg.norm(h_full @ p - z * p) / max(1.0, np.linalg.norm(p)))
+    return ProjectionResult(idem, rank, resid)

@@ -162,6 +162,7 @@ def transformation_function(p, s0: complex, s1: complex, n_steps: int) -> np.nda
     for which U(s1) P(s0) U(s1)^{-1} = P(s1).
 
     p is a callable returning the projection matrix at a complex parameter;
+    it is called once at each point s0 + j h/2, j = -4 .. 2 n_steps + 4.
     P' uses 4th-order central differences, the stepper is classic RK4, so the
     conjugation residual is O(h^4).  P(s0) must be a projection within a
     relative 1e-8; a singular U(s1) raises ArithmeticError.
@@ -177,26 +178,24 @@ def transformation_function(p, s0: complex, s1: complex, n_steps: int) -> np.nda
     if np.linalg.norm(p0 @ p0 - p0) > 1e-8 * max(1.0, np.linalg.norm(p0)):
         raise ValueError("input family is not a projection at the base point")
 
-    def q_at(s):
-        ps = np.asarray(p(s), dtype=complex)
-        dp = (-np.asarray(p(s + 2 * h), dtype=complex)
-              + 8 * np.asarray(p(s + h), dtype=complex)
-              - 8 * np.asarray(p(s - h), dtype=complex)
-              + np.asarray(p(s - 2 * h), dtype=complex)) / (12 * h)
-        return dp @ ps - ps @ dp
+    # P at s0 + j h/2 is ps[j + 4]; the path point s0 + k h is j = 2k
+    points = s0 + 0.5 * h * np.arange(-4, 2 * n_steps + 5)
+    ps = [p0 if j == 4 else np.asarray(p(s), dtype=complex) for j, s in enumerate(points)]
 
-    path = s0 + h * np.arange(n_steps + 1)
+    def q_at(j):
+        pj = ps[j + 4]
+        dp = (-ps[j + 8] + 8 * ps[j + 6] - 8 * ps[j + 2] + ps[j]) / (12 * h)
+        return dp @ pj - pj @ dp
+
+    qs = [q_at(j) for j in range(2 * n_steps + 1)]
     u = np.eye(dim, dtype=complex)
     for k in range(n_steps):
-        s = path[k]
-        q1 = q_at(s)
-        q2 = q_at(s + 0.5 * h)
-        q4 = q_at(s + h)
+        q1, q2, q4 = qs[2 * k], qs[2 * k + 1], qs[2 * k + 2]
         k1 = q1 @ u
         k2 = q2 @ (u + 0.5 * h * k1)
         k3 = q2 @ (u + 0.5 * h * k2)
         k4 = q4 @ (u + h * k3)
         u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     if abs(np.linalg.det(u)) == 0.0:
-        raise ArithmeticError(f"conjugating family became singular at s={path[-1]}")
+        raise ArithmeticError(f"conjugating family became singular at s={s1}")
     return u

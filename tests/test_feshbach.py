@@ -1,10 +1,7 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from specrg.cli import random_feshbach_pair
-from specrg.config import load_model
 from specrg.feshbach import (
     CutoffSpec,
     FeshbachPair,
@@ -14,7 +11,6 @@ from specrg.feshbach import (
     q_ops,
     verify_pair,
 )
-from specrg.rg import Flow, RGConfig, rg_step, run_ladder
 
 
 RNG = np.random.default_rng(0)
@@ -65,6 +61,16 @@ class TestFeshbachPair:
                 - left @ np.linalg.solve(h_bar[np.ix_(on, on)], right))
         assert np.max(np.abs(f - want)) <= 1e-12
 
+    def test_a_singular_t_raises_with_the_pair_report(self):
+        h, t, c, cb = diagonal_pair()
+        t = t.copy()
+        t[-1, -1] = 0.0   # chibar is nonzero on the last coordinate
+        pair = FeshbachPair(h, t, c, cb)
+        with pytest.raises(FeshbachPairError) as exc:
+            pair.require_margins()
+        assert exc.value.report == verify_pair(pair)
+        assert exc.value.report.t_margin == 0.0
+
     def test_one_factorization_per_pair(self, monkeypatch):
         h, t, c, cb = diagonal_pair()
         full = []
@@ -81,18 +87,3 @@ class TestFeshbachPair:
         feshbach_map(pair)
         q_ops(pair)
         assert full == []
-
-
-class TestRGStep:
-    def test_strict_polydisc_gate_reports_the_step_pair(self):
-        spec = load_model("m_kramers")
-        cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu)
-        flow = Flow(spec, spec.s0, cfg)
-        level = run_ladder(flow, spec.e_at(spec.s0), 0).levels[0]
-        assert level.h.basis.grid.levels > 0
-        normal = verify_pair(rg_step(level, flow.depth(0), cfg)[1])
-        outside = replace(level)   # a fresh level: its lazy fields start unread
-        outside.polydisc = replace(level.polydisc, member=False)
-        with pytest.raises(FeshbachPairError, match="polydisc gate failed") as exc:
-            rg_step(outside, flow.depth(0), replace(cfg, polydisc_strict=True))
-        assert exc.value.report == normal

@@ -18,7 +18,6 @@ from specrg.rg import (
     RGConfig,
     _winding_count,
     build_eigenvectors,
-    find_zn,
     iterate_to_fixed_point,
     run_ladder,
 )
@@ -59,32 +58,20 @@ def count_calls(monkeypatch, module, name):
 
 
 class TestLadder:
-    def test_levels_keep_their_own_extraction(self):
-        spec = load_model("m_kramers")
-        cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu)
-        s = spec.s0
-        lad = run_ladder(Flow(spec, s, cfg), spec.e_at(s), spec.grid.levels + 1,
-                         check_windows=False)
-        assert len(lad.levels) == spec.grid.levels + 2
-        for level in lad.levels:
-            fresh = extract_w00(level.h)
-            assert np.array_equal(level.extraction.kernel.values, fresh.kernel.values)
-            assert np.array_equal(level.extraction.kernel.derivs, fresh.kernel.derivs)
-            assert level.polydisc == polydisc_check(fresh, cfg.gate_params())
-
-    def test_lazy_diagnostics_equal_eager_calls(self, tmp_path):
+    def test_trace_diagnostics_equal_eager_calls(self, tmp_path):
         spec = load_model(cut_fixture(tmp_path, "m_kramers"))
         cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu)
-        flow = Flow(spec, spec.s0, cfg)
-        n = 2
-        top = find_zn(flow, n, spec.e_at(spec.s0)).ladder.top
-        assert top.n == n and top.pair is not None
-        assert top.polydisc == polydisc_check(extract_w00(top.h), cfg.gate_params())
-        assert top.schur_deviation == schur_scalar(top.h.mat, spec.d, top.h.basis.size)[1]
-        gens = flow.depth(n).generators
+        res = iterate_to_fixed_point(spec, spec.s0, cfg)
+        top, rec = res.final_ladder.top, res.trace.records[-1]
+        assert top.n == rec.n == res.n_levels >= 1 and top.pair is not None
+        chk = polydisc_check(extract_w00(top.h))
+        assert (rec.beta_hat, rec.gamma_hat) == (chk.beta_hat, chk.gamma_hat)
+        assert rec.schur_deviation == schur_scalar(top.h.mat, spec.d, top.h.basis.size)[1]
+        gens = res.flow.depth(rec.n).generators
         assert len(gens) == 1
-        assert top.symmetry_residual == is_symmetry_of(gens[0], top.h.mat)[1]
-        assert top.pair_report == verify_pair(top.pair)
+        assert rec.symmetry_residual == is_symmetry_of(gens[0], top.h.mat)[1]
+        report = verify_pair(top.pair)
+        assert (rec.t_margin, rec.contraction_left) == (report.t_margin, report.contraction_left)
 
     @pytest.mark.parametrize("name", ["m_triv", "m_kramers"])
     def test_diagnostics_run_once_per_depth(self, tmp_path, monkeypatch, name):
@@ -105,7 +92,6 @@ class TestLadder:
         cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu)
         lad = run_ladder(Flow(spec, spec.s0, cfg), spec.e_at(spec.s0), 2)
         assert [level.pair is None for level in lad.levels] == [True, True, False]
-        assert "extraction" not in vars(lad.top) and "polydisc" not in vars(lad.top)
 
 
 class TestFlow:
@@ -270,9 +256,13 @@ class TestExitCodes:
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
 
-    @pytest.mark.parametrize("key, value", [("rho", 0.3), ("mu", 0.9)])
+    @pytest.mark.parametrize("key, value", [
+        ("rho", 0.3), ("mu", 0.9), ("c_chi", 1.0), ("n_iter_max", 24), ("tol_z", 1e-12),
+        ("tol_fixed_point", 1e-9), ("window_factor", 0.125), ("schur_tol", 1e-9),
+        ("polydisc_strict", False), ("secant_max_iter", 50)])
     def test_model_owned_rg_key_exits_1(self, tmp_path, capsys, key, value):
-        # rho is the grid ratio and mu the infrared exponent of the model
+        # rho is the grid ratio and mu the infrared exponent of the model; the
+        # other keys name constants of the flow, which a run config cannot set
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"schema_version": 1, "model": "m_triv",
                                       "rg": {key: value}}))
@@ -281,17 +271,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, entries", [
         ("run", {"rg": {"window_factor": 0.3}}),
-        ("verify", {"rg": {"tol_z": "abc"}}),
-        ("run", {"rg": {"tol_z": "abc"}}),
+        ("verify", {"probe": {"cr_step": "abc"}}),
+        ("run", {"probe": {"cr_step": "abc"}}),
         ("run", {"rg": {"check_winding": 1}}),
-        ("run", {"rg": {"n_iter_max": 2.5}}),
+        ("run", {"seed": 1.7}),
         ("run", {"rg": []}),
         ("run", {"probe": {"contour_nodes": 16.0}}),
         ("run", {"seed": "abc"}),
         ("run", {"jobs": None}),
+        ("run", {"jobs": "2"}),
         ("run", {"sweep": 0.1}),
-    ], ids=["window_factor", "tol_z-verify", "tol_z-run", "int-for-bool", "float-for-int",
-            "rg-not-an-object", "float-for-probe-int", "seed", "jobs", "sweep"])
+    ], ids=["window_factor", "cr_step-verify", "cr_step-run", "int-for-bool", "float-for-int",
+            "rg-not-an-object", "float-for-probe-int", "seed", "jobs", "string-for-jobs",
+            "sweep"])
     def test_bad_run_config_value_exits_1(self, tmp_path, capsys, command, entries):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"schema_version": 1, "model": "m_triv", **entries}))
@@ -301,7 +293,7 @@ class TestExitCodes:
     def test_int_is_accepted_for_a_float(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"schema_version": 1, "model": "m_triv",
-                                      "rg": {"tol_z": 0}, "probe": {"cr_step": 1}}))
+                                      "probe": {"cr_step": 1}}))
         assert main(["verify", "--config", str(config)]) == 0
 
     @pytest.mark.parametrize("command", ["verify", "run"])

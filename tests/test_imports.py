@@ -1,6 +1,7 @@
 """Every top-level import of a specrg module is used in that module, every
 definition in specrg is referred to by the code of the program outside its own
-definition, and every defaulted parameter in specrg is passed by some call."""
+definition, every annotated class field in specrg is read by the program, and
+every defaulted parameter in specrg is passed by some call."""
 
 import ast
 import math
@@ -121,6 +122,38 @@ def test_every_definition_is_named_by_the_program():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in PROGRAM}
     defining = [str(p.relative_to(ROOT)) for p in sorted(SRC.glob("*.py"))]
     assert unnamed_definitions(sources, defining) == []
+
+
+def unread_fields(sources: dict, defining: list) -> list[str]:
+    """``Class.field`` for every annotated field in the body of a class
+    defined in the files named by ``defining`` that no code in ``sources``
+    reads as an attribute.  Writing it, passing it by keyword or naming it
+    in a docstring is not reading it."""
+    read = {node.attr for text in sources.values() for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    dead = []
+    for name in defining:
+        for cls in ast.walk(ast.parse(sources[name])):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            dead += [f"{cls.name}.{node.target.id}" for node in cls.body
+                     if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                     and node.target.id not in read]
+    return sorted(dead)
+
+
+def test_detects_an_unread_field():
+    sources = {"a.py": "class C:\n    \"\"\"Unlike dead.\"\"\"\n\n"
+                       "    kept: int\n    dead: int = 0\n    written: int = 1\n\n"
+                       "c = C(2, dead=3)\nc.written = 4\n",
+               "b.py": "from a import c\nprint(c.kept)\n"}
+    assert unread_fields(sources, ["a.py"]) == ["C.dead", "C.written"]
+
+
+def test_every_field_is_read_by_the_program():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PROGRAM}
+    defining = [str(p.relative_to(ROOT)) for p in sorted(SRC.glob("*.py"))]
+    assert unread_fields(sources, defining) == []
 
 
 def passed_arguments(sources: dict) -> dict:

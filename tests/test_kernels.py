@@ -12,7 +12,6 @@ from specrg.fock import (
     field_energy,
 )
 from specrg.kernels import (
-    PolydiscParams,
     extract_w00,
     hermite,
     pchip_slopes,
@@ -196,30 +195,27 @@ class TestPolydisc:
     def test_field_energy_in_every_disc(self):
         b = make_basis()
         h = h_of_w00(linear_w00(np.zeros((2, 2)), np.eye(2)), b)
-        chk = polydisc_check(extract_w00(h), PolydiscParams(0.0, 0.0, 0.0))
-        assert chk.member
+        chk = polydisc_check(extract_w00(h))
         assert chk.alpha_hat == 0.0 and chk.beta_hat < 1e-12 and chk.gamma_hat < 1e-12
 
     def test_measures_shift_and_slope(self):
         b = make_basis(d=1)
         w00 = linear_w00(np.array([[0.2]]), np.array([[1.3]]))
         h = h_of_w00(w00, b)
-        chk = polydisc_check(extract_w00(h), PolydiscParams(0.25, 0.35, 0.1))
+        chk = polydisc_check(extract_w00(h))
         assert chk.alpha_hat == pytest.approx(0.2, abs=1e-10)
         assert chk.beta_hat == pytest.approx(0.3, abs=1e-8)
-        assert chk.member
 
     def test_interaction_shows_in_gamma(self):
         b = make_basis(d=1)
         w00 = linear_w00(np.array([[0.0]]), np.array([[1.0]]))
         h10 = creation_op(b, shell_coeffs(b, lambda w: 0.1 * w))
         h = OperatorMatrix(h_of_w00(w00, b).mat + h10.mat, b)
-        chk = polydisc_check(extract_w00(h), PolydiscParams(0.1, 0.1, 1e-6))
+        chk = polydisc_check(extract_w00(h))
         assert chk.gamma_hat > 1e-3
-        assert not chk.member
 
     def test_recursion_constants(self):
-        p = RGConfig(rho=0.5, mu=0.5, c_chi=1.0)
+        p = RGConfig(rho=0.5, mu=0.5)   # C_chi = 1
         assert p.c_beta == 1.5
         assert p.c_gamma == 128.0
         assert p.xi == pytest.approx(np.sqrt(0.5) / 4.0)

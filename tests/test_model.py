@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from specrg import model
 from specrg.config import ConfigError, load_model, parse_model_config
 from specrg.fock import FOUR_PI, ModeGrid, build_fock_basis
 from specrg.model import (
@@ -292,6 +293,20 @@ class TestVaryingProjection:
         p0, ps = spec.p_at(spec.s0), spec.p_at(s)
         resid = np.linalg.norm(u @ p0 @ np.linalg.inv(u) - ps)
         assert resid < 1e-8
+
+    def test_frame_projects_each_half_step_point_once(self, monkeypatch):
+        # 200 steps of h = s/200: P at s0 + j h/2 for j = -4 .. 404
+        spec = varying_projection_spec()
+        projection = model.spectral_projection
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return projection(*args, **kwargs)
+
+        monkeypatch.setattr(model, "spectral_projection", counted)
+        hyp5_frame(spec, 0.1)
+        assert len(calls) == 409
 
     def test_p_at_memo_is_read_only_and_per_spec(self):
         spec = varying_projection_spec()

@@ -17,7 +17,7 @@ once per (model, s); ``FirstDecimation.pair(z)`` is the only work left per z.
 The frame is unitary when P_at(s0) is an orthogonal projection; for an
 oblique one the first pair's margins are measured in that frame.
 ``first_feshbach`` maps the pair to the reduced space, and ``neumann_check``
-cross-checks it.
+cross-checks it with the contraction norm that ``verify_pair`` measured.
 """
 
 from __future__ import annotations
@@ -310,17 +310,17 @@ NEUMANN_MAX_TERMS = 30
 NEUMANN_TOL = 1e-13       # stop when a term falls below this, relative to ||F||
 
 
-def neumann_check(pair: FeshbachPair) -> NeumannCheck:
+def neumann_check(pair: FeshbachPair, contraction: float) -> NeumannCheck:
     """Cross-check the Feshbach map of a pair against the truncated Neumann
     expansion of the same Schur complement, with an a-posteriori tail bound
-    from the measured contraction norm."""
+    from the contraction norm ||(T|_Ran chibar)^-1 chibar W chibar||, the
+    ``contraction_left`` that ``verify_pair`` measured."""
     f_direct = feshbach_map(pair)
 
     # F = T + chi W chi - sum_{L>=1} (-1)^(L-1) chi W chibar (R0 chibar W chibar)^(L-1) R0 chibar W chi
     # with R0 the restricted inverse of T on Ran chibar and W = g W(s); the
     # factors between chi W chibar and chibar W chi act on Ran chibar.
     r0 = pair.inverse_t
-    contraction = float(np.linalg.norm(r0 @ pair.w_bar, 2))
     scale = max(1.0, float(np.linalg.norm(f_direct)))
     series = np.zeros_like(f_direct)
     cur = r0 @ pair.right

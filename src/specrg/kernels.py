@@ -6,8 +6,8 @@ diagonal blocks of an operator; between them w_{0,0} is the monotone cubic
 unperturbed part of the next Feshbach pair, evaluated directly at the
 basis' H_f values; the 65-point ``KernelC1`` on r in [0, 1] is built only
 for beta_hat and ``kernel.txt``.  ``polydisc_check`` measures the operator's
-polydisc radii (alpha, beta, gamma) for the trace; only w_{0,0} is
-extracted, so the interaction size is the operator norm of H - w_{0,0}(H_f).
+polydisc radii beta and gamma for the trace; only w_{0,0} is extracted, so
+the interaction size is the operator norm of H - w_{0,0}(H_f).
 """
 
 from __future__ import annotations
@@ -158,25 +158,23 @@ class PolydiscCheck:
     """Measured polydisc radii.  gamma_hat is the operator-norm surrogate
     ||H - w00(H_f)||, a lower bound for the kernel norm."""
 
-    alpha_hat: float
     beta_hat: float
     gamma_hat: float
 
 
 def polydisc_check(ext: ExtractionResult) -> PolydiscCheck:
-    """Measure the polydisc radii (alpha_hat, beta_hat, gamma_hat) of the
-    extracted operator H.
+    """Measure the polydisc radii (beta_hat, gamma_hat) of the extracted
+    operator H.
 
-    alpha_hat = ||w00(0)||, beta_hat = sup ||w00' - 1||, and gamma_hat is the
-    operator-norm surrogate for the interaction size (see ``PolydiscCheck``).
+    beta_hat = sup ||w00' - 1||, and gamma_hat is the operator-norm surrogate
+    for the interaction size (see ``PolydiscCheck``).
     """
     h = ext.source
     d = h.basis.d_at
-    alpha_hat = float(np.linalg.norm(ext.node_values[0], 2))
     if ext.nodes.size > 1:
         dev = ext.kernel.derivs - np.eye(d)[None]
         beta_hat = float(np.max(_opnorms(dev)))
     else:
         beta_hat = 1.0  # vacuum-only space: w00' has no content, slope 0
     gamma_hat = float(np.linalg.norm(h.mat - ext.hf_matrix(), 2))
-    return PolydiscCheck(alpha_hat, beta_hat, gamma_hat)
+    return PolydiscCheck(beta_hat, gamma_hat)

@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from specrg import fock, kernels, model, symmetry
+from specrg import fock, kernels, model, oracle, symmetry
 from specrg.cli import main
 from specrg.config import load_model
 from specrg.feshbach import verify_pair
@@ -233,6 +233,13 @@ class TestCli:
                          "--out", str(out), "--jobs", jobs]) == 0
             texts.append((out / "probe.kv").read_bytes())
         assert texts[0] == texts[1]
+
+    def test_sweep_diagonalizes_each_coupling_once(self, tmp_path, capsys, monkeypatch):
+        spectra = count_calls(monkeypatch, oracle, "dense_spectrum")
+        assert main(["sweep-g", "--config", "m_triv", "--out", str(tmp_path)]) == 0
+        kv = read_kv(tmp_path / "sweep.kv")
+        assert kv["check.sweep_flow_matches_oracle"] == "pass"
+        assert len(spectra) == 4
 
     # z_inf at coupling factor 1.00 in perfbench/reference.json (fixtures-run)
     @pytest.mark.parametrize("name, z_ref", [("m_pauli", -0.025954561352956353),

@@ -1,10 +1,17 @@
-"""Every top-level import of a specrg module is used in that module, every
-definition in specrg is referred to by the code of the program outside its own
-definition, every annotated class field in specrg is read by the program, and
-every defaulted parameter in specrg is passed by some call."""
+"""Every top-level import of a specrg module is used in that module, specrg
+runs on numpy alone (no module imports scipy, ``import specrg.cli`` loads none
+of it, and the third-party packages imported are exactly the dependencies
+declared in pyproject.toml), every definition in specrg is referred to by the
+code of the program outside its own definition, every annotated class field in
+specrg is read by the program, and every defaulted parameter in specrg is
+passed by some call."""
 
 import ast
 import math
+import os
+import re
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -60,10 +67,46 @@ def test_detects_a_nested_import():
     assert imported_modules(src) == {"numpy", "scipy"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_only_the_oracle_imports_scipy(path):
-    # the flow runs on numpy alone; scipy serves the dense cross-checks
-    assert path.name == "oracle.py" or "scipy" not in imported_modules(path.read_text())
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    assert "scipy" not in imported_modules(path.read_text())
+
+
+def test_importing_the_cli_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, specrg.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level packages imported anywhere in the source that are neither in
+    the standard library nor relative to its package."""
+    return imported_modules(source) - set(sys.stdlib_module_names)
+
+
+def declared_dependencies(pyproject: str) -> set[str]:
+    """Package names of the ``[project] dependencies`` of a pyproject.toml."""
+    import tomllib
+
+    specs = tomllib.loads(pyproject)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9._-]+", spec).group() for spec in specs}
+
+
+def test_detects_third_party_imports():
+    src = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+           "from . import fock\nfrom .model import spec\n"
+           "def f():\n    from scipy.linalg import svd\n")
+    assert third_party_imports(src) == {"numpy", "scipy"}
+    toml = '[project]\nname = "a"\ndependencies = ["numpy>=1.24", "scipy"]\n'
+    assert declared_dependencies(toml) == {"numpy", "scipy"}
+
+
+def test_imports_are_the_declared_dependencies():
+    used = set().union(*(third_party_imports(p.read_text()) for p in SRC.glob("*.py")))
+    assert used == declared_dependencies((ROOT / "pyproject.toml").read_text())
 
 
 def references(source: str) -> list[tuple[str, int]]:

@@ -5,13 +5,13 @@ diagonalization cross-checks."""
 from .config import load_model
 from .fock import ModeGrid, FockBasis, OperatorMatrix, build_fock_basis
 from .model import ModelSpec, build_hamiltonian, verify_hypotheses
-from .rg import RGConfig, iterate_to_fixed_point, build_eigenvectors
+from .rg import iterate_to_fixed_point, build_eigenvectors
 from .oracle import dense_spectrum, compare
 
 __all__ = [
     "load_model", "ModeGrid", "FockBasis", "OperatorMatrix",
     "build_fock_basis", "ModelSpec", "build_hamiltonian",
-    "verify_hypotheses", "RGConfig", "iterate_to_fixed_point",
+    "verify_hypotheses", "iterate_to_fixed_point",
     "build_eigenvectors", "dense_spectrum", "compare",
 ]
 

@@ -1,15 +1,29 @@
 """Command-line pipeline: run, verify, probe-analyticity, sweep-g, suite.
 
-Reports come in two layers: a flat key=value summary for machines and a
-prose digest for humans; numerical tables are emitted as columnar text.
-Identical config and seed give byte-identical machine-readable reports
-(probe nodes may be evaluated concurrently, but results are merged in index
-order).
+    specrg COMMAND --config CONFIG [--out DIR] [--seed N] [--jobs N]
 
-Exit codes: 0 all checks pass, 1 configuration error, 2 acceptance failure,
-3 flow failure (the flow raised WindowError, WindowExitError,
-FeshbachPairError or ArithmeticError; the report is still written, with a
-failed check.flow and the exception in flow.error).
+CONFIG is a shipped fixture name, a model config file, or a run config:
+
+    {"schema_version": 1, "model": "<fixture name or model config file>",
+     "rg": {"check_winding": true}}
+
+``rg`` and its one key are optional, and any other key is refused.  The
+model fixes the flow's scale: rho is its grid ratio, which must lie in
+(0, 4/5), and mu its infrared exponent.  ``--seed`` (a non-negative integer,
+default 0) seeds the property suite; ``--jobs`` (default 1) is the number of
+threads that evaluate the analyticity probe's nodes.
+
+Reports come in two layers: a flat key=value summary for machines, printed
+and written to <stem>.kv, and a prose digest for humans in <stem>.txt;
+numerical tables are emitted as columnar text.  Identical config and seed
+give byte-identical machine-readable reports (probe nodes may be evaluated
+concurrently, but results are merged in index order).
+
+Exit codes: 0 all checks pass, 1 configuration error (a bad command line
+included; ``--help`` exits 0), 2 acceptance failure, 3 flow failure (the
+flow raised WindowError, WindowExitError, FeshbachPairError or
+ArithmeticError; the report is still written, with a failed check.flow and
+the exception in flow.error).
 """
 
 from __future__ import annotations
@@ -18,7 +32,6 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,62 +50,32 @@ from .feshbach import (
 from .model import InfraredError, ModelSpec, WindowError, verify_hypotheses
 from .oracle import compare, dense_spectrum, perturbation_scaling
 from .rg import (
+    C_CHI,
     SCHUR_TOL,
-    RGConfig,
     WindowExitError,
     build_eigenprojection,
     build_eigenvectors,
+    contraction_factor,
+    flow_scale,
     iterate_to_fixed_point,
+    window_threshold,
 )
 
 FLOW_ERRORS = (WindowError, WindowExitError, FeshbachPairError, ArithmeticError)
 
-# rho and mu come from the model (grid ratio and infrared exponent)
-_MODEL_OWNED = ("rho", "mu")
-
-
-@dataclass
-class ProbeSpec:
-    contour_radius: float = 0.05
-    contour_nodes: int = 16
-    cr_step: float = 1e-3
-    reflection_pairs: int = 2
-
-
-@dataclass
-class RunConfig:
-    model_source: str
-    rg: RGConfig = field(default_factory=RGConfig)
-    probe: ProbeSpec = field(default_factory=ProbeSpec)
-    sweep: tuple = (0.02, 0.04, 0.08, 0.16)
-    seed: int = 0
-    jobs: int = 1
-
-
-def _typed(v, want: type, where: str):
-    """v if it is of type want: bool, int or float (an int is accepted for a
-    float); otherwise a ConfigError."""
-    if type(v) is not want and not (want is float and type(v) is int):
-        raise cfgmod.ConfigError(f"{where} must be {want.__name__}, got {v!r}")
-    return v
-
-
-def _build(cls, doc: dict, where: str):
-    """cls(**doc) for a doc of fields of cls that the model does not own,
-    each value of its field's type."""
-    if not isinstance(doc, dict):
-        raise cfgmod.ConfigError(f"{where} must be an object, got {doc!r}")
-    cfgmod._require_keys(doc, [], [f.name for f in fields(cls) if f.name not in _MODEL_OWNED],
-                         where=where)
-    for f in fields(cls):
-        _typed(doc.get(f.name, f.default), type(f.default), f"{where}.{f.name}")
-    return cls(**doc)
+# analyticity probe around s0: contour radius and nodes, Cauchy-Riemann step,
+# and the number of Schwarz reflection pairs
+PROBE_RADIUS = 0.05
+PROBE_NODES = 16
+CR_STEP = 1e-3
+REFLECTION_PAIRS = 2
+SWEEP_COUPLINGS = (0.02, 0.04, 0.08, 0.16)   # weak-coupling sweep of sweep-g
 
 
 def load_run_config(path_or_name: str,
-                    validate: bool = True) -> tuple[RunConfig, ModelSpec]:
-    """Accept either a run-config JSON ({"model": ...}) or directly a model
-    config (fixture name or file)."""
+                    validate: bool = True) -> tuple[bool, ModelSpec]:
+    """(check_winding, model) from a run config ({"model": ...}) or directly
+    from a model config (fixture name or file)."""
     name = str(path_or_name)
     doc = None
     if name not in cfgmod.FIXTURES and Path(name).exists():
@@ -103,31 +86,26 @@ def load_run_config(path_or_name: str,
                 raise cfgmod.ConfigError(f"invalid JSON in {name}: {exc}") from None
         if not isinstance(doc, dict) or not doc:
             raise cfgmod.ConfigError(f"empty or malformed config {name}")
+    check_winding = True
     if doc is not None and "model" in doc:
-        cfgmod._require_keys(
-            doc, ["schema_version", "model"],
-            ["rg", "probe", "sweep", "seed", "jobs"], where="run config")
+        cfgmod._require_keys(doc, ["schema_version", "model"], ["rg"], where="run config")
         if doc["schema_version"] != cfgmod.SCHEMA_VERSION:
             raise cfgmod.ConfigError(
                 f"unsupported schema_version {doc['schema_version']}")
-        rg = _build(RGConfig, doc.get("rg", {}), "rg")
-        probe = _build(ProbeSpec, doc.get("probe", {}), "probe")
-        try:
-            sweep = tuple(float(g) for g in doc.get("sweep", RunConfig.sweep))
-        except (TypeError, ValueError) as exc:
-            raise cfgmod.ConfigError(f"run config: {exc}") from None
-        run = RunConfig(str(doc["model"]), rg, probe, sweep,
-                        _typed(doc.get("seed", 0), int, "seed"),
-                        _typed(doc.get("jobs", 1), int, "jobs"))
-        spec = cfgmod.load_model(run.model_source, validate=validate)
-    else:
-        spec = cfgmod.load_model(name, validate=validate)
-        run = RunConfig(name)
+        rg = doc.get("rg", {})
+        if not isinstance(rg, dict):
+            raise cfgmod.ConfigError(f"rg must be an object, got {rg!r}")
+        cfgmod._require_keys(rg, [], ["check_winding"], where="rg")
+        check_winding = rg.get("check_winding", True)
+        if type(check_winding) is not bool:
+            raise cfgmod.ConfigError(f"rg.check_winding must be bool, got {check_winding!r}")
+        name = str(doc["model"])
+    spec = cfgmod.load_model(name, validate=validate)
     try:
-        run.rg = replace(run.rg, rho=spec.grid.ratio, mu=spec.mu)
+        flow_scale(spec)
     except ValueError as exc:
         raise cfgmod.ConfigError(f"model {spec.name}: {exc}") from None
-    return run, spec
+    return check_winding, spec
 
 
 def _fmt(v) -> str:
@@ -237,28 +215,29 @@ def _first_decimation_checks(spec: ModelSpec, report: Report) -> None:
                  f"direct vs Neumann discrepancy {neumann.discrepancy:.3e}")
 
 
-def run_pipeline(run: RunConfig, spec: ModelSpec, report: Report,
-                 out_dir: str | None = None) -> None:
+def run_pipeline(spec: ModelSpec, report: Report, check_winding: bool, seed: int,
+                 out_dir: str | None) -> None:
     """verify -> first decimation sanity -> flow to the fixed point ->
     eigenvectors -> oracle comparison -> eigenprojection."""
-    cfg = run.rg
     s = spec.s0
+    rho = spec.grid.ratio
+    factor = contraction_factor(spec)
     report.put("model", spec.name)
-    report.put("seed", run.seed)
-    report.put("rho", cfg.rho)
+    report.put("seed", seed)
+    report.put("rho", rho)
     report.put("mu", spec.mu)
-    report.put("xi", cfg.xi)
-    report.put("window_threshold", cfg.window_threshold)
+    report.put("xi", np.sqrt(rho) / (4.0 * C_CHI))
+    report.put("window_threshold", window_threshold(spec))
     report.put("channel_weight", spec.grid.channel_weight)
-    report.put("theory.c_gamma_rho_mu", cfg.c_gamma * cfg.rho**cfg.mu)
-    report.put("theory.contraction_admissible", cfg.contraction_admissible)
+    report.put("theory.c_gamma_rho_mu", factor)
+    report.put("theory.contraction_admissible", factor < 1.0)
 
     passed = _report_hypotheses(spec, report)
     report.say(f"hypotheses: {'all pass' if passed else 'FAILURES'}")
 
     _first_decimation_checks(spec, report)
 
-    res = iterate_to_fixed_point(spec, s, cfg)
+    res = iterate_to_fixed_point(spec, s, check_winding)
     report.put("z_inf", res.z_inf)
     report.put("n_levels", res.n_levels)
     report.put("tail_bound_theoretical", res.tail_bound)
@@ -330,34 +309,33 @@ def run_pipeline(run: RunConfig, spec: ModelSpec, report: Report,
                f"(oracle error {cmp_rep.eigenvalue_error:.2e})")
 
 
-def analyticity_probe(run: RunConfig, spec: ModelSpec, report: Report) -> None:
+def analyticity_probe(spec: ModelSpec, report: Report, jobs: int) -> None:
     """Contour integral, Cauchy-Riemann differences and Schwarz reflection
-    for s -> E_g(s); nodes are independent flow runs merged in index order."""
-    cfg = replace(run.rg, check_winding=False)
+    for s -> E_g(s); nodes are independent flow runs, evaluated by ``jobs``
+    threads and merged in index order."""
     s0 = spec.s0
-    pr = run.probe
-    if pr.contour_radius >= spec.region_radius:
+    if PROBE_RADIUS >= spec.region_radius:
         raise cfgmod.ConfigError("probe contour leaves the declared region")
 
     def e_of_s(s):
-        return iterate_to_fixed_point(spec, s, cfg).z_inf
+        return iterate_to_fixed_point(spec, s, False).z_inf
 
-    thetas = 2 * np.pi * np.arange(pr.contour_nodes) / pr.contour_nodes
-    nodes = [s0 + pr.contour_radius * np.exp(1j * t) for t in thetas]
-    h = pr.cr_step
+    thetas = 2 * np.pi * np.arange(PROBE_NODES) / PROBE_NODES
+    nodes = [s0 + PROBE_RADIUS * np.exp(1j * t) for t in thetas]
+    h = CR_STEP
     cr_nodes = [s0 + h, s0 - h, s0 + 1j * h, s0 - 1j * h]
-    refl = [s0 + pr.contour_radius * np.exp(1j * np.pi / (k + 3))
-            for k in range(pr.reflection_pairs)]
+    refl = [s0 + PROBE_RADIUS * np.exp(1j * np.pi / (k + 3))
+            for k in range(REFLECTION_PAIRS)]
     all_nodes = nodes + cr_nodes + refl + [np.conj(s) for s in refl]
-    with ThreadPoolExecutor(max_workers=max(1, run.jobs)) as ex:
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as ex:
         values = list(ex.map(e_of_s, all_nodes))
-    ev = values[: pr.contour_nodes]
-    e_xp, e_xm, e_yp, e_ym = values[pr.contour_nodes: pr.contour_nodes + 4]
-    refl_vals = values[pr.contour_nodes + 4:]
+    ev = values[:PROBE_NODES]
+    e_xp, e_xm, e_yp, e_ym = values[PROBE_NODES: PROBE_NODES + 4]
+    refl_vals = values[PROBE_NODES + 4:]
 
-    dz = 1j * pr.contour_radius * np.exp(1j * thetas) * (2 * np.pi / pr.contour_nodes)
+    dz = 1j * PROBE_RADIUS * np.exp(1j * thetas) * (2 * np.pi / PROBE_NODES)
     integral = complex(np.sum(np.array(ev) * dz))
-    scale = pr.contour_radius * max(abs(v) for v in ev)
+    scale = PROBE_RADIUS * max(abs(v) for v in ev)
     contour_resid = abs(integral) / max(scale, 1e-300)
     report.put("probe.contour_integral_abs", abs(integral))
     report.put("probe.contour_residual", contour_resid)
@@ -378,13 +356,13 @@ def analyticity_probe(run: RunConfig, spec: ModelSpec, report: Report) -> None:
         report.put("probe.reflection_residual", worst)
         report.check("schwarz_reflection", worst < 1e-8,
                      f"max |conj(E(s)) - E(sbar)| = {worst:.3e}")
-    report.say(f"probe at r_c = {pr.contour_radius}: contour {contour_resid:.2e}, "
+    report.say(f"probe at r_c = {PROBE_RADIUS}: contour {contour_resid:.2e}, "
                f"CR {cr_resid:.2e}")
 
 
-def sweep_g(run: RunConfig, spec: ModelSpec, report: Report) -> None:
+def sweep_g(spec: ModelSpec, report: Report) -> None:
     """Weak-coupling sweep: oracle scaling fit plus flow cross-check."""
-    scaling = perturbation_scaling(spec, spec.s0, run.sweep)
+    scaling = perturbation_scaling(spec, spec.s0, SWEEP_COUPLINGS)
     report.put("sweep.exponent", scaling.exponent)
     for i, g in enumerate(scaling.g_values):
         report.put(f"sweep.g{i}", float(g))
@@ -394,10 +372,9 @@ def sweep_g(run: RunConfig, spec: ModelSpec, report: Report) -> None:
                  if spec.d == spec.d_at else scaling.exponent >= 1.9,
                  f"fitted exponent {scaling.exponent:.4f}")
     report.check("sweep_distances_decreasing", scaling.distances_decreasing)
-    cfg = replace(run.rg, check_winding=False)
     worst = 0.0
     for g, eigenvalues in zip(scaling.g_values, scaling.spectra):
-        res = iterate_to_fixed_point(spec, spec.s0, cfg, g=float(g))
+        res = iterate_to_fixed_point(spec, spec.s0, False, g=float(g))
         worst = max(worst, float(np.min(np.abs(eigenvalues - res.z_inf))))
     report.put("sweep.max_flow_oracle_error", worst)
     report.check("sweep_flow_matches_oracle", worst < 1e-7)
@@ -419,10 +396,10 @@ def random_feshbach_pair(rng):
     return t + frame.conj().T @ w @ frame, t, cut.chi(hfvals), cut.chibar(hfvals)
 
 
-def property_suite(run: RunConfig, spec: ModelSpec, report: Report) -> None:
-    """Cross-module invariant battery with the configured seed; failures are
+def property_suite(spec: ModelSpec, report: Report, seed: int) -> None:
+    """Cross-module invariant battery with the given seed; failures are
     data (reported, never raised)."""
-    rng = np.random.default_rng(run.seed)
+    rng = np.random.default_rng(seed)
     basis = fock.build_fock_basis(spec.grid, spec.n_max, spec.e_cut, spec.d_at)
     J = spec.grid.levels
 
@@ -443,7 +420,7 @@ def property_suite(run: RunConfig, spec: ModelSpec, report: Report) -> None:
              for j in range(J))
     report.check("fock_pull_through", pt <= 1e-12, f"max residual {pt:.2e}")
     report.check("fock_relative_bounds",
-                 fock.relative_bound_check(basis, G, n_samples=100, seed=run.seed))
+                 fock.relative_bound_check(basis, G, n_samples=100, seed=seed))
 
     worst = 0.0
     for _ in range(100):
@@ -490,8 +467,23 @@ def property_suite(run: RunConfig, spec: ModelSpec, report: Report) -> None:
     report.say("suite complete")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is a configuration error: it exits 1, since
+    argparse's own code 2 is the acceptance-failure code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: configuration error: {message}\n")
+
+
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return int(text)
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="specrg",
         description="spectral renormalization pipeline for generalized "
                     "spin-boson models on truncated Fock spaces")
@@ -505,36 +497,32 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True,
                        help="model config path, fixture name, or run config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", choices=("kv", "digest"), default="kv")
-        p.add_argument("--jobs", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args(argv)
 
     try:
         # the property suite treats broken symmetry declarations as data
-        run, spec = load_run_config(args.config, validate=args.command != "suite")
+        check_winding, spec = load_run_config(args.config,
+                                              validate=args.command != "suite")
     except (cfgmod.ConfigError, InfraredError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        run.seed = args.seed
-    if args.jobs is not None:
-        run.jobs = args.jobs
     report = Report()
     stem = {"run": "run", "verify": "verify", "probe-analyticity": "probe",
             "sweep-g": "sweep", "suite": "suite"}[args.command]
     flow_failed = False
     try:
         if args.command == "run":
-            run_pipeline(run, spec, report, args.out)
+            run_pipeline(spec, report, check_winding, args.seed, args.out)
         elif args.command == "verify":
             _report_hypotheses(spec, report)
         elif args.command == "probe-analyticity":
-            analyticity_probe(run, spec, report)
+            analyticity_probe(spec, report, args.jobs)
         elif args.command == "sweep-g":
-            sweep_g(run, spec, report)
+            sweep_g(spec, report)
         elif args.command == "suite":
-            property_suite(run, spec, report)
+            property_suite(spec, report, args.seed)
     except InfraredError as exc:
         print(f"configuration error: infrared failure: {exc}", file=sys.stderr)
         return 1
@@ -553,8 +541,7 @@ def main(argv=None) -> int:
     report.put("all_passed", report.all_passed)
     _write(args.out, f"{stem}.kv", report.kv_text())
     _write(args.out, f"{stem}.txt", report.digest_text())
-    sys.stdout.write(report.kv_text() if args.format == "kv"
-                     else report.digest_text())
+    sys.stdout.write(report.kv_text())
     if flow_failed:
         return 3
     return 0 if report.all_passed else 2

@@ -10,7 +10,7 @@ kernel-preserving at the matrix level).
 
 Only H - z changes from one evaluation of E^(n)(z) to the next.  A ``Flow``
 holds what does not: the first decimation, once per (model, s), and per depth
-the basis, generators, cutoffs and dilation, once per (model, rho).
+the basis, generators, cutoffs and dilation, once per model.
 ``run_ladder(flow, z, n)`` computes on every level its operator and
 E^(n)(z) = tr<H>_Omega / d; each step below the top extracts its own
 T = w_{0,0}(H_f), checks the pair's margins and the window.  The diagnostics
@@ -18,8 +18,11 @@ of a depth (polydisc radii, Schur deviation, symmetry residual, contraction
 norms of the pair into the top) are computed once per depth by
 ``iterate_to_fixed_point``, on the top of the ladder ``find_zn`` returns.
 
-The map is iterated with the fixed constants below; only rho and mu come
-from the model.
+The map is iterated with the fixed constants below.  The model fixes the
+scale: rho is its mode-grid ratio, which makes the dilation an exact shell
+shift, and mu is its infrared exponent, which enters only the construction's
+contraction factor C_gamma rho^mu.  Whether each root's uniqueness is checked
+by the winding of E^(n) is the flow's one option.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ from .model import ModelSpec
 from .symmetry import is_symmetry_of, schur_scalar, vacuum_scalar
 
 C_CHI = 1.0              # cutoff constant, sets xi, C_beta and C_gamma
+C_BETA = 1.5 * C_CHI
+C_GAMMA = 128.0 * C_CHI**2
 N_ITER_MAX = 24          # deepest flow depth
 TOL_Z = 1e-12            # secant target for |E^(n)(z_n)|
 TOL_FIXED_POINT = 1e-9   # stop when |z_n - z_{n-1}| is below
@@ -51,38 +56,23 @@ SCHUR_TOL = 1e-9         # relative Schur deviation accepted as scalar
 SECANT_MAX_ITER = 50     # evaluations of E^(n) per secant root
 
 
-@dataclass
-class RGConfig:
-    """Scale of the flow, set from the model, and whether each root's
-    uniqueness is checked by the winding of E^(n)."""
+def flow_scale(spec: ModelSpec) -> float:
+    """rho of the flow: the model's grid ratio, which must lie in (0, 4/5)."""
+    rho = spec.grid.ratio
+    if not 0.0 < rho < 0.8:
+        raise ValueError(f"rho must lie in (0, 4/5), got {rho}")
+    return rho
 
-    rho: float = 0.5
-    mu: float = 0.5
-    check_winding: bool = True
 
-    def __post_init__(self):
-        if not (0.0 < self.rho < 0.8):
-            raise ValueError(f"rho must lie in (0, 4/5), got {self.rho}")
+def window_threshold(spec: ModelSpec) -> float:
+    """The bound |E^(n)(z)| must keep at every depth: WINDOW_FACTOR rho."""
+    return WINDOW_FACTOR * flow_scale(spec)
 
-    @property
-    def xi(self) -> float:
-        return float(np.sqrt(self.rho) / (4.0 * C_CHI))
 
-    @property
-    def window_threshold(self) -> float:
-        return self.rho * WINDOW_FACTOR
-
-    @property
-    def c_beta(self) -> float:
-        return 1.5 * C_CHI
-
-    @property
-    def c_gamma(self) -> float:
-        return 128.0 * C_CHI**2
-
-    @property
-    def contraction_admissible(self) -> bool:
-        return self.c_gamma * self.rho**self.mu < 1.0
+def contraction_factor(spec: ModelSpec) -> float:
+    """The construction's contraction factor C_gamma rho^mu; the flow is
+    admissible in the paper's sense when it is below 1."""
+    return C_GAMMA * spec.grid.ratio**spec.mu
 
 
 class WindowExitError(ValueError):
@@ -103,7 +93,7 @@ class Depth:
     generators restricted to it, the diagonals of the cutoffs chi_rho(H_f) and
     chibar_rho(H_f), and the dilation to the next depth (None on the
     vacuum-only terminal space, where a step is division by rho).  It
-    depends on (model, rho), not on s."""
+    depends on the model, not on s."""
 
     basis: FockBasis
     generators: list
@@ -117,16 +107,18 @@ class Flow:
     the first decimation's operators and cutoffs, and one ``Depth`` per
     flow depth.  A ladder is then only the work that depends on z."""
 
-    def __init__(self, spec: ModelSpec, s: complex, cfg: RGConfig,
+    def __init__(self, spec: ModelSpec, s: complex, check_winding: bool,
                  g: float | None = None):
         self.spec = spec
-        self.cfg = cfg
+        self.rho = flow_scale(spec)
+        self.window_threshold = window_threshold(spec)
+        self.check_winding = check_winding
         self.first = FirstDecimation(spec, s, g)
 
     def depth(self, n: int) -> Depth:
-        """Data of depth n, kept in ``spec.built`` for every flow of the same
-        rho; every depth past the vacuum-only terminal space is that space."""
-        key = ("depth", self.cfg.rho, n)
+        """Data of depth n, kept in ``spec.built`` for every flow of the
+        model; every depth past the vacuum-only terminal space is that space."""
+        key = ("depth", n)
         if key not in self.spec.built:
             prev = self.depth(n - 1) if n > 0 else None
             if prev is None:
@@ -137,7 +129,7 @@ class Flow:
         return self.spec.built[key]
 
     def _build(self, basis: FockBasis) -> Depth:
-        spec, rho = self.spec, self.cfg.rho
+        spec, rho = self.spec, self.rho
         gens = spec.reduced_generators(basis) if spec.generators else []
         if basis.grid.levels == 0:
             return Depth(basis, gens, None, None, None)
@@ -192,7 +184,6 @@ def run_ladder(flow: Flow, z: complex, n_levels: int,
     Windows gate the descent: going from depth k to k+1 requires
     |E^(k)(z)| <= threshold; violation raises WindowExitError(k).
     """
-    cfg = flow.cfg
     h, pair = first_feshbach(flow.first, z)
     qs = [q_ops(pair)[0]] if collect_q else None
     del pair   # the full-space pair is not needed by the steps
@@ -204,9 +195,9 @@ def run_ladder(flow: Flow, z: complex, n_levels: int,
     levels = [make_level(0, h, None)]
     for n in range(1, n_levels + 1):
         prev = levels[-1]
-        if check_windows and abs(prev.e_value) > cfg.window_threshold:
-            raise WindowExitError(prev.n, prev.e_value, cfg.window_threshold)
-        h, pair = rg_step(prev.h, flow.depth(n - 1), cfg.rho)
+        if check_windows and abs(prev.e_value) > flow.window_threshold:
+            raise WindowExitError(prev.n, prev.e_value, flow.window_threshold)
+        h, pair = rg_step(prev.h, flow.depth(n - 1), flow.rho)
         if collect_q:   # the terminal step's auxiliary operator is the identity
             qs.append(np.eye(h.basis.dim, dtype=complex) if pair is None
                       else q_ops(pair)[0])
@@ -229,7 +220,6 @@ def find_zn(flow: Flow, n: int, z_start: complex) -> RootResult:
     (dE/dz ~ -rho^-n) and window-violation backtracking; uniqueness is
     cross-checked by the image winding of E^(n) on a small circle."""
 
-    cfg = flow.cfg
     last = None   # ladder of the latest successful evaluation
 
     def e_val(z):
@@ -241,7 +231,7 @@ def find_zn(flow: Flow, n: int, z_start: complex) -> RootResult:
     e0 = e_val(z0)
     iters = 1
     if abs(e0) >= TOL_Z:
-        z1 = z0 + e0 * cfg.rho**n
+        z1 = z0 + e0 * flow.rho**n
         z_prev, e_prev = z0, e0
         z_cur = z1
         while True:
@@ -270,7 +260,7 @@ def find_zn(flow: Flow, n: int, z_start: complex) -> RootResult:
             z_cur = z_next
 
     winding = None
-    if cfg.check_winding:
+    if flow.check_winding:
         winding = _winding_count(flow, n, z0)
         if winding != 1:
             raise ArithmeticError(
@@ -282,7 +272,7 @@ def find_zn(flow: Flow, n: int, z_start: complex) -> RootResult:
 def _winding_count(flow: Flow, n: int, z_center: complex):
     """Winding of E^(n) around 0 along a small circle inside the window."""
     n_nodes = 16
-    radius = flow.cfg.rho ** (n + 1) / 16.0
+    radius = flow.rho ** (n + 1) / 16.0
     for _ in range(5):
         try:
             vals = []
@@ -371,18 +361,19 @@ class PipelineResult:
     flow: Flow   # z-independent data of the run, for its eigenvectors and oracle
 
 
-def iterate_to_fixed_point(spec: ModelSpec, s: complex, cfg: RGConfig,
+def iterate_to_fixed_point(spec: ModelSpec, s: complex, check_winding: bool,
                            g: float | None = None) -> PipelineResult:
     """Cascade the per-depth roots z_n until |z_n - z_{n-1}| < tolerance
     with healthy pair margins; z_inf is the last root."""
+    flow = Flow(spec, s, check_winding, g)
+    rho = flow.rho
     z = spec.e_at(s)
-    trace = RGTrace(window_threshold=cfg.window_threshold)
-    word = ("admissible" if cfg.contraction_admissible
+    trace = RGTrace(window_threshold=flow.window_threshold)
+    factor = contraction_factor(spec)
+    word = ("admissible" if factor < 1.0
             else "inadmissible; running on measured contraction")
     trace.theoretical_note = (
-        f"theoretical contraction C_gamma rho^mu = "
-        f"{cfg.c_gamma * cfg.rho ** cfg.mu:.4g} ({word})")
-    flow = Flow(spec, s, cfg, g)
+        f"theoretical contraction C_gamma rho^mu = {factor:.4g} ({word})")
     converged = False
     result = None
     prev_gamma = 0.0
@@ -395,7 +386,7 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, cfg: RGConfig,
         rec = TraceRecord(
             n=n, z=root.z, dz=abs(root.z - z) if n > 0 else 0.0,
             e_abs=root.e_abs,
-            alpha_hat=cfg.c_beta * prev_gamma**2 / cfg.rho,
+            alpha_hat=C_BETA * prev_gamma**2 / rho,
             beta_hat=polydisc.beta_hat,
             gamma_hat=ghat,
             schur_deviation=schur_scalar(top.h.mat, top.h.basis.d_at, top.h.basis.size)[1],
@@ -418,10 +409,10 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, cfg: RGConfig,
         result = root
     # conservative distance-to-limit bound rho^n exp(sum alpha_k / (2 rho eps^2))
     alphas = [r.alpha_hat for r in trace.records]
-    eps = 0.5 - cfg.rho / 2 - (alphas[1] if len(alphas) > 1 else 0.0)
+    eps = 0.5 - rho / 2 - (alphas[1] if len(alphas) > 1 else 0.0)
     if eps > 0:
-        tail = cfg.rho ** len(trace.records) * float(
-            np.exp(sum(alphas) / (2 * cfg.rho * eps**2)))
+        tail = rho ** len(trace.records) * float(
+            np.exp(sum(alphas) / (2 * rho * eps**2)))
     else:
         tail = np.inf
     return PipelineResult(z, trace, converged, len(trace.records) - 1,

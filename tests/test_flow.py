@@ -15,7 +15,6 @@ from specrg.kernels import extract_w00, polydisc_check
 from specrg.oracle import dense_spectrum
 from specrg.rg import (
     Flow,
-    RGConfig,
     _winding_count,
     build_eigenvectors,
     iterate_to_fixed_point,
@@ -60,8 +59,7 @@ def count_calls(monkeypatch, module, name):
 class TestLadder:
     def test_trace_diagnostics_equal_eager_calls(self, tmp_path):
         spec = load_model(cut_fixture(tmp_path, "m_kramers"))
-        cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu)
-        res = iterate_to_fixed_point(spec, spec.s0, cfg)
+        res = iterate_to_fixed_point(spec, spec.s0, True)
         top, rec = res.final_ladder.top, res.trace.records[-1]
         assert top.n == rec.n == res.n_levels >= 1 and top.pair is not None
         chk = polydisc_check(extract_w00(top.h))
@@ -78,7 +76,7 @@ class TestLadder:
         spec = load_model(cut_fixture(tmp_path, name))
         checks = count_calls(monkeypatch, kernels, "polydisc_check")
         residuals = count_calls(monkeypatch, symmetry, "is_symmetry_of")
-        res = iterate_to_fixed_point(spec, spec.s0, RGConfig(rho=spec.grid.ratio, mu=spec.mu))
+        res = iterate_to_fixed_point(spec, spec.s0, True)
         depths = res.n_levels + 1
         assert res.converged and all(r.winding == 1 for r in res.trace.records)
         assert len(checks) == depths
@@ -89,8 +87,7 @@ class TestLadder:
 
     def test_only_the_top_level_keeps_its_pair(self, tmp_path):
         spec = load_model(cut_fixture(tmp_path, "m_triv"))
-        cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu)
-        lad = run_ladder(Flow(spec, spec.s0, cfg), spec.e_at(spec.s0), 2)
+        lad = run_ladder(Flow(spec, spec.s0, True), spec.e_at(spec.s0), 2)
         assert [level.pair is None for level in lad.levels] == [True, True, False]
 
 
@@ -99,16 +96,15 @@ class TestFlow:
         spec = load_model(cut_fixture(tmp_path, "m_kramers"))
         hamiltonians = count_calls(monkeypatch, model, "build_hamiltonian")
         dilations = count_calls(monkeypatch, fock, "dilation")
-        res = iterate_to_fixed_point(spec, spec.s0, RGConfig(rho=spec.grid.ratio, mu=spec.mu))
+        res = iterate_to_fixed_point(spec, spec.s0, True)
         assert res.converged
         assert len(hamiltonians) == 1
         assert len(dilations) == spec.grid.levels
 
     def test_depths_are_shared_across_s(self, tmp_path, monkeypatch):
         spec = load_model(cut_fixture(tmp_path, "m_triv"))
-        cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu)
         dilations = count_calls(monkeypatch, fock, "dilation")
-        flows = [Flow(spec, spec.s0 + ds, cfg) for ds in (0.0, 0.01, 0.01j)]
+        flows = [Flow(spec, spec.s0 + ds, True) for ds in (0.0, 0.01, 0.01j)]
         for n in range(spec.grid.levels + 2):
             assert flows[1].depth(n) is flows[0].depth(n) is flows[2].depth(n)
         assert flows[0].depth(0).basis is flows[2].first.reduced_basis
@@ -116,12 +112,11 @@ class TestFlow:
         assert len(dilations) == spec.grid.levels
         copy = dataclasses.replace(spec)
         assert copy.built == {}
-        assert Flow(copy, copy.s0, cfg).depth(0) is not flows[0].depth(0)
+        assert Flow(copy, copy.s0, True).depth(0) is not flows[0].depth(0)
 
     def test_threads_share_one_record_per_depth(self, tmp_path):
         spec = load_model(cut_fixture(tmp_path, "m_triv"))
-        cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu)
-        flows = [Flow(spec, spec.s0 + 0.01 * k, cfg) for k in range(6)]
+        flows = [Flow(spec, spec.s0 + 0.01 * k, True) for k in range(6)]
         spec.built.clear()   # the flows above built bases; start the race from nothing
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -154,8 +149,7 @@ class TestFlow:
         vanishes at an eigenvalue of the truncated H_g(s0) and has slope
         about -rho^-J next to it."""
         spec = load_model(cut_fixture(tmp_path, name))
-        cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu, check_winding=False)
-        res = iterate_to_fixed_point(spec, spec.s0, cfg)
+        res = iterate_to_fixed_point(spec, spec.s0, False)
         eigs = dense_spectrum(res.flow.first.hamiltonian).eigenvalues
         z_o = eigs[np.argmin(np.abs(eigs - res.z_inf))]
         J = spec.grid.levels
@@ -164,7 +158,7 @@ class TestFlow:
             return abs(run_ladder(res.flow, z, J, check_windows=False).top.e_value)
 
         assert energy(z_o) <= 1e-12
-        assert energy(z_o + 1e-6) >= 0.5e-6 * cfg.rho ** -J
+        assert energy(z_o + 1e-6) >= 0.5e-6 * spec.grid.ratio ** -J
 
     def test_rotated_atomic_frame_gives_the_same_flow(self):
         """m_pauli with every atomic matrix conjugated by a real rotation R,
@@ -188,9 +182,8 @@ class TestFlow:
             jconj=None if spec.jconj is None else r @ spec.jconj @ r.T)
         p0 = rotated.p_at(rotated.s0)
         assert np.abs(p0 - np.diag(np.diag(p0))).max() > 0.3
-        cfg = RGConfig(rho=spec.grid.ratio, mu=spec.mu)
-        plain = iterate_to_fixed_point(spec, spec.s0, cfg)
-        res = iterate_to_fixed_point(rotated, rotated.s0, cfg)
+        plain = iterate_to_fixed_point(spec, spec.s0, True)
+        res = iterate_to_fixed_point(rotated, rotated.s0, True)
         assert plain.converged and res.converged
         assert abs(res.z_inf - plain.z_inf) <= 1e-12
         assert max(build_eigenvectors(res.flow, res.z_inf).residuals) <= 1e-10
@@ -209,6 +202,7 @@ class TestCli:
         for key in ("z_inf.re", "z_inf.im"):
             assert kv["m_triv"][key] == kv["m_exact"][key]
         assert abs(float(kv["m_triv"]["z_inf.re"]) + 0.025960863008338515) <= 1e-12
+        assert kv["m_triv"]["xi"] == format(np.sqrt(0.5) / 4, ".17g")
         for doc in kv.values():
             assert int(doc["first.neumann_terms"]) >= 1
             assert doc["check.first_feshbach_consistency"] == "pass"
@@ -276,32 +270,53 @@ class TestExitCodes:
         assert main(["run", "--config", str(config)]) == 1
         assert f"unknown keys in rg: ['{key}']" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, entries", [
-        ("run", {"rg": {"window_factor": 0.3}}),
-        ("verify", {"probe": {"cr_step": "abc"}}),
-        ("run", {"probe": {"cr_step": "abc"}}),
-        ("run", {"rg": {"check_winding": 1}}),
-        ("run", {"seed": 1.7}),
-        ("run", {"rg": []}),
-        ("run", {"probe": {"contour_nodes": 16.0}}),
-        ("run", {"seed": "abc"}),
-        ("run", {"jobs": None}),
-        ("run", {"jobs": "2"}),
-        ("run", {"sweep": 0.1}),
+    # a run config sets rg.check_winding alone: the probe geometry and the
+    # sweep are constants, and seed and jobs come from --seed and --jobs
+    @pytest.mark.parametrize("command, entries, message", [
+        ("run", {"rg": {"window_factor": 0.3}}, "unknown keys in rg: ['window_factor']"),
+        ("verify", {"probe": {"cr_step": "abc"}}, "unknown keys in run config: ['probe']"),
+        ("run", {"probe": {"cr_step": "abc"}}, "unknown keys in run config: ['probe']"),
+        ("run", {"rg": {"check_winding": 1}}, "rg.check_winding must be bool, got 1"),
+        ("run", {"seed": 1.7}, "unknown keys in run config: ['seed']"),
+        ("run", {"rg": []}, "rg must be an object, got []"),
+        ("run", {"probe": {"contour_nodes": 16.0}}, "unknown keys in run config: ['probe']"),
+        ("run", {"seed": "abc"}, "unknown keys in run config: ['seed']"),
+        ("run", {"jobs": None}, "unknown keys in run config: ['jobs']"),
+        ("run", {"jobs": "2"}, "unknown keys in run config: ['jobs']"),
+        ("run", {"sweep": 0.1}, "unknown keys in run config: ['sweep']"),
     ], ids=["window_factor", "cr_step-verify", "cr_step-run", "int-for-bool", "float-for-int",
             "rg-not-an-object", "float-for-probe-int", "seed", "jobs", "string-for-jobs",
             "sweep"])
-    def test_bad_run_config_value_exits_1(self, tmp_path, capsys, command, entries):
+    def test_bad_run_config_value_exits_1(self, tmp_path, capsys, command, entries, message):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"schema_version": 1, "model": "m_triv", **entries}))
         assert main([command, "--config", str(config)]) == 1
-        assert "configuration error" in capsys.readouterr().err
+        assert f"configuration error: {message}" in capsys.readouterr().err
 
-    def test_int_is_accepted_for_a_float(self, tmp_path, capsys):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"schema_version": 1, "model": "m_triv",
-                                      "probe": {"cr_step": 1}}))
-        assert main(["verify", "--config", str(config)]) == 0
+    @pytest.mark.parametrize("argv, message", [
+        (["run"], "the following arguments are required: --config"),
+        (["run", "--config", "m_triv", "--format", "kv"], "unrecognized arguments: --format kv"),
+        (["solve", "--config", "m_triv"], "argument command: invalid choice: 'solve'"),
+        (["run", "--config", "m_triv", "--jobs", "two"],
+         "argument --jobs: invalid int value: 'two'"),
+        (["suite", "--config", "m_triv", "--seed", "-1"],
+         "argument --seed: expected a non-negative integer, got -1"),
+        (["run", "--config", "m_triv", "--seed", "1.5"],
+         "argument --seed: expected a non-negative integer, got 1.5"),
+    ], ids=["missing-config", "unknown-flag", "unknown-command", "bad-jobs", "negative-seed",
+            "fractional-seed"])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: specrg") and f"configuration error: {message}" in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--seed" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["verify", "run"])
     def test_grid_ratio_outside_the_flow_range_exits_1(self, tmp_path, capsys, command):
@@ -309,6 +324,12 @@ class TestExitCodes:
         config = cut_fixture(tmp_path, "m_triv", edit=lambda doc: doc["grid"].update(ratio=0.85))
         assert main([command, "--config", str(config)]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    def test_the_flow_refuses_a_grid_ratio_outside_its_range(self):
+        spec = load_model("m_triv")
+        spec = dataclasses.replace(spec, grid=fock.ModeGrid(0.85, 3, spec.grid.channel_weight))
+        with pytest.raises(ValueError, match=r"rho must lie in \(0, 4/5\), got 0.85"):
+            iterate_to_fixed_point(spec, spec.s0, False)
 
     def test_suite_failure_exits_2(self, tmp_path, capsys):
         def unitary_kramers(doc):

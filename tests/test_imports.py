@@ -2,7 +2,8 @@
 runs on numpy alone (no module imports scipy, ``import specrg.cli`` loads none
 of it, and the third-party packages imported are exactly the dependencies
 declared in pyproject.toml), every definition in specrg is referred to by the
-code of the program outside its own definition, every annotated class field in
+code of the program outside its own definition (a method or property only
+through an attribute access), every annotated class field in
 specrg is read by the program, and every defaulted parameter in specrg is
 passed by some call."""
 
@@ -109,42 +110,49 @@ def test_imports_are_the_declared_dependencies():
     assert used == declared_dependencies((ROOT / "pyproject.toml").read_text())
 
 
-def references(source: str) -> list[tuple[str, int]]:
-    """(name, line) of every name the code refers to: variable names,
-    attribute names, keyword-argument names and imported names.  Docstrings,
-    comments and the names of definitions are not references."""
+def references(source: str) -> list[tuple[str, int, bool]]:
+    """(name, line, is_attribute) of every name the code refers to: variable
+    names, attribute names (is_attribute True), keyword-argument names and
+    imported names.  Docstrings, comments and the names of definitions are
+    not references."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            out.append((node.id, node.lineno))
+            out.append((node.id, node.lineno, False))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.end_lineno))
+            out.append((node.attr, node.end_lineno, True))
         elif isinstance(node, ast.keyword) and node.arg is not None:
-            out.append((node.arg, node.lineno))
+            out.append((node.arg, node.lineno, False))
         elif isinstance(node, ast.alias):
-            out.append((node.name.split(".")[-1], node.lineno))
+            out.append((node.name.split(".")[-1], node.lineno, False))
             if node.asname:
-                out.append((node.asname, node.lineno))
+                out.append((node.asname, node.lineno, False))
     return out
 
 
 def unnamed_definitions(sources: dict, defining: list) -> list[str]:
     """Non-dunder functions, classes and methods defined in the files named
     by ``defining`` that no code in ``sources`` (file name -> text) refers to
-    outside the lines of their own definition."""
-    where = defaultdict(list)   # name -> [(file, line)]
+    outside the lines of their own definition.  A method or property is
+    referred to only through an attribute access: a bare variable of the same
+    name is not a use of it."""
+    where = defaultdict(list)   # name -> [(file, line, is_attribute)]
     for name, text in sources.items():
-        for ref, lineno in references(text):
-            where[ref].append((name, lineno))
+        for ref, lineno, attribute in references(text):
+            where[ref].append((name, lineno, attribute))
     dead = []
     for name in defining:
-        for node in ast.walk(ast.parse(sources[name])):
+        tree = ast.parse(sources[name])
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body}
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
-            if all(f == name and node.lineno <= line <= node.end_lineno
-                   for f, line in where[node.name]):
+            if all((f == name and node.lineno <= line <= node.end_lineno)
+                   or (id(node) in methods and not attribute)
+                   for f, line, attribute in where[node.name]):
                 dead.append(node.name)
     return sorted(dead)
 
@@ -159,6 +167,20 @@ def test_detects_an_unnamed_definition():
                        "class D:\n    def twin(self):\n        return 1\n",
                "b.py": "from a import C as K, D\n# twin\nK().__len__(), D\n"}
     assert unnamed_definitions(sources, ["a.py"]) == ["dead", "twin", "twin"]
+
+
+def test_detects_a_method_named_only_by_a_variable():
+    # a local variable, a parameter or a keyword argument that shares a
+    # method's name does not use it; an attribute access and a bare call of
+    # a module-level function of the same name do
+    sources = {"a.py": "class R:\n    def entry(self):\n        return 1\n\n"
+                       "    def lines(self):\n        return 2\n\n"
+                       "    @property\n    def top(self):\n        return 3\n\n"
+                       "def run(entry=0):\n    top = entry\n    return top\n",
+               "b.py": "from a import R, run\nentry = run(entry=1)\nprint(R().lines())\n"}
+    assert unnamed_definitions(sources, ["a.py"]) == ["entry", "top"]
+    sources["b.py"] += "print(R().top)\n"
+    assert unnamed_definitions(sources, ["a.py"]) == ["entry"]
 
 
 def test_every_definition_is_named_by_the_program():

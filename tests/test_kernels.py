@@ -18,7 +18,8 @@ from specrg.kernels import (
     polydisc_check,
     w00_matrix,
 )
-from specrg.rg import RGConfig
+from specrg.config import load_model
+from specrg.rg import C_BETA, C_CHI, C_GAMMA, contraction_factor, flow_scale
 
 
 def make_basis(J=4, rho=0.5, d=2, n_max=2, e_cut=1.0):
@@ -218,8 +219,10 @@ class TestPolydisc:
         assert chk.gamma_hat > 1e-3
 
     def test_recursion_constants(self):
-        p = RGConfig(rho=0.5, mu=0.5)   # C_chi = 1
-        assert p.c_beta == 1.5
-        assert p.c_gamma == 128.0
-        assert p.xi == pytest.approx(np.sqrt(0.5) / 4.0)
-        assert not p.contraction_admissible  # 128 * 0.5^0.5 = 90.5 > 1
+        assert (C_CHI, C_BETA, C_GAMMA) == (1.0, 1.5, 128.0)
+        # rho and mu come from the model: its grid ratio and infrared exponent
+        spec = load_model("m_triv")
+        assert (spec.grid.ratio, spec.mu) == (0.5, 0.5)
+        assert flow_scale(spec) == 0.5
+        assert contraction_factor(spec) == pytest.approx(128.0 * np.sqrt(0.5))
+        assert round(contraction_factor(spec), 1) == 90.5   # > 1: inadmissible

@@ -255,13 +255,14 @@ class TestVerifyHypotheses:
 
     def test_pauli_irreducibility_entry(self):
         rep = verify_hypotheses(load_model("m_pauli"))
-        assert rep.entry("symmetry_irreducible").passed
+        entries = {e.name: e for e in rep.entries}
+        assert entries["symmetry_irreducible"].passed
 
     def test_degenerate_without_symmetry_fails(self):
         spec = load_model("m_exact")
         spec.generators = []
         rep = verify_hypotheses(spec)
-        e = rep.entry("symmetry_irreducible")
+        e = {e.name: e for e in rep.entries}["symmetry_irreducible"]
         assert e.applicable and not e.passed
 
 
@@ -326,22 +327,21 @@ class TestVaryingProjection:
         assert spec.p_at(s) is p
 
     def test_pipeline_with_preprocessing_hits_oracle(self):
-        from specrg.rg import RGConfig, iterate_to_fixed_point
+        from specrg.rg import iterate_to_fixed_point
         from specrg.oracle import dense_spectrum
         spec = varying_projection_spec()
         s = 0.1
-        res = iterate_to_fixed_point(spec, s, RGConfig(check_winding=False))
+        res = iterate_to_fixed_point(spec, s, False)
         rep = dense_spectrum(build_hamiltonian(spec, s))
         assert res.converged
         assert np.min(np.abs(rep.eigenvalues - res.z_inf)) < 1e-7
 
     def test_eigenvectors_lift_through_the_frame(self):
-        from specrg.rg import RGConfig, build_eigenvectors, iterate_to_fixed_point
+        from specrg.rg import build_eigenvectors, iterate_to_fixed_point
         spec = varying_projection_spec()
         s = 0.1
         # P_at varies, so U(s) enters the first decimation's frame
         assert np.linalg.norm(spec.p_at(s) - spec.p_at(spec.s0)) > 1e-12
-        cfg = RGConfig(check_winding=False)
-        res = iterate_to_fixed_point(spec, s, cfg)
+        res = iterate_to_fixed_point(spec, s, False)
         ev = build_eigenvectors(res.flow, res.z_inf)
         assert max(ev.residuals) <= 1e-10

@@ -41,7 +41,7 @@ from . import fock, kernels, symmetry
 from .feshbach import (
     CutoffSpec,
     FeshbachPairError,
-    FirstDecimation,
+    first_decimation,
     first_feshbach,
     isospectrality_suite,
     neumann_check,
@@ -201,9 +201,10 @@ def _report_hypotheses(spec: ModelSpec, report: Report) -> bool:
 
 def _first_decimation_checks(spec: ModelSpec, report: Report) -> None:
     """Report the first decimation at (s0, E_at(s0)) and its Neumann
-    cross-check.  The full-space pair is freed on return, before the flow."""
+    cross-check.  The flow reuses the first decimation; the full-space pair
+    is freed on return, before the flow."""
     s = spec.s0
-    _, pair = first_feshbach(FirstDecimation(spec, s), spec.e_at(s))
+    _, pair = first_feshbach(first_decimation(spec, s, None), spec.e_at(s))
     pair_report = verify_pair(pair)
     neumann = neumann_check(pair, pair_report.contraction_left)
     report.put("first.neumann_discrepancy", neumann.discrepancy)
@@ -361,8 +362,11 @@ def analyticity_probe(spec: ModelSpec, report: Report, jobs: int) -> None:
 
 
 def sweep_g(spec: ModelSpec, report: Report) -> None:
-    """Weak-coupling sweep: oracle scaling fit plus flow cross-check."""
-    scaling = perturbation_scaling(spec, spec.s0, SWEEP_COUPLINGS)
+    """Weak-coupling sweep: oracle scaling fit plus flow cross-check, both
+    on the H_g(s0) of each coupling's first decimation."""
+    scaling = perturbation_scaling(
+        spec, spec.s0, SWEEP_COUPLINGS,
+        lambda g: first_decimation(spec, spec.s0, float(g)).hamiltonian)
     report.put("sweep.exponent", scaling.exponent)
     for i, g in enumerate(scaling.g_values):
         report.put(f"sweep.g{i}", float(g))
@@ -442,7 +446,7 @@ def property_suite(spec: ModelSpec, report: Report, seed: int) -> None:
                  all(r.kernel_dims_match for r in reports))
 
     # Schur scalarization of the first decimation under the declared group
-    h0, _ = first_feshbach(FirstDecimation(spec, spec.s0), spec.e_at(spec.s0))
+    h0, _ = first_feshbach(first_decimation(spec, spec.s0, None), spec.e_at(spec.s0))
     c, dev = symmetry.schur_scalar(h0.mat, spec.d, h0.basis.size)
     limit = SCHUR_TOL * max(1.0, abs(c))
     if spec.d >= 2:

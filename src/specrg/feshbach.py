@@ -10,12 +10,19 @@ or columns.  Each decimation builds one ``FeshbachPair``, read by
 ``feshbach_map`` and ``q_ops``.  A step needs only the pair's ``margins``;
 ``verify_pair`` adds the contraction norms where a report is read.
 
+H and T may carry leading axes, one stack of K matrices per z of a stacked
+ladder: every block, inverse and map then carries them too, the cutoffs and
+``on`` are shared, and the margins and the report are the worst over the
+stack.
+
 The first cutoff P_at(s0) (x) chi_1(H_f) is diagonal in the atomic frame
 u = [basis of Ran P_at(s0) | basis of Ran(1 - P_at(s0))], times U(s) when
 P_at(s) varies.  A ``FirstDecimation`` conjugates H_g(s) and H_0(s) by u (x) 1
-once per (model, s); ``FirstDecimation.pair(z)`` is the only work left per z.
-The frame is unitary when P_at(s0) is an orthogonal projection; for an
-oblique one the first pair's margins are measured in that frame.
+once per (model, s, g), and ``first_decimation`` keeps it in ``spec.built``
+for every caller of the command; ``FirstDecimation.pair(z)`` is the only work
+left per z, or per stack of z values.  The frame is unitary when P_at(s0) is
+an orthogonal projection; for an oblique one the first pair's margins are
+measured in that frame.
 ``first_feshbach`` maps the pair to the reduced space, and ``neumann_check``
 cross-checks it with the contraction norm that ``verify_pair`` measured.
 """
@@ -105,20 +112,22 @@ class FeshbachPair:
         self.w = np.asarray(h, dtype=complex) - self.t
         self.on = on = self.chibar > RANK_THRESHOLD * self.chibar.max(initial=0.0)
         cb = self.chibar[on]
-        self.left = self.chi[:, None] * self.w[:, on] * cb         # chi W chibar
-        self.right = cb[:, None] * self.w[on, :] * self.chi        # chibar W chi
-        self.m_t = self.t[np.ix_(on, on)]
-        self.w_bar = cb[:, None] * self.w[np.ix_(on, on)] * cb     # chibar W chibar
+        block = (..., *np.ix_(on, on))
+        self.left = self.chi[:, None] * self.w[..., :, on] * cb     # chi W chibar
+        self.right = cb[:, None] * self.w[..., on, :] * self.chi    # chibar W chi
+        self.m_t = self.t[block]
+        self.w_bar = cb[:, None] * self.w[block] * cb              # chibar W chibar
         self.m_h = self.m_t + self.w_bar
 
     @cached_property
     def margins(self) -> tuple[float, float]:
         """(t_margin, h_margin): the smallest singular values of T and
-        H_chibar restricted to Ran chibar, inf when Ran chibar is empty."""
+        H_chibar restricted to Ran chibar, the least over a stack; inf when
+        Ran chibar is empty."""
         if not self.on.any():
             return np.inf, np.inf
-        return (float(np.linalg.svd(self.m_t, compute_uv=False)[-1]),
-                float(np.linalg.svd(self.m_h, compute_uv=False)[-1]))
+        return (float(np.linalg.svd(self.m_t, compute_uv=False)[..., -1].min()),
+                float(np.linalg.svd(self.m_h, compute_uv=False)[..., -1].min()))
 
     def require_margins(self):
         """Raise FeshbachPairError unless both margins are positive."""
@@ -141,15 +150,16 @@ def verify_pair(pair: FeshbachPair) -> FeshbachPairReport:
     """Check the sufficient pair conditions and report margins.
 
     The margins are the pair's ``margins``, which gate every step; the
-    contraction norms ||T^-1 chibar W chibar||, ||chibar W T^-1 chibar|| are computed here.
+    contraction norms ||T^-1 chibar W chibar||, ||chibar W T^-1 chibar|| are
+    computed here, the largest over a stack.
     """
     p = pair
     t_margin, h_margin = p.margins
     if not p.on.any():
         return FeshbachPairReport(t_margin, h_margin, 0.0, 0.0)
     if t_margin > 0:
-        left = float(np.linalg.norm(p.inverse_t @ p.w_bar, 2))
-        right = float(np.linalg.norm(p.w_bar @ p.inverse_t, 2))
+        left = float(np.linalg.norm(p.inverse_t @ p.w_bar, 2, axis=(-2, -1)).max())
+        right = float(np.linalg.norm(p.w_bar @ p.inverse_t, 2, axis=(-2, -1)).max())
     else:
         left = right = np.inf
     return FeshbachPairReport(t_margin, h_margin, left, right)
@@ -172,10 +182,11 @@ def q_ops(pair: FeshbachPair):
     Q = chi - chibar H_chibar^-1 chibar W chi and its sharp partner."""
     p = pair
     cb = p.chibar[p.on]
-    q = np.diag(p.chi.astype(complex))
-    q[p.on, :] -= cb[:, None] * (p.inverse_h @ p.right)
-    q_sharp = np.diag(p.chi.astype(complex))
-    q_sharp[:, p.on] -= (p.left @ p.inverse_h) * cb
+    chi = np.broadcast_to(np.diag(p.chi.astype(complex)), p.w.shape)
+    q = chi.copy()
+    q[..., p.on, :] -= cb[:, None] * (p.inverse_h @ p.right)
+    q_sharp = chi.copy()
+    q_sharp[..., :, p.on] -= (p.left @ p.inverse_h) * cb
     return q, q_sharp
 
 
@@ -252,7 +263,7 @@ class FirstDecimation:
     frame; the full and reduced bases, and ``reduced_index``, the
     coordinates of the reduced space Ran(P_at(s0) (x) 1_{H_f <= 1})."""
 
-    def __init__(self, spec: ModelSpec, s: complex, g: float | None = None):
+    def __init__(self, spec: ModelSpec, s: complex, g: float | None):
         self.spec = spec
         self.s = s
         self.basis = basis = spec.full_basis()
@@ -277,23 +288,37 @@ class FirstDecimation:
         fock = np.array([basis.index[occ] for occ in self.reduced_basis.states])
         self.reduced_index = (np.arange(spec.d)[:, None] * basis.size + fock).ravel()
 
-    def pair(self, z: complex) -> FeshbachPair:
-        """The pair (H_g(s) - z, H_0(s) - z) with the first cutoffs."""
-        if not self.spec.in_window(self.s, z):
-            raise WindowError(f"(s, z) = ({self.s}, {z}) outside the declared window")
-        eye = np.eye(self.basis.dim)
-        return FeshbachPair(self.h - z * eye, self.t - z * eye, self.chi, self.chibar)
+    def pair(self, z) -> FeshbachPair:
+        """The pair (H_g(s) - z, H_0(s) - z) with the first cutoffs, for one
+        z or, with a leading axis, for each z of an array."""
+        for zk in np.ravel(z):
+            if not self.spec.in_window(self.s, zk):
+                raise WindowError(f"(s, z) = ({self.s}, {complex(zk)}) outside the "
+                                  "declared window")
+        shift = np.asarray(z)[..., None, None] * np.eye(self.basis.dim)
+        return FeshbachPair(self.h - shift, self.t - shift, self.chi, self.chibar)
 
 
-def first_feshbach(first: FirstDecimation, z: complex) -> tuple[OperatorMatrix, FeshbachPair]:
+def first_decimation(spec: ModelSpec, s: complex, g: float | None) -> FirstDecimation:
+    """The ``FirstDecimation`` at (model, s, g), built once and kept in
+    ``spec.built``: the first-decimation report, the dense oracles and the
+    flow of one command share it."""
+    key = ("first", complex(s), g)
+    if key not in spec.built:
+        spec.built.setdefault(key, FirstDecimation(spec, s, g))
+    return spec.built[key]   # threads that both build keep the first
+
+
+def first_feshbach(first: FirstDecimation, z) -> tuple[OperatorMatrix, FeshbachPair]:
     """Decimate (H_g(s) - z, H_0(s) - z) with the projection-weighted cutoff
     P_at (x) chi_1(H_f) by direct block inversion, and restrict the result to
     the reduced space: its principal submatrix on ``reduced_index``, which
-    the map leaves invariant.  Returns the reduced operator and the pair."""
+    the map leaves invariant.  Returns the reduced operator and the pair,
+    both stacked like z."""
     pair = first.pair(z)
     pair.require_margins()
     idx = first.reduced_index
-    h0 = feshbach_map(pair)[np.ix_(idx, idx)]
+    h0 = feshbach_map(pair)[(..., *np.ix_(idx, idx))]
     return OperatorMatrix(h0, first.reduced_basis), pair
 
 
@@ -326,13 +351,17 @@ def neumann_check(pair: FeshbachPair, contraction: float) -> NeumannCheck:
     cur = r0 @ pair.right
     n_terms = 0
     last_norm = 0.0
+    # ||term||_2 >= ||term||_F / sqrt(N): a term with a Frobenius norm this far
+    # above the tolerance cannot end the series, and its 2-norm is not taken
+    certain = 2 * NEUMANN_TOL * scale * np.sqrt(f_direct.shape[-1])
     for L in range(1, NEUMANN_MAX_TERMS + 1):
         term = pair.left @ cur
         series += ((-1) ** (L - 1)) * term
         n_terms = L
-        last_norm = float(np.linalg.norm(term, 2))
-        if last_norm < NEUMANN_TOL * scale:
-            break
+        if L == NEUMANN_MAX_TERMS or np.linalg.norm(term) < certain:
+            last_norm = float(np.linalg.norm(term, 2))
+            if last_norm < NEUMANN_TOL * scale:
+                break
         cur = r0 @ (pair.w_bar @ cur)
     if contraction < 1.0:
         tail_bound = last_norm * contraction / (1.0 - contraction)

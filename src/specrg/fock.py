@@ -151,7 +151,8 @@ def build_fock_basis(grid: ModeGrid, n_max: int, e_cut: float, d_at: int = 1) ->
 
 @dataclass
 class OperatorMatrix:
-    """Dense complex matrix on (atomic space) (x) (truncated Fock space)."""
+    """Dense complex matrix on (atomic space) (x) (truncated Fock space), or a
+    stack of them along leading axes (one per z of a stacked ladder)."""
 
     mat: np.ndarray
     basis: FockBasis
@@ -160,7 +161,7 @@ class OperatorMatrix:
     def __post_init__(self):
         self.mat = np.asarray(self.mat, dtype=complex)
         n = self.basis.dim
-        if self.mat.shape != (n, n):
+        if self.mat.shape[-2:] != (n, n):
             raise ValueError(
                 f"matrix shape {self.mat.shape} does not match basis dim {n}"
             )

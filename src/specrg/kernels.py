@@ -8,6 +8,10 @@ basis' H_f values; the 65-point ``KernelC1`` on r in [0, 1] is built only
 for beta_hat and ``kernel.txt``.  ``polydisc_check`` measures the operator's
 polydisc radii beta and gamma for the trace; only w_{0,0} is extracted, so
 the interaction size is the operator norm of H - w_{0,0}(H_f).
+
+A step of a stacked ladder extracts the kernels of its K operators at once:
+the node values carry the stack axes after the node axis, which the PCHIP
+slopes and the Hermite evaluation treat like the d x d entry axes.
 """
 
 from __future__ import annotations
@@ -91,17 +95,21 @@ class KernelC1:
 def w00_matrix(nodes: np.ndarray, node_values: np.ndarray, slopes: np.ndarray,
                basis: FockBasis) -> np.ndarray:
     """w_{0,0}(H_f) = sum_i w_{0,0}(hf_i) (x) |i><i| on a reduced basis, in
-    atomic-major layout, for the cubic through the nodes with these slopes."""
+    atomic-major layout, for the cubic through the nodes with these slopes.
+    node_values has shape (nodes, ..., d, d); the axes between are a stack,
+    and the result carries them in front."""
     d, n = basis.d_at, basis.size
-    out = np.zeros((d, n, d, n), dtype=complex)
-    out[:, np.arange(n), :, np.arange(n)] = hermite(nodes, node_values, slopes,
-                                                    basis.hf_values)[0]
-    return out.reshape(d * n, d * n)
+    lead = node_values.shape[1:-2]
+    out = np.zeros(lead + (d, n, d, n), dtype=complex)
+    out[..., :, np.arange(n), :, np.arange(n)] = hermite(nodes, node_values, slopes,
+                                                         basis.hf_values)[0]
+    return out.reshape(lead + (d * n, d * n))
 
 
 @dataclass
 class ExtractionResult:
-    """The nodes and d x d node values of w_{0,0} read off ``source``."""
+    """The nodes and d x d node values of w_{0,0} read off ``source``, shape
+    (nodes, ..., d, d) with the source's stack axes between."""
 
     nodes: np.ndarray
     node_values: np.ndarray
@@ -114,7 +122,7 @@ class ExtractionResult:
         return pchip_slopes(self.nodes, v.real) + 1j * pchip_slopes(self.nodes, v.imag)
 
     def hf_matrix(self) -> np.ndarray:
-        """w_{0,0}(H_f) on the source's basis."""
+        """w_{0,0}(H_f) on the source's basis, one per operator of the stack."""
         return w00_matrix(self.nodes, self.node_values, self.slopes, self.source.basis)
 
     @cached_property
@@ -132,7 +140,8 @@ def extract_w00(h: OperatorMatrix) -> ExtractionResult:
     mu_j * ||H - w00(0) (x) 1|| with mu_j the shell measure.  A step reads
     w00(H_f) at the basis' H_f values from the PCHIP slopes (Fritsch &
     Carlson 1980); the 65-point ``KernelC1`` is sampled only when beta_hat
-    or ``kernel.txt`` reads it.
+    or ``kernel.txt`` reads it.  A stack of operators gives a stack of
+    kernels: every node value carries the stack's leading axes.
     """
     basis = h.basis
     d, nF = basis.d_at, basis.size
@@ -146,10 +155,10 @@ def extract_w00(h: OperatorMatrix) -> ExtractionResult:
             continue
         nodes.append(basis.grid.omega[j])
         fock_idx.append(i)
-    node_vals = np.empty((len(nodes), d, d), dtype=complex)
+    node_vals = np.empty((len(nodes),) + h.mat.shape[:-2] + (d, d), dtype=complex)
     for t, i in enumerate(fock_idx):
         rows = np.arange(d) * nF + i
-        node_vals[t] = h.mat[np.ix_(rows, rows)]
+        node_vals[t] = h.mat[(..., *np.ix_(rows, rows))]
     return ExtractionResult(np.array(nodes), node_vals, h)
 
 

@@ -101,8 +101,9 @@ class ModelSpec:
     reflection_symmetric: bool = False
     complex_selfadjoint: bool = False
     jconj: np.ndarray | None = None                  # atomic part of J (with conj)
-    # memos: p_at keyed by s; ``built``, the Fock bases and rg.Flow's depths keyed
-    # by ("basis", e_cut, d_at) and ("depth", n); a replace() copy starts empty
+    # memos: p_at keyed by s; ``built``, the Fock bases, rg.Flow's depths and the
+    # first decimations keyed by ("basis", e_cut, d_at), ("depth", n) and
+    # ("first", s, g); a replace() copy starts empty
     _projections: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
     built: dict = field(default_factory=dict, init=False, repr=False, compare=False)

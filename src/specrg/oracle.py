@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import OperatorMatrix
-from .model import build_hamiltonian
 
 DIM_BUDGET = 20000
 CLUSTER_TOL_FACTOR = 1e-8
@@ -113,8 +112,9 @@ class ScalingReport:
     spectra: list                 # eigenvalues of H_g at each g_values entry
 
 
-def perturbation_scaling(spec, s: complex, g_values) -> ScalingReport:
-    """Weak-coupling scaling of the ground cluster, by dense diagonalization.
+def perturbation_scaling(spec, s: complex, g_values, hamiltonian) -> ScalingReport:
+    """Weak-coupling scaling of the ground cluster, by dense diagonalization
+    of ``hamiltonian(g)``, the truncated H_g(s) at each coupling g.
 
     Fits the log-log slope of |E_g - E_at| against g (second-order
     perturbation theory predicts 2) and tracks the subspace distance between
@@ -126,17 +126,15 @@ def perturbation_scaling(spec, s: complex, g_values) -> ScalingReport:
         raise ValueError("need at least 4 coupling values in the sweep")
     if np.any(g_values <= 0):
         raise ValueError("sweep couplings must be positive")
-    basis = spec.full_basis()
     e_at = spec.e_at(s)
     frame = spec.atomic_frame()
-    vac = basis.vacuum_vector()
+    vac = spec.full_basis().vacuum_vector()
     limit = np.column_stack([np.kron(frame[:, j], vac) for j in range(spec.d)])
     errs = np.empty(g_values.size)
     dists = np.empty(g_values.size)
     spectra = []
     for i, g in enumerate(g_values):
-        h = build_hamiltonian(spec, s, g, basis)
-        rep = dense_spectrum(h)
+        rep = dense_spectrum(hamiltonian(g))
         spectra.append(rep.eigenvalues)
         errs[i] = abs(rep.lowest - e_at)
         angles = principal_angles(limit, rep.cluster_vectors()

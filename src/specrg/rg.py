@@ -9,14 +9,27 @@ zero is an exact eigenvalue of the truncated Hamiltonian (every step is
 kernel-preserving at the matrix level).
 
 Only H - z changes from one evaluation of E^(n)(z) to the next.  A ``Flow``
-holds what does not: the first decimation, once per (model, s), and per depth
-the basis, generators, cutoffs and dilation, once per model.
+holds what does not: the first decimation, once per (model, s, g), and per
+depth the basis, generators, cutoffs and dilation, once per model.
 ``run_ladder(flow, z, n)`` computes on every level its operator and
 E^(n)(z) = tr<H>_Omega / d; each step below the top extracts its own
-T = w_{0,0}(H_f), checks the pair's margins and the window.  The diagnostics
-of a depth (polydisc radii, Schur deviation, symmetry residual, contraction
-norms of the pair into the top) are computed once per depth by
-``iterate_to_fixed_point``, on the top of the ladder ``find_zn`` returns.
+T = w_{0,0}(H_f), checks the pair's margins and the window.  z is one value
+or an array of K values: a stacked ladder carries a leading axis of K on
+every operator, pair, kernel and E^(n), and is the same code as the ladder
+at one z, whose operators have no leading axis.  The secant and the
+eigenvectors run a ladder at one z; the winding check runs one stacked
+ladder per round of nodes.  The diagnostics of a depth (polydisc radii, Schur
+deviation, symmetry residual, contraction norms of the pair into the top) are
+computed once per depth by ``iterate_to_fixed_point``, on the top of the
+ladder ``find_zn`` returns.
+
+Each root's uniqueness is certified by the argument principle: the winding of
+E^(n) around 0 along a small circle about the root must be 1.  The count
+starts from 4 nodes on the circle and accepts a round only when every phase
+step arg(E_{k+1}/E_k) lies within pi/4 of 2 pi/K, so that no step can alias;
+otherwise the nodes double, up to 64, evaluating only the new ones (the
+refinement of Delves & Lyness, Math. Comp. 21, 1967, and Ying & Katz, Numer.
+Math. 53, 1988).  A window exit or a zero sample halves the radius.
 
 The map is iterated with the fixed constants below.  The model fixes the
 scale: rho is its mode-grid ratio, which makes the dilation an exact shell
@@ -34,8 +47,8 @@ import numpy as np
 from .feshbach import (
     CutoffSpec,
     FeshbachPair,
-    FirstDecimation,
     feshbach_map,
+    first_decimation,
     first_feshbach,
     q_ops,
     verify_pair,
@@ -54,6 +67,9 @@ TOL_FIXED_POINT = 1e-9   # stop when |z_n - z_{n-1}| is below
 WINDOW_FACTOR = 0.125    # window threshold = WINDOW_FACTOR * rho (the construction's 1/8)
 SCHUR_TOL = 1e-9         # relative Schur deviation accepted as scalar
 SECANT_MAX_ITER = 50     # evaluations of E^(n) per secant root
+WINDING_NODES = 4        # nodes of the first winding round
+WINDING_MAX_NODES = 64   # the winding check fails when no round up to this is accepted
+WINDING_HALVINGS = 5     # radii the winding check tries, each half the last
 
 
 def flow_scale(spec: ModelSpec) -> float:
@@ -113,7 +129,7 @@ class Flow:
         self.rho = flow_scale(spec)
         self.window_threshold = window_threshold(spec)
         self.check_winding = check_winding
-        self.first = FirstDecimation(spec, s, g)
+        self.first = first_decimation(spec, s, g)
 
     def depth(self, n: int) -> Depth:
         """Data of depth n, kept in ``spec.built`` for every flow of the
@@ -145,7 +161,8 @@ def rg_step(h: OperatorMatrix, depth: Depth, rho: float):
     Gamma F Gamma* / rho, with Gamma F Gamma* the principal submatrix of the
     Feshbach map F on the dilation's ``rows``; on the vacuum-only terminal
     space the step is division by rho, with pair None.  A pair outside its
-    margins raises FeshbachPairError with the full report.
+    margins raises FeshbachPairError with the full report.  A stack h
+    steps each of its operators.
     """
     if depth.dilation is None:
         return OperatorMatrix(h.mat / rho, h.basis), None
@@ -153,17 +170,17 @@ def rg_step(h: OperatorMatrix, depth: Depth, rho: float):
     pair = FeshbachPair(h.mat, extract_w00(h).hf_matrix(), depth.chi, depth.chibar)
     pair.require_margins()
     rows = depth.dilation.rows
-    return OperatorMatrix(feshbach_map(pair)[np.ix_(rows, rows)] / rho,
+    return OperatorMatrix(feshbach_map(pair)[(..., *np.ix_(rows, rows))] / rho,
                           depth.dilation.target), pair
 
 
 @dataclass
 class LadderLevel:
-    """Level n of a ladder: its operator and E^(n)(z)."""
+    """Level n of a ladder: its operator and E^(n)(z), both stacked like z."""
 
     n: int
     h: OperatorMatrix
-    e_value: complex
+    e_value: complex | np.ndarray
     pair: FeshbachPair | None      # pair of the step INTO this level, kept on the top only
 
 
@@ -177,12 +194,14 @@ class Ladder:
         return self.levels[-1]
 
 
-def run_ladder(flow: Flow, z: complex, n_levels: int,
+def run_ladder(flow: Flow, z, n_levels: int,
                check_windows: bool = True, collect_q: bool = False) -> Ladder:
-    """First decimation followed by n_levels flow steps at fixed z.
+    """First decimation followed by n_levels flow steps at fixed z: one
+    complex value, or an array of K values evaluated as one stack.
 
     Windows gate the descent: going from depth k to k+1 requires
-    |E^(k)(z)| <= threshold; violation raises WindowExitError(k).
+    |E^(k)(z)| <= threshold at every z of the stack; a violation at any
+    one raises WindowExitError(k) with its value, for the whole stack.
     """
     h, pair = first_feshbach(flow.first, z)
     qs = [q_ops(pair)[0]] if collect_q else None
@@ -195,12 +214,14 @@ def run_ladder(flow: Flow, z: complex, n_levels: int,
     levels = [make_level(0, h, None)]
     for n in range(1, n_levels + 1):
         prev = levels[-1]
-        if check_windows and abs(prev.e_value) > flow.window_threshold:
-            raise WindowExitError(prev.n, prev.e_value, flow.window_threshold)
+        if check_windows:
+            for e in np.ravel(prev.e_value):
+                if abs(e) > flow.window_threshold:
+                    raise WindowExitError(prev.n, complex(e), flow.window_threshold)
         h, pair = rg_step(prev.h, flow.depth(n - 1), flow.rho)
         if collect_q:   # the terminal step's auxiliary operator is the identity
-            qs.append(np.eye(h.basis.dim, dtype=complex) if pair is None
-                      else q_ops(pair)[0])
+            qs.append(np.broadcast_to(np.eye(h.basis.dim, dtype=complex), h.mat.shape)
+                      if pair is None else q_ops(pair)[0])
         # only the top level keeps its pair, for the trace's pair report
         levels.append(make_level(n, h, pair if n == n_levels else None))
         del pair
@@ -225,7 +246,7 @@ def find_zn(flow: Flow, n: int, z_start: complex) -> RootResult:
     def e_val(z):
         nonlocal last
         last = run_ladder(flow, z, n)
-        return last.top.e_value
+        return complex(last.top.e_value)
 
     z0 = complex(z_start)
     e0 = e_val(z0)
@@ -269,27 +290,57 @@ def find_zn(flow: Flow, n: int, z_start: complex) -> RootResult:
     return RootResult(z0, abs(e0), winding, last)
 
 
-def _winding_count(flow: Flow, n: int, z_center: complex):
-    """Winding of E^(n) around 0 along a small circle inside the window."""
-    n_nodes = 16
-    radius = flow.rho ** (n + 1) / 16.0
-    for _ in range(5):
+def circle_winding(sample, where: str) -> int | None:
+    """Winding number around 0 of a function on a circle, from its values at
+    K equally spaced nodes, counterclockwise from angle 0.
+
+    ``sample(t)`` returns the values at the angles 2 pi t, for an array t of
+    fractions of a turn, in one call.  The first round samples
+    WINDING_NODES nodes.  A round is accepted when every phase step
+    arg(E_{k+1}/E_k) lies within pi/4 of 2 pi/K; the steps then sum to
+    2 pi times the winding.  Otherwise the node count doubles and only the
+    K new nodes, halfway between the old ones, are sampled.  Returns None
+    when a sample is exactly 0.  Raises ArithmeticError, naming ``where``
+    and the node count, when no round up to WINDING_MAX_NODES is accepted.
+    """
+    vals = sample(np.arange(WINDING_NODES) / WINDING_NODES)
+    while True:
+        k = vals.size
+        if np.any(vals == 0):
+            return None
+        steps = np.angle(np.roll(vals, -1) / vals)
+        if np.all(np.abs(steps - 2 * np.pi / k) < np.pi / 4):
+            return int(round(float(np.sum(steps)) / (2 * np.pi)))
+        if k >= WINDING_MAX_NODES:
+            raise ArithmeticError(f"winding check {where} did not settle at {k} nodes")
+        new = sample((np.arange(k) + 0.5) / k)
+        vals = np.column_stack([vals, new]).ravel()   # the nodes in turn order
+
+
+def _winding_count(flow: Flow, n: int, z_center: complex) -> int:
+    """Winding of E^(n) around 0 along a small circle inside the window, by
+    ``circle_winding``: start at 4 nodes, accept a round only when every
+    phase step lies within pi/4 of 2 pi/K, else double the nodes up to 64
+    and evaluate only the new ones.  Each round of nodes is one stacked
+    ladder.  A window exit or a zero sample halves the radius and starts
+    again from WINDING_NODES nodes.  Every ArithmeticError raised here names
+    the depth, the node count of the last round and its radius."""
+    for radius in flow.rho ** (n + 1) / 16.0 * 0.5 ** np.arange(WINDING_HALVINGS):
+        sampled = []   # node counts sent at this radius
+
+        def sample(t):
+            sampled.append(t.size)
+            return run_ladder(flow, z_center + radius * np.exp(2j * np.pi * t), n).top.e_value
+
         try:
-            vals = []
-            for k in range(n_nodes):
-                zc = z_center + radius * np.exp(2j * np.pi * k / n_nodes)
-                lad = run_ladder(flow, zc, n)
-                vals.append(lad.top.e_value)
-            vals = np.array(vals)
-            if np.any(vals == 0):
-                radius *= 0.5
-                continue
-            ratios = np.roll(vals, -1) / vals
-            total = float(np.sum(np.angle(ratios)))
-            return int(round(total / (2 * np.pi)))
+            winding = circle_winding(sample, f"at depth {n} on radius {radius:.3e}")
         except WindowExitError:
-            radius *= 0.5
-    raise ArithmeticError("winding check could not stay inside the window")
+            winding = None
+        if winding is not None:
+            return winding
+    raise ArithmeticError(
+        f"winding check at depth {n} could not stay inside the window: last round "
+        f"{sum(sampled)} nodes on radius {radius:.3e}")
 
 
 @dataclass

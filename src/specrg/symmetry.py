@@ -134,16 +134,17 @@ def is_irreducible(ops, dim: int | None = None) -> bool:
 
 
 def vacuum_expectation(t: np.ndarray, d: int, n_fock: int) -> np.ndarray:
-    """<T>_Omega: the d x d matrix <e_a (x) Omega, T e_b (x) Omega>; the
-    vacuum is Fock index 0."""
+    """<T>_Omega: the d x d matrix <e_a (x) Omega, T e_b (x) Omega>, over any
+    leading axes of t; the vacuum is Fock index 0."""
     t = np.asarray(t, dtype=complex)
     idx = np.arange(d) * n_fock
-    return t[np.ix_(idx, idx)].copy()
+    return t[(..., *np.ix_(idx, idx))].copy()
 
 
-def vacuum_scalar(t: np.ndarray, d: int, n_fock: int) -> complex:
-    """The scalar of the vacuum block: c = tr<T>_Omega / d."""
-    return complex(np.trace(vacuum_expectation(t, d, n_fock)) / d)
+def vacuum_scalar(t: np.ndarray, d: int, n_fock: int):
+    """The scalar of the vacuum block: c = tr<T>_Omega / d, one per matrix of
+    a stack t."""
+    return np.trace(vacuum_expectation(t, d, n_fock), axis1=-2, axis2=-1) / d
 
 
 def schur_scalar(t: np.ndarray, d: int, n_fock: int):
@@ -152,7 +153,7 @@ def schur_scalar(t: np.ndarray, d: int, n_fock: int):
     Returns (c, deviation) with deviation = ||<T>_Omega - c 1||; a large
     deviation signals broken symmetry upstream and is data, not an error.
     """
-    c = vacuum_scalar(t, d, n_fock)
+    c = complex(vacuum_scalar(t, d, n_fock))
     return c, float(np.linalg.norm(vacuum_expectation(t, d, n_fock) - c * np.eye(d), 2))
 
 

@@ -129,12 +129,24 @@ class TestFlow:
             assert all(depths[n] is seen[0][n] for depths in seen)
         assert seen[0][1].basis is seen[0][0].dilation.target
 
-    # H_g(s0) once for the first-decimation checks and once for the flow,
-    # whose eigenvectors and oracle reuse it; one dilation per flow depth.
-    # m_kramers' hypothesis checks add the complex-selfadjointness H on a
-    # small basis.
+    def test_threads_share_one_first_decimation(self, tmp_path):
+        spec = load_model(cut_fixture(tmp_path, "m_triv"))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as ex:
+                firsts = list(ex.map(lambda _: Flow(spec, spec.s0, True).first, range(6)))
+        finally:
+            sys.setswitchinterval(switch)
+        assert all(first is firsts[0] for first in firsts)
+        assert Flow(spec, spec.s0, True, g=0.5 * spec.g).first is not firsts[0]
+
+    # H_g(s0) once, in the first decimation that the first-decimation checks,
+    # the flow, its eigenvectors and the oracle share; one dilation per flow
+    # depth.  m_kramers' hypothesis checks add the complex-selfadjointness H
+    # on a small basis.
     @pytest.mark.parametrize("name, hamiltonians, dilations",
-                             [("m_triv", 2, 3), ("m_kramers", 3, 3)])
+                             [("m_triv", 1, 3), ("m_kramers", 2, 3)])
     def test_one_run_builds_each_operator_once(self, tmp_path, monkeypatch, capsys,
                                                name, hamiltonians, dilations):
         config = cut_fixture(tmp_path, name)
@@ -230,10 +242,12 @@ class TestCli:
 
     def test_sweep_diagonalizes_each_coupling_once(self, tmp_path, capsys, monkeypatch):
         spectra = count_calls(monkeypatch, oracle, "dense_spectrum")
+        built = count_calls(monkeypatch, model, "build_hamiltonian")
         assert main(["sweep-g", "--config", "m_triv", "--out", str(tmp_path)]) == 0
         kv = read_kv(tmp_path / "sweep.kv")
         assert kv["check.sweep_flow_matches_oracle"] == "pass"
         assert len(spectra) == 4
+        assert len(built) == 4   # the oracle and the flow share each H_g(s0)
 
     # z_inf at coupling factor 1.00 in perfbench/reference.json (fixtures-run)
     @pytest.mark.parametrize("name, z_ref", [("m_pauli", -0.025954561352956353),

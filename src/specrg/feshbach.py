@@ -16,13 +16,14 @@ ladder: every block, inverse and map then carries them too, the cutoffs and
 stack.
 
 The first cutoff P_at(s0) (x) chi_1(H_f) is diagonal in the atomic frame
-u = [basis of Ran P_at(s0) | basis of Ran(1 - P_at(s0))], times U(s) when
-P_at(s) varies.  A ``FirstDecimation`` conjugates H_g(s) and H_0(s) by u (x) 1
-once per (model, s, g), and ``first_decimation`` keeps it in ``spec.built``
-for every caller of the command; ``FirstDecimation.pair(z)`` is the only work
-left per z, or per stack of z values.  The frame is unitary when P_at(s0) is
-an orthogonal projection; for an oblique one the first pair's margins are
-measured in that frame.
+u = [basis of Ran P_at(s0) | basis of Ran(1 - P_at(s0))], times Kato's
+U(s) = P_at(s) P_at(s0) + (1 - P_at(s))(1 - P_at(s0)) (``model.hyp5_frame``)
+when P_at(s) varies.  A ``FirstDecimation`` conjugates H_g(s) and H_0(s) by
+u (x) 1 once per (model, s, g), and ``first_decimation`` keeps it in
+``spec.built`` for every caller of the command; ``FirstDecimation.pair(z)``
+is the only work left per z, or per stack of z values.  The frame is unitary
+only when P_at(s0) is an orthogonal projection and P_at(s) = P_at(s0); in an
+oblique frame the first pair's margins are measured in that frame.
 ``first_feshbach`` maps the pair to the reduced space, and ``neumann_check``
 cross-checks it with the contraction norm that ``verify_pair`` measured.
 """
@@ -257,11 +258,13 @@ class FirstDecimation:
     """z-independent data of the first decimation at (model, s, g):
     ``hamiltonian``, the truncated H_g(s) as built; ``h`` and ``t``, H_g(s)
     and H_0(s) conjugated by u (x) 1 with the atomic frame ``u`` of the
-    module docstring (``atomic_frame()`` first, times the Hypothesis-5 frame
-    U(s) when P_at(s) differs from P_at(s0)); ``chi`` and ``chibar``, the
-    diagonals of the cutoff P_at(s0) (x) chi_1(H_f) and its partner in that
-    frame; the full and reduced bases, and ``reduced_index``, the
-    coordinates of the reduced space Ran(P_at(s0) (x) 1_{H_f <= 1})."""
+    module docstring (``atomic_frame()`` first, times Kato's frame U(s) of
+    ``hyp5_frame`` when P_at(s) differs from P_at(s0) by more than 1e-12);
+    ``chi`` and ``chibar``, the diagonals of the cutoff P_at(s0) (x)
+    chi_1(H_f) and its partner in that frame; the full and reduced bases, and
+    ``reduced_index``, the coordinates of the reduced space
+    Ran(P_at(s0) (x) 1_{H_f <= 1}).  ``u`` is unitary only when P_at is
+    orthogonal and P_at(s) = P_at(s0)."""
 
     def __init__(self, spec: ModelSpec, s: complex, g: float | None):
         self.spec = spec

@@ -22,6 +22,8 @@ FOUR_PI = 4.0 * np.pi
 
 #: inclusive-boundary slack for energy-cutoff comparisons
 _ENERGY_TOL = 1e-12
+#: seeded random states per ``relative_bound_check``
+BOUND_SAMPLES = 100
 
 
 class TruncationError(ValueError):
@@ -34,14 +36,12 @@ class ModeGrid:
 
     omega[j] = rho^j is built by cumulative multiplication so that
     omega[j+1] == rho * omega[j] holds exactly in floating point.
-    weights[j] is the 3-d radial measure of shell j times channel_weight.
     """
 
     ratio: float
     levels: int
     channel_weight: float = 1.0
     omega: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.ratio < 1.0):
@@ -55,12 +55,8 @@ class ModeGrid:
         for j in range(self.levels):
             omega[j] = w
             w = w * self.ratio
-        weights = (FOUR_PI / 3.0) * (omega**3 - (self.ratio * omega) ** 3)
-        weights = weights * self.channel_weight
         object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "weights", weights)
         self.omega.flags.writeable = False
-        self.weights.flags.writeable = False
 
     def drop_lowest_shell(self) -> "ModeGrid":
         """Grid with the finest (lowest-energy) shell removed."""
@@ -277,11 +273,10 @@ def verify_pull_through(basis: FockBasis, f, j: int) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def relative_bound_check(basis: FockBasis, coeffs, n_samples: int = 100,
-                         seed: int = 0) -> bool:
+def relative_bound_check(basis: FockBasis, coeffs, seed: int = 0) -> bool:
     """Whether ||a(G)psi|| <= ||omega^(-1/2)G|| ||H_f^(1/2)psi|| and the
-    creation analog with (omega^(-1)+1)^(1/2) hold on seeded random states,
-    each within a relative excess of 1e-12 over its bound.
+    creation analog with (omega^(-1)+1)^(1/2) hold on BOUND_SAMPLES seeded
+    random states, each within a relative excess of 1e-12 over its bound.
 
     Violations are reported, not raised.
     """
@@ -296,7 +291,7 @@ def relative_bound_check(basis: FockBasis, coeffs, n_samples: int = 100,
     rng = np.random.default_rng(seed)
     exc_a = 0.0
     exc_c = 0.0
-    for _ in range(n_samples):
+    for _ in range(BOUND_SAMPLES):
         psi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         psi /= np.linalg.norm(psi)
         rhs_a = c_ann * np.linalg.norm(np.sqrt(hf) * psi)

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .fock import FOUR_PI, FockBasis, ModeGrid, OperatorMatrix, build_fock_basis, creation_op, field_energy
-from .symmetry import SymmetryOp, is_irreducible, is_symmetry_of, transformation_function
+from .symmetry import SymmetryOp, is_irreducible, is_symmetry_of
 
 
 class InfraredError(ValueError):
@@ -157,13 +157,10 @@ class ModelSpec:
         """Orthonormal columns spanning Ran P_at(s0) (see ``projection_frame``)."""
         return projection_frame(self.p_at(self.s0), self.d)
 
-    def mode_coeff_scalars(self) -> np.ndarray:
-        return self.profile.shell_coeffs(self.grid)
-
     def interaction(self, basis: FockBasis, s: complex) -> np.ndarray:
         """W(s): annihilation legs smeared with B_1(sbar), creation legs
         with B_2(s); analytic in s by the conjugate-parameter convention."""
-        c = self.mode_coeff_scalars()
+        c = self.profile.shell_coeffs(self.grid)
         b2s = self.b2(s)
         b1sbar = self.b1(np.conj(s))
         crea = creation_op(basis, [cj * b2s for cj in c]).mat
@@ -206,6 +203,11 @@ def projection_frame(p: np.ndarray, rank: int) -> np.ndarray:
     return u * (np.conj(lead) / np.abs(lead))
 
 
+def build_h0(spec: ModelSpec, s: complex, basis: FockBasis) -> np.ndarray:
+    """H_0(s) = H_at(s) (x) 1 + 1 (x) H_f on the given basis."""
+    return np.kron(spec.h_at(s), np.eye(basis.size)) + field_energy(basis).mat
+
+
 def build_hamiltonian(spec: ModelSpec, s: complex, g: float | None = None,
                       basis: FockBasis | None = None) -> OperatorMatrix:
     """H_g(s) on the truncated space; errors if s leaves the declared region."""
@@ -215,16 +217,11 @@ def build_hamiltonian(spec: ModelSpec, s: complex, g: float | None = None,
         g = spec.g
     if basis is None:
         basis = spec.full_basis()
-    hat = spec.h_at(s)
-    mat = np.kron(hat, np.eye(basis.size)) + field_energy(basis).mat
+    mat = build_h0(spec, s, basis)
     if g != 0.0:
         mat = mat + g * spec.interaction(basis, s)
     herm = np.linalg.norm(mat - mat.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(mat))
     return OperatorMatrix(mat, basis, selfadjoint_known=bool(herm))
-
-
-def build_h0(spec: ModelSpec, s: complex, basis: FockBasis) -> np.ndarray:
-    return np.kron(spec.h_at(s), np.eye(basis.size)) + field_energy(basis).mat
 
 
 IDEM_TOL = 1e-10   # spectral_projection's gate: ||P^2 - P|| <= IDEM_TOL max(1, ||P||)
@@ -312,9 +309,19 @@ def validate_generators(spec: ModelSpec) -> float:
 
 
 def hyp5_frame(spec: ModelSpec, s: complex) -> np.ndarray:
-    """Invertible U(s) with U(s) P_at(s0) U(s)^-1 = P_at(s), integrated in
-    200 steps along the straight path from s0."""
-    return transformation_function(spec.p_at, spec.s0, s, 200)
+    """Kato's U(s) = P P0 + (1 - P)(1 - P0) for P = P_at(s), P0 = P_at(s0)
+    (Perturbation Theory for Linear Operators, Ch. I Sec. 4.6).  U P0 = P P0
+    = P U, with no discretization; U is a polynomial in P_at(s), so analytic
+    where P_at is, and U(s0) = 1.  As (P0 P + (1 - P0)(1 - P)) U = 1 - (P - P0)^2, U is invertible
+    while ||P - P0|| < 1; one singular to working precision raises
+    ArithmeticError."""
+    p0, p = spec.p_at(spec.s0), spec.p_at(s)
+    eye = np.eye(p.shape[0])
+    u = p @ p0 + (eye - p) @ (eye - p0)
+    sv = np.linalg.svd(u, compute_uv=False)
+    if sv[-1] <= u.shape[0] * np.finfo(float).eps * max(1.0, sv[0]):
+        raise ArithmeticError(f"Kato's frame U(s) is singular at s={s}")
+    return u
 
 
 @dataclass

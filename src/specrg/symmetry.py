@@ -2,7 +2,9 @@
 
 An antiunitary operator is stored as (matrix, flag) and acts as
 psi -> U conj(psi); it is never collapsed to a bare matrix, so all
-conjugation code branches on the flag explicitly.
+conjugation code branches on the flag explicitly.  Kato's frame for a
+moving eigenprojection, ``model.hyp5_frame``, is a polynomial in two
+projections, so it commutes with every unitary symmetry of the family.
 """
 
 from __future__ import annotations
@@ -155,48 +157,3 @@ def schur_scalar(t: np.ndarray, d: int, n_fock: int):
     """
     c = complex(vacuum_scalar(t, d, n_fock))
     return c, float(np.linalg.norm(vacuum_expectation(t, d, n_fock) - c * np.eye(d), 2))
-
-
-def transformation_function(p, s0: complex, s1: complex, n_steps: int) -> np.ndarray:
-    """Kato's transformation function: integrate U' = Q U, U(s0) = 1 with
-    Q = P'P - PP' along the straight path from s0 to s1 and return U(s1),
-    for which U(s1) P(s0) U(s1)^{-1} = P(s1).
-
-    p is a callable returning the projection matrix at a complex parameter;
-    it is called once at each point s0 + j h/2, j = -4 .. 2 n_steps + 4.
-    P' uses 4th-order central differences, the stepper is classic RK4, so the
-    conjugation residual is O(h^4).  P(s0) must be a projection within a
-    relative 1e-8; a singular U(s1) raises ArithmeticError.
-    """
-    s0 = complex(s0)
-    s1 = complex(s1)
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    h = (s1 - s0) / n_steps
-
-    p0 = np.asarray(p(s0), dtype=complex)
-    dim = p0.shape[0]
-    if np.linalg.norm(p0 @ p0 - p0) > 1e-8 * max(1.0, np.linalg.norm(p0)):
-        raise ValueError("input family is not a projection at the base point")
-
-    # P at s0 + j h/2 is ps[j + 4]; the path point s0 + k h is j = 2k
-    points = s0 + 0.5 * h * np.arange(-4, 2 * n_steps + 5)
-    ps = [p0 if j == 4 else np.asarray(p(s), dtype=complex) for j, s in enumerate(points)]
-
-    def q_at(j):
-        pj = ps[j + 4]
-        dp = (-ps[j + 8] + 8 * ps[j + 6] - 8 * ps[j + 2] + ps[j]) / (12 * h)
-        return dp @ pj - pj @ dp
-
-    qs = [q_at(j) for j in range(2 * n_steps + 1)]
-    u = np.eye(dim, dtype=complex)
-    for k in range(n_steps):
-        q1, q2, q4 = qs[2 * k], qs[2 * k + 1], qs[2 * k + 2]
-        k1 = q1 @ u
-        k2 = q2 @ (u + 0.5 * h * k1)
-        k3 = q2 @ (u + 0.5 * h * k2)
-        k4 = q4 @ (u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if abs(np.linalg.det(u)) == 0.0:
-        raise ArithmeticError(f"conjugating family became singular at s={s1}")
-    return u

@@ -220,6 +220,25 @@ class TestCli:
             assert doc["check.first_feshbach_consistency"] == "pass"
             assert doc["all_passed"] == "true"
 
+    def test_run_outputs_are_byte_identical(self, tmp_path, capsys, monkeypatch):
+        # two runs of one config in one process write the same bytes, and a
+        # run without --out prints that run.kv and formats no other text
+        config = cut_fixture(tmp_path, "m_triv")
+        names = ("run.kv", "trace.txt", "kernel.txt", "spectrum.txt")
+        extracts = count_calls(monkeypatch, kernels, "extract_w00")
+        written, counts = [], []
+        for k in range(2):
+            out = tmp_path / f"out{k}"
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            written.append([(out / name).read_bytes() for name in names])
+            counts.append(len(extracts))
+        assert written[0] == written[1]
+        capsys.readouterr()
+        assert main(["run", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.encode() == written[0][0]
+        # kernel.txt is the only extraction outside the flow
+        assert len(extracts) - counts[1] == counts[0] - 1
+
     def test_flow_failure_is_reported_with_exit_code_3(self, tmp_path, capsys):
         config = cut_fixture(tmp_path, "m_triv", coupling_strength=3.0)
         out = tmp_path / "out"

@@ -19,6 +19,7 @@ from specrg.kernels import (
     w00_matrix,
 )
 from specrg.config import load_model
+from specrg.model import PROFILES
 from specrg.rg import C_BETA, C_CHI, C_GAMMA, contraction_factor, flow_scale
 
 
@@ -47,7 +48,8 @@ def line_at(w00, r):
 def shell_coeffs(basis, amp):
     """Per-shell matrices sqrt(shell measure) amp(omega_j) 1 of a
     rotation-invariant kernel for ``creation_op`` and ``annihilation_op``."""
-    return [np.sqrt(basis.grid.weights[j]) * amp(basis.grid.omega[j]) * np.eye(basis.d_at)
+    c = PROFILES["one"].shell_coeffs(basis.grid)
+    return [c[j] * amp(basis.grid.omega[j]) * np.eye(basis.d_at)
             for j in range(basis.grid.levels)]
 
 
@@ -151,7 +153,8 @@ class TestExtraction:
         # contamination mu_j * w11, within mu_j * ||H - w00(0) (x) 1||
         assert np.abs(ext.node_values[0]).max() == 0.0
         off_scale = np.linalg.norm(h.mat - ext.node_values[0][0, 0] * np.eye(b.dim), 2)
-        bound = np.concatenate([[0.0], b.grid.weights[::-1]]) * off_scale
+        measure = PROFILES["one"].shell_coeffs(b.grid) ** 2
+        bound = np.concatenate([[0.0], measure[::-1]]) * off_scale
         for t in range(1, ext.nodes.size):
             got = np.abs(ext.node_values[t]).max()
             assert got <= bound[t] * (1 + 1e-9) + 1e-15

@@ -151,7 +151,7 @@ class TestBuildHamiltonian:
         basis = spec.full_basis()
         h = build_hamiltonian(spec, spec.s0, 0.1, basis)
         from specrg.fock import creation_op, field_energy
-        c = spec.mode_coeff_scalars()
+        c = spec.profile.shell_coeffs(spec.grid)
         w = creation_op(basis, list(c)).mat
         ref = field_energy(basis).mat + 0.1 * (w + w.conj().T)
         assert np.abs(h.mat - ref).max() < 1e-14
@@ -282,6 +282,10 @@ def varying_projection_spec():
     )
 
 
+#: a real, an imaginary and a complex point of the region |s| <= 0.15
+VARYING_S = (0.1, 0.15j, -0.1 + 0.1j)
+
+
 class TestVaryingProjection:
     def test_projection_varies(self):
         spec = varying_projection_spec()
@@ -289,14 +293,22 @@ class TestVaryingProjection:
 
     def test_frame_conjugates_projection(self):
         spec = varying_projection_spec()
-        s = 0.1
-        u = hyp5_frame(spec, s)
-        p0, ps = spec.p_at(spec.s0), spec.p_at(s)
-        resid = np.linalg.norm(u @ p0 @ np.linalg.inv(u) - ps)
-        assert resid < 1e-8
+        p0 = spec.p_at(spec.s0)
+        for s in VARYING_S:
+            u = hyp5_frame(spec, s)
+            assert np.linalg.norm(u @ p0 @ np.linalg.inv(u) - spec.p_at(s)) <= 1e-13
+
+    def test_frame_is_analytic(self):
+        # Cauchy-Riemann: the x- and y-difference quotients of U(s) agree
+        spec = varying_projection_spec()
+        h = 1e-4
+        for s in VARYING_S:
+            dx = (hyp5_frame(spec, s + h) - hyp5_frame(spec, s - h)) / (2 * h)
+            dy = (hyp5_frame(spec, s + 1j * h) - hyp5_frame(spec, s - 1j * h)) / (2j * h)
+            assert np.linalg.norm(dx - dy) <= 1e-6
 
     def test_frame_projects_each_half_step_point_once(self, monkeypatch):
-        # 200 steps of h = s/200: P at s0 + j h/2 for j = -4 .. 404
+        # U(s) reads P_at at s0 and at s alone
         spec = varying_projection_spec()
         projection = model.spectral_projection
         calls = []
@@ -307,7 +319,7 @@ class TestVaryingProjection:
 
         monkeypatch.setattr(model, "spectral_projection", counted)
         hyp5_frame(spec, 0.1)
-        assert len(calls) == 409
+        assert len(calls) == 2
 
     def test_p_at_memo_is_read_only_and_per_spec(self):
         spec = varying_projection_spec()
@@ -330,18 +342,18 @@ class TestVaryingProjection:
         from specrg.rg import iterate_to_fixed_point
         from specrg.oracle import dense_spectrum
         spec = varying_projection_spec()
-        s = 0.1
-        res = iterate_to_fixed_point(spec, s, False)
-        rep = dense_spectrum(build_hamiltonian(spec, s))
-        assert res.converged
-        assert np.min(np.abs(rep.eigenvalues - res.z_inf)) < 1e-7
+        for s in VARYING_S:
+            res = iterate_to_fixed_point(spec, s, False)
+            rep = dense_spectrum(build_hamiltonian(spec, s))
+            assert res.converged
+            assert np.min(np.abs(rep.eigenvalues - res.z_inf)) <= 1e-12
 
     def test_eigenvectors_lift_through_the_frame(self):
         from specrg.rg import build_eigenvectors, iterate_to_fixed_point
         spec = varying_projection_spec()
-        s = 0.1
-        # P_at varies, so U(s) enters the first decimation's frame
-        assert np.linalg.norm(spec.p_at(s) - spec.p_at(spec.s0)) > 1e-12
-        res = iterate_to_fixed_point(spec, s, False)
-        ev = build_eigenvectors(res.flow, res.z_inf)
-        assert max(ev.residuals) <= 1e-10
+        for s in VARYING_S:
+            # P_at varies, so U(s) enters the first decimation's frame
+            assert np.linalg.norm(spec.p_at(s) - spec.p_at(spec.s0)) > 1e-12
+            res = iterate_to_fixed_point(spec, s, False)
+            ev = build_eigenvectors(res.flow, res.z_inf)
+            assert max(ev.residuals) <= 1e-12

@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+
+from specrg.model import hyp5_frame
 
 from specrg.symmetry import (
     SymmetryOp,
@@ -7,7 +11,6 @@ from specrg.symmetry import (
     is_irreducible,
     is_symmetry_of,
     schur_scalar,
-    transformation_function,
     vacuum_expectation,
 )
 
@@ -188,45 +191,35 @@ def rotation(theta):
 
 def rotated_projection(s):
     """P(s) = R(s) P0 R(s)^-1 for the rotation R(s) by angle s and
-    P0 = diag(1, 0); Kato's generator P'P - PP' is then the constant
-    rotation generator, so U(s) = R(s)."""
+    P0 = diag(1, 0); Kato's U(s) = P(s) P0 + (1 - P(s))(1 - P0) is then
+    cos(s) R(s)."""
     c, sn = np.cos(s), np.sin(s)
     r = np.array([[c, -sn], [sn, c]], dtype=complex)
     return r @ np.diag([1.0, 0.0]) @ np.linalg.inv(r)
 
 
+def family(p, s0=0.0):
+    """The two attributes of a model that ``hyp5_frame`` reads, for a
+    projection family p given in closed form."""
+    return SimpleNamespace(p_at=p, s0=s0)
+
+
 class TestTransformationFunction:
+    """Kato's transformation function U(s) = P(s) P0 + (1 - P(s))(1 - P0)
+    as ``model.hyp5_frame`` builds it."""
+
     def test_constant_projection(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
-        u = transformation_function(lambda s: p0, 0.0, 1.0, 100)
-        assert np.linalg.norm(u - np.eye(2)) < 1e-12
+        assert np.array_equal(hyp5_frame(family(lambda s: p0), 1.0), np.eye(2))
 
     def test_rotation_family_closed_form(self):
-        p0 = rotated_projection(0.0)
-        u = transformation_function(rotated_projection, 0.0, 0.5, 500)
-        assert np.linalg.norm(u @ p0 @ np.linalg.inv(u) - rotated_projection(0.5)) < 1e-10
-        c, sn = np.cos(0.5), np.sin(0.5)
-        assert np.linalg.norm(u - np.array([[c, -sn], [sn, c]])) < 1e-10
-
-    def test_fourth_order_convergence(self):
-        # the end-point residual falls by about 16x per halving of the step
-        p0 = rotated_projection(0.0)
-        errs = []
-        for n in (8, 16, 32):
-            u = transformation_function(rotated_projection, 0.0, 1.0, n)
-            errs.append(np.linalg.norm(u @ p0 @ np.linalg.inv(u) - rotated_projection(1.0)))
-        assert errs[0] / errs[1] > 10 and errs[1] / errs[2] > 10
-        assert errs[2] < 1e-6
-
-    def test_unitary_on_real_path(self):
-        def p(s):   # orthogonal projections along the real axis
+        # P(s) = R(s) P0 R(s)^-1 gives U(s) = cos(s) R(s)
+        for s in (0.5, 0.3 + 0.2j):
+            u = hyp5_frame(family(rotated_projection), s)
             c, sn = np.cos(s), np.sin(s)
-            r = np.array([[c, -sn], [sn, c]], dtype=complex)
-            return r @ np.diag([1.0, 0.0]) @ r.conj().T
-
-        for s1 in (0.2, 0.6, 1.0):
-            u = transformation_function(p, 0.0, s1, round(1000 * s1))
-            assert np.linalg.norm(u @ u.conj().T - np.eye(2)) < 1e-8
+            assert np.linalg.norm(u - c * np.array([[c, -sn], [sn, c]])) <= 1e-15
+            p0 = rotated_projection(0.0)
+            assert np.linalg.norm(u @ p0 @ np.linalg.inv(u) - rotated_projection(s)) <= 1e-14
 
     def test_symmetry_intertwining(self):
         """S U(s) S* = U(s) for unitary S commuting with the whole family."""
@@ -237,9 +230,11 @@ class TestTransformationFunction:
 
         ok, _ = is_symmetry_of(s_op, p(0.3))
         assert ok
-        u = transformation_function(p, 0.0, 0.3, 300)
-        assert np.linalg.norm(conjugate(s_op, u) - u) < 1e-8
+        u = hyp5_frame(family(p), 0.3 - 0.1j)
+        assert np.linalg.norm(conjugate(s_op, u) - u) <= 1e-15
 
-    def test_non_projection_rejected(self):
-        with pytest.raises(ValueError):
-            transformation_function(lambda s: np.eye(2) * 0.5, 0.0, 1.0, 10)
+    def test_complementary_projection_raises(self):
+        # P(s) = 1 - P0: U(s) = 0, and the error names s
+        p0 = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(ArithmeticError, match=r"s=0\.7"):
+            hyp5_frame(family(lambda s: p0 if s == 0.0 else np.eye(2) - p0), 0.7)

@@ -29,7 +29,6 @@ the exception in flow.error).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -76,32 +75,9 @@ SWEEP_COUPLINGS = (0.02, 0.04, 0.08, 0.16)   # weak-coupling sweep of sweep-g
 def load_run_config(path_or_name: str,
                     validate: bool = True) -> tuple[bool, ModelSpec]:
     """(check_winding, model) from a run config ({"model": ...}) or directly
-    from a model config (fixture name or file)."""
-    name = str(path_or_name)
-    doc = None
-    if name not in cfgmod.FIXTURES and Path(name).exists():
-        with open(name, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise cfgmod.ConfigError(f"invalid JSON in {name}: {exc}") from None
-        if not isinstance(doc, dict) or not doc:
-            raise cfgmod.ConfigError(f"empty or malformed config {name}")
-    check_winding = True
-    if doc is not None and "model" in doc:
-        cfgmod._require_keys(doc, ["schema_version", "model"], ["rg"], where="run config")
-        if doc["schema_version"] != cfgmod.SCHEMA_VERSION:
-            raise cfgmod.ConfigError(
-                f"unsupported schema_version {doc['schema_version']}")
-        rg = doc.get("rg", {})
-        if not isinstance(rg, dict):
-            raise cfgmod.ConfigError(f"rg must be an object, got {rg!r}")
-        cfgmod._require_keys(rg, [], ["check_winding"], where="rg")
-        check_winding = rg.get("check_winding", True)
-        if type(check_winding) is not bool:
-            raise cfgmod.ConfigError(f"rg.check_winding must be bool, got {check_winding!r}")
-        name = str(doc["model"])
-    spec = cfgmod.load_model(name, validate=validate)
+    from a model config (fixture name or file), as ``config.load_run_config``
+    parses them; a model whose grid ratio the flow cannot take is refused."""
+    check_winding, spec = cfgmod.load_run_config(path_or_name, validate)
     try:
         flow_scale(spec)
     except ValueError as exc:
@@ -289,7 +265,7 @@ def run_pipeline(spec: ModelSpec, report: Report, check_winding: bool, seed: int
                      cmp_rep.ground_state_error < 1e-8)
     _write(out_dir, "spectrum.txt", lambda: _spectrum_dump(oracle_rep))
     _write(out_dir, "kernel.txt",
-           lambda: _kernel_dump(kernels.extract_w00(res.final_ladder.levels[0].h)))
+           lambda: _kernel_dump(res.final_ladder.levels[0].ext))
 
     if spec.complex_selfadjoint and spec.jconj is not None:
         jfull = np.kron(spec.jconj, np.eye(h_full.basis.size))
@@ -439,7 +415,7 @@ def property_suite(spec: ModelSpec, report: Report, seed: int) -> None:
 
     reports = []
     for _ in range(20):
-        reports.extend(isospectrality_suite(*random_feshbach_pair(rng)))
+        reports.append(isospectrality_suite(*random_feshbach_pair(rng)))
     id_res = max(max(r.inverse_identity_h, r.inverse_identity_f)
                  for r in reports)
     report.check("feshbach_inverse_identities", id_res < 1e-9,

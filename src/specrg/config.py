@@ -1,8 +1,9 @@
-"""Versioned JSON model configs.
+"""Versioned JSON model configs and the run configs that name them.
 
 Complex matrix entries are [re, im] pairs nested row-major; polynomial
 families are lists of coefficient matrices (constant term first).  Unknown
-keys are rejected at every level so that typos fail loudly.
+keys are rejected at every level so that typos fail loudly.  A run config
+names a model and sets the flow's one option (see ``specrg.cli``).
 """
 
 from __future__ import annotations
@@ -160,8 +161,8 @@ def parse_model_config(doc: dict, validate: bool = True) -> ModelSpec:
     return spec
 
 
-def load_model(source, validate: bool = True) -> ModelSpec:
-    """Load a ModelSpec from a path, or by shipped fixture name."""
+def _read(source) -> dict:
+    """The JSON object of a shipped fixture name or a config file."""
     name = str(source)
     if name in FIXTURES:
         text = resources.files("specrg").joinpath(f"fixtures/{name}.json").read_text()
@@ -172,6 +173,30 @@ def load_model(source, validate: bool = True) -> ModelSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {name}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("top-level config must be an object")
-    return parse_model_config(doc, validate=validate)
+    if not isinstance(doc, dict) or not doc:
+        raise ConfigError(f"empty or malformed config {name}")
+    return doc
+
+
+def load_model(source, validate: bool = True) -> ModelSpec:
+    """Load a ModelSpec from a path, or by shipped fixture name."""
+    return parse_model_config(_read(source), validate=validate)
+
+
+def load_run_config(source, validate: bool) -> tuple[bool, ModelSpec]:
+    """(check_winding, model) from a run config, or (True, model) from a
+    model config given directly (fixture name or file)."""
+    doc = _read(source)
+    if "model" not in doc:
+        return True, parse_model_config(doc, validate=validate)
+    _require_keys(doc, ["schema_version", "model"], ["rg"], where="run config")
+    if doc["schema_version"] != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {doc['schema_version']}")
+    rg = doc.get("rg", {})
+    if not isinstance(rg, dict):
+        raise ConfigError(f"rg must be an object, got {rg!r}")
+    _require_keys(rg, [], ["check_winding"], where="rg")
+    check_winding = rg.get("check_winding", True)
+    if type(check_winding) is not bool:
+        raise ConfigError(f"rg.check_winding must be bool, got {check_winding!r}")
+    return check_winding, load_model(doc["model"], validate=validate)

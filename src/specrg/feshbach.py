@@ -209,42 +209,35 @@ class IsospectralityReport:
         return self.kernel_dim_h == self.kernel_dim_f
 
 
-def isospectrality_suite(h, t, chi, chibar, probe_shifts=(0.0,)):
+def isospectrality_suite(h, t, chi, chibar) -> IsospectralityReport:
     """Exercise the two inverse identities and the kernel-dimension equality
-    for each probe shift z (the pair becomes (H - z, T - z)); chi and chibar
-    are the diagonals of the cutoffs.
+    of the pair (H, T); chi and chibar are the diagonals of the cutoffs.
 
     Identities, in the full-matrix embedding (F (+) T on the chi-null
     coordinates):  H^-1 = Q F^-1 Q# + chibar H_chibar^-1 chibar   and
     F^-1 = chi H^-1 chi + chibar T^-1 chibar.
     """
     h = np.asarray(h, dtype=complex)
-    t = np.asarray(t, dtype=complex)
-    eye = np.eye(h.shape[0])
+    p = FeshbachPair(h, t, chi, chibar)
 
-    def chibar_sandwich(p, inv):   # chibar (.|_Ran chibar)^-1 chibar, full size
+    def chibar_sandwich(inv):   # chibar (.|_Ran chibar)^-1 chibar, full size
         out = np.zeros_like(h)
         out[np.ix_(p.on, p.on)] = p.chibar[p.on, None] * inv * p.chibar[p.on]
         return out
 
-    reports = []
-    for z in probe_shifts:
-        hz = h - z * eye
-        p = FeshbachPair(hz, t - z * eye, chi, chibar)
-        f = feshbach_map(p)
-        q, q_sharp = q_ops(p)
-        kd_h = kernel_dim(hz)
-        kd_f = kernel_dim(f)
-        res_h = res_f = np.nan
-        if kd_h == 0 and kd_f == 0:
-            hinv = np.linalg.inv(hz)
-            finv = np.linalg.inv(f)
-            rhs = q @ finv @ q_sharp + chibar_sandwich(p, p.inverse_h)
-            res_h = float(np.linalg.norm(hinv - rhs) / np.linalg.norm(hinv))
-            rhs2 = p.chi[:, None] * hinv * p.chi + chibar_sandwich(p, p.inverse_t)
-            res_f = float(np.linalg.norm(finv - rhs2) / np.linalg.norm(finv))
-        reports.append(IsospectralityReport(res_h, res_f, kd_h, kd_f))
-    return reports
+    f = feshbach_map(p)
+    q, q_sharp = q_ops(p)
+    kd_h = kernel_dim(h)
+    kd_f = kernel_dim(f)
+    res_h = res_f = np.nan
+    if kd_h == 0 and kd_f == 0:
+        hinv = np.linalg.inv(h)
+        finv = np.linalg.inv(f)
+        rhs = q @ finv @ q_sharp + chibar_sandwich(p.inverse_h)
+        res_h = float(np.linalg.norm(hinv - rhs) / np.linalg.norm(hinv))
+        rhs2 = p.chi[:, None] * hinv * p.chi + chibar_sandwich(p.inverse_t)
+        res_f = float(np.linalg.norm(finv - rhs2) / np.linalg.norm(finv))
+    return IsospectralityReport(res_h, res_f, kd_h, kd_f)
 
 
 def _conjugate_atomic(uinv: np.ndarray, mat: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -306,10 +299,7 @@ def first_decimation(spec: ModelSpec, s: complex, g: float | None) -> FirstDecim
     """The ``FirstDecimation`` at (model, s, g), built once and kept in
     ``spec.built``: the first-decimation report, the dense oracles and the
     flow of one command share it."""
-    key = ("first", complex(s), g)
-    if key not in spec.built:
-        spec.built.setdefault(key, FirstDecimation(spec, s, g))
-    return spec.built[key]   # threads that both build keep the first
+    return spec.memo(("first", complex(s), g), lambda: FirstDecimation(spec, s, g))
 
 
 def first_feshbach(first: FirstDecimation, z) -> tuple[OperatorMatrix, FeshbachPair]:

@@ -69,7 +69,9 @@ class FockBasis:
 
     States (n_0, ..., n_{J-1}) satisfy sum n_j <= n_max and
     sum n_j omega_j <= e_cut; the vacuum is index 0 and the ordering is
-    ascending lexicographic, hence deterministic.
+    ascending lexicographic, hence deterministic.  ``node_energies`` and
+    ``node_rows`` hold the H_f values and the atomic-major coordinates of the
+    vacuum and the one-photon states, the nodes of ``kernels.extract_w00``.
     """
 
     def __init__(self, grid: ModeGrid, n_max: int, e_cut: float, d_at: int = 1):
@@ -91,8 +93,12 @@ class FockBasis:
         occ = np.array(self.states, dtype=np.int64).reshape(self.size, grid.levels)
         self.occupations = occ
         self.hf_values = occ @ grid.omega if grid.levels else np.zeros(self.size)
-        self.hf_values.flags.writeable = False
-        self.occupations.flags.writeable = False
+        # lexicographic: the vacuum, then one photon by increasing energy
+        fock = np.flatnonzero(occ.sum(axis=1) <= 1)
+        self.node_energies = self.hf_values[fock]
+        self.node_rows = fock[:, None] + np.arange(self.d_at) * self.size
+        for a in (self.hf_values, self.occupations, self.node_energies, self.node_rows):
+            a.flags.writeable = False
 
     @property
     def dim(self) -> int:

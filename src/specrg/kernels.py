@@ -1,13 +1,15 @@
 """The diagonal kernel w_{0,0} of an operator and its polydisc radii.
 
 ``extract_w00`` reads the nodes of w_{0,0} off the vacuum and one-photon
-diagonal blocks of an operator; between them w_{0,0} is the monotone cubic
-(PCHIP) of Fritsch & Carlson.  A flow step always reads w_{0,0}(H_f), the
-unperturbed part of the next Feshbach pair, evaluated directly at the
-basis' H_f values; the 65-point ``KernelC1`` on r in [0, 1] is built only
-for beta_hat and ``kernel.txt``.  ``polydisc_check`` measures the operator's
-polydisc radii beta and gamma for the trace; only w_{0,0} is extracted, so
-the interaction size is the operator norm of H - w_{0,0}(H_f).
+diagonal blocks of an operator, in one gather at the coordinates its basis
+keeps (``FockBasis.node_rows``); between the nodes w_{0,0} is the monotone
+cubic (PCHIP) of Fritsch & Carlson, fitted once to the real view of the
+complex node values.  A flow step reads w_{0,0}(H_f), the unperturbed part
+of the next Feshbach pair, evaluated directly at the basis' H_f values; the
+65-point ``KernelC1`` on r in [0, 1] is built only for beta_hat and
+``kernel.txt``.  ``polydisc_check`` measures the operator's polydisc radii
+beta and gamma for the trace; only w_{0,0} is extracted, so the interaction
+size is the operator norm of H - w_{0,0}(H_f).
 
 A step of a stacked ladder extracts the kernels of its K operators at once:
 the node values carry the stack axes after the node axis, which the PCHIP
@@ -117,9 +119,10 @@ class ExtractionResult:
 
     @cached_property
     def slopes(self) -> np.ndarray:
-        """PCHIP slopes of the real and imaginary part of every entry."""
-        v = self.node_values
-        return pchip_slopes(self.nodes, v.real) + 1j * pchip_slopes(self.nodes, v.imag)
+        """PCHIP slopes of the real and imaginary part of every entry, from
+        one fit of the interleaved real view: every PCHIP operation acts
+        entry by entry."""
+        return pchip_slopes(self.nodes, self.node_values.view(float)).view(complex)
 
     def hf_matrix(self) -> np.ndarray:
         """w_{0,0}(H_f) on the source's basis, one per operator of the stack."""
@@ -137,29 +140,20 @@ def extract_w00(h: OperatorMatrix) -> ExtractionResult:
     w00(0) is the exact vacuum block; w00(omega_j) is read off the one-photon
     diagonal block of shell j, which carries an O(shell measure) additive
     contamination from any (1,1) kernel component, at most
-    mu_j * ||H - w00(0) (x) 1|| with mu_j the shell measure.  A step reads
-    w00(H_f) at the basis' H_f values from the PCHIP slopes (Fritsch &
-    Carlson 1980); the 65-point ``KernelC1`` is sampled only when beta_hat
-    or ``kernel.txt`` reads it.  A stack of operators gives a stack of
-    kernels: every node value carries the stack's leading axes.
+    mu_j * ||H - w00(0) (x) 1|| with mu_j the shell measure.  The d x d
+    blocks of every node and every operator of a stack come from one
+    gather at the basis' ``node_rows``.  A step reads w00(H_f) at the
+    basis' H_f values from the PCHIP slopes (Fritsch & Carlson 1980); the
+    65-point ``KernelC1`` is sampled only when beta_hat or ``kernel.txt``
+    reads it.  A stack of operators gives a stack of kernels: every node
+    value carries the stack's leading axes.
     """
     basis = h.basis
-    d, nF = basis.d_at, basis.size
-    J = basis.grid.levels
-    nodes = [0.0]
-    fock_idx = [0]
-    for j in range(J - 1, -1, -1):
-        occ = tuple(1 if k == j else 0 for k in range(J))
-        i = basis.index.get(occ)
-        if i is None:
-            continue
-        nodes.append(basis.grid.omega[j])
-        fock_idx.append(i)
-    node_vals = np.empty((len(nodes),) + h.mat.shape[:-2] + (d, d), dtype=complex)
-    for t, i in enumerate(fock_idx):
-        rows = np.arange(d) * nF + i
-        node_vals[t] = h.mat[(..., *np.ix_(rows, rows))]
-    return ExtractionResult(np.array(nodes), node_vals, h)
+    mats = h.mat.reshape((-1,) + h.mat.shape[-2:])
+    rows = basis.node_rows[:, None]   # (nodes, 1, d): broadcast over the stack
+    vals = mats[np.arange(len(mats))[:, None, None], rows[..., None], rows[..., None, :]]
+    return ExtractionResult(basis.node_energies,
+                            vals.reshape(rows.shape[:1] + h.mat.shape[:-2] + vals.shape[-2:]), h)
 
 
 @dataclass

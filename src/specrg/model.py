@@ -101,12 +101,17 @@ class ModelSpec:
     reflection_symmetric: bool = False
     complex_selfadjoint: bool = False
     jconj: np.ndarray | None = None                  # atomic part of J (with conj)
-    # memos: p_at keyed by s; ``built``, the Fock bases, rg.Flow's depths and the
-    # first decimations keyed by ("basis", e_cut, d_at), ("depth", n) and
-    # ("first", s, g); a replace() copy starts empty
-    _projections: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
+    # ``memo``'s store: P_at, the Fock bases, rg.Flow's depths and the first
+    # decimations keyed by ("p_at", s), ("basis", e_cut, d_at), ("depth", n)
+    # and ("first", s, g); a replace() copy starts empty
     built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def memo(self, key, build):
+        """The value kept in ``built`` under key, from build() on first use.
+        Threads that both build keep the first value."""
+        if key not in self.built:
+            return self.built.setdefault(key, build())
+        return self.built[key]
 
     def h_at(self, s: complex) -> np.ndarray:
         return _poly_eval(self.hat_coeffs, s)
@@ -137,17 +142,14 @@ class ModelSpec:
         """Spectral projection of H_at(s) onto the tracked degenerate
         cluster, via the declared isolation contour around E_at(s0).
 
-        Computed once per s and returned read-only.  Threads sharing the spec
-        may both compute a missing entry; the results are identical.
+        Computed once per s and returned read-only.
         """
-        s = complex(s)
-        p = self._projections.get(s)
-        if p is None:
-            p = spectral_projection(self.h_at(s), self._cluster_center,
-                                    self.contour_radius)
+        def build():
+            p = spectral_projection(self.h_at(s), self._cluster_center, self.contour_radius)
             p.setflags(write=False)
-            self._projections[s] = p
-        return p
+            return p
+
+        return self.memo(("p_at", complex(s)), build)
 
     def e_at(self, s: complex) -> complex:
         p = self.p_at(s)
@@ -169,10 +171,8 @@ class ModelSpec:
 
     def _basis(self, e_cut: float, d_at: int) -> FockBasis:
         """The Fock basis up to energy e_cut, built once per instance."""
-        key = ("basis", e_cut, d_at)
-        if key not in self.built:
-            self.built.setdefault(key, build_fock_basis(self.grid, self.n_max, e_cut, d_at))
-        return self.built[key]   # threads that both build keep the first
+        return self.memo(("basis", e_cut, d_at),
+                         lambda: build_fock_basis(self.grid, self.n_max, e_cut, d_at))
 
     def full_basis(self) -> FockBasis:
         return self._basis(self.e_cut, self.d_at)
@@ -225,35 +225,34 @@ def build_hamiltonian(spec: ModelSpec, s: complex, g: float | None = None,
 
 
 IDEM_TOL = 1e-10   # spectral_projection's gate: ||P^2 - P|| <= IDEM_TOL max(1, ||P||)
+MIN_NODES = 64     # spectral_projection's floor on the quadrature nodes
 
 
-def spectral_projection(h: np.ndarray, center: complex, radius: float,
-                        n_nodes: int = 64, check: bool = True) -> np.ndarray:
+def spectral_projection(h: np.ndarray, center: complex, radius: float) -> np.ndarray:
     """Contour-integral projection (2 pi i)^-1 oint (z - H)^-1 dz by the
     trapezoidal rule on a circle; exponentially convergent off-spectrum.
 
-    ``n_nodes`` is a minimum. An eigenvalue at distance a < r inside (or
-    b > r outside) the circle of radius r contributes a quadrature error of
-    about (a/r)^N (or (r/b)^N) with N nodes (Trefethen & Weideman, SIAM Rev.
-    56, 2014), so with ``check=True`` N is raised until the largest of these
-    is at most IDEM_TOL/100. The 10% exclusion around the contour keeps N
-    below about 290. With ``check=False`` no eigenvalues are computed and
-    ``n_nodes`` is used as given.  The node
-    resolvents come from one stacked solve and are summed in node order.
+    The rule takes at least MIN_NODES nodes. An eigenvalue at distance a < r
+    inside (or b > r outside) the circle of radius r contributes a quadrature
+    error of about (a/r)^N (or (r/b)^N) with N nodes (Trefethen & Weideman,
+    SIAM Rev. 56, 2014), so N is raised until the largest of these is at most
+    IDEM_TOL/100. The 10% exclusion around the contour keeps N below about
+    290.  The node resolvents come from one stacked solve and are summed in
+    node order.
     """
     h = np.asarray(h, dtype=complex)
     n = h.shape[0]
-    if check:
-        eigs = np.linalg.eigvals(h)
-        dist = np.abs(eigs - center)
-        if np.any((dist > 0.9 * radius) & (dist < 1.1 * radius)):
-            raise ContourError(
-                f"eigenvalue within 10% of the contour |z-{center}|={radius}")
-        inside = dist < radius
-        q = max(np.max(dist[inside], initial=0.0) / radius,
-                radius / np.min(dist[~inside], initial=np.inf))
-        if q > 0.0:
-            n_nodes = max(n_nodes, int(np.ceil(np.log(IDEM_TOL / 100) / np.log(q))))
+    eigs = np.linalg.eigvals(h)
+    dist = np.abs(eigs - center)
+    if np.any((dist > 0.9 * radius) & (dist < 1.1 * radius)):
+        raise ContourError(
+            f"eigenvalue within 10% of the contour |z-{center}|={radius}")
+    inside = dist < radius
+    q = max(np.max(dist[inside], initial=0.0) / radius,
+            radius / np.min(dist[~inside], initial=np.inf))
+    n_nodes = MIN_NODES
+    if q > 0.0:
+        n_nodes = max(n_nodes, int(np.ceil(np.log(IDEM_TOL / 100) / np.log(q))))
     theta = 2 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
     ws = [radius * np.exp(1j * t) for t in theta]
     eye = np.eye(n)

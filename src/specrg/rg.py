@@ -1,7 +1,7 @@
 """Renormalization flow: decimate below scale rho, rescale, repeat.
 
 One step maps an operator on the reduced space of a J-shell grid to one on
-the (J-1)-shell grid: Feshbach map at cutoff scale rho with the re-extracted
+the (J-1)-shell grid: Feshbach map at cutoff scale rho with the extracted
 diagonal part as the unperturbed operator, then the exact shell-shift
 dilation and division by rho.  On a truncated grid the flow terminates: after
 J steps only the bare degenerate subspace is left and the energy function's
@@ -11,9 +11,11 @@ kernel-preserving at the matrix level).
 Only H - z changes from one evaluation of E^(n)(z) to the next.  A ``Flow``
 holds what does not: the first decimation, once per (model, s, g), and per
 depth the basis, generators, cutoffs and dilation, once per model.
-``run_ladder(flow, z, n)`` computes on every level its operator and
-E^(n)(z) = tr<H>_Omega / d; each step below the top extracts its own
-T = w_{0,0}(H_f), checks the pair's margins and the window.  z is one value
+``run_ladder(flow, z, n)`` computes on every level its operator and reads
+it once: one ``extract_w00`` per level gives E^(n)(z) = tr w_{0,0}(0) / d,
+and below the top the next step's T = w_{0,0}(H_f), whose pair's margins
+and window the step checks.  The trace's polydisc radii and ``kernel.txt``
+read the extractions the ladder kept.  z is one value
 or an array of K values: a stacked ladder carries a leading axis of K on
 every operator, pair, kernel and E^(n), and is the same code as the ladder
 at one z, whose operators have no leading axis.  The secant and the
@@ -54,9 +56,9 @@ from .feshbach import (
     verify_pair,
 )
 from .fock import DilationMap, FockBasis, OperatorMatrix, dilation
-from .kernels import extract_w00, polydisc_check
-from .model import ModelSpec
-from .symmetry import is_symmetry_of, schur_scalar, vacuum_scalar
+from .kernels import ExtractionResult, extract_w00, polydisc_check
+from .model import ModelSpec, projection_rank
+from .symmetry import is_symmetry_of, schur_scalar
 
 C_CHI = 1.0              # cutoff constant, sets xi, C_beta and C_gamma
 C_BETA = 1.5 * C_CHI
@@ -134,15 +136,13 @@ class Flow:
     def depth(self, n: int) -> Depth:
         """Data of depth n, kept in ``spec.built`` for every flow of the
         model; every depth past the vacuum-only terminal space is that space."""
-        key = ("depth", n)
-        if key not in self.spec.built:
-            prev = self.depth(n - 1) if n > 0 else None
-            if prev is None:
-                d = self._build(self.spec.reduced_fock_basis())
-            else:
-                d = prev if prev.dilation is None else self._build(prev.dilation.target)
-            self.spec.built.setdefault(key, d)   # threads keep the first record
-        return self.spec.built[key]
+        def build():
+            if n == 0:
+                return self._build(self.spec.reduced_fock_basis())
+            prev = self.depth(n - 1)
+            return prev if prev.dilation is None else self._build(prev.dilation.target)
+
+        return self.spec.memo(("depth", n), build)
 
     def _build(self, basis: FockBasis) -> Depth:
         spec, rho = self.spec, self.rho
@@ -152,11 +152,11 @@ class Flow:
         return Depth(basis, gens, *CutoffSpec(rho).diagonals(basis), dilation(basis, rho))
 
 
-def rg_step(h: OperatorMatrix, depth: Depth, rho: float):
-    """One renormalization step from the operator h at the given depth;
-    returns (next operator, pair).
+def rg_step(ext: ExtractionResult, depth: Depth, rho: float):
+    """One renormalization step from h = ``ext.source`` at the given depth,
+    with ``ext`` its level's extraction; returns (next operator, pair).
 
-    The unperturbed part is h's extracted diagonal kernel, so the pair is
+    The unperturbed part is w_{0,0}(H_f) of that extraction, so the pair is
     valid independently of extraction error.  The next operator is
     Gamma F Gamma* / rho, with Gamma F Gamma* the principal submatrix of the
     Feshbach map F on the dilation's ``rows``; on the vacuum-only terminal
@@ -164,10 +164,11 @@ def rg_step(h: OperatorMatrix, depth: Depth, rho: float):
     margins raises FeshbachPairError with the full report.  A stack h
     steps each of its operators.
     """
+    h = ext.source
     if depth.dilation is None:
         return OperatorMatrix(h.mat / rho, h.basis), None
 
-    pair = FeshbachPair(h.mat, extract_w00(h).hf_matrix(), depth.chi, depth.chibar)
+    pair = FeshbachPair(h.mat, ext.hf_matrix(), depth.chi, depth.chibar)
     pair.require_margins()
     rows = depth.dilation.rows
     return OperatorMatrix(feshbach_map(pair)[(..., *np.ix_(rows, rows))] / rho,
@@ -176,12 +177,18 @@ def rg_step(h: OperatorMatrix, depth: Depth, rho: float):
 
 @dataclass
 class LadderLevel:
-    """Level n of a ladder: its operator and E^(n)(z), both stacked like z."""
+    """Level n of a ladder: the one extraction of w_{0,0} from its operator
+    ``h``, read by the next step and the trace, and E^(n)(z) = tr w_{0,0}(0)
+    / d read off its node 0, all stacked like z."""
 
     n: int
-    h: OperatorMatrix
+    ext: ExtractionResult
     e_value: complex | np.ndarray
     pair: FeshbachPair | None      # pair of the step INTO this level, kept on the top only
+
+    @property
+    def h(self) -> OperatorMatrix:
+        return self.ext.source
 
 
 @dataclass
@@ -208,8 +215,9 @@ def run_ladder(flow: Flow, z, n_levels: int,
     del pair   # the full-space pair is not needed by the steps
 
     def make_level(n, h_op, pair):
-        c = vacuum_scalar(h_op.mat, h_op.basis.d_at, h_op.basis.size)
-        return LadderLevel(n, h_op, c, pair)
+        ext = extract_w00(h_op)
+        c = np.trace(ext.node_values[0], axis1=-2, axis2=-1) / h_op.basis.d_at
+        return LadderLevel(n, ext, c, pair)
 
     levels = [make_level(0, h, None)]
     for n in range(1, n_levels + 1):
@@ -218,7 +226,7 @@ def run_ladder(flow: Flow, z, n_levels: int,
             for e in np.ravel(prev.e_value):
                 if abs(e) > flow.window_threshold:
                     raise WindowExitError(prev.n, complex(e), flow.window_threshold)
-        h, pair = rg_step(prev.h, flow.depth(n - 1), flow.rho)
+        h, pair = rg_step(prev.ext, flow.depth(n - 1), flow.rho)
         if collect_q:   # the terminal step's auxiliary operator is the identity
             qs.append(np.broadcast_to(np.eye(h.basis.dim, dtype=complex), h.mat.shape)
                       if pair is None else q_ops(pair)[0])
@@ -431,7 +439,7 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, check_winding: bool,
     for n in range(N_ITER_MAX + 1):
         root = find_zn(flow, n, z_start=z)
         top = root.ladder.top
-        polydisc = polydisc_check(extract_w00(top.h))
+        polydisc = polydisc_check(top.ext)
         ghat = polydisc.gamma_hat
         pairrep = None if top.pair is None else verify_pair(top.pair)
         rec = TraceRecord(
@@ -551,6 +559,6 @@ def build_eigenprojection(psis, duals, h_full: np.ndarray, z: complex) -> Projec
         for b in range(k):
             p += minv[a, b] * np.outer(psis[a], np.conj(duals[b]))
     idem = float(np.linalg.norm(p @ p - p) / max(1.0, np.linalg.norm(p)))
-    rank = int(round(float(np.real(np.trace(p)))))
+    rank = projection_rank(p)
     resid = float(np.linalg.norm(h_full @ p - z * p) / max(1.0, np.linalg.norm(p)))
     return ProjectionResult(idem, rank, resid)

@@ -5,6 +5,8 @@ psi -> U conj(psi); it is never collapsed to a bare matrix, so all
 conjugation code branches on the flag explicitly.  Kato's frame for a
 moving eigenprojection, ``model.hyp5_frame``, is a polynomial in two
 projections, so it commutes with every unitary symmetry of the family.
+``schur_scalar`` measures how far an operator's vacuum block is from the
+scalar E^(n)(z) that ``rg.run_ladder`` reads off its extraction of w_{0,0}.
 """
 
 from __future__ import annotations
@@ -143,17 +145,13 @@ def vacuum_expectation(t: np.ndarray, d: int, n_fock: int) -> np.ndarray:
     return t[(..., *np.ix_(idx, idx))].copy()
 
 
-def vacuum_scalar(t: np.ndarray, d: int, n_fock: int):
-    """The scalar of the vacuum block: c = tr<T>_Omega / d, one per matrix of
-    a stack t."""
-    return np.trace(vacuum_expectation(t, d, n_fock), axis1=-2, axis2=-1) / d
-
-
 def schur_scalar(t: np.ndarray, d: int, n_fock: int):
-    """Scalarize the vacuum block: c = ``vacuum_scalar(t, d, n_fock)``.
+    """Scalarize the vacuum block: c = tr<T>_Omega / d, the E^(n)(z) that
+    a ladder level reads off node 0 of its extraction.
 
     Returns (c, deviation) with deviation = ||<T>_Omega - c 1||; a large
     deviation signals broken symmetry upstream and is data, not an error.
     """
-    c = complex(vacuum_scalar(t, d, n_fock))
-    return c, float(np.linalg.norm(vacuum_expectation(t, d, n_fock) - c * np.eye(d), 2))
+    block = vacuum_expectation(t, d, n_fock)
+    c = complex(np.trace(block) / d)
+    return c, float(np.linalg.norm(block - c * np.eye(d), 2))

@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from specrg import fock, kernels, model, oracle, symmetry
+from specrg import fock, kernels, model, oracle, rg, symmetry
 from specrg.cli import main
 from specrg.config import load_model
 from specrg.feshbach import verify_pair
@@ -84,6 +84,43 @@ class TestLadder:
         assert _winding_count(res.flow, res.n_levels, res.z_inf) == 1
         # a winding ladder reads only E^(n)
         assert (len(checks), len(residuals)) == (depths, depths * len(spec.generators))
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_kramers"])
+    def test_each_level_is_extracted_once(self, tmp_path, monkeypatch, name):
+        spec = load_model(cut_fixture(tmp_path, name))
+        extracts = count_calls(monkeypatch, kernels, "extract_w00")
+        levels = []   # n + 1 per ladder of n levels
+        ladder = rg.run_ladder
+
+        def counted(flow, z, n, *args, **kwargs):
+            levels.append(n + 1)
+            return ladder(flow, z, n, *args, **kwargs)
+
+        monkeypatch.setattr(rg, "run_ladder", counted)
+        res = iterate_to_fixed_point(spec, spec.s0, True)
+        assert res.converged and len(levels) > res.n_levels + 1
+        # the trace's polydisc radii read the top's extraction: no other call
+        assert len(extracts) == sum(levels)
+        ladder(res.flow, res.z_inf, spec.grid.levels + 1, check_windows=False)
+        assert len(extracts) == sum(levels) + spec.grid.levels + 2
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli"])
+    def test_energy_is_the_schur_scalar_bit_for_bit(self, tmp_path, name):
+        spec = load_model(cut_fixture(tmp_path, name))
+        flow = Flow(spec, spec.s0, True)
+        z = spec.e_at(spec.s0)
+        zs = z + 1e-3 * np.exp(0.5j * np.pi * np.arange(4))
+        n = spec.grid.levels + 1   # down to the vacuum-only space
+        for lad in (run_ladder(flow, z, n, check_windows=False),
+                    run_ladder(flow, zs, n, check_windows=False)):
+            assert len(lad.levels) == n + 1
+            for level in lad.levels:
+                # E^(n) is read off node 0 of the level's one extraction
+                assert level.ext.source is level.h and level.ext.nodes[0] == 0.0
+                for k, e in enumerate(np.ravel(level.e_value)):
+                    mat = level.h.mat.reshape((-1,) + level.h.mat.shape[-2:])[k]
+                    c, _ = schur_scalar(mat, spec.d, level.h.basis.size)
+                    assert np.complex128(e).tobytes() == np.complex128(c).tobytes()
 
     def test_only_the_top_level_keeps_its_pair(self, tmp_path):
         spec = load_model(cut_fixture(tmp_path, "m_triv"))
@@ -236,8 +273,9 @@ class TestCli:
         capsys.readouterr()
         assert main(["run", "--config", str(config)]) == 0
         assert capsys.readouterr().out.encode() == written[0][0]
-        # kernel.txt is the only extraction outside the flow
-        assert len(extracts) - counts[1] == counts[0] - 1
+        # kernel.txt reads the extraction the ladder kept: a run with --out
+        # extracts as often as one without
+        assert len(extracts) - counts[1] == counts[0]
 
     def test_flow_failure_is_reported_with_exit_code_3(self, tmp_path, capsys):
         config = cut_fixture(tmp_path, "m_triv", coupling_strength=3.0)

@@ -53,6 +53,29 @@ def shell_coeffs(basis, amp):
             for j in range(basis.grid.levels)]
 
 
+def one_photon_states(basis: FockBasis) -> list[int]:
+    """Fock indices of the vacuum and the one-photon states, by increasing
+    energy, from the occupation tuples."""
+    J = basis.grid.levels
+    return [0] + [basis.index[occ] for j in range(J - 1, -1, -1)
+                  if (occ := tuple(int(k == j) for k in range(J))) in basis.index]
+
+
+def blocks_node_by_node(h: OperatorMatrix) -> np.ndarray:
+    """The vacuum and one-photon diagonal blocks of h, gathered one node at
+    a time."""
+    fock, d = one_photon_states(h.basis), h.basis.d_at
+    out = np.empty((len(fock),) + h.mat.shape[:-2] + (d, d), dtype=complex)
+    for t, i in enumerate(fock):
+        rows = np.arange(d) * h.basis.size + i
+        out[t] = h.mat[(..., *np.ix_(rows, rows))]
+    return out
+
+
+def bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
 def scipy_fit(x, y):
     """Values and slopes at x, plus values and derivatives on 101 points of
     [x[0], x[-1]], from scipy's PchipInterpolator."""
@@ -177,6 +200,39 @@ class TestExtraction:
                 block = ext.hf_matrix()[a * b.size:(a + 1) * b.size, c * b.size:(c + 1) * b.size]
                 t = fr(b.hf_values) + 1j * fi(b.hf_values)
                 assert np.abs(np.diag(block) - t).max() <= 1e-15
+        # the one fit of the real view is the two fits of .real and .imag, bit
+        # for bit, also where a slope is a signed zero: here the real part of
+        # entry (0, 0) is +0 on the vacuum and -0 on every photon node, which
+        # makes its first slope -0, and its imaginary part increases
+        signed = mat.copy()
+        for t, (row, *_) in enumerate(b.node_rows):
+            signed[row, row] = complex(0.0 if t == 0 else -0.0, t)
+        for m in (mat, signed):
+            ext = extract_w00(OperatorMatrix(m, b))
+            v = ext.node_values
+            assert bits(ext.slopes.real) == bits(pchip_slopes(ext.nodes, v.real))
+            assert bits(ext.slopes.imag) == bits(pchip_slopes(ext.nodes, v.imag))
+        assert np.signbit(ext.slopes[0, 0, 0].real)
+
+    # e_cut 0.3 keeps the one-photon states of the two lowest of four shells
+    @pytest.mark.parametrize("basis", [make_basis(J=5, d=2), make_basis(J=3, d=3, n_max=3),
+                                       make_basis(J=4, d=2, e_cut=0.3),
+                                       FockBasis(ModeGrid(0.5, 0), 2, 1.0, d_at=2)],
+                             ids=["J5-d2", "J3-d3", "J4-cut", "vacuum-only"])
+    def test_one_gather_equals_the_node_loop(self, basis):
+        rng = np.random.default_rng(5)
+        shape = (4, basis.dim, basis.dim)   # a stack of K = 4 operators
+        stack = OperatorMatrix(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                               basis)
+        fock = one_photon_states(basis)
+        assert basis.node_rows.tolist() == [[i + a * basis.size for a in range(basis.d_at)]
+                                            for i in fock]
+        assert basis.node_energies.tolist() == basis.hf_values[fock].tolist()
+        for h in (stack, OperatorMatrix(stack.mat[2], basis)):
+            ext = extract_w00(h)
+            want = blocks_node_by_node(h)
+            assert ext.node_values.shape == want.shape
+            assert bits(ext.node_values) == bits(want)
 
     def test_vacuum_only_space(self):
         b = FockBasis(ModeGrid(0.5, 0), 2, 1.0, d_at=2)   # a flow's terminal space

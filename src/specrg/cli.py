@@ -182,9 +182,10 @@ def _first_decimation_checks(spec: ModelSpec, report: Report) -> None:
     cross-check.  The flow reuses the first decimation; the full-space pair
     is freed on return, before the flow."""
     s = spec.s0
-    _, pair = first_feshbach(first_decimation(spec, s, None), spec.e_at(s))
+    first = first_decimation(spec, s, None)
+    _, pair = first_feshbach(first, spec.e_at(s))
     pair_report = verify_pair(pair)
-    neumann = neumann_check(pair, pair_report.contraction_left)
+    neumann = neumann_check(pair, first.reduced_index, pair_report.contraction_left)
     report.put("first.neumann_discrepancy", neumann.discrepancy)
     report.put("first.neumann_terms", neumann.terms)
     report.put("first.neumann_tail_bound", neumann.tail_bound)

@@ -3,12 +3,21 @@
 The map F(H, T) = H_chi - chi W chibar (H_chibar|_Ran chibar)^-1 chibar W chi
 with W = H - T, chi^2 + chibar^2 = 1, preserves kernel dimension and bounded
 invertibility.  The cutoffs are functions of H_f, so in the occupation basis
-they are diagonal and a pair takes them as 1-D arrays: Ran chibar is the set
-``on`` of coordinates where chibar is not negligible, a restricted inverse is
-the inverse of a principal submatrix, and multiplying by a cutoff scales rows
-or columns.  Each decimation builds one ``FeshbachPair``, read by
-``feshbach_map`` and ``q_ops``.  A step needs only the pair's ``margins``;
-``verify_pair`` adds the contraction norms where a report is read.
+they are diagonal and a pair takes them as 1-D arrays (``Cutoffs``): Ran
+chibar is the set ``on`` of coordinates where chibar is not negligible, a
+restricted inverse is the inverse of a principal submatrix, and multiplying
+by a cutoff scales rows or columns.  Each decimation builds one
+``FeshbachPair``, read by ``feshbach_map`` and ``q_ops``.
+
+A flow keeps only a principal submatrix of each map, on the coordinates
+``keep`` of the next space, so ``feshbach_map`` computes only that block:
+(T + chi W chi)[keep, keep] minus the rows ``keep`` of chi W chibar times
+one LU solve of H_chibar| against the columns ``keep`` of chibar W chi.
+T is block-diagonal, one d_at x d_at block per Fock state, so a step is
+gated by the smallest singular value of those blocks on Ran chibar (a
+batched SVD of d_at x d_at matrices) and by that LU solve; a singular block
+raises FeshbachPairError with ``verify_pair``'s report, whose full-SVD
+margins and contraction norms are computed only where a report is read.
 
 H and T may carry leading axes, one stack of K matrices per z of a stacked
 ladder: every block, inverse and map then carries them too, the cutoffs and
@@ -20,12 +29,16 @@ u = [basis of Ran P_at(s0) | basis of Ran(1 - P_at(s0))], times Kato's
 U(s) = P_at(s) P_at(s0) + (1 - P_at(s))(1 - P_at(s0)) (``model.hyp5_frame``)
 when P_at(s) varies.  A ``FirstDecimation`` conjugates H_g(s) and H_0(s) by
 u (x) 1 once per (model, s, g), and ``first_decimation`` keeps it in
-``spec.built`` for every caller of the command; ``FirstDecimation.pair(z)``
-is the only work left per z, or per stack of z values.  The frame is unitary
-only when P_at(s0) is an orthogonal projection and P_at(s) = P_at(s0); in an
+``spec.built`` for every caller of the command.  Its pair (H_g(s) - z,
+H_0(s) - z) is affine in z and W does not depend on z: every piece of the
+pair, and the kept blocks the map reads, are formed once, and
+``FirstDecimation.pair(z)`` only moves the diagonals of the two restricted
+blocks by -z, for one z or a stack of z values.  The frame is unitary only
+when P_at(s0) is an orthogonal projection and P_at(s) = P_at(s0); in an
 oblique frame the first pair's margins are measured in that frame.
 ``first_feshbach`` maps the pair to the reduced space, and ``neumann_check``
-cross-checks it with the contraction norm that ``verify_pair`` measured.
+cross-checks it on the same block with the contraction norm that
+``verify_pair`` measured.
 """
 
 from __future__ import annotations
@@ -77,6 +90,31 @@ class CutoffSpec:
                 np.kron(ones, self.chibar(basis.hf_values)))
 
 
+class Cutoffs:
+    """The diagonals ``chi`` and ``chibar`` of one cutoff pair on a space of
+    d_at x n coordinates in atomic-major layout, and what every pair reads
+    of them, fixed once per flow depth and per first decimation: ``on``, the
+    coordinates of Ran chibar (chibar above RANK_THRESHOLD times its largest
+    entry, the rank decision of an SVD of the diagonal matrix) as a mask and
+    as ``on_index``; ``cb`` = chibar[on]; and ``t_blocks``, one index tuple
+    per pattern of on atoms that gathers the d_at x d_at blocks of T (one
+    per Fock state) restricted to ``on``.  A T that is not block-diagonal is one block: d_at = the
+    number of coordinates."""
+
+    def __init__(self, chi, chibar, d_at: int):
+        self.chi = np.asarray(chi, dtype=float)
+        self.chibar = np.asarray(chibar, dtype=float)
+        self.on = on = self.chibar > RANK_THRESHOLD * self.chibar.max(initial=0.0)
+        self.cb = self.chibar[on]
+        self.on_index = np.flatnonzero(on)
+        coords = np.arange(on.size).reshape(d_at, -1).T   # row i: block of Fock state i
+        atoms = on.reshape(d_at, -1).T
+        self.t_blocks = []
+        for pattern in np.unique(atoms[atoms.any(axis=1)], axis=0):
+            rows = coords[(atoms == pattern).all(axis=1)][:, pattern]
+            self.t_blocks.append((..., rows[:, :, None], rows[:, None, :]))
+
+
 @dataclass
 class FeshbachPairReport:
     """Quantitative pair-condition check: the invertibility margin of T (and
@@ -98,71 +136,138 @@ class FeshbachPairReport:
 
 
 class FeshbachPair:
-    """One (H, T, chi, chibar) quadruple with the cutoffs given by their
-    diagonals.  Ran chibar is the coordinate set ``on`` (chibar above
-    RANK_THRESHOLD times its largest entry, the rank decision of an SVD of
-    the diagonal matrix); ``m_h`` and ``m_t`` are the restrictions of
-    H_chibar and T to it, and ``left``, ``right``, ``w_bar`` the blocks of
-    chi W chibar, chibar W chi and chibar W chibar that meet it.
-    ``verify_pair``, ``feshbach_map`` and ``q_ops`` all read the same pair."""
+    """The pair (H - z, T - z) with the cutoffs ``cut``, built from H and T
+    at z = 0; ``shifted(z)`` is the pair at z.  The pieces that do not
+    depend on z are shared by every shift: T, W = H - T, ``w_bar`` =
+    chibar W chibar on Ran chibar, ``t_on`` = T|_on and ``h_on`` = t_on +
+    w_bar, and the blocks of each kept set (``kept``).  A shift moves only
+    the diagonals of the two restricted blocks, ``m_t`` and ``m_h`` =
+    H_chibar|_on.  ``t_margin`` gates a step from T's d_at x d_at blocks,
+    ``solve_h`` gates H_chibar by the LU solve the map needs, and
+    ``verify_pair`` reports the full margins.  ``feshbach_map``, ``q_ops``
+    and ``neumann_check`` all read the same pair."""
 
-    def __init__(self, h, t, chi, chibar):
+    _SHARED = ("t", "w", "cut", "w_bar", "t_on", "h_on", "_kept")
+
+    def __init__(self, h, t, cut: Cutoffs):
         self.t = np.asarray(t, dtype=complex)
-        self.chi = np.asarray(chi, dtype=float)
-        self.chibar = np.asarray(chibar, dtype=float)
         self.w = np.asarray(h, dtype=complex) - self.t
-        self.on = on = self.chibar > RANK_THRESHOLD * self.chibar.max(initial=0.0)
-        cb = self.chibar[on]
-        block = (..., *np.ix_(on, on))
-        self.left = self.chi[:, None] * self.w[..., :, on] * cb     # chi W chibar
-        self.right = cb[:, None] * self.w[..., on, :] * self.chi    # chibar W chi
-        self.m_t = self.t[block]
-        self.w_bar = cb[:, None] * self.w[block] * cb              # chibar W chibar
-        self.m_h = self.m_t + self.w_bar
+        self.cut = cut
+        on = cut.on_index
+        self.w_bar = cut.cb[:, None] * self.w.take(on, -2).take(on, -1) * cut.cb
+        self.t_on = self.t.take(on, -2).take(on, -1)
+        self.h_on = self.t_on + self.w_bar
+        self._kept = {}
+        self.z = np.asarray(0.0)
+        self.m_t, self.m_h = self.t_on, self.h_on
+
+    def shifted(self, z) -> FeshbachPair:
+        """The pair (H - z, T - z) for one z or, with a leading axis, for
+        each z of an array; H and T themselves are not copied."""
+        pair = object.__new__(FeshbachPair)
+        pair.__dict__.update((name, self.__dict__[name]) for name in self._SHARED)
+        pair.z = z = np.asarray(z)
+        shift = z[..., None, None] * np.eye(self.t_on.shape[-1])
+        pair.m_t = self.t_on - shift
+        pair.m_h = self.h_on - shift
+        return pair
+
+    def kept(self, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(T + chi W chi)[keep, keep], chi W chibar on the rows ``keep`` and
+        chibar W chi on the columns ``keep``: the z-independent blocks the
+        map reads, formed once per kept set for every shift of the pair."""
+        key = np.asarray(keep).tobytes()
+        if key not in self._kept:
+            on, cb, c = self.cut.on_index, self.cut.cb, self.cut.chi[keep]
+            w_rows = self.w.take(keep, -2)
+            w_cols = self.w.take(keep, -1)
+            base = self.t.take(keep, -2).take(keep, -1) + c[:, None] * w_rows.take(keep, -1) * c
+            self._kept[key] = (base, c[:, None] * w_rows.take(on, -1) * cb,
+                               cb[:, None] * w_cols.take(on, -2) * c)
+        return self._kept[key]
+
+    def chi_part(self, keep) -> np.ndarray:
+        """(T - z + chi W chi)[keep, keep]: the map without its Schur term."""
+        base = self.kept(keep)[0]
+        return base - self.z[..., None, None] * np.eye(len(keep)) if self.z.any() else base
 
     @cached_property
-    def margins(self) -> tuple[float, float]:
-        """(t_margin, h_margin): the smallest singular values of T and
-        H_chibar restricted to Ran chibar, the least over a stack; inf when
-        Ran chibar is empty."""
-        if not self.on.any():
-            return np.inf, np.inf
-        return (float(np.linalg.svd(self.m_t, compute_uv=False)[..., -1].min()),
-                float(np.linalg.svd(self.m_h, compute_uv=False)[..., -1].min()))
+    def t_margin(self) -> float:
+        """The smallest singular value of (T - z)|_Ran chibar, the least over
+        a stack; inf when Ran chibar is empty.  T is block-diagonal, so these
+        are the singular values of its d_at x d_at blocks restricted to
+        ``on``: one batched SVD per pattern of on atoms, and the moduli of
+        1 x 1 blocks."""
+        margins = []
+        for block in self.cut.t_blocks:
+            m = self.t[block]
+            m = m - self.z[..., None, None, None] * np.eye(m.shape[-1])
+            sv = np.abs(m[..., 0]) if m.shape[-1] == 1 else np.linalg.svd(m, compute_uv=False)
+            margins.append(sv[..., -1].min())
+        return float(np.min(margins, initial=np.inf))   # NaN propagates
 
     def require_margins(self):
-        """Raise FeshbachPairError unless both margins are positive."""
-        t_margin, h_margin = self.margins
-        if not (t_margin > 0 and h_margin > 0):
+        """Raise FeshbachPairError unless ``t_margin`` is positive.  H_chibar
+        is gated where it is solved (``solve_h``)."""
+        if not self.t_margin > 0:
             raise FeshbachPairError(verify_pair(self))
+
+    def solve_h(self, rhs) -> np.ndarray:
+        """(H_chibar|_Ran chibar)^-1 rhs by one LU solve.  Raise
+        FeshbachPairError with the pair's report when the LU finds the block
+        singular or the solution is not finite."""
+        try:
+            x = np.linalg.solve(self.m_h, rhs)
+        except np.linalg.LinAlgError:
+            raise FeshbachPairError(verify_pair(self)) from None
+        if not np.isfinite(x).all():
+            raise FeshbachPairError(verify_pair(self))
+        return x
 
     @cached_property
     def inverse_h(self) -> np.ndarray:
-        """(H_chibar|_Ran chibar)^-1 on the coordinates ``on``."""
-        return np.linalg.inv(self.m_h)
+        """(H_chibar|_Ran chibar)^-1 on the coordinates ``on``, by ``solve_h``."""
+        return self.solve_h(np.eye(self.m_h.shape[-1]))
 
     @cached_property
+    def _t_inverse(self) -> np.ndarray | None:
+        """``inverse_t``, or None where it raises: ``verify_pair`` reads it."""
+        try:
+            inv = np.linalg.inv(self.m_t)
+        except np.linalg.LinAlgError:
+            return None
+        return inv if np.isfinite(inv).all() else None
+
+    @property
     def inverse_t(self) -> np.ndarray:
-        """(T|_Ran chibar)^-1 on the coordinates ``on``."""
-        return np.linalg.inv(self.m_t)
+        """((T - z)|_Ran chibar)^-1 on the coordinates ``on``.  Raise
+        FeshbachPairError with the pair's report when the LU finds the block
+        singular or the inverse is not finite."""
+        if self._t_inverse is None:
+            raise FeshbachPairError(verify_pair(self))
+        return self._t_inverse
 
 
 def verify_pair(pair: FeshbachPair) -> FeshbachPairReport:
     """Check the sufficient pair conditions and report margins.
 
-    The margins are the pair's ``margins``, which gate every step; the
-    contraction norms ||T^-1 chibar W chibar||, ||chibar W T^-1 chibar|| are
-    computed here, the largest over a stack.
+    The margins are the smallest singular values of (T - z)|_Ran chibar and
+    H_chibar|_Ran chibar from full SVDs, the least over a stack, and inf
+    when Ran chibar is empty; the contraction norms ||T^-1 chibar W chibar||,
+    ||chibar W T^-1 chibar|| are the largest over a stack, and inf when
+    T|_Ran chibar is singular.
     """
     p = pair
-    t_margin, h_margin = p.margins
-    if not p.on.any():
-        return FeshbachPairReport(t_margin, h_margin, 0.0, 0.0)
-    if t_margin > 0:
-        left = float(np.linalg.norm(p.inverse_t @ p.w_bar, 2, axis=(-2, -1)).max())
-        right = float(np.linalg.norm(p.w_bar @ p.inverse_t, 2, axis=(-2, -1)).max())
-    else:
+    if not p.cut.on.any():
+        return FeshbachPairReport(np.inf, np.inf, 0.0, 0.0)
+    t_margin, h_margin = (float(np.linalg.svd(m, compute_uv=False)[..., -1].min())
+                          for m in (p.m_t, p.m_h))
+    r0 = p._t_inverse if t_margin > 0 else None
+    if r0 is None:
         left = right = np.inf
+    else:
+        left = float(np.linalg.norm(r0 @ p.w_bar, 2, axis=(-2, -1)).max())
+        right = float(np.linalg.norm(p.w_bar @ r0, 2, axis=(-2, -1)).max())
     return FeshbachPairReport(t_margin, h_margin, left, right)
 
 
@@ -172,22 +277,28 @@ class FeshbachPairError(ArithmeticError):
         super().__init__(f"Feshbach pair conditions failed: {report}")
 
 
-def feshbach_map(pair: FeshbachPair) -> np.ndarray:
-    """F(H, T) = T + chi W chi - chi W chibar (H_chibar|)^-1 chibar W chi."""
-    p = pair
-    return p.t + p.chi[:, None] * p.w * p.chi - p.left @ (p.inverse_h @ p.right)
+def feshbach_map(pair: FeshbachPair, keep) -> np.ndarray:
+    """The principal submatrix on the coordinates ``keep`` of
+    F(H, T) = T + chi W chi - chi W chibar (H_chibar|)^-1 chibar W chi:
+    only the rows of chi W chibar and the columns of chibar W chi in
+    ``keep`` enter, with one LU solve of H_chibar| (``solve_h``)."""
+    _, left, right = pair.kept(keep)
+    return pair.chi_part(keep) - left @ pair.solve_h(right)
 
 
 def q_ops(pair: FeshbachPair):
     """Auxiliary operators mapping ker F -> ker H and back:
-    Q = chi - chibar H_chibar^-1 chibar W chi and its sharp partner."""
+    Q = chi - chibar H_chibar^-1 chibar W chi and its sharp partner, stacked
+    like the pair."""
     p = pair
-    cb = p.chibar[p.on]
-    chi = np.broadcast_to(np.diag(p.chi.astype(complex)), p.w.shape)
+    on, cb, c = p.cut.on, p.cut.cb, p.cut.chi
+    left = c[:, None] * p.w[..., :, on] * cb     # chi W chibar
+    right = cb[:, None] * p.w[..., on, :] * c    # chibar W chi
+    chi = np.broadcast_to(np.diag(c.astype(complex)), p.m_h.shape[:-2] + (c.size, c.size))
     q = chi.copy()
-    q[..., p.on, :] -= cb[:, None] * (p.inverse_h @ p.right)
+    q[..., on, :] -= cb[:, None] * (p.inverse_h @ right)
     q_sharp = chi.copy()
-    q_sharp[..., :, p.on] -= (p.left @ p.inverse_h) * cb
+    q_sharp[..., :, on] -= (left @ p.inverse_h) * cb
     return q, q_sharp
 
 
@@ -218,14 +329,14 @@ def isospectrality_suite(h, t, chi, chibar) -> IsospectralityReport:
     F^-1 = chi H^-1 chi + chibar T^-1 chibar.
     """
     h = np.asarray(h, dtype=complex)
-    p = FeshbachPair(h, t, chi, chibar)
+    p = FeshbachPair(h, t, Cutoffs(chi, chibar, h.shape[-1]))   # T as one block
 
     def chibar_sandwich(inv):   # chibar (.|_Ran chibar)^-1 chibar, full size
         out = np.zeros_like(h)
-        out[np.ix_(p.on, p.on)] = p.chibar[p.on, None] * inv * p.chibar[p.on]
+        out[np.ix_(p.cut.on, p.cut.on)] = p.cut.cb[:, None] * inv * p.cut.cb
         return out
 
-    f = feshbach_map(p)
+    f = feshbach_map(p, np.arange(h.shape[-1]))
     q, q_sharp = q_ops(p)
     kd_h = kernel_dim(h)
     kd_f = kernel_dim(f)
@@ -235,7 +346,7 @@ def isospectrality_suite(h, t, chi, chibar) -> IsospectralityReport:
         finv = np.linalg.inv(f)
         rhs = q @ finv @ q_sharp + chibar_sandwich(p.inverse_h)
         res_h = float(np.linalg.norm(hinv - rhs) / np.linalg.norm(hinv))
-        rhs2 = p.chi[:, None] * hinv * p.chi + chibar_sandwich(p.inverse_t)
+        rhs2 = p.cut.chi[:, None] * hinv * p.cut.chi + chibar_sandwich(p.inverse_t)
         res_f = float(np.linalg.norm(finv - rhs2) / np.linalg.norm(finv))
     return IsospectralityReport(res_h, res_f, kd_h, kd_f)
 
@@ -249,15 +360,16 @@ def _conjugate_atomic(uinv: np.ndarray, mat: np.ndarray, u: np.ndarray) -> np.nd
 
 class FirstDecimation:
     """z-independent data of the first decimation at (model, s, g):
-    ``hamiltonian``, the truncated H_g(s) as built; ``h`` and ``t``, H_g(s)
-    and H_0(s) conjugated by u (x) 1 with the atomic frame ``u`` of the
-    module docstring (``atomic_frame()`` first, times Kato's frame U(s) of
-    ``hyp5_frame`` when P_at(s) differs from P_at(s0) by more than 1e-12);
-    ``chi`` and ``chibar``, the diagonals of the cutoff P_at(s0) (x)
-    chi_1(H_f) and its partner in that frame; the full and reduced bases, and
-    ``reduced_index``, the coordinates of the reduced space
-    Ran(P_at(s0) (x) 1_{H_f <= 1}).  ``u`` is unitary only when P_at is
-    orthogonal and P_at(s) = P_at(s0)."""
+    ``hamiltonian``, the truncated H_g(s) as built; ``at_zero``, the pair
+    (H_g(s), H_0(s)) with both conjugated by u (x) 1 in the atomic frame
+    ``u`` of the module docstring (``atomic_frame()`` first, times Kato's
+    frame U(s) of ``hyp5_frame`` when P_at(s) differs from P_at(s0) by more
+    than 1e-12), whose pieces every ``pair(z)`` shares; ``cut``, the cutoff
+    P_at(s0) (x) chi_1(H_f) and its partner in that frame; the full and
+    reduced bases, and ``reduced_index``, the coordinates of the reduced
+    space Ran(P_at(s0) (x) 1_{H_f <= 1}).  The pair keeps W = H - T and T,
+    which is block-diagonal: u^-1 H_at(s) u + hf_i on Fock state i.  ``u``
+    is unitary only when P_at is orthogonal and P_at(s) = P_at(s0)."""
 
     def __init__(self, spec: ModelSpec, s: complex, g: float | None):
         self.spec = spec
@@ -273,26 +385,27 @@ class FirstDecimation:
         self.u = u
         uinv = np.linalg.inv(u)
         self.hamiltonian = build_hamiltonian(spec, s, g, basis)
-        self.h = _conjugate_atomic(uinv, self.hamiltonian.mat, u)
-        self.t = _conjugate_atomic(uinv, build_h0(spec, s, basis), u)
 
         cut = CutoffSpec(1.0)
         on_d = np.arange(spec.d_at) < spec.d   # Ran P_at(s0) in the frame u
-        self.chi = np.kron(on_d, cut.chi(basis.hf_values))
-        self.chibar = (np.kron(~on_d, np.ones(basis.size))
-                       + np.kron(on_d, cut.chibar(basis.hf_values)))
+        self.cut = Cutoffs(np.kron(on_d, cut.chi(basis.hf_values)),
+                           np.kron(~on_d, np.ones(basis.size))
+                           + np.kron(on_d, cut.chibar(basis.hf_values)), spec.d_at)
+        self.at_zero = FeshbachPair(_conjugate_atomic(uinv, self.hamiltonian.mat, u),
+                                    _conjugate_atomic(uinv, build_h0(spec, s, basis), u),
+                                    self.cut)
         fock = np.array([basis.index[occ] for occ in self.reduced_basis.states])
         self.reduced_index = (np.arange(spec.d)[:, None] * basis.size + fock).ravel()
 
     def pair(self, z) -> FeshbachPair:
         """The pair (H_g(s) - z, H_0(s) - z) with the first cutoffs, for one
-        z or, with a leading axis, for each z of an array."""
+        z or, with a leading axis, for each z of an array: ``at_zero``
+        shifted, after a check that every z lies in the declared window."""
         for zk in np.ravel(z):
             if not self.spec.in_window(self.s, zk):
                 raise WindowError(f"(s, z) = ({self.s}, {complex(zk)}) outside the "
                                   "declared window")
-        shift = np.asarray(z)[..., None, None] * np.eye(self.basis.dim)
-        return FeshbachPair(self.h - shift, self.t - shift, self.chi, self.chibar)
+        return self.at_zero.shifted(z)
 
 
 def first_decimation(spec: ModelSpec, s: complex, g: float | None) -> FirstDecimation:
@@ -304,15 +417,12 @@ def first_decimation(spec: ModelSpec, s: complex, g: float | None) -> FirstDecim
 
 def first_feshbach(first: FirstDecimation, z) -> tuple[OperatorMatrix, FeshbachPair]:
     """Decimate (H_g(s) - z, H_0(s) - z) with the projection-weighted cutoff
-    P_at (x) chi_1(H_f) by direct block inversion, and restrict the result to
-    the reduced space: its principal submatrix on ``reduced_index``, which
-    the map leaves invariant.  Returns the reduced operator and the pair,
-    both stacked like z."""
+    P_at (x) chi_1(H_f), on the reduced space only: the map's principal
+    submatrix on ``reduced_index``, which the map leaves invariant.  Returns
+    the reduced operator and the pair, both stacked like z."""
     pair = first.pair(z)
     pair.require_margins()
-    idx = first.reduced_index
-    h0 = feshbach_map(pair)[(..., *np.ix_(idx, idx))]
-    return OperatorMatrix(h0, first.reduced_basis), pair
+    return OperatorMatrix(feshbach_map(pair, first.reduced_index), first.reduced_basis), pair
 
 
 @dataclass
@@ -328,27 +438,40 @@ NEUMANN_MAX_TERMS = 30
 NEUMANN_TOL = 1e-13       # stop when a term falls below this, relative to ||F||
 
 
-def neumann_check(pair: FeshbachPair, contraction: float) -> NeumannCheck:
+def neumann_check(pair: FeshbachPair, keep, contraction: float) -> NeumannCheck:
     """Cross-check the Feshbach map of a pair against the truncated Neumann
     expansion of the same Schur complement, with an a-posteriori tail bound
     from the contraction norm ||(T|_Ran chibar)^-1 chibar W chibar||, the
-    ``contraction_left`` that ``verify_pair`` measured."""
-    f_direct = feshbach_map(pair)
+    ``contraction_left`` that ``verify_pair`` measured.
+
+    chi vanishes outside ``keep``, so there both maps equal T on every row
+    and column: the series is summed on keep x keep, and T's entries outside
+    that block enter only the scale ||F||_F.
+    """
+    if np.delete(pair.cut.chi, keep).any():
+        raise ValueError("chi does not vanish outside the kept coordinates")
+    n = pair.cut.chi.size
+    outside = np.ones((n, n), dtype=bool)
+    outside[np.ix_(keep, keep)] = False
+    f_direct = feshbach_map(pair, keep)
+    t = pair.t - pair.z[..., None, None] * np.eye(n)
 
     # F = T + chi W chi - sum_{L>=1} (-1)^(L-1) chi W chibar (R0 chibar W chibar)^(L-1) R0 chibar W chi
     # with R0 the restricted inverse of T on Ran chibar and W = g W(s); the
     # factors between chi W chibar and chibar W chi act on Ran chibar.
     r0 = pair.inverse_t
-    scale = max(1.0, float(np.linalg.norm(f_direct)))
+    _, left, right = pair.kept(keep)
+    scale = max(1.0, float(np.hypot(np.linalg.norm(f_direct),
+                                    np.linalg.norm(t[..., outside]))))   # ||F||_F
     series = np.zeros_like(f_direct)
-    cur = r0 @ pair.right
+    cur = r0 @ right
     n_terms = 0
     last_norm = 0.0
     # ||term||_2 >= ||term||_F / sqrt(N): a term with a Frobenius norm this far
     # above the tolerance cannot end the series, and its 2-norm is not taken
-    certain = 2 * NEUMANN_TOL * scale * np.sqrt(f_direct.shape[-1])
+    certain = 2 * NEUMANN_TOL * scale * np.sqrt(n)
     for L in range(1, NEUMANN_MAX_TERMS + 1):
-        term = pair.left @ cur
+        term = left @ cur
         series += ((-1) ** (L - 1)) * term
         n_terms = L
         if L == NEUMANN_MAX_TERMS or np.linalg.norm(term) < certain:
@@ -360,6 +483,6 @@ def neumann_check(pair: FeshbachPair, contraction: float) -> NeumannCheck:
         tail_bound = last_norm * contraction / (1.0 - contraction)
     else:
         tail_bound = np.inf
-    f_neumann = pair.t + pair.chi[:, None] * pair.w * pair.chi - series
+    f_neumann = pair.chi_part(keep) - series
     discrepancy = float(np.linalg.norm(f_direct - f_neumann) / scale)
     return NeumannCheck(discrepancy, n_terms, tail_bound)

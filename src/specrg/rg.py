@@ -13,17 +13,21 @@ holds what does not: the first decimation, once per (model, s, g), and per
 depth the basis, generators, cutoffs and dilation, once per model.
 ``run_ladder(flow, z, n)`` computes on every level its operator and reads
 it once: one ``extract_w00`` per level gives E^(n)(z) = tr w_{0,0}(0) / d,
-and below the top the next step's T = w_{0,0}(H_f), whose pair's margins
-and window the step checks.  The trace's polydisc radii and ``kernel.txt``
-read the extractions the ladder kept.  z is one value
-or an array of K values: a stacked ladder carries a leading axis of K on
-every operator, pair, kernel and E^(n), and is the same code as the ladder
-at one z, whose operators have no leading axis.  The secant and the
-eigenvectors run a ladder at one z; the winding check runs one stacked
-ladder per round of nodes.  The diagnostics of a depth (polydisc radii, Schur
-deviation, symmetry residual, contraction norms of the pair into the top) are
-computed once per depth by ``iterate_to_fixed_point``, on the top of the
-ladder ``find_zn`` returns.
+and below the top the next step's T = w_{0,0}(H_f), whose window the step
+checks.  Each level's operator is only the block of a Feshbach map that the
+next space keeps: the first decimation's pair is affine in z, so its level
+costs one LU solve on Ran chibar and products on the reduced space, and a
+step maps only the dilation's rows.  A pair is gated by the smallest
+singular value of T's d_at x d_at blocks and by that LU solve, with no
+full-size SVD.  The trace's polydisc radii and ``kernel.txt`` read the
+extractions the ladder kept.  z is one value or an array of K values: a
+stacked ladder carries a leading axis of K on every operator, pair, kernel
+and E^(n), and is the same code as the ladder at one z, whose operators have
+no leading axis.  The secant and the eigenvectors run a ladder at one z; the
+winding check runs one stacked ladder per round of nodes.  The diagnostics
+of a depth (polydisc radii, Schur deviation, symmetry residual, contraction
+norms of the pair into the top) are computed once per depth by
+``iterate_to_fixed_point``, on the top of the ladder ``find_zn`` returns.
 
 Each root's uniqueness is certified by the argument principle: the winding of
 E^(n) around 0 along a small circle about the root must be 1.  The count
@@ -47,6 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .feshbach import (
+    Cutoffs,
     CutoffSpec,
     FeshbachPair,
     feshbach_map,
@@ -108,15 +113,15 @@ class WindowExitError(ValueError):
 @dataclass(frozen=True)
 class Depth:
     """z-independent data of one flow depth: the reduced basis, the symmetry
-    generators restricted to it, the diagonals of the cutoffs chi_rho(H_f) and
-    chibar_rho(H_f), and the dilation to the next depth (None on the
-    vacuum-only terminal space, where a step is division by rho).  It
-    depends on the model, not on s."""
+    generators restricted to it, the cutoffs chi_rho(H_f) and chibar_rho(H_f)
+    with their Ran chibar and T-block index sets, and the dilation to the
+    next depth (``cut`` and ``dilation`` are None on the vacuum-only
+    terminal space, where a step is division by rho).  It depends on the
+    model, not on s."""
 
     basis: FockBasis
     generators: list
-    chi: np.ndarray | None
-    chibar: np.ndarray | None
+    cut: Cutoffs | None
     dilation: DilationMap | None
 
 
@@ -148,8 +153,9 @@ class Flow:
         spec, rho = self.spec, self.rho
         gens = spec.reduced_generators(basis) if spec.generators else []
         if basis.grid.levels == 0:
-            return Depth(basis, gens, None, None, None)
-        return Depth(basis, gens, *CutoffSpec(rho).diagonals(basis), dilation(basis, rho))
+            return Depth(basis, gens, None, None)
+        return Depth(basis, gens, Cutoffs(*CutoffSpec(rho).diagonals(basis), basis.d_at),
+                     dilation(basis, rho))
 
 
 def rg_step(ext: ExtractionResult, depth: Depth, rho: float):
@@ -159,19 +165,20 @@ def rg_step(ext: ExtractionResult, depth: Depth, rho: float):
     The unperturbed part is w_{0,0}(H_f) of that extraction, so the pair is
     valid independently of extraction error.  The next operator is
     Gamma F Gamma* / rho, with Gamma F Gamma* the principal submatrix of the
-    Feshbach map F on the dilation's ``rows``; on the vacuum-only terminal
-    space the step is division by rho, with pair None.  A pair outside its
-    margins raises FeshbachPairError with the full report.  A stack h
-    steps each of its operators.
+    Feshbach map F on the dilation's ``rows``, the only block of F that is
+    computed; on the vacuum-only terminal space the step is division by
+    rho, with pair None.  The step is gated by the smallest singular value
+    of T's d_at x d_at blocks on Ran chibar and by the LU solve of
+    H_chibar; a pair that fails either raises FeshbachPairError with the
+    full report.  A stack h steps each of its operators.
     """
     h = ext.source
     if depth.dilation is None:
         return OperatorMatrix(h.mat / rho, h.basis), None
 
-    pair = FeshbachPair(h.mat, ext.hf_matrix(), depth.chi, depth.chibar)
+    pair = FeshbachPair(h.mat, ext.hf_matrix(), depth.cut)
     pair.require_margins()
-    rows = depth.dilation.rows
-    return OperatorMatrix(feshbach_map(pair)[(..., *np.ix_(rows, rows))] / rho,
+    return OperatorMatrix(feshbach_map(pair, depth.dilation.rows) / rho,
                           depth.dilation.target), pair
 
 

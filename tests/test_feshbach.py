@@ -1,8 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from specrg import fock
 from specrg.cli import random_feshbach_pair
+from specrg.config import load_model
 from specrg.feshbach import (
+    RANK_THRESHOLD,
+    Cutoffs,
     CutoffSpec,
     FeshbachPair,
     FeshbachPairError,
@@ -11,6 +17,8 @@ from specrg.feshbach import (
     q_ops,
     verify_pair,
 )
+from specrg.model import build_h0
+from specrg.rg import Flow, run_ladder
 
 
 RNG = np.random.default_rng(0)
@@ -53,7 +61,7 @@ class TestFeshbachPair:
         h, t, c, cb = diagonal_pair()
         on = cb > 0
         assert 0 < on.sum() < on.size and np.any((c > 0) & on)
-        f = feshbach_map(FeshbachPair(h, t, c, cb))
+        f = feshbach_map(FeshbachPair(h, t, Cutoffs(c, cb, 1)), np.arange(h.shape[0]))
         w = h - t
         h_bar = t + cb[:, None] * w * cb[None, :]
         left = (c[:, None] * w * cb[None, :])[:, on]
@@ -66,7 +74,7 @@ class TestFeshbachPair:
         h, t, c, cb = diagonal_pair()
         t = t.copy()
         t[-1, -1] = 0.0   # chibar is nonzero on the last coordinate
-        pair = FeshbachPair(h, t, c, cb)
+        pair = FeshbachPair(h, t, Cutoffs(c, cb, 1))
         with pytest.raises(FeshbachPairError) as exc:
             pair.require_margins()
         assert exc.value.report == verify_pair(pair)
@@ -83,8 +91,229 @@ class TestFeshbachPair:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        pair = FeshbachPair(h, t, c, cb)
+        pair = FeshbachPair(h, t, Cutoffs(c, cb, 1))
         verify_pair(pair)
-        feshbach_map(pair)
+        feshbach_map(pair, np.arange(h.shape[0]))
         q_ops(pair)
         assert full == []
+
+
+def dense_map(h, t, chi, chibar):
+    """The full Feshbach map by its formula, with a dense inverse of
+    H_chibar on Ran chibar; h and t may carry a leading stack axis."""
+    w = h - t
+    on = chibar > RANK_THRESHOLD * chibar.max()
+    h_bar = (t + chibar[:, None] * w * chibar)[(..., *np.ix_(on, on))]
+    left = (chi[:, None] * w * chibar)[..., :, on]
+    right = (chibar[:, None] * w * chi)[..., on, :]
+    return t + chi[:, None] * w * chi - left @ np.linalg.inv(h_bar) @ right
+
+
+def random_keep(rng, n):
+    return np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+
+
+def first_h_t(first, z):
+    """H_g(s) - z and H_0(s) - z in the first decimation's frame, conjugated
+    by the dense u (x) 1."""
+    spec, basis = first.spec, first.basis
+    frame = np.kron(first.u, np.eye(basis.size))
+    inv = np.linalg.inv(frame)
+    shift = np.asarray(z)[..., None, None] * np.eye(basis.dim)
+    return (inv @ first.hamiltonian.mat @ frame - shift,
+            inv @ build_h0(spec, first.s, basis) @ frame - shift)
+
+
+def cut_spec(name):
+    """Shipped fixture with its mode grid cut to 3 shells."""
+    spec = load_model(name)
+    return dataclasses.replace(spec, grid=fock.ModeGrid(spec.grid.ratio, 3,
+                                                        spec.grid.channel_weight))
+
+
+def fixture_cases():
+    """(label, pair, H, T, chi, chibar, keep, d_at) of every pair a ladder at
+    E_at(s0) builds on m_triv, m_kramers and m_pauli cut to 3 grid levels:
+    the first decimation and one pair per depth above the vacuum-only
+    space."""
+    cases = []
+    for name in ("m_triv", "m_kramers", "m_pauli"):
+        spec = cut_spec(name)
+        flow = Flow(spec, spec.s0, False)
+        z = spec.e_at(spec.s0)
+        first, cut = flow.first, flow.first.cut
+        cases.append((f"{name}-first", first.pair(z), *first_h_t(first, z), cut.chi,
+                      cut.chibar, first.reduced_index, spec.d_at))
+        lad = run_ladder(flow, z, spec.grid.levels + 1, check_windows=False)
+        for level in lad.levels:
+            depth = flow.depth(level.n)
+            if depth.dilation is None:
+                continue
+            h, t = level.h.mat, level.ext.hf_matrix()
+            cases.append((f"{name}-depth{level.n}", FeshbachPair(h, t, depth.cut), h, t,
+                          depth.cut.chi, depth.cut.chibar, depth.dilation.rows,
+                          level.h.basis.d_at))
+    return cases
+
+
+FIXTURE_CASES = fixture_cases()
+CASE_IDS = [case[0] for case in FIXTURE_CASES]
+
+
+class TestKeptBlock:
+    @pytest.mark.parametrize("k", range(len(PAIRS)))
+    def test_the_map_on_a_kept_set_is_a_principal_submatrix(self, k):
+        h, t, c, cb = PAIRS[k]
+        keep = random_keep(np.random.default_rng(k), h.shape[0])
+        full = dense_map(h, t, c, cb)
+        f = feshbach_map(FeshbachPair(h, t, Cutoffs(c, cb, 1)), keep)
+        assert np.abs(f - full[np.ix_(keep, keep)]).max() <= 1e-13 * np.abs(full).max()
+
+    @pytest.mark.parametrize("case", FIXTURE_CASES, ids=CASE_IDS)
+    def test_every_ladder_pair_maps_its_kept_block(self, case):
+        _, pair, h, t, c, cb, keep, _ = case
+        full = dense_map(h, t, c, cb)
+        f = feshbach_map(pair, keep)
+        assert np.abs(f - full[(..., *np.ix_(keep, keep))]).max() <= 1e-13 * np.abs(full).max()
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli"])
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_a_first_decimation_pair_is_the_shifted_dense_pair(self, name, stack):
+        spec = cut_spec(name)
+        first = Flow(spec, spec.s0, False).first
+        z = spec.e_at(spec.s0)
+        if stack:
+            z = z + 1e-3 * np.exp(0.5j * np.pi * np.arange(4))
+        h, t = first_h_t(first, z)
+        pair, dense = first.pair(z), FeshbachPair(h, t, first.cut)
+        tol = 1e-14 * max(1.0, np.linalg.norm(first.hamiltonian.mat, 2))
+        keep = first.reduced_index
+        every = np.arange(first.basis.dim)
+        for got, want in ((pair.m_t, dense.m_t), (pair.m_h, dense.m_h),
+                          (pair.w_bar, dense.w_bar), (pair.chi_part(keep), dense.chi_part(keep)),
+                          *zip(pair.kept(keep)[1:], dense.kept(keep)[1:]),
+                          *zip(pair.kept(every)[1:], dense.kept(every)[1:])):
+            assert np.broadcast_shapes(got.shape, want.shape) == want.shape
+            assert np.abs(got - want).max() <= tol
+
+
+class TestGate:
+    @pytest.mark.parametrize("k", range(len(PAIRS)))
+    def test_the_block_t_margin_is_the_full_svd_margin_on_random_pairs(self, k):
+        h, t, c, cb = PAIRS[k]
+        pair = FeshbachPair(h, t, Cutoffs(c, cb, 1))
+        full = verify_pair(pair).t_margin
+        assert abs(pair.t_margin - full) <= 1e-13 * full
+
+    @pytest.mark.parametrize("case", FIXTURE_CASES, ids=CASE_IDS)
+    def test_the_block_t_margin_is_the_full_svd_margin_on_ladder_pairs(self, case):
+        pair = case[1]
+        full = verify_pair(pair).t_margin
+        assert abs(pair.t_margin - full) <= 1e-13 * full
+
+    def test_the_cases_cover_blocks_and_mixed_on_patterns(self):
+        d_ats = {label: d_at for label, *_, d_at in FIXTURE_CASES}
+        assert d_ats["m_kramers-depth0"] == 2 and d_ats["m_pauli-first"] == 3
+        pauli_first = next(case[1] for case in FIXTURE_CASES if case[0] == "m_pauli-first")
+        shapes = sorted(block[-1].shape[-1] for block in pauli_first.cut.t_blocks)
+        assert shapes == [1, 3]   # Fock states below the ramp keep only the excited atom
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli"])
+    def test_a_step_gate_takes_no_svd_larger_than_an_atomic_block(self, monkeypatch, name):
+        spec = cut_spec(name)
+        flow = Flow(spec, spec.s0, False)
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(np.linalg._linalg, "svd", recording_svd)
+        lad = run_ladder(flow, spec.e_at(spec.s0), spec.grid.levels + 1, check_windows=False)
+        assert len(lad.levels) == spec.grid.levels + 2
+        assert all(max(shape) <= spec.d_at for shape in shapes)
+        if spec.d_at == 1:
+            assert shapes == []   # 1 x 1 blocks: the margin is a modulus
+
+
+def singular_h_pair():
+    """Pair whose H_chibar block on Ran chibar is the exactly singular
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]] (its SVD reads about 4e-16), with a
+    diagonal, invertible T."""
+    rng = np.random.default_rng(5)
+    chi = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+    chibar = np.sqrt(1.0 - chi**2)
+    t = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex)
+    w = 0.1 * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    w[2:, 2:] = np.arange(1.0, 10.0).reshape(3, 3) - t[2:, 2:]
+    return t + w, t, chi, chibar
+
+
+class TestSingularBlocks:
+    def test_a_singular_t_block_raises_with_the_pair_report(self):
+        h, t, c, cb = diagonal_pair()
+        c, cb = np.repeat(c, 2), np.repeat(cb, 2)   # atomic-major: atom a, Fock state i at a*n + i
+        n = c.size // 2
+        t = np.kron(np.diag([1.0, 1.5]), t)
+        t[[n - 1, 2 * n - 1], n - 1] = [1.0, 2.0]   # last Fock state's block [[1, 0], [2, 0]]
+        t[[n - 1, 2 * n - 1], 2 * n - 1] = 0.0
+        h = t + 0.01 * np.kron(np.ones((2, 2)), h - np.diag(np.diag(h)))
+        pair = FeshbachPair(h, t, Cutoffs(c, cb, 2))
+        assert pair.t_margin == 0.0
+        with pytest.raises(FeshbachPairError) as exc:
+            pair.require_margins()
+        assert exc.value.report == verify_pair(pair)
+        assert exc.value.report.t_margin == 0.0
+
+    def test_a_singular_h_chibar_block_raises_with_the_pair_report(self):
+        h, t, c, cb = singular_h_pair()
+        pair = FeshbachPair(h, t, Cutoffs(c, cb, 1))
+        pair.require_margins()   # T is invertible on Ran chibar
+        assert verify_pair(pair).h_margin > 0.0   # the SVD misses the singularity
+        for use in (lambda: feshbach_map(pair, np.arange(5)), lambda: q_ops(pair)):
+            with pytest.raises(FeshbachPairError) as exc:
+                use()
+            assert exc.value.report == verify_pair(pair)
+
+    def test_a_singular_t_reports_infinite_contractions(self):
+        h, t, c, cb = singular_h_pair()
+        t = h.copy()   # T|_Ran chibar is now the singular block, H_chibar too
+        pair = FeshbachPair(h, t, Cutoffs(c, cb, 5))
+        report = verify_pair(pair)
+        assert report.t_margin > 0.0   # the SVD misses the singularity
+        assert report.contraction_left == report.contraction_right == np.inf
+        assert not report.passed
+        with pytest.raises(FeshbachPairError):
+            pair.inverse_t
+
+    # a full SVD reads about 1e-18 for H_chibar with a zero row or column, so
+    # the full-SVD gate let those pass; it refused the T cases (a zero
+    # singular value, an SVD that does not converge on NaN)
+    @pytest.mark.parametrize("spoil", ["t-zero-row", "t-nan", "h-zero-row",
+                                       "h-zero-column", "h-nan"])
+    def test_the_gate_refuses_singular_and_non_finite_blocks(self, spoil):
+        h, t, c, cb = diagonal_pair(seed=7)
+        on = np.flatnonzero(cb > 0)
+        i = on[-2]
+        if spoil == "t-zero-row":
+            h[i, i] -= t[i, i]
+            t[i, i] = 0.0
+        elif spoil == "t-nan":
+            t[i, i] = np.nan
+        elif spoil == "h-zero-column":
+            h[on, i] = t[on, i]   # W's column i vanishes on Ran chibar, and T's off i
+            h[i, i] = 0.0
+        else:
+            # H_chibar = T + chibar W chibar with T diagonal and chibar = 1 on i:
+            # its row i on Ran chibar is t + (h - t) * cb there
+            assert cb[i] == 1.0
+            hbar = t + cb[:, None] * (h - t) * cb
+            row = {"h-zero-row": np.zeros(on.size),
+                   "h-nan": np.where(on == i, np.nan, hbar[i, on])}[spoil]
+            h[i, on] = t[i, on] + (row - t[i, on]) / cb[on]
+        pair = FeshbachPair(h, t, Cutoffs(c, cb, 1))
+        with pytest.raises((FeshbachPairError, np.linalg.LinAlgError)):
+            pair.require_margins()
+            feshbach_map(pair, np.arange(h.shape[0]))

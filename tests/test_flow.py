@@ -3,6 +3,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +319,26 @@ class TestCli:
         assert failed == []
         assert kv["all_passed"] == "true"
         assert abs(float(kv["z_inf.re"]) - z_ref) <= 1e-12
+
+    def test_golden_run_on_the_large_fock_space(self, tmp_path, capsys):
+        # perfbench's large-fock-run input: m_triv at max_photons 3 (dim 157)
+        # with the winding check off, against its z_inf at coupling factor 1.00
+        ref = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())
+        z_ref = complex(*ref["large-fock-run"]["m_triv_n3@1.00"][0])
+        doc = json.loads(resources.files("specrg").joinpath("fixtures/m_triv.json").read_text())
+        doc["truncation"]["max_photons"] = 3
+        model_path = tmp_path / "m_triv_n3.json"
+        model_path.write_text(json.dumps(doc))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"schema_version": 1, "model": str(model_path),
+                                      "rg": {"check_winding": False}}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        kv = read_kv(out / "run.kv")
+        failed = [k for k, v in kv.items() if k.startswith("check.") and v != "pass"]
+        assert failed == []
+        assert kv["all_passed"] == "true"
+        assert abs(complex(float(kv["z_inf.re"]), float(kv["z_inf.im"])) - z_ref) <= 1e-12
 
 
 class TestExitCodes:

@@ -179,13 +179,15 @@ def _report_hypotheses(spec: ModelSpec, report: Report) -> bool:
 
 def _first_decimation_checks(spec: ModelSpec, report: Report) -> None:
     """Report the first decimation at (s0, E_at(s0)) and its Neumann
-    cross-check.  The flow reuses the first decimation; the full-space pair
-    is freed on return, before the flow."""
+    cross-check.  The flow reuses the first decimation: its ``AffinePair``
+    (T and W on the full space, and the blocks on Ran chibar and on the
+    reduced space) stays in ``spec.built`` for the rest of the command, and
+    only the pair's restricted blocks at E_at(s0) are freed on return."""
     s = spec.s0
     first = first_decimation(spec, s, None)
     _, pair = first_feshbach(first, spec.e_at(s))
     pair_report = verify_pair(pair)
-    neumann = neumann_check(pair, first.reduced_index, pair_report.contraction_left)
+    neumann = neumann_check(pair, pair_report.contraction_left)
     report.put("first.neumann_discrepancy", neumann.discrepancy)
     report.put("first.neumann_terms", neumann.terms)
     report.put("first.neumann_tail_bound", neumann.tail_bound)

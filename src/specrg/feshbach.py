@@ -6,13 +6,16 @@ invertibility.  The cutoffs are functions of H_f, so in the occupation basis
 they are diagonal and a pair takes them as 1-D arrays (``Cutoffs``): Ran
 chibar is the set ``on`` of coordinates where chibar is not negligible, a
 restricted inverse is the inverse of a principal submatrix, and multiplying
-by a cutoff scales rows or columns.  Each decimation builds one
-``FeshbachPair``, read by ``feshbach_map`` and ``q_ops``.
+by a cutoff scales rows or columns.
 
 A flow keeps only a principal submatrix of each map, on the coordinates
 ``keep`` of the next space, so ``feshbach_map`` computes only that block:
-(T + chi W chi)[keep, keep] minus the rows ``keep`` of chi W chibar times
-one LU solve of H_chibar| against the columns ``keep`` of chibar W chi.
+(T - z + chi W chi)[keep, keep] minus the rows ``keep`` of chi W chibar
+times one LU solve of H_chibar| against the columns ``keep`` of chibar W
+chi.  What of this does not depend on z (T, W = H - T, the blocks on Ran
+chibar and on ``keep``) is one ``AffinePair``; a ``FeshbachPair`` reads it
+at one z, subtracting z in one place (``minus_z``), and is what
+``feshbach_map``, ``q_ops`` and ``verify_pair`` read.
 T is block-diagonal, one d_at x d_at block per Fock state, so a step is
 gated by the smallest singular value of those blocks on Ran chibar (a
 batched SVD of d_at x d_at matrices) and by that LU solve; a singular block
@@ -30,10 +33,10 @@ U(s) = P_at(s) P_at(s0) + (1 - P_at(s))(1 - P_at(s0)) (``model.hyp5_frame``)
 when P_at(s) varies.  A ``FirstDecimation`` conjugates H_g(s) and H_0(s) by
 u (x) 1 once per (model, s, g), and ``first_decimation`` keeps it in
 ``spec.built`` for every caller of the command.  Its pair (H_g(s) - z,
-H_0(s) - z) is affine in z and W does not depend on z: every piece of the
-pair, and the kept blocks the map reads, are formed once, and
-``FirstDecimation.pair(z)`` only moves the diagonals of the two restricted
-blocks by -z, for one z or a stack of z values.  The frame is unitary only
+H_0(s) - z) is affine in z and W does not depend on z: its ``AffinePair``
+on the reduced space is formed once, and ``FirstDecimation.pair(z)`` only
+moves the diagonals of the restricted blocks and of the kept block by -z,
+for one z or a stack of z values.  The frame is unitary only
 when P_at(s0) is an orthogonal projection and P_at(s) = P_at(s0); in an
 oblique frame the first pair's margins are measured in that frame.
 ``first_feshbach`` maps the pair to the reduced space, and ``neumann_check``
@@ -97,9 +100,9 @@ class Cutoffs:
     coordinates of Ran chibar (chibar above RANK_THRESHOLD times its largest
     entry, the rank decision of an SVD of the diagonal matrix) as a mask and
     as ``on_index``; ``cb`` = chibar[on]; and ``t_blocks``, one index tuple
-    per pattern of on atoms that gathers the d_at x d_at blocks of T (one
-    per Fock state) restricted to ``on``.  A T that is not block-diagonal is one block: d_at = the
-    number of coordinates."""
+    per pattern of on atoms that gathers from T|_on the d_at x d_at blocks
+    of T (one per Fock state) restricted to ``on``.  A T that is not
+    block-diagonal is one block: d_at = the number of coordinates."""
 
     def __init__(self, chi, chibar, d_at: int):
         self.chi = np.asarray(chi, dtype=float)
@@ -107,11 +110,11 @@ class Cutoffs:
         self.on = on = self.chibar > RANK_THRESHOLD * self.chibar.max(initial=0.0)
         self.cb = self.chibar[on]
         self.on_index = np.flatnonzero(on)
-        coords = np.arange(on.size).reshape(d_at, -1).T   # row i: block of Fock state i
+        place = (np.cumsum(on) - 1).reshape(d_at, -1).T   # row i: block of Fock state i in T|_on
         atoms = on.reshape(d_at, -1).T
         self.t_blocks = []
         for pattern in np.unique(atoms[atoms.any(axis=1)], axis=0):
-            rows = coords[(atoms == pattern).all(axis=1)][:, pattern]
+            rows = place[(atoms == pattern).all(axis=1)][:, pattern]
             self.t_blocks.append((..., rows[:, :, None], rows[:, None, :]))
 
 
@@ -135,73 +138,59 @@ class FeshbachPairReport:
         return self.t_margin > 0.0 and self.h_margin > 0.0 and self.contractions_ok
 
 
-class FeshbachPair:
-    """The pair (H - z, T - z) with the cutoffs ``cut``, built from H and T
-    at z = 0; ``shifted(z)`` is the pair at z.  The pieces that do not
-    depend on z are shared by every shift: T, W = H - T, ``w_bar`` =
-    chibar W chibar on Ran chibar, ``t_on`` = T|_on and ``h_on`` = t_on +
-    w_bar, and the blocks of each kept set (``kept``).  A shift moves only
-    the diagonals of the two restricted blocks, ``m_t`` and ``m_h`` =
-    H_chibar|_on.  ``t_margin`` gates a step from T's d_at x d_at blocks,
-    ``solve_h`` gates H_chibar by the LU solve the map needs, and
-    ``verify_pair`` reports the full margins.  ``feshbach_map``, ``q_ops``
-    and ``neumann_check`` all read the same pair."""
+class AffinePair:
+    """What the pairs (H - z, T - z) share for every z, from H and T at z = 0,
+    the cutoffs ``cut`` and the coordinates ``keep`` on which the map is
+    computed: T and W = H - T; on Ran chibar, ``w_bar`` = chibar W chibar,
+    ``t_on`` = T|_on and ``h_on`` = t_on + w_bar; and on ``keep``, ``base``
+    = (T + chi W chi)[keep, keep], ``left`` = chi W chibar on the rows
+    ``keep`` and ``right`` = chibar W chi on the columns ``keep``.  A
+    ``FeshbachPair`` reads it at one z or a stack of z values."""
 
-    _SHARED = ("t", "w", "cut", "w_bar", "t_on", "h_on", "_kept")
-
-    def __init__(self, h, t, cut: Cutoffs):
+    def __init__(self, h, t, cut: Cutoffs, keep):
         self.t = np.asarray(t, dtype=complex)
-        self.w = np.asarray(h, dtype=complex) - self.t
-        self.cut = cut
-        on = cut.on_index
-        self.w_bar = cut.cb[:, None] * self.w.take(on, -2).take(on, -1) * cut.cb
+        self.w = w = np.asarray(h, dtype=complex) - self.t
+        self.cut, self.keep = cut, keep
+        on, cb, c = cut.on_index, cut.cb, cut.chi[keep]
+        self.w_bar = cb[:, None] * w.take(on, -2).take(on, -1) * cb
         self.t_on = self.t.take(on, -2).take(on, -1)
         self.h_on = self.t_on + self.w_bar
-        self._kept = {}
-        self.z = np.asarray(0.0)
-        self.m_t, self.m_h = self.t_on, self.h_on
+        w_rows = w.take(keep, -2)
+        self.base = self.t.take(keep, -2).take(keep, -1) + c[:, None] * w_rows.take(keep, -1) * c
+        self.left = c[:, None] * w_rows.take(on, -1) * cb
+        self.right = cb[:, None] * w.take(keep, -1).take(on, -2) * c
 
-    def shifted(self, z) -> FeshbachPair:
-        """The pair (H - z, T - z) for one z or, with a leading axis, for
-        each z of an array; H and T themselves are not copied."""
-        pair = object.__new__(FeshbachPair)
-        pair.__dict__.update((name, self.__dict__[name]) for name in self._SHARED)
-        pair.z = z = np.asarray(z)
-        shift = z[..., None, None] * np.eye(self.t_on.shape[-1])
-        pair.m_t = self.t_on - shift
-        pair.m_h = self.h_on - shift
-        return pair
 
-    def kept(self, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(T + chi W chi)[keep, keep], chi W chibar on the rows ``keep`` and
-        chibar W chi on the columns ``keep``: the z-independent blocks the
-        map reads, formed once per kept set for every shift of the pair."""
-        key = np.asarray(keep).tobytes()
-        if key not in self._kept:
-            on, cb, c = self.cut.on_index, self.cut.cb, self.cut.chi[keep]
-            w_rows = self.w.take(keep, -2)
-            w_cols = self.w.take(keep, -1)
-            base = self.t.take(keep, -2).take(keep, -1) + c[:, None] * w_rows.take(keep, -1) * c
-            self._kept[key] = (base, c[:, None] * w_rows.take(on, -1) * cb,
-                               cb[:, None] * w_cols.take(on, -2) * c)
-        return self._kept[key]
+class FeshbachPair:
+    """The pair (H - z, T - z) of the ``AffinePair`` ``fixed`` at one z or,
+    with a leading axis, at each z of an array.  ``minus_z`` is the one place
+    z is subtracted; the pair forms with it the two restricted blocks that
+    move with z, ``m_t`` = (T - z)|_on and ``m_h`` = H_chibar|_on.
+    ``t_margin`` gates a step from T's d_at x d_at blocks, ``solve_h`` gates
+    H_chibar by the LU solve the map needs, and ``verify_pair`` reports the
+    full margins.  ``feshbach_map``, ``q_ops`` and ``neumann_check`` all read
+    the same pair."""
 
-    def chi_part(self, keep) -> np.ndarray:
-        """(T - z + chi W chi)[keep, keep]: the map without its Schur term."""
-        base = self.kept(keep)[0]
-        return base - self.z[..., None, None] * np.eye(len(keep)) if self.z.any() else base
+    def __init__(self, fixed: AffinePair, z):
+        self.fixed = fixed
+        self.z = np.asarray(z)
+        self.m_t = self.minus_z(fixed.t_on)
+        self.m_h = self.minus_z(fixed.h_on)
+
+    def minus_z(self, m) -> np.ndarray:
+        """m - z on the diagonal of its last two axes, stacked like z."""
+        return m - self.z[..., None, None] * np.eye(m.shape[-1])
 
     @cached_property
     def t_margin(self) -> float:
         """The smallest singular value of (T - z)|_Ran chibar, the least over
         a stack; inf when Ran chibar is empty.  T is block-diagonal, so these
-        are the singular values of its d_at x d_at blocks restricted to
-        ``on``: one batched SVD per pattern of on atoms, and the moduli of
-        1 x 1 blocks."""
+        are the singular values of the d_at x d_at blocks of ``m_t``: one
+        batched SVD per pattern of on atoms, and the moduli of 1 x 1
+        blocks."""
         margins = []
-        for block in self.cut.t_blocks:
-            m = self.t[block]
-            m = m - self.z[..., None, None, None] * np.eye(m.shape[-1])
+        for block in self.fixed.cut.t_blocks:
+            m = self.m_t[block]
             sv = np.abs(m[..., 0]) if m.shape[-1] == 1 else np.linalg.svd(m, compute_uv=False)
             margins.append(sv[..., -1].min())
         return float(np.min(margins, initial=np.inf))   # NaN propagates
@@ -257,8 +246,8 @@ def verify_pair(pair: FeshbachPair) -> FeshbachPairReport:
     ||chibar W T^-1 chibar|| are the largest over a stack, and inf when
     T|_Ran chibar is singular.
     """
-    p = pair
-    if not p.cut.on.any():
+    p, w_bar = pair, pair.fixed.w_bar
+    if not p.fixed.cut.on.any():
         return FeshbachPairReport(np.inf, np.inf, 0.0, 0.0)
     t_margin, h_margin = (float(np.linalg.svd(m, compute_uv=False)[..., -1].min())
                           for m in (p.m_t, p.m_h))
@@ -266,8 +255,8 @@ def verify_pair(pair: FeshbachPair) -> FeshbachPairReport:
     if r0 is None:
         left = right = np.inf
     else:
-        left = float(np.linalg.norm(r0 @ p.w_bar, 2, axis=(-2, -1)).max())
-        right = float(np.linalg.norm(p.w_bar @ r0, 2, axis=(-2, -1)).max())
+        left = float(np.linalg.norm(r0 @ w_bar, 2, axis=(-2, -1)).max())
+        right = float(np.linalg.norm(w_bar @ r0, 2, axis=(-2, -1)).max())
     return FeshbachPairReport(t_margin, h_margin, left, right)
 
 
@@ -277,23 +266,23 @@ class FeshbachPairError(ArithmeticError):
         super().__init__(f"Feshbach pair conditions failed: {report}")
 
 
-def feshbach_map(pair: FeshbachPair, keep) -> np.ndarray:
-    """The principal submatrix on the coordinates ``keep`` of
-    F(H, T) = T + chi W chi - chi W chibar (H_chibar|)^-1 chibar W chi:
-    only the rows of chi W chibar and the columns of chibar W chi in
-    ``keep`` enter, with one LU solve of H_chibar| (``solve_h``)."""
-    _, left, right = pair.kept(keep)
-    return pair.chi_part(keep) - left @ pair.solve_h(right)
+def feshbach_map(pair: FeshbachPair) -> np.ndarray:
+    """The principal submatrix on the pair's coordinates ``keep`` of
+    F(H - z, T - z) = T - z + chi W chi - chi W chibar (H_chibar|)^-1 chibar W chi:
+    the ``AffinePair``'s ``base`` less z, and its ``left`` times one LU
+    solve of H_chibar| against its ``right`` (``solve_h``)."""
+    fixed = pair.fixed
+    return pair.minus_z(fixed.base) - fixed.left @ pair.solve_h(fixed.right)
 
 
 def q_ops(pair: FeshbachPair):
     """Auxiliary operators mapping ker F -> ker H and back:
     Q = chi - chibar H_chibar^-1 chibar W chi and its sharp partner, stacked
     like the pair."""
-    p = pair
-    on, cb, c = p.cut.on, p.cut.cb, p.cut.chi
-    left = c[:, None] * p.w[..., :, on] * cb     # chi W chibar
-    right = cb[:, None] * p.w[..., on, :] * c    # chibar W chi
+    p, w = pair, pair.fixed.w
+    on, cb, c = p.fixed.cut.on, p.fixed.cut.cb, p.fixed.cut.chi
+    left = c[:, None] * w[..., :, on] * cb     # chi W chibar
+    right = cb[:, None] * w[..., on, :] * c    # chibar W chi
     chi = np.broadcast_to(np.diag(c.astype(complex)), p.m_h.shape[:-2] + (c.size, c.size))
     q = chi.copy()
     q[..., on, :] -= cb[:, None] * (p.inverse_h @ right)
@@ -329,14 +318,15 @@ def isospectrality_suite(h, t, chi, chibar) -> IsospectralityReport:
     F^-1 = chi H^-1 chi + chibar T^-1 chibar.
     """
     h = np.asarray(h, dtype=complex)
-    p = FeshbachPair(h, t, Cutoffs(chi, chibar, h.shape[-1]))   # T as one block
+    cut = Cutoffs(chi, chibar, h.shape[-1])   # T as one block
+    p = FeshbachPair(AffinePair(h, t, cut, np.arange(h.shape[-1])), 0.0)
 
     def chibar_sandwich(inv):   # chibar (.|_Ran chibar)^-1 chibar, full size
         out = np.zeros_like(h)
-        out[np.ix_(p.cut.on, p.cut.on)] = p.cut.cb[:, None] * inv * p.cut.cb
+        out[np.ix_(cut.on, cut.on)] = cut.cb[:, None] * inv * cut.cb
         return out
 
-    f = feshbach_map(p, np.arange(h.shape[-1]))
+    f = feshbach_map(p)
     q, q_sharp = q_ops(p)
     kd_h = kernel_dim(h)
     kd_f = kernel_dim(f)
@@ -346,7 +336,7 @@ def isospectrality_suite(h, t, chi, chibar) -> IsospectralityReport:
         finv = np.linalg.inv(f)
         rhs = q @ finv @ q_sharp + chibar_sandwich(p.inverse_h)
         res_h = float(np.linalg.norm(hinv - rhs) / np.linalg.norm(hinv))
-        rhs2 = p.cut.chi[:, None] * hinv * p.cut.chi + chibar_sandwich(p.inverse_t)
+        rhs2 = cut.chi[:, None] * hinv * cut.chi + chibar_sandwich(p.inverse_t)
         res_f = float(np.linalg.norm(finv - rhs2) / np.linalg.norm(finv))
     return IsospectralityReport(res_h, res_f, kd_h, kd_f)
 
@@ -360,16 +350,16 @@ def _conjugate_atomic(uinv: np.ndarray, mat: np.ndarray, u: np.ndarray) -> np.nd
 
 class FirstDecimation:
     """z-independent data of the first decimation at (model, s, g):
-    ``hamiltonian``, the truncated H_g(s) as built; ``at_zero``, the pair
-    (H_g(s), H_0(s)) with both conjugated by u (x) 1 in the atomic frame
-    ``u`` of the module docstring (``atomic_frame()`` first, times Kato's
-    frame U(s) of ``hyp5_frame`` when P_at(s) differs from P_at(s0) by more
-    than 1e-12), whose pieces every ``pair(z)`` shares; ``cut``, the cutoff
-    P_at(s0) (x) chi_1(H_f) and its partner in that frame; the full and
-    reduced bases, and ``reduced_index``, the coordinates of the reduced
-    space Ran(P_at(s0) (x) 1_{H_f <= 1}).  The pair keeps W = H - T and T,
-    which is block-diagonal: u^-1 H_at(s) u + hf_i on Fock state i.  ``u``
-    is unitary only when P_at is orthogonal and P_at(s) = P_at(s0)."""
+    ``hamiltonian``, the truncated H_g(s) as built; ``cut``, the cutoff
+    P_at(s0) (x) chi_1(H_f) and its partner in the atomic frame ``u`` of the
+    module docstring (``atomic_frame()`` first, times Kato's frame U(s) of
+    ``hyp5_frame`` when P_at(s) differs from P_at(s0) by more than 1e-12);
+    the full and reduced bases, and ``reduced_index``, the coordinates of
+    the reduced space Ran(P_at(s0) (x) 1_{H_f <= 1}); and ``affine``, the
+    ``AffinePair`` of H_g(s) and T = H_0(s), both conjugated by u (x) 1,
+    on ``reduced_index``, which every ``pair(z)`` reads.  T is
+    block-diagonal: u^-1 H_at(s) u + hf_i on Fock state i.  ``u`` is
+    unitary only when P_at is orthogonal and P_at(s) = P_at(s0)."""
 
     def __init__(self, spec: ModelSpec, s: complex, g: float | None):
         self.spec = spec
@@ -391,21 +381,21 @@ class FirstDecimation:
         self.cut = Cutoffs(np.kron(on_d, cut.chi(basis.hf_values)),
                            np.kron(~on_d, np.ones(basis.size))
                            + np.kron(on_d, cut.chibar(basis.hf_values)), spec.d_at)
-        self.at_zero = FeshbachPair(_conjugate_atomic(uinv, self.hamiltonian.mat, u),
-                                    _conjugate_atomic(uinv, build_h0(spec, s, basis), u),
-                                    self.cut)
         fock = np.array([basis.index[occ] for occ in self.reduced_basis.states])
         self.reduced_index = (np.arange(spec.d)[:, None] * basis.size + fock).ravel()
+        self.affine = AffinePair(_conjugate_atomic(uinv, self.hamiltonian.mat, u),
+                                 _conjugate_atomic(uinv, build_h0(spec, s, basis), u),
+                                 self.cut, self.reduced_index)
 
     def pair(self, z) -> FeshbachPair:
         """The pair (H_g(s) - z, H_0(s) - z) with the first cutoffs, for one
-        z or, with a leading axis, for each z of an array: ``at_zero``
-        shifted, after a check that every z lies in the declared window."""
+        z or, with a leading axis, for each z of an array, after a check
+        that every z lies in the declared window."""
         for zk in np.ravel(z):
             if not self.spec.in_window(self.s, zk):
                 raise WindowError(f"(s, z) = ({self.s}, {complex(zk)}) outside the "
                                   "declared window")
-        return self.at_zero.shifted(z)
+        return FeshbachPair(self.affine, z)
 
 
 def first_decimation(spec: ModelSpec, s: complex, g: float | None) -> FirstDecimation:
@@ -422,7 +412,7 @@ def first_feshbach(first: FirstDecimation, z) -> tuple[OperatorMatrix, FeshbachP
     the reduced operator and the pair, both stacked like z."""
     pair = first.pair(z)
     pair.require_margins()
-    return OperatorMatrix(feshbach_map(pair, first.reduced_index), first.reduced_basis), pair
+    return OperatorMatrix(feshbach_map(pair), first.reduced_basis), pair
 
 
 @dataclass
@@ -438,51 +428,51 @@ NEUMANN_MAX_TERMS = 30
 NEUMANN_TOL = 1e-13       # stop when a term falls below this, relative to ||F||
 
 
-def neumann_check(pair: FeshbachPair, keep, contraction: float) -> NeumannCheck:
+def neumann_check(pair: FeshbachPair, contraction: float) -> NeumannCheck:
     """Cross-check the Feshbach map of a pair against the truncated Neumann
     expansion of the same Schur complement, with an a-posteriori tail bound
     from the contraction norm ||(T|_Ran chibar)^-1 chibar W chibar||, the
     ``contraction_left`` that ``verify_pair`` measured.
 
-    chi vanishes outside ``keep``, so there both maps equal T on every row
-    and column: the series is summed on keep x keep, and T's entries outside
-    that block enter only the scale ||F||_F.
+    chi vanishes outside the pair's ``keep``, so there both maps equal T on
+    every row and column: the series is summed on keep x keep, and T's
+    entries outside that block enter only the scale ||F||_F.
     """
-    if np.delete(pair.cut.chi, keep).any():
+    fixed = pair.fixed
+    if np.delete(fixed.cut.chi, fixed.keep).any():
         raise ValueError("chi does not vanish outside the kept coordinates")
-    n = pair.cut.chi.size
+    n = fixed.cut.chi.size
     outside = np.ones((n, n), dtype=bool)
-    outside[np.ix_(keep, keep)] = False
-    f_direct = feshbach_map(pair, keep)
-    t = pair.t - pair.z[..., None, None] * np.eye(n)
+    outside[np.ix_(fixed.keep, fixed.keep)] = False
+    f_direct = feshbach_map(pair)
 
     # F = T + chi W chi - sum_{L>=1} (-1)^(L-1) chi W chibar (R0 chibar W chibar)^(L-1) R0 chibar W chi
     # with R0 the restricted inverse of T on Ran chibar and W = g W(s); the
     # factors between chi W chibar and chibar W chi act on Ran chibar.
     r0 = pair.inverse_t
-    _, left, right = pair.kept(keep)
+    t_outside = pair.minus_z(fixed.t)[..., outside]
     scale = max(1.0, float(np.hypot(np.linalg.norm(f_direct),
-                                    np.linalg.norm(t[..., outside]))))   # ||F||_F
+                                    np.linalg.norm(t_outside))))   # ||F||_F
     series = np.zeros_like(f_direct)
-    cur = r0 @ right
+    cur = r0 @ fixed.right
     n_terms = 0
     last_norm = 0.0
     # ||term||_2 >= ||term||_F / sqrt(N): a term with a Frobenius norm this far
     # above the tolerance cannot end the series, and its 2-norm is not taken
     certain = 2 * NEUMANN_TOL * scale * np.sqrt(n)
     for L in range(1, NEUMANN_MAX_TERMS + 1):
-        term = left @ cur
+        term = fixed.left @ cur
         series += ((-1) ** (L - 1)) * term
         n_terms = L
         if L == NEUMANN_MAX_TERMS or np.linalg.norm(term) < certain:
             last_norm = float(np.linalg.norm(term, 2))
             if last_norm < NEUMANN_TOL * scale:
                 break
-        cur = r0 @ (pair.w_bar @ cur)
+        cur = r0 @ (fixed.w_bar @ cur)
     if contraction < 1.0:
         tail_bound = last_norm * contraction / (1.0 - contraction)
     else:
         tail_bound = np.inf
-    f_neumann = pair.chi_part(keep) - series
+    f_neumann = pair.minus_z(fixed.base) - series
     discrepancy = float(np.linalg.norm(f_direct - f_neumann) / scale)
     return NeumannCheck(discrepancy, n_terms, tail_bound)

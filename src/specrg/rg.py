@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .feshbach import (
+    AffinePair,
     Cutoffs,
     CutoffSpec,
     FeshbachPair,
@@ -166,19 +167,20 @@ def rg_step(ext: ExtractionResult, depth: Depth, rho: float):
     valid independently of extraction error.  The next operator is
     Gamma F Gamma* / rho, with Gamma F Gamma* the principal submatrix of the
     Feshbach map F on the dilation's ``rows``, the only block of F that is
-    computed; on the vacuum-only terminal space the step is division by
-    rho, with pair None.  The step is gated by the smallest singular value
-    of T's d_at x d_at blocks on Ran chibar and by the LU solve of
-    H_chibar; a pair that fails either raises FeshbachPairError with the
-    full report.  A stack h steps each of its operators.
+    computed; the pair is (h, T) at z = 0, since h already holds z.  On the
+    vacuum-only terminal space the step is division by rho, with pair None.
+    The step is gated by the smallest singular value of T's d_at x d_at
+    blocks on Ran chibar and by the LU solve of H_chibar; a pair that fails
+    either raises FeshbachPairError with the full report.  A stack h steps
+    each of its operators.
     """
     h = ext.source
     if depth.dilation is None:
         return OperatorMatrix(h.mat / rho, h.basis), None
 
-    pair = FeshbachPair(h.mat, ext.hf_matrix(), depth.cut)
+    pair = FeshbachPair(AffinePair(h.mat, ext.hf_matrix(), depth.cut, depth.dilation.rows), 0.0)
     pair.require_margins()
-    return OperatorMatrix(feshbach_map(pair, depth.dilation.rows) / rho,
+    return OperatorMatrix(feshbach_map(pair) / rho,
                           depth.dilation.target), pair
 
 
@@ -219,7 +221,7 @@ def run_ladder(flow: Flow, z, n_levels: int,
     """
     h, pair = first_feshbach(flow.first, z)
     qs = [q_ops(pair)[0]] if collect_q else None
-    del pair   # the full-space pair is not needed by the steps
+    del pair   # the steps do not read it; its AffinePair stays with flow.first
 
     def make_level(n, h_op, pair):
         ext = extract_w00(h_op)

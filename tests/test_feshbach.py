@@ -8,6 +8,7 @@ from specrg.cli import random_feshbach_pair
 from specrg.config import load_model
 from specrg.feshbach import (
     RANK_THRESHOLD,
+    AffinePair,
     Cutoffs,
     CutoffSpec,
     FeshbachPair,
@@ -44,6 +45,13 @@ class TestIsospectrality:
         assert rep.kernel_dims_match
 
 
+def pair_of(h, t, c, cb, d_at=1, keep=None):
+    """The pair (H, T) at z = 0 with the cutoff diagonals c and cb, mapped on
+    ``keep``, every coordinate by default."""
+    keep = np.arange(h.shape[-1]) if keep is None else keep
+    return FeshbachPair(AffinePair(h, t, Cutoffs(c, cb, d_at), keep), 0.0)
+
+
 def diagonal_pair(n=12, seed=3):
     """Pair with diagonal cutoffs: chibar vanishes exactly on the first
     coordinates, chi on the last, and both are nonzero on the ramp."""
@@ -61,7 +69,7 @@ class TestFeshbachPair:
         h, t, c, cb = diagonal_pair()
         on = cb > 0
         assert 0 < on.sum() < on.size and np.any((c > 0) & on)
-        f = feshbach_map(FeshbachPair(h, t, Cutoffs(c, cb, 1)), np.arange(h.shape[0]))
+        f = feshbach_map(pair_of(h, t, c, cb))
         w = h - t
         h_bar = t + cb[:, None] * w * cb[None, :]
         left = (c[:, None] * w * cb[None, :])[:, on]
@@ -74,7 +82,7 @@ class TestFeshbachPair:
         h, t, c, cb = diagonal_pair()
         t = t.copy()
         t[-1, -1] = 0.0   # chibar is nonzero on the last coordinate
-        pair = FeshbachPair(h, t, Cutoffs(c, cb, 1))
+        pair = pair_of(h, t, c, cb)
         with pytest.raises(FeshbachPairError) as exc:
             pair.require_margins()
         assert exc.value.report == verify_pair(pair)
@@ -91,9 +99,9 @@ class TestFeshbachPair:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        pair = FeshbachPair(h, t, Cutoffs(c, cb, 1))
+        pair = pair_of(h, t, c, cb)
         verify_pair(pair)
-        feshbach_map(pair, np.arange(h.shape[0]))
+        feshbach_map(pair)
         q_ops(pair)
         assert full == []
 
@@ -150,9 +158,10 @@ def fixture_cases():
             if depth.dilation is None:
                 continue
             h, t = level.h.mat, level.ext.hf_matrix()
-            cases.append((f"{name}-depth{level.n}", FeshbachPair(h, t, depth.cut), h, t,
-                          depth.cut.chi, depth.cut.chibar, depth.dilation.rows,
-                          level.h.basis.d_at))
+            keep = depth.dilation.rows
+            cases.append((f"{name}-depth{level.n}",
+                          FeshbachPair(AffinePair(h, t, depth.cut, keep), 0.0), h, t,
+                          depth.cut.chi, depth.cut.chibar, keep, level.h.basis.d_at))
     return cases
 
 
@@ -166,14 +175,14 @@ class TestKeptBlock:
         h, t, c, cb = PAIRS[k]
         keep = random_keep(np.random.default_rng(k), h.shape[0])
         full = dense_map(h, t, c, cb)
-        f = feshbach_map(FeshbachPair(h, t, Cutoffs(c, cb, 1)), keep)
+        f = feshbach_map(pair_of(h, t, c, cb, keep=keep))
         assert np.abs(f - full[np.ix_(keep, keep)]).max() <= 1e-13 * np.abs(full).max()
 
     @pytest.mark.parametrize("case", FIXTURE_CASES, ids=CASE_IDS)
     def test_every_ladder_pair_maps_its_kept_block(self, case):
         _, pair, h, t, c, cb, keep, _ = case
         full = dense_map(h, t, c, cb)
-        f = feshbach_map(pair, keep)
+        f = feshbach_map(pair)
         assert np.abs(f - full[(..., *np.ix_(keep, keep))]).max() <= 1e-13 * np.abs(full).max()
 
     @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli"])
@@ -185,14 +194,14 @@ class TestKeptBlock:
         if stack:
             z = z + 1e-3 * np.exp(0.5j * np.pi * np.arange(4))
         h, t = first_h_t(first, z)
-        pair, dense = first.pair(z), FeshbachPair(h, t, first.cut)
+        pair = first.pair(z)
+        dense = FeshbachPair(AffinePair(h, t, first.cut, first.reduced_index), 0.0)
         tol = 1e-14 * max(1.0, np.linalg.norm(first.hamiltonian.mat, 2))
-        keep = first.reduced_index
-        every = np.arange(first.basis.dim)
+        got_fixed, want_fixed = pair.fixed, dense.fixed
         for got, want in ((pair.m_t, dense.m_t), (pair.m_h, dense.m_h),
-                          (pair.w_bar, dense.w_bar), (pair.chi_part(keep), dense.chi_part(keep)),
-                          *zip(pair.kept(keep)[1:], dense.kept(keep)[1:]),
-                          *zip(pair.kept(every)[1:], dense.kept(every)[1:])):
+                          (got_fixed.w_bar, want_fixed.w_bar),
+                          (pair.minus_z(got_fixed.base), want_fixed.base),
+                          (got_fixed.left, want_fixed.left), (got_fixed.right, want_fixed.right)):
             assert np.broadcast_shapes(got.shape, want.shape) == want.shape
             assert np.abs(got - want).max() <= tol
 
@@ -201,7 +210,7 @@ class TestGate:
     @pytest.mark.parametrize("k", range(len(PAIRS)))
     def test_the_block_t_margin_is_the_full_svd_margin_on_random_pairs(self, k):
         h, t, c, cb = PAIRS[k]
-        pair = FeshbachPair(h, t, Cutoffs(c, cb, 1))
+        pair = pair_of(h, t, c, cb)
         full = verify_pair(pair).t_margin
         assert abs(pair.t_margin - full) <= 1e-13 * full
 
@@ -215,7 +224,7 @@ class TestGate:
         d_ats = {label: d_at for label, *_, d_at in FIXTURE_CASES}
         assert d_ats["m_kramers-depth0"] == 2 and d_ats["m_pauli-first"] == 3
         pauli_first = next(case[1] for case in FIXTURE_CASES if case[0] == "m_pauli-first")
-        shapes = sorted(block[-1].shape[-1] for block in pauli_first.cut.t_blocks)
+        shapes = sorted(block[-1].shape[-1] for block in pauli_first.fixed.cut.t_blocks)
         assert shapes == [1, 3]   # Fock states below the ramp keep only the excited atom
 
     @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli"])
@@ -260,7 +269,7 @@ class TestSingularBlocks:
         t[[n - 1, 2 * n - 1], n - 1] = [1.0, 2.0]   # last Fock state's block [[1, 0], [2, 0]]
         t[[n - 1, 2 * n - 1], 2 * n - 1] = 0.0
         h = t + 0.01 * np.kron(np.ones((2, 2)), h - np.diag(np.diag(h)))
-        pair = FeshbachPair(h, t, Cutoffs(c, cb, 2))
+        pair = pair_of(h, t, c, cb, 2)
         assert pair.t_margin == 0.0
         with pytest.raises(FeshbachPairError) as exc:
             pair.require_margins()
@@ -269,10 +278,10 @@ class TestSingularBlocks:
 
     def test_a_singular_h_chibar_block_raises_with_the_pair_report(self):
         h, t, c, cb = singular_h_pair()
-        pair = FeshbachPair(h, t, Cutoffs(c, cb, 1))
+        pair = pair_of(h, t, c, cb)
         pair.require_margins()   # T is invertible on Ran chibar
         assert verify_pair(pair).h_margin > 0.0   # the SVD misses the singularity
-        for use in (lambda: feshbach_map(pair, np.arange(5)), lambda: q_ops(pair)):
+        for use in (lambda: feshbach_map(pair), lambda: q_ops(pair)):
             with pytest.raises(FeshbachPairError) as exc:
                 use()
             assert exc.value.report == verify_pair(pair)
@@ -280,7 +289,7 @@ class TestSingularBlocks:
     def test_a_singular_t_reports_infinite_contractions(self):
         h, t, c, cb = singular_h_pair()
         t = h.copy()   # T|_Ran chibar is now the singular block, H_chibar too
-        pair = FeshbachPair(h, t, Cutoffs(c, cb, 5))
+        pair = pair_of(h, t, c, cb, 5)
         report = verify_pair(pair)
         assert report.t_margin > 0.0   # the SVD misses the singularity
         assert report.contraction_left == report.contraction_right == np.inf
@@ -288,32 +297,49 @@ class TestSingularBlocks:
         with pytest.raises(FeshbachPairError):
             pair.inverse_t
 
+
+def spoiled_pair(spoil):
+    """``diagonal_pair`` with one coordinate i of Ran chibar, where chibar =
+    1, spoiled: a zero row of T, or a zero row or column of H_chibar, or a
+    NaN on the diagonal of either."""
+    h, t, c, cb = diagonal_pair(seed=7)
+    on = np.flatnonzero(cb > 0)
+    i = on[-2]
+    assert cb[i] == 1.0
+    if spoil == "t-zero-row":
+        h[i, i] -= t[i, i]
+        t[i, i] = 0.0
+    elif spoil == "t-nan":
+        t[i, i] = np.nan
+    elif spoil == "h-zero-column":
+        h[on, i] = t[on, i]   # W's column i vanishes on Ran chibar, and T's off i
+        h[i, i] = 0.0
+    else:
+        # H_chibar = T + chibar W chibar with T diagonal: its row i on Ran
+        # chibar is t + (h - t) * cb there
+        hbar = t + cb[:, None] * (h - t) * cb
+        row = {"h-zero-row": np.zeros(on.size),
+               "h-nan": np.where(on == i, np.nan, hbar[i, on])}[spoil]
+        h[i, on] = t[i, on] + (row - t[i, on]) / cb[on]
+    return pair_of(h, t, c, cb)
+
+
+class TestSpoiledBlocks:
     # a full SVD reads about 1e-18 for H_chibar with a zero row or column, so
-    # the full-SVD gate let those pass; it refused the T cases (a zero
-    # singular value, an SVD that does not converge on NaN)
-    @pytest.mark.parametrize("spoil", ["t-zero-row", "t-nan", "h-zero-row",
-                                       "h-zero-column", "h-nan"])
-    def test_the_gate_refuses_singular_and_non_finite_blocks(self, spoil):
-        h, t, c, cb = diagonal_pair(seed=7)
-        on = np.flatnonzero(cb > 0)
-        i = on[-2]
-        if spoil == "t-zero-row":
-            h[i, i] -= t[i, i]
-            t[i, i] = 0.0
-        elif spoil == "t-nan":
-            t[i, i] = np.nan
-        elif spoil == "h-zero-column":
-            h[on, i] = t[on, i]   # W's column i vanishes on Ran chibar, and T's off i
-            h[i, i] = 0.0
-        else:
-            # H_chibar = T + chibar W chibar with T diagonal and chibar = 1 on i:
-            # its row i on Ran chibar is t + (h - t) * cb there
-            assert cb[i] == 1.0
-            hbar = t + cb[:, None] * (h - t) * cb
-            row = {"h-zero-row": np.zeros(on.size),
-                   "h-nan": np.where(on == i, np.nan, hbar[i, on])}[spoil]
-            h[i, on] = t[i, on] + (row - t[i, on]) / cb[on]
-        pair = FeshbachPair(h, t, Cutoffs(c, cb, 1))
+    # the full-SVD gate let those pass, to a LinAlgError in the inverse
+    @pytest.mark.parametrize("spoil", ["t-zero-row", "h-zero-row", "h-zero-column"])
+    def test_the_gate_refuses_singular_blocks_with_the_pair_report(self, spoil):
+        pair = spoiled_pair(spoil)
+        with pytest.raises(FeshbachPairError) as exc:
+            pair.require_margins()
+            feshbach_map(pair)
+        assert exc.value.report == verify_pair(pair)
+
+    # the report's full SVD does not converge on NaN, as it did not in the
+    # full-SVD gate
+    @pytest.mark.parametrize("spoil", ["t-nan", "h-nan"])
+    def test_the_gate_refuses_non_finite_blocks(self, spoil):
+        pair = spoiled_pair(spoil)
         with pytest.raises((FeshbachPairError, np.linalg.LinAlgError)):
             pair.require_margins()
-            feshbach_map(pair, np.arange(h.shape[0]))
+            feshbach_map(pair)

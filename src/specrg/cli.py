@@ -1,6 +1,6 @@
-"""Command-line pipeline: run, verify, probe-analyticity, sweep-g, suite.
+"""Command-line pipeline: run, verify, probe-analyticity, sweep-g.
 
-    specrg COMMAND --config CONFIG [--out DIR] [--seed N] [--jobs N]
+    specrg COMMAND --config CONFIG [--out DIR] [--jobs N]
 
 CONFIG is a shipped fixture name, a model config file, or a run config:
 
@@ -9,14 +9,13 @@ CONFIG is a shipped fixture name, a model config file, or a run config:
 
 ``rg`` and its one key are optional, and any other key is refused.  The
 model fixes the flow's scale: rho is its grid ratio, which must lie in
-(0, 4/5), and mu its infrared exponent.  ``--seed`` (a non-negative integer,
-default 0) seeds the property suite; ``--jobs`` (default 1) is the number of
-threads that evaluate the analyticity probe's nodes.
+(0, 4/5), and mu its infrared exponent.  ``--jobs`` (default 1) is the
+number of threads that evaluate the analyticity probe's nodes.
 
 Reports come in two layers: a flat key=value summary for machines, printed
 and written to <stem>.kv, and a prose digest for humans in <stem>.txt;
-numerical tables are emitted as columnar text.  Identical config and seed
-give byte-identical machine-readable reports (probe nodes may be evaluated
+numerical tables are emitted as columnar text.  An identical config gives
+byte-identical machine-readable reports (probe nodes may be evaluated
 concurrently, but results are merged in index order).
 
 Exit codes: 0 all checks pass, 1 configuration error (a bad command line
@@ -37,13 +36,10 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from . import fock, kernels, symmetry
 from .feshbach import (
-    CutoffSpec,
     FeshbachPairError,
     first_decimation,
     first_feshbach,
-    isospectrality_suite,
     neumann_check,
     verify_pair,
 )
@@ -72,12 +68,11 @@ REFLECTION_PAIRS = 2
 SWEEP_COUPLINGS = (0.02, 0.04, 0.08, 0.16)   # weak-coupling sweep of sweep-g
 
 
-def load_run_config(path_or_name: str,
-                    validate: bool = True) -> tuple[bool, ModelSpec]:
+def load_run_config(path_or_name: str) -> tuple[bool, ModelSpec]:
     """(check_winding, model) from a run config ({"model": ...}) or directly
     from a model config (fixture name or file), as ``config.load_run_config``
     parses them; a model whose grid ratio the flow cannot take is refused."""
-    check_winding, spec = cfgmod.load_run_config(path_or_name, validate)
+    check_winding, spec = cfgmod.load_run_config(path_or_name)
     try:
         flow_scale(spec)
     except ValueError as exc:
@@ -197,7 +192,7 @@ def _first_decimation_checks(spec: ModelSpec, report: Report) -> None:
                  f"direct vs Neumann discrepancy {neumann.discrepancy:.3e}")
 
 
-def run_pipeline(spec: ModelSpec, report: Report, check_winding: bool, seed: int,
+def run_pipeline(spec: ModelSpec, report: Report, check_winding: bool,
                  out_dir: str | None) -> None:
     """verify -> first decimation sanity -> flow to the fixed point ->
     eigenvectors -> oracle comparison -> eigenprojection."""
@@ -205,7 +200,6 @@ def run_pipeline(spec: ModelSpec, report: Report, check_winding: bool, seed: int
     rho = spec.grid.ratio
     factor = contraction_factor(spec)
     report.put("model", spec.name)
-    report.put("seed", seed)
     report.put("rho", rho)
     report.put("mu", spec.mu)
     report.put("xi", np.sqrt(rho) / (4.0 * C_CHI))
@@ -222,7 +216,6 @@ def run_pipeline(spec: ModelSpec, report: Report, check_winding: bool, seed: int
     res = iterate_to_fixed_point(spec, s, check_winding)
     report.put("z_inf", res.z_inf)
     report.put("n_levels", res.n_levels)
-    report.put("tail_bound_theoretical", res.tail_bound)
     report.put("fitted_rate", res.trace.fitted_rate())
     report.check("converged", res.converged,
                  f"{res.n_levels} levels, z_inf = {res.z_inf}")
@@ -365,93 +358,6 @@ def sweep_g(spec: ModelSpec, report: Report) -> None:
     report.check("sweep_flow_matches_oracle", worst < 1e-7)
 
 
-def random_feshbach_pair(rng):
-    """(H, T, chi, chibar) with 6 to 19 rows, in the frame where T and the
-    cutoffs are diagonal: H = T + W with W a random unitary conjugate of a
-    draw with ||W|| = 0.1; chi and chibar are given by their diagonals."""
-    n = int(rng.integers(6, 20))
-    frame, _ = np.linalg.qr(rng.standard_normal((n, n))
-                            + 1j * rng.standard_normal((n, n)))
-    hfvals = np.sort(rng.uniform(0, 2, n))
-    cut = CutoffSpec(1.0)
-    tvals = hfvals + 0.3 + 0.1j * rng.standard_normal(n)
-    t = np.diag(tvals.astype(complex))
-    w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    w *= 0.1 / np.linalg.norm(w, 2)
-    return t + frame.conj().T @ w @ frame, t, cut.chi(hfvals), cut.chibar(hfvals)
-
-
-def property_suite(spec: ModelSpec, report: Report, seed: int) -> None:
-    """Cross-module invariant battery with the given seed; failures are
-    data (reported, never raised)."""
-    rng = np.random.default_rng(seed)
-    basis = fock.build_fock_basis(spec.grid, spec.n_max, spec.e_cut, spec.d_at)
-    J = spec.grid.levels
-
-    G = [rng.standard_normal((spec.d_at, spec.d_at))
-         + 1j * rng.standard_normal((spec.d_at, spec.d_at)) for _ in range(J)]
-    crea = fock.creation_op(basis, G).mat
-    anni = fock.annihilation_op(basis, G).mat
-    report.check("fock_adjoint", float(np.abs(anni - crea.conj().T).max()) <= 1e-14)
-    hf = fock.field_energy(basis).mat
-    nop = fock.number_op(basis).mat
-    report.check("fock_hf_number_commute",
-                 float(np.abs(hf @ nop - nop @ hf).max()) == 0.0)
-    dil = fock.dilation(basis, spec.grid.ratio)   # H_f^t Gamma = Gamma H_f^s / rho
-    hf_t = np.diag(fock.field_energy(dil.target).mat)
-    report.check("fock_dilation_intertwines",
-                 float(np.abs(hf_t - np.diag(hf)[dil.rows] / spec.grid.ratio).max()) <= 1e-12)
-    pt = max(fock.verify_pull_through(basis, lambda r: 1.0 / (r + 2.0), j)
-             for j in range(J))
-    report.check("fock_pull_through", pt <= 1e-12, f"max residual {pt:.2e}")
-    report.check("fock_relative_bounds",
-                 fock.relative_bound_check(basis, G, seed=seed))
-
-    worst = 0.0
-    for _ in range(100):
-        t = rng.standard_normal((basis.dim, basis.dim)) \
-            + 1j * rng.standard_normal((basis.dim, basis.dim))
-        lhs = symmetry.vacuum_expectation(t.conj().T, spec.d_at, basis.size)
-        rhs = symmetry.vacuum_expectation(t, spec.d_at, basis.size).conj().T
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    report.check("symmetry_vacuum_adjoint", worst == 0.0)
-
-    reports = []
-    for _ in range(20):
-        reports.append(isospectrality_suite(*random_feshbach_pair(rng)))
-    id_res = max(max(r.inverse_identity_h, r.inverse_identity_f)
-                 for r in reports)
-    report.check("feshbach_inverse_identities", id_res < 1e-9,
-                 f"max residual {id_res:.2e}")
-    report.check("feshbach_kernel_dims",
-                 all(r.kernel_dims_match for r in reports))
-
-    # Schur scalarization of the first decimation under the declared group
-    h0, _ = first_feshbach(first_decimation(spec, spec.s0, None), spec.e_at(spec.s0))
-    c, dev = symmetry.schur_scalar(h0.mat, spec.d, h0.basis.size)
-    limit = SCHUR_TOL * max(1.0, abs(c))
-    if spec.d >= 2:
-        frame = spec.atomic_frame()
-        try:
-            from .model import validate_generators
-            validate_generators(spec)
-            gens = [g.restricted(frame) for g in spec.generators]
-            irr = symmetry.is_irreducible(gens, dim=spec.d)
-        except ValueError as exc:
-            irr = False
-            report.say(f"symmetry validation failed: {exc}")
-        report.check("suite_group_irreducible", irr)
-        report.check("suite_schur_scalar", dev <= limit,
-                     f"deviation {dev:.2e} (c = {c})")
-    else:
-        report.check("suite_schur_scalar", dev <= limit)
-
-    rebuilt = kernels.extract_w00(h0).hf_matrix()
-    gamma_hat = float(np.linalg.norm(h0.mat - rebuilt, 2))
-    report.put("suite.gamma_hat0", gamma_hat)
-    report.say("suite complete")
-
-
 class _Parser(argparse.ArgumentParser):
     """A bad command line is a configuration error: it exits 1, since
     argparse's own code 2 is the acceptance-failure code."""
@@ -459,12 +365,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: configuration error: {message}\n")
-
-
-def _seed(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return int(text)
 
 
 def main(argv=None) -> int:
@@ -476,38 +376,34 @@ def main(argv=None) -> int:
     for name, help_ in (("run", "full pipeline with oracle comparison"),
                         ("verify", "hypothesis verification only"),
                         ("probe-analyticity", "contour/CR/reflection probes"),
-                        ("sweep-g", "weak-coupling sweep"),
-                        ("suite", "cross-module property suite")):
+                        ("sweep-g", "weak-coupling sweep")):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True,
                        help="model config path, fixture name, or run config")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=_seed, default=0)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--out", default=None, metavar="DIR", help="output directory")
+        p.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="threads that evaluate the analyticity probe's nodes "
+                            "(default 1)")
     args = ap.parse_args(argv)
 
     try:
-        # the property suite treats broken symmetry declarations as data
-        check_winding, spec = load_run_config(args.config,
-                                              validate=args.command != "suite")
+        check_winding, spec = load_run_config(args.config)
     except (cfgmod.ConfigError, InfraredError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     report = Report()
     stem = {"run": "run", "verify": "verify", "probe-analyticity": "probe",
-            "sweep-g": "sweep", "suite": "suite"}[args.command]
+            "sweep-g": "sweep"}[args.command]
     flow_failed = False
     try:
         if args.command == "run":
-            run_pipeline(spec, report, check_winding, args.seed, args.out)
+            run_pipeline(spec, report, check_winding, args.out)
         elif args.command == "verify":
             _report_hypotheses(spec, report)
         elif args.command == "probe-analyticity":
             analyticity_probe(spec, report, args.jobs)
         elif args.command == "sweep-g":
             sweep_g(spec, report)
-        elif args.command == "suite":
-            property_suite(spec, report, args.seed)
     except InfraredError as exc:
         print(f"configuration error: infrared failure: {exc}", file=sys.stderr)
         return 1

@@ -178,17 +178,17 @@ def _read(source) -> dict:
     return doc
 
 
-def load_model(source, validate: bool = True) -> ModelSpec:
+def load_model(source) -> ModelSpec:
     """Load a ModelSpec from a path, or by shipped fixture name."""
-    return parse_model_config(_read(source), validate=validate)
+    return parse_model_config(_read(source))
 
 
-def load_run_config(source, validate: bool) -> tuple[bool, ModelSpec]:
+def load_run_config(source) -> tuple[bool, ModelSpec]:
     """(check_winding, model) from a run config, or (True, model) from a
     model config given directly (fixture name or file)."""
     doc = _read(source)
     if "model" not in doc:
-        return True, parse_model_config(doc, validate=validate)
+        return True, parse_model_config(doc)
     _require_keys(doc, ["schema_version", "model"], ["rg"], where="run config")
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {doc['schema_version']}")
@@ -199,4 +199,4 @@ def load_run_config(source, validate: bool) -> tuple[bool, ModelSpec]:
     check_winding = rg.get("check_winding", True)
     if type(check_winding) is not bool:
         raise ConfigError(f"rg.check_winding must be bool, got {check_winding!r}")
-    return check_winding, load_model(doc["model"], validate=validate)
+    return check_winding, load_model(doc["model"])

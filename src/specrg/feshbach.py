@@ -291,56 +291,6 @@ def q_ops(pair: FeshbachPair):
     return q, q_sharp
 
 
-def kernel_dim(mat) -> int:
-    sv = np.linalg.svd(np.asarray(mat), compute_uv=False)
-    scale = sv[0] if sv.size and sv[0] > 0 else 1.0
-    return int(np.sum(sv <= RANK_THRESHOLD * scale))
-
-
-@dataclass
-class IsospectralityReport:
-    inverse_identity_h: float
-    inverse_identity_f: float
-    kernel_dim_h: int
-    kernel_dim_f: int
-
-    @property
-    def kernel_dims_match(self) -> bool:
-        return self.kernel_dim_h == self.kernel_dim_f
-
-
-def isospectrality_suite(h, t, chi, chibar) -> IsospectralityReport:
-    """Exercise the two inverse identities and the kernel-dimension equality
-    of the pair (H, T); chi and chibar are the diagonals of the cutoffs.
-
-    Identities, in the full-matrix embedding (F (+) T on the chi-null
-    coordinates):  H^-1 = Q F^-1 Q# + chibar H_chibar^-1 chibar   and
-    F^-1 = chi H^-1 chi + chibar T^-1 chibar.
-    """
-    h = np.asarray(h, dtype=complex)
-    cut = Cutoffs(chi, chibar, h.shape[-1])   # T as one block
-    p = FeshbachPair(AffinePair(h, t, cut, np.arange(h.shape[-1])), 0.0)
-
-    def chibar_sandwich(inv):   # chibar (.|_Ran chibar)^-1 chibar, full size
-        out = np.zeros_like(h)
-        out[np.ix_(cut.on, cut.on)] = cut.cb[:, None] * inv * cut.cb
-        return out
-
-    f = feshbach_map(p)
-    q, q_sharp = q_ops(p)
-    kd_h = kernel_dim(h)
-    kd_f = kernel_dim(f)
-    res_h = res_f = np.nan
-    if kd_h == 0 and kd_f == 0:
-        hinv = np.linalg.inv(h)
-        finv = np.linalg.inv(f)
-        rhs = q @ finv @ q_sharp + chibar_sandwich(p.inverse_h)
-        res_h = float(np.linalg.norm(hinv - rhs) / np.linalg.norm(hinv))
-        rhs2 = cut.chi[:, None] * hinv * cut.chi + chibar_sandwich(p.inverse_t)
-        res_f = float(np.linalg.norm(finv - rhs2) / np.linalg.norm(finv))
-    return IsospectralityReport(res_h, res_f, kd_h, kd_f)
-
-
 def _conjugate_atomic(uinv: np.ndarray, mat: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(u^-1 (x) 1) mat (u (x) 1) in atomic-major layout, block by block."""
     d = u.shape[0]

@@ -22,8 +22,6 @@ FOUR_PI = 4.0 * np.pi
 
 #: inclusive-boundary slack for energy-cutoff comparisons
 _ENERGY_TOL = 1e-12
-#: seeded random states per ``relative_bound_check``
-BOUND_SAMPLES = 100
 
 
 class TruncationError(ValueError):
@@ -217,22 +215,10 @@ def creation_op(basis: FockBasis, coeffs) -> OperatorMatrix:
     return OperatorMatrix(mat, basis)
 
 
-def annihilation_op(basis: FockBasis, coeffs) -> OperatorMatrix:
-    """a(G): the exact matrix adjoint of creation_op(basis, coeffs)."""
-    return OperatorMatrix(creation_op(basis, coeffs).mat.conj().T, basis)
-
-
 def field_energy(basis: FockBasis) -> OperatorMatrix:
     """H_f: diagonal with entries sum_j n_j omega_j."""
     mat = np.kron(np.eye(basis.d_at), np.diag(basis.hf_values.astype(complex)))
     return OperatorMatrix(mat, basis, selfadjoint_known=True)
-
-
-def number_op(basis: FockBasis) -> OperatorMatrix:
-    """Total photon number operator."""
-    totals = basis.occupations.sum(axis=1).astype(complex)
-    return OperatorMatrix(np.kron(np.eye(basis.d_at), np.diag(totals)), basis,
-                          selfadjoint_known=True)
 
 
 class DilationMap:
@@ -263,50 +249,3 @@ class DilationMap:
 def dilation(basis: FockBasis, rho: float) -> DilationMap:
     """The field-energy rescaling by 1/rho on ``basis``, as a coordinate map."""
     return DilationMap(basis, rho)
-
-
-def verify_pull_through(basis: FockBasis, f, j: int) -> float:
-    """Max entrywise residual of a_j f(H_f) - f(H_f + omega_j) a_j.
-
-    Exact on the truncated space (annihilation never leaves the basis), so
-    the residual is pure floating-point noise; contract: <= 1e-12.
-    """
-    hf = basis.hf_values
-    wj = basis.grid.omega[j]
-    aj = _mode_raising(basis, j).conj().T
-    lhs = aj * f(hf)[None, :]
-    rhs = f(hf + wj)[:, None] * aj
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def relative_bound_check(basis: FockBasis, coeffs, seed: int = 0) -> bool:
-    """Whether ||a(G)psi|| <= ||omega^(-1/2)G|| ||H_f^(1/2)psi|| and the
-    creation analog with (omega^(-1)+1)^(1/2) hold on BOUND_SAMPLES seeded
-    random states, each within a relative excess of 1e-12 over its bound.
-
-    Violations are reported, not raised.
-    """
-    G = _coeff_matrices(basis, coeffs)
-    omega = basis.grid.omega
-    gnorms = np.array([np.linalg.norm(g, 2) for g in G])
-    c_ann = float(np.sqrt(np.sum(gnorms**2 / omega)))
-    c_cre = float(np.sqrt(np.sum((1.0 / omega + 1.0) * gnorms**2)))
-    a_mat = annihilation_op(basis, coeffs).mat
-    astar = creation_op(basis, coeffs).mat
-    hf = np.kron(np.ones(basis.d_at), basis.hf_values)
-    rng = np.random.default_rng(seed)
-    exc_a = 0.0
-    exc_c = 0.0
-    for _ in range(BOUND_SAMPLES):
-        psi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-        psi /= np.linalg.norm(psi)
-        rhs_a = c_ann * np.linalg.norm(np.sqrt(hf) * psi)
-        rhs_c = c_cre * np.linalg.norm(np.sqrt(hf + 1.0) * psi)
-        lhs_a = np.linalg.norm(a_mat @ psi)
-        lhs_c = np.linalg.norm(astar @ psi)
-        if rhs_a > 0:
-            exc_a = max(exc_a, (lhs_a - rhs_a) / rhs_a)
-        elif lhs_a > 0:
-            exc_a = max(exc_a, np.inf)
-        exc_c = max(exc_c, (lhs_c - rhs_c) / rhs_c)
-    return bool(exc_a <= 1e-12 and exc_c <= 1e-12)

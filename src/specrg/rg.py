@@ -66,8 +66,7 @@ from .kernels import ExtractionResult, extract_w00, polydisc_check
 from .model import ModelSpec, projection_rank
 from .symmetry import is_symmetry_of, schur_scalar
 
-C_CHI = 1.0              # cutoff constant, sets xi, C_beta and C_gamma
-C_BETA = 1.5 * C_CHI
+C_CHI = 1.0              # cutoff constant, sets xi and C_gamma
 C_GAMMA = 128.0 * C_CHI**2
 N_ITER_MAX = 24          # deepest flow depth
 TOL_Z = 1e-12            # secant target for |E^(n)(z_n)|
@@ -366,7 +365,6 @@ class TraceRecord:
     z: complex
     dz: float
     e_abs: float
-    alpha_hat: float
     beta_hat: float
     gamma_hat: float
     schur_deviation: float
@@ -380,8 +378,7 @@ class TraceRecord:
         w = "-" if self.winding is None else str(self.winding)
         return (f"n={self.n} z_re={self.z.real:.16e} z_im={self.z.imag:.16e} "
                 f"dz={self.dz:.3e} e_abs={self.e_abs:.3e} "
-                f"alpha_hat={self.alpha_hat:.6e} beta_hat={self.beta_hat:.6e} "
-                f"gamma_hat={self.gamma_hat:.6e} "
+                f"beta_hat={self.beta_hat:.6e} gamma_hat={self.gamma_hat:.6e} "
                 f"schur_dev={self.schur_deviation:.3e} "
                 f"sym_res={self.symmetry_residual:.3e} "
                 f"t_margin={self.t_margin:.6e} "
@@ -425,7 +422,6 @@ class PipelineResult:
     converged: bool
     n_levels: int
     final_ladder: Ladder
-    tail_bound: float
     flow: Flow   # z-independent data of the run, for its eigenvectors and oracle
 
 
@@ -434,7 +430,6 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, check_winding: bool,
     """Cascade the per-depth roots z_n until |z_n - z_{n-1}| < tolerance
     with healthy pair margins; z_inf is the last root."""
     flow = Flow(spec, s, check_winding, g)
-    rho = flow.rho
     z = spec.e_at(s)
     trace = RGTrace(window_threshold=flow.window_threshold)
     factor = contraction_factor(spec)
@@ -454,7 +449,6 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, check_winding: bool,
         rec = TraceRecord(
             n=n, z=root.z, dz=abs(root.z - z) if n > 0 else 0.0,
             e_abs=root.e_abs,
-            alpha_hat=C_BETA * prev_gamma**2 / rho,
             beta_hat=polydisc.beta_hat,
             gamma_hat=ghat,
             schur_deviation=schur_scalar(top.h.mat, top.h.basis.d_at, top.h.basis.size)[1],
@@ -475,16 +469,8 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, check_winding: bool,
             break
         z = root.z
         result = root
-    # conservative distance-to-limit bound rho^n exp(sum alpha_k / (2 rho eps^2))
-    alphas = [r.alpha_hat for r in trace.records]
-    eps = 0.5 - rho / 2 - (alphas[1] if len(alphas) > 1 else 0.0)
-    if eps > 0:
-        tail = rho ** len(trace.records) * float(
-            np.exp(sum(alphas) / (2 * rho * eps**2)))
-    else:
-        tail = np.inf
     return PipelineResult(z, trace, converged, len(trace.records) - 1,
-                          result.ladder, tail, flow)
+                          result.ladder, flow)
 
 
 @dataclass

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from specrg import fock
-from specrg.cli import random_feshbach_pair
 from specrg.config import load_model
 from specrg.feshbach import (
     RANK_THRESHOLD,
@@ -14,12 +13,84 @@ from specrg.feshbach import (
     FeshbachPair,
     FeshbachPairError,
     feshbach_map,
-    isospectrality_suite,
     q_ops,
     verify_pair,
 )
 from specrg.model import build_h0
 from specrg.rg import Flow, run_ladder
+
+
+def random_feshbach_pair(rng):
+    """(H, T, chi, chibar) with 6 to 19 rows, in the frame where T and the
+    cutoffs are diagonal: H = T + W with W a random unitary conjugate of a
+    draw with ||W|| = 0.1; chi and chibar are given by their diagonals."""
+    n = int(rng.integers(6, 20))
+    frame, _ = np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+    hfvals = np.sort(rng.uniform(0, 2, n))
+    cut = CutoffSpec(1.0)
+    tvals = hfvals + 0.3 + 0.1j * rng.standard_normal(n)
+    t = np.diag(tvals.astype(complex))
+    w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w *= 0.1 / np.linalg.norm(w, 2)
+    return t + frame.conj().T @ w @ frame, t, cut.chi(hfvals), cut.chibar(hfvals)
+
+
+def pair_of(h, t, c, cb, d_at=1, keep=None):
+    """The pair (H, T) at z = 0 with the cutoff diagonals c and cb, mapped on
+    ``keep``, every coordinate by default."""
+    keep = np.arange(h.shape[-1]) if keep is None else keep
+    return FeshbachPair(AffinePair(h, t, Cutoffs(c, cb, d_at), keep), 0.0)
+
+
+def kernel_dim(mat) -> int:
+    sv = np.linalg.svd(np.asarray(mat), compute_uv=False)
+    scale = sv[0] if sv.size and sv[0] > 0 else 1.0
+    return int(np.sum(sv <= RANK_THRESHOLD * scale))
+
+
+@dataclasses.dataclass
+class IsospectralityReport:
+    inverse_identity_h: float
+    inverse_identity_f: float
+    kernel_dim_h: int
+    kernel_dim_f: int
+
+    @property
+    def kernel_dims_match(self) -> bool:
+        return self.kernel_dim_h == self.kernel_dim_f
+
+
+def isospectrality_suite(h, t, chi, chibar) -> IsospectralityReport:
+    """Exercise the two inverse identities and the kernel-dimension equality
+    of the pair (H, T); chi and chibar are the diagonals of the cutoffs.
+
+    Identities, in the full-matrix embedding (F (+) T on the chi-null
+    coordinates):  H^-1 = Q F^-1 Q# + chibar H_chibar^-1 chibar   and
+    F^-1 = chi H^-1 chi + chibar T^-1 chibar.
+    """
+    h = np.asarray(h, dtype=complex)
+    p = pair_of(h, t, chi, chibar, d_at=h.shape[-1])   # T as one block
+    cut = p.fixed.cut
+
+    def chibar_sandwich(inv):   # chibar (.|_Ran chibar)^-1 chibar, full size
+        out = np.zeros_like(h)
+        out[np.ix_(cut.on, cut.on)] = cut.cb[:, None] * inv * cut.cb
+        return out
+
+    f = feshbach_map(p)
+    q, q_sharp = q_ops(p)
+    kd_h = kernel_dim(h)
+    kd_f = kernel_dim(f)
+    res_h = res_f = np.nan
+    if kd_h == 0 and kd_f == 0:
+        hinv = np.linalg.inv(h)
+        finv = np.linalg.inv(f)
+        rhs = q @ finv @ q_sharp + chibar_sandwich(p.inverse_h)
+        res_h = float(np.linalg.norm(hinv - rhs) / np.linalg.norm(hinv))
+        rhs2 = cut.chi[:, None] * hinv * cut.chi + chibar_sandwich(p.inverse_t)
+        res_f = float(np.linalg.norm(finv - rhs2) / np.linalg.norm(finv))
+    return IsospectralityReport(res_h, res_f, kd_h, kd_f)
 
 
 RNG = np.random.default_rng(0)
@@ -43,13 +114,6 @@ class TestIsospectrality:
         rep = isospectrality_suite(h - shift, t - shift, chi, cbar)
         assert rep.kernel_dim_h == rep.kernel_dim_f == 1
         assert rep.kernel_dims_match
-
-
-def pair_of(h, t, c, cb, d_at=1, keep=None):
-    """The pair (H, T) at z = 0 with the cutoff diagonals c and cb, mapped on
-    ``keep``, every coordinate by default."""
-    keep = np.arange(h.shape[-1]) if keep is None else keep
-    return FeshbachPair(AffinePair(h, t, Cutoffs(c, cb, d_at), keep), 0.0)
 
 
 def diagonal_pair(n=12, seed=3):

@@ -363,7 +363,7 @@ class TestExitCodes:
         assert f"unknown keys in rg: ['{key}']" in capsys.readouterr().err
 
     # a run config sets rg.check_winding alone: the probe geometry and the
-    # sweep are constants, and seed and jobs come from --seed and --jobs
+    # sweep are constants, and jobs comes from --jobs
     @pytest.mark.parametrize("command, entries, message", [
         ("run", {"rg": {"window_factor": 0.3}}, "unknown keys in rg: ['window_factor']"),
         ("verify", {"probe": {"cr_step": "abc"}}, "unknown keys in run config: ['probe']"),
@@ -391,12 +391,10 @@ class TestExitCodes:
         (["solve", "--config", "m_triv"], "argument command: invalid choice: 'solve'"),
         (["run", "--config", "m_triv", "--jobs", "two"],
          "argument --jobs: invalid int value: 'two'"),
-        (["suite", "--config", "m_triv", "--seed", "-1"],
-         "argument --seed: expected a non-negative integer, got -1"),
-        (["run", "--config", "m_triv", "--seed", "1.5"],
-         "argument --seed: expected a non-negative integer, got 1.5"),
-    ], ids=["missing-config", "unknown-flag", "unknown-command", "bad-jobs", "negative-seed",
-            "fractional-seed"])
+        (["suite", "--config", "m_triv"], "argument command: invalid choice: 'suite'"),
+        (["run", "--config", "m_triv", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    ], ids=["missing-config", "unknown-flag", "unknown-command", "bad-jobs", "suite",
+            "seed"])
     def test_usage_error_exits_1(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -408,7 +406,7 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--help"])
         assert exc.value.code == 0
-        assert "--seed" in capsys.readouterr().out
+        assert "--jobs" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["verify", "run"])
     def test_grid_ratio_outside_the_flow_range_exits_1(self, tmp_path, capsys, command):
@@ -423,13 +421,15 @@ class TestExitCodes:
         with pytest.raises(ValueError, match=r"rho must lie in \(0, 4/5\), got 0.85"):
             iterate_to_fixed_point(spec, spec.s0, False)
 
-    def test_suite_failure_exits_2(self, tmp_path, capsys):
+    def test_broken_symmetry_declaration_fails_verify_with_2(self, tmp_path, capsys):
+        # a reducible declared group is reported as a failed hypothesis, not
+        # refused as a configuration error
         def unitary_kramers(doc):
             doc["symmetry_generators"][0]["antiunitary"] = False
 
         config = cut_fixture(tmp_path, "m_kramers", edit=unitary_kramers)
         out = tmp_path / "out"
-        assert main(["suite", "--config", str(config), "--out", str(out)]) == 2
-        kv = read_kv(out / "suite.kv")
-        assert kv["check.suite_group_irreducible"] == "fail"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == 2
+        kv = read_kv(out / "verify.kv")
+        assert kv["check.hyp.symmetry_irreducible"] == "fail"
         assert kv["all_passed"] == "false"

@@ -7,14 +7,10 @@ from specrg.fock import (
     FockBasis,
     ModeGrid,
     TruncationError,
-    annihilation_op,
     build_fock_basis,
     creation_op,
     dilation,
     field_energy,
-    number_op,
-    relative_bound_check,
-    verify_pull_through,
 )
 from specrg.model import PROFILES
 
@@ -106,7 +102,7 @@ def coeffs(basis):
 
 class TestFieldOperators:
     def test_annihilator_kills_vacuum(self, basis, coeffs):
-        a = annihilation_op(basis, coeffs).mat
+        a = creation_op(basis, coeffs).mat.conj().T
         for v in np.eye(2):
             psi = np.kron(v, basis.vacuum_vector())
             assert np.linalg.norm(a @ psi) == 0.0
@@ -124,11 +120,6 @@ class TestFieldOperators:
                     got = np.vdot(bra, astar @ ket)
                     assert got == pytest.approx(coeffs[j][a, b], abs=1e-14)
 
-    def test_adjoint_exact(self, basis, coeffs):
-        astar = creation_op(basis, coeffs).mat
-        a = annihilation_op(basis, coeffs).mat
-        assert np.linalg.norm(a - astar.conj().T) <= 1e-14
-
     def test_commutator_closed_form(self, basis):
         """[a(F), a*(G)] = sum_j F_j^dag G_j (x) 1 below the truncation, for
         rotation-invariant couplings f_j B, g_j B with common normal B (the
@@ -140,7 +131,7 @@ class TestFieldOperators:
         gs = rng.standard_normal(basis.grid.levels)
         F = [f * B for f in fs]
         G = [g * B for g in gs]
-        aF = annihilation_op(basis, F).mat
+        aF = creation_op(basis, F).mat.conj().T
         cG = creation_op(basis, G).mat
         comm = aF @ cG - cG @ aF
         closed = np.kron(
@@ -172,7 +163,7 @@ class TestFieldOperators:
 
     def test_hf_nonneg_commutes_with_number(self, basis):
         hf = field_energy(basis).mat
-        n = number_op(basis).mat
+        n = np.kron(np.eye(basis.d_at), np.diag(basis.occupations.sum(axis=1)))
         assert np.min(np.real(np.diag(hf))) >= 0.0
         assert np.linalg.norm(hf @ n - n @ hf) == 0.0
 
@@ -248,6 +239,21 @@ class TestDilation:
             dilation(b, 0.4)
 
 
+def verify_pull_through(basis: FockBasis, f, j: int) -> float:
+    """Max entrywise residual of a_j f(H_f) - f(H_f + omega_j) a_j on a basis
+    with one atomic level.
+
+    Exact on the truncated space (annihilation never leaves the basis), so
+    the residual is pure floating-point noise; contract: <= 1e-12.
+    """
+    unit = [float(k == j) for k in range(basis.grid.levels)]
+    aj = creation_op(basis, unit).mat.conj().T
+    hf = basis.hf_values
+    lhs = aj * f(hf)[None, :]
+    rhs = f(hf + basis.grid.omega[j])[:, None] * aj
+    return float(np.max(np.abs(lhs - rhs)))
+
+
 class TestPullThrough:
     def test_constant_function(self):
         b = build_fock_basis(ModeGrid(0.5, 3), 2, 2.0)
@@ -269,15 +275,29 @@ class TestRelativeBounds:
         rng = np.random.default_rng(5)
         G = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
              for _ in range(4)]
-        # both relative excesses are within 1e-12 of their bounds
-        assert relative_bound_check(b, G, seed=0) is True
+        # ||a(G)psi|| <= ||omega^(-1/2)G|| ||H_f^(1/2)psi|| and the creation
+        # analog with (omega^(-1)+1)^(1/2) hold on 100 seeded random states,
+        # each within a relative excess of 1e-12 over its bound
+        gnorms = np.array([np.linalg.norm(g, 2) for g in G])
+        c_ann = np.sqrt(np.sum(gnorms**2 / b.grid.omega))
+        c_cre = np.sqrt(np.sum((1.0 / b.grid.omega + 1.0) * gnorms**2))
+        astar = creation_op(b, G).mat
+        hf = np.kron(np.ones(b.d_at), b.hf_values)
+        samples = np.random.default_rng(0)
+        for _ in range(100):
+            psi = samples.standard_normal(b.dim) + 1j * samples.standard_normal(b.dim)
+            psi /= np.linalg.norm(psi)
+            bound_a = c_ann * np.linalg.norm(np.sqrt(hf) * psi)
+            bound_c = c_cre * np.linalg.norm(np.sqrt(hf + 1.0) * psi)
+            assert np.linalg.norm(astar.conj().T @ psi) <= (1 + 1e-12) * bound_a
+            assert np.linalg.norm(astar @ psi) <= (1 + 1e-12) * bound_c
 
     def test_one_photon_aligned_explicit(self):
         """Single mode, scalar coupling: ||a(G) (1-photon)|| = |g| exactly,
         bound gives |g| omega^{-1/2} sqrt(omega): equality."""
         b = build_fock_basis(ModeGrid(0.5, 1), 2, 2.0)
         g = 0.7
-        a = annihilation_op(b, [g]).mat
+        a = creation_op(b, [g]).mat.conj().T
         one = np.zeros(b.size)
         one[b.index[(1,)]] = 1.0
         lhs = np.linalg.norm(a @ one)

@@ -3,9 +3,9 @@ runs on numpy alone (no module imports scipy, ``import specrg.cli`` loads none
 of it, and the third-party packages imported are exactly the dependencies
 declared in pyproject.toml), every definition in specrg is referred to by the
 code of the program outside its own definition (a method or property only
-through an attribute access), every annotated class field in
-specrg is read by the program, and every defaulted parameter in specrg is
-passed by some call."""
+through an attribute access), every annotated class field and every
+non-dunder module-level name in specrg is read by the program, and every
+defaulted parameter in specrg is passed by some call."""
 
 import ast
 import math
@@ -219,6 +219,47 @@ def test_every_field_is_read_by_the_program():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in PROGRAM}
     defining = [str(p.relative_to(ROOT)) for p in sorted(SRC.glob("*.py"))]
     assert unread_fields(sources, defining) == []
+
+
+def unread_constants(sources: dict, defining: list) -> list[str]:
+    """``module.NAME`` for every non-dunder name bound by a module-level
+    assignment in the files named by ``defining`` that no code in ``sources``
+    reads, as a variable or as an attribute.  Writing it, or naming it in a
+    docstring, is not reading it."""
+    read = set()
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    dead = []
+    for name in defining:
+        for stmt in ast.parse(sources[name]).body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            dead += [f"{Path(name).stem}.{node.id}" for target in targets
+                     for node in ast.walk(target)
+                     if isinstance(node, ast.Name)
+                     and not (node.id.startswith("__") and node.id.endswith("__"))
+                     and node.id not in read]
+    return sorted(dead)
+
+
+def test_detects_an_unread_constant():
+    # a default value and an attribute read keep a name; a docstring, a
+    # write and an import-only use do not, and dunder names are exempt
+    sources = {"a.py": "\"\"\"Unlike DEAD.\"\"\"\n__version__ = '1'\nKEPT = 1\nDEAD = 2\n"
+                       "DEFAULT = 3\nPAIR_A, PAIR_B = 4, 5\nNOTED: int = 6\n\n"
+                       "def f(k=DEFAULT):\n    return PAIR_A\n",
+               "b.py": "import a\nfrom a import NOTED\nprint(a.KEPT)\na.DEAD = 7\n"}
+    assert unread_constants(sources, ["a.py"]) == ["a.DEAD", "a.NOTED", "a.PAIR_B"]
+
+
+def test_every_module_constant_is_read_by_the_program():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PROGRAM}
+    defining = [str(p.relative_to(ROOT)) for p in sorted(SRC.glob("*.py"))]
+    assert unread_constants(sources, defining) == []
 
 
 def passed_arguments(sources: dict) -> dict:

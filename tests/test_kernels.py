@@ -6,7 +6,6 @@ from specrg.fock import (
     FockBasis,
     ModeGrid,
     OperatorMatrix,
-    annihilation_op,
     build_fock_basis,
     creation_op,
     field_energy,
@@ -20,7 +19,7 @@ from specrg.kernels import (
 )
 from specrg.config import load_model
 from specrg.model import PROFILES
-from specrg.rg import C_BETA, C_CHI, C_GAMMA, contraction_factor, flow_scale
+from specrg.rg import C_CHI, C_GAMMA, contraction_factor, flow_scale
 
 
 def make_basis(J=4, rho=0.5, d=2, n_max=2, e_cut=1.0):
@@ -47,7 +46,7 @@ def line_at(w00, r):
 
 def shell_coeffs(basis, amp):
     """Per-shell matrices sqrt(shell measure) amp(omega_j) 1 of a
-    rotation-invariant kernel for ``creation_op`` and ``annihilation_op``."""
+    rotation-invariant kernel for ``creation_op``."""
     c = PROFILES["one"].shell_coeffs(basis.grid)
     return [c[j] * amp(basis.grid.omega[j]) * np.eye(basis.d_at)
             for j in range(basis.grid.levels)]
@@ -170,7 +169,8 @@ class TestExtraction:
     def test_planted_11_contamination_bounded(self):
         b = make_basis(J=4, d=1, n_max=2)
         coeffs = shell_coeffs(b, lambda w: 1.0)
-        h = OperatorMatrix(creation_op(b, coeffs).mat @ annihilation_op(b, coeffs).mat, b)
+        astar = creation_op(b, coeffs).mat
+        h = OperatorMatrix(astar @ astar.conj().T, b)
         ext = extract_w00(h)
         # pure (1,1) kernel: vacuum block 0; one-photon blocks are the
         # contamination mu_j * w11, within mu_j * ||H - w00(0) (x) 1||
@@ -278,7 +278,7 @@ class TestPolydisc:
         assert chk.gamma_hat > 1e-3
 
     def test_recursion_constants(self):
-        assert (C_CHI, C_BETA, C_GAMMA) == (1.0, 1.5, 128.0)
+        assert (C_CHI, C_GAMMA) == (1.0, 128.0)
         # rho and mu come from the model: its grid ratio and infrared exponent
         spec = load_model("m_triv")
         assert (spec.grid.ratio, spec.mu) == (0.5, 0.5)

@@ -275,20 +275,16 @@ def feshbach_map(pair: FeshbachPair) -> np.ndarray:
     return pair.minus_z(fixed.base) - fixed.left @ pair.solve_h(fixed.right)
 
 
-def q_ops(pair: FeshbachPair):
-    """Auxiliary operators mapping ker F -> ker H and back:
-    Q = chi - chibar H_chibar^-1 chibar W chi and its sharp partner, stacked
-    like the pair."""
+def q_ops(pair: FeshbachPair) -> np.ndarray:
+    """The auxiliary operator Q = chi - chibar H_chibar^-1 chibar W chi,
+    which maps ker F into ker H, stacked like the pair."""
     p, w = pair, pair.fixed.w
     on, cb, c = p.fixed.cut.on, p.fixed.cut.cb, p.fixed.cut.chi
-    left = c[:, None] * w[..., :, on] * cb     # chi W chibar
     right = cb[:, None] * w[..., on, :] * c    # chibar W chi
-    chi = np.broadcast_to(np.diag(c.astype(complex)), p.m_h.shape[:-2] + (c.size, c.size))
-    q = chi.copy()
+    q = np.zeros(p.m_h.shape[:-2] + (c.size, c.size), dtype=complex)
+    q[..., np.arange(c.size), np.arange(c.size)] = c
     q[..., on, :] -= cb[:, None] * (p.inverse_h @ right)
-    q_sharp = chi.copy()
-    q_sharp[..., :, on] -= (left @ p.inverse_h) * cb
-    return q, q_sharp
+    return q
 
 
 def _conjugate_atomic(uinv: np.ndarray, mat: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -5,11 +5,21 @@ diagonal blocks of an operator, in one gather at the coordinates its basis
 keeps (``FockBasis.node_rows``); between the nodes w_{0,0} is the monotone
 cubic (PCHIP) of Fritsch & Carlson, fitted once to the real view of the
 complex node values.  A flow step reads w_{0,0}(H_f), the unperturbed part
-of the next Feshbach pair, evaluated directly at the basis' H_f values; the
-65-point ``KernelC1`` on r in [0, 1] is built only for beta_hat and
-``kernel.txt``.  ``polydisc_check`` measures the operator's polydisc radii
+of the next Feshbach pair, at the basis' H_f values; the 65-point
+``KernelC1`` on r in [0, 1] is built only for beta_hat and ``kernel.txt``,
+by ``hermite``.  ``polydisc_check`` measures the operator's polydisc radii
 beta and gamma for the trace; only w_{0,0} is extracted, so the interaction
 size is the operator norm of H - w_{0,0}(H_f).
+
+What of this the basis fixes is one ``BasisSpline``, built once per basis:
+the PCHIP constants of the node spacings (``PchipNodes``), the Hermite
+weights W at the H_f values, with w_{0,0}(H_f) on the diagonal = W @
+[values; slopes] since the cubic is linear in both, and the scatter index
+of the diagonal blocks.  The flow keeps one per depth in its ``rg.Depth``,
+in ``spec.built``, which a command clears when it ends; an extraction
+without one builds it from the operator's basis.  A step then computes
+only what depends on the node values: the slopes, in a fixed short
+sequence of array operations with scipy's arithmetic, and one product.
 
 A step of a stacked ladder extracts the kernels of its K operators at once:
 the node values carry the stack axes after the node axis, which the PCHIP
@@ -32,37 +42,50 @@ def _opnorms(mats: np.ndarray) -> np.ndarray:
         else np.abs(mats[..., 0, 0])
 
 
-def _pchip_end_slope(h0, h1, m0, m1):
-    """Shape-preserving one-sided slope at an end node (Moler's pchiptx)."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    keep = np.sign(d) == np.sign(m0)
-    big = keep & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
-    d[~keep] = 0.0
-    d[big] = 3.0 * m0[big]
-    return d
+class PchipNodes:
+    """What the Fritsch-Carlson slopes on fixed increasing nodes x take from
+    x alone: the spacings h_k, the interior weights w1 = 2 h_{k+1} + h_k,
+    w2 = h_{k+1} + 2 h_k and w1 + w2, and per end node the coefficients
+    (2 h0 + h1, h0, h0 + h1) of its one-sided slope (Moler's pchiptx), the
+    left end first, with h0 the spacing at that end."""
 
+    def __init__(self, x: np.ndarray):
+        self.size = n = x.size
+        self.hk = hk = np.diff(x)[:, None]
+        if n > 2:
+            self.w1 = 2 * hk[1:] + hk[:-1]
+            self.w2 = hk[1:] + 2 * hk[:-1]
+            self.w12 = self.w1 + self.w2
+            # the secants at the two ends, then their neighbours
+            self.end_rows = np.array([0, n - 2, 1, n - 3])
+            h0, h1 = hk[self.end_rows[:2]], hk[self.end_rows[2:]]
+            self.end = (2 * h0 + h1, h0, h0 + h1)
 
-def pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Fritsch-Carlson slopes at the increasing nodes x of real samples y,
-    shape (nodes, ...) with at least one trailing axis, as scipy's
-    ``PchipInterpolator`` takes them: zero at an extremum or flat segment,
-    else a weighted harmonic mean of the neighbouring secants."""
-    if x.size == 1:
-        return np.zeros_like(y)
-    hk = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-    mk = np.diff(y, axis=0) / hk
-    if x.size == 2:
-        return np.concatenate([mk, mk])
-    flat = (np.sign(mk[1:]) != np.sign(mk[:-1])) | (mk[1:] == 0) | (mk[:-1] == 0)
-    w1 = 2 * hk[1:] + hk[:-1]
-    w2 = hk[1:] + 2 * hk[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
-    dk = np.zeros_like(y)
-    dk[1:-1][~flat] = 1.0 / whmean[~flat]
-    dk[0] = _pchip_end_slope(hk[0], hk[1], mk[0], mk[1])
-    dk[-1] = _pchip_end_slope(hk[-1], hk[-2], mk[-1], mk[-2])
-    return dk
+    def slopes(self, y: np.ndarray) -> np.ndarray:
+        """Slopes at the nodes of real samples y, shape (nodes, ...), as
+        scipy's ``PchipInterpolator`` takes them, with its arithmetic: zero at
+        an extremum or flat segment, else a weighted harmonic mean of the
+        neighbouring secants; at an end node the one-sided slope, zeroed
+        when its sign differs from the end secant's and clipped to three
+        times that secant across a sign change."""
+        if self.size == 1:
+            return np.zeros_like(y)
+        y2 = y.reshape(self.size, -1)
+        m = (y2[1:] - y2[:-1]) / self.hk
+        if self.size == 2:
+            return np.concatenate((m, m)).reshape(y.shape)
+        sign = np.sign(m)   # NaN on a NaN secant, which makes its slopes 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(sign[:-1] * sign[1:] > 0,
+                             1.0 / ((self.w1 / m[:-1] + self.w2 / m[1:]) / self.w12), 0.0)
+        ends, end_signs = m[self.end_rows], sign[self.end_rows]
+        me, mn, se, sn = ends[:2], ends[2:], end_signs[:2], end_signs[2:]
+        a, b, c = self.end
+        d = (a * me - b * mn) / c
+        clip = 3.0 * me
+        d = np.where(np.sign(d) != se, 0.0,
+                     np.where((se != sn) & (np.abs(d) > np.abs(clip)), clip, d))
+        return np.concatenate((d[:1], inner, d[1:])).reshape(y.shape)
 
 
 def hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, r):
@@ -94,39 +117,77 @@ class KernelC1:
     derivs: np.ndarray
 
 
-def w00_matrix(nodes: np.ndarray, node_values: np.ndarray, slopes: np.ndarray,
-               basis: FockBasis) -> np.ndarray:
-    """w_{0,0}(H_f) = sum_i w_{0,0}(hf_i) (x) |i><i| on a reduced basis, in
-    atomic-major layout, for the cubic through the nodes with these slopes.
-    node_values has shape (nodes, ..., d, d); the axes between are a stack,
-    and the result carries them in front."""
-    d, n = basis.d_at, basis.size
-    lead = node_values.shape[1:-2]
-    out = np.zeros(lead + (d, n, d, n), dtype=complex)
-    out[..., :, np.arange(n), :, np.arange(n)] = hermite(nodes, node_values, slopes,
-                                                         basis.hf_values)[0]
-    return out.reshape(lead + (d * n, d * n))
+def hermite_weights(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The (r.size, 2 x.size) matrix W with W @ [y; dy] the cubic Hermite
+    spline through (x, y) with node slopes dy at the points r, on the piece
+    ``hermite`` evaluates there: the basis cubics of u = (r - x_i) / h_i in
+    a form exact at u = 0 and u = 1.  On one node it is the constant."""
+    n = x.size
+    w = np.zeros((r.size, 2 * n))
+    if n == 1:
+        w[:, 0] = 1.0
+        return w
+    i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, n - 2)
+    s = r - x[i]
+    u = s / np.diff(x)[i]
+    p = np.arange(r.size)
+    w[p, i] = (1 + 2 * u) * (1 - u) ** 2
+    w[p, i + 1] = u * u * (3 - 2 * u)
+    w[p, n + i] = s * (1 - u) ** 2
+    w[p, n + i + 1] = s * u * (u - 1)
+    return w
+
+
+class BasisSpline:
+    """What w_{0,0}(H_f) takes from a basis alone, built once per basis: the
+    PCHIP node constants of its ``node_energies``, the Hermite weights at its
+    ``hf_values`` and the flat indices in a d_at n x d_at n matrix of the
+    d_at x d_at diagonal block of every Fock state."""
+
+    def __init__(self, basis: FockBasis):
+        self.basis = basis
+        self.pchip = PchipNodes(basis.node_energies)
+        self.weights = hermite_weights(basis.node_energies, basis.hf_values)
+        d, n = basis.d_at, basis.size
+        p, a, c = np.ix_(np.arange(n), np.arange(d), np.arange(d))
+        self.diagonal = ((a * n + p) * (d * n) + c * n + p).reshape(n, d * d)
+
+    def hf_matrix(self, values: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+        """w_{0,0}(H_f) = sum_i w_{0,0}(hf_i) (x) |i><i| in atomic-major layout,
+        for the cubic through the basis' nodes with these values and slopes,
+        shape (nodes, ..., d, d); the axes between are a stack, and the
+        result carries them in front.  The diagonal blocks are one real
+        product of the weights with the stacked values and slopes."""
+        lead, dim = values.shape[1:-2], self.basis.dim
+        y = np.concatenate((values, slopes)).reshape(self.weights.shape[1], -1)
+        blocks = (self.weights @ y.view(float)).view(complex)   # (n, stack * d * d)
+        n, dd = self.diagonal.shape
+        out = np.zeros((blocks.shape[1] // dd, dim * dim), dtype=complex)
+        out[:, self.diagonal] = blocks.reshape(n, -1, dd).swapaxes(0, 1)
+        return out.reshape(lead + (dim, dim))
 
 
 @dataclass
 class ExtractionResult:
     """The nodes and d x d node values of w_{0,0} read off ``source``, shape
-    (nodes, ..., d, d) with the source's stack axes between."""
+    (nodes, ..., d, d) with the source's stack axes between, and the
+    ``BasisSpline`` of the source's basis."""
 
     nodes: np.ndarray
     node_values: np.ndarray
     source: OperatorMatrix = field(repr=False)
+    spline: BasisSpline = field(repr=False)
 
     @cached_property
     def slopes(self) -> np.ndarray:
         """PCHIP slopes of the real and imaginary part of every entry, from
         one fit of the interleaved real view: every PCHIP operation acts
         entry by entry."""
-        return pchip_slopes(self.nodes, self.node_values.view(float)).view(complex)
+        return self.spline.pchip.slopes(self.node_values.view(float)).view(complex)
 
     def hf_matrix(self) -> np.ndarray:
         """w_{0,0}(H_f) on the source's basis, one per operator of the stack."""
-        return w00_matrix(self.nodes, self.node_values, self.slopes, self.source.basis)
+        return self.spline.hf_matrix(self.node_values, self.slopes)
 
     @cached_property
     def kernel(self) -> KernelC1:
@@ -134,7 +195,7 @@ class ExtractionResult:
         return KernelC1(grid, *hermite(self.nodes, self.node_values, self.slopes, grid))
 
 
-def extract_w00(h: OperatorMatrix) -> ExtractionResult:
+def extract_w00(h: OperatorMatrix, spline: BasisSpline | None = None) -> ExtractionResult:
     """Read the nodes of w_{0,0} off the vacuum and one-photon blocks.
 
     w00(0) is the exact vacuum block; w00(omega_j) is read off the one-photon
@@ -143,17 +204,24 @@ def extract_w00(h: OperatorMatrix) -> ExtractionResult:
     mu_j * ||H - w00(0) (x) 1|| with mu_j the shell measure.  The d x d
     blocks of every node and every operator of a stack come from one
     gather at the basis' ``node_rows``.  A step reads w00(H_f) at the
-    basis' H_f values from the PCHIP slopes (Fritsch & Carlson 1980); the
-    65-point ``KernelC1`` is sampled only when beta_hat or ``kernel.txt``
-    reads it.  A stack of operators gives a stack of kernels: every node
-    value carries the stack's leading axes.
+    basis' H_f values from the PCHIP slopes (Fritsch & Carlson 1980) and
+    the Hermite weights of ``spline``, the ``BasisSpline`` of h's basis,
+    which is built from the basis when not given; the 65-point
+    ``KernelC1`` is sampled only when beta_hat or ``kernel.txt`` reads it.
+    A stack of operators gives a stack of kernels: every node value
+    carries the stack's leading axes.
     """
     basis = h.basis
+    if spline is None:
+        spline = BasisSpline(basis)
+    elif spline.basis is not basis:
+        raise ValueError("the spline was built for another basis")
     mats = h.mat.reshape((-1,) + h.mat.shape[-2:])
     rows = basis.node_rows[:, None]   # (nodes, 1, d): broadcast over the stack
     vals = mats[np.arange(len(mats))[:, None, None], rows[..., None], rows[..., None, :]]
     return ExtractionResult(basis.node_energies,
-                            vals.reshape(rows.shape[:1] + h.mat.shape[:-2] + vals.shape[-2:]), h)
+                            vals.reshape(rows.shape[:1] + h.mat.shape[:-2] + vals.shape[-2:]), h,
+                            spline)
 
 
 @dataclass

@@ -10,10 +10,13 @@ kernel-preserving at the matrix level).
 
 Only H - z changes from one evaluation of E^(n)(z) to the next.  A ``Flow``
 holds what does not: the first decimation, once per (model, s, g), and per
-depth the basis, generators, cutoffs and dilation, once per model.
-``run_ladder(flow, z, n)`` computes on every level its operator and reads
-it once: one ``extract_w00`` per level gives E^(n)(z) = tr w_{0,0}(0) / d,
-and below the top the next step's T = w_{0,0}(H_f), whose window the step
+depth the basis, generators, cutoffs, dilation and the basis'
+``kernels.BasisSpline`` (the PCHIP node constants and the Hermite weights at
+the H_f values), once per model, in ``spec.built`` until the command ends.
+``run_ladder(flow, z, n)`` computes on every level its operator and reads it
+once: one ``extract_w00`` per level, with its depth's spline, gives E^(n)(z)
+= tr w_{0,0}(0) / d, and below the top the next step's T = w_{0,0}(H_f) (the
+slopes, then one product with the spline's weights), whose window the step
 checks.  Each level's operator is only the block of a Feshbach map that the
 next space keeps: the first decimation's pair is affine in z, so its level
 costs one LU solve on Ran chibar and products on the reduced space, and a
@@ -62,7 +65,7 @@ from .feshbach import (
     verify_pair,
 )
 from .fock import DilationMap, FockBasis, OperatorMatrix, dilation
-from .kernels import ExtractionResult, extract_w00, polydisc_check
+from .kernels import BasisSpline, ExtractionResult, extract_w00, polydisc_check
 from .model import ModelSpec, projection_rank
 from .symmetry import is_symmetry_of, schur_scalar
 
@@ -114,15 +117,17 @@ class WindowExitError(ValueError):
 class Depth:
     """z-independent data of one flow depth: the reduced basis, the symmetry
     generators restricted to it, the cutoffs chi_rho(H_f) and chibar_rho(H_f)
-    with their Ran chibar and T-block index sets, and the dilation to the
+    with their Ran chibar and T-block index sets, the dilation to the
     next depth (``cut`` and ``dilation`` are None on the vacuum-only
-    terminal space, where a step is division by rho).  It depends on the
-    model, not on s."""
+    terminal space, where a step is division by rho), and the basis'
+    ``BasisSpline``, which every extraction at this depth reads.  It depends
+    on the model, not on s."""
 
     basis: FockBasis
     generators: list
     cut: Cutoffs | None
     dilation: DilationMap | None
+    spline: BasisSpline
 
 
 class Flow:
@@ -153,9 +158,9 @@ class Flow:
         spec, rho = self.spec, self.rho
         gens = spec.reduced_generators(basis) if spec.generators else []
         if basis.grid.levels == 0:
-            return Depth(basis, gens, None, None)
+            return Depth(basis, gens, None, None, BasisSpline(basis))
         return Depth(basis, gens, Cutoffs(*CutoffSpec(rho).diagonals(basis), basis.d_at),
-                     dilation(basis, rho))
+                     dilation(basis, rho), BasisSpline(basis))
 
 
 def rg_step(ext: ExtractionResult, depth: Depth, rho: float):
@@ -219,11 +224,11 @@ def run_ladder(flow: Flow, z, n_levels: int,
     one raises WindowExitError(k) with its value, for the whole stack.
     """
     h, pair = first_feshbach(flow.first, z)
-    qs = [q_ops(pair)[0]] if collect_q else None
+    qs = [q_ops(pair)] if collect_q else None
     del pair   # the steps do not read it; its AffinePair stays with flow.first
 
     def make_level(n, h_op, pair):
-        ext = extract_w00(h_op)
+        ext = extract_w00(h_op, flow.depth(n).spline)
         c = np.trace(ext.node_values[0], axis1=-2, axis2=-1) / h_op.basis.d_at
         return LadderLevel(n, ext, c, pair)
 
@@ -237,7 +242,7 @@ def run_ladder(flow: Flow, z, n_levels: int,
         h, pair = rg_step(prev.ext, flow.depth(n - 1), flow.rho)
         if collect_q:   # the terminal step's auxiliary operator is the identity
             qs.append(np.broadcast_to(np.eye(h.basis.dim, dtype=complex), h.mat.shape)
-                      if pair is None else q_ops(pair)[0])
+                      if pair is None else q_ops(pair))
         # only the top level keeps its pair, for the trace's pair report
         levels.append(make_level(n, h, pair if n == n_levels else None))
         del pair

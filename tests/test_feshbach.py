@@ -79,7 +79,11 @@ def isospectrality_suite(h, t, chi, chibar) -> IsospectralityReport:
         return out
 
     f = feshbach_map(p)
-    q, q_sharp = q_ops(p)
+    q = q_ops(p)
+    # the sharp partner Q# = chi - chi W chibar H_chibar^-1 chibar
+    left = cut.chi[:, None] * p.fixed.w[:, cut.on] * cut.cb
+    q_sharp = np.diag(cut.chi).astype(complex)
+    q_sharp[:, cut.on] -= (left @ p.inverse_h) * cut.cb
     kd_h = kernel_dim(h)
     kd_f = kernel_dim(f)
     res_h = res_f = np.nan

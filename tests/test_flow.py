@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
@@ -192,6 +193,21 @@ class TestFlow:
         dilated = count_calls(monkeypatch, fock, "dilation")
         assert main(["run", "--config", str(config)]) == 0
         assert (len(built), len(dilated)) == (hamiltonians, dilations)
+
+    def test_one_spline_per_basis_released_after_the_command(self, monkeypatch, capsys):
+        built = []   # (basis, weak reference to its spline), one per construction
+        init = kernels.BasisSpline.__init__
+
+        def recorded(spline, basis):
+            init(spline, basis)
+            built.append((basis, weakref.ref(spline)))
+
+        monkeypatch.setattr(kernels.BasisSpline, "__init__", recorded)
+        assert main(["run", "--config", "m_triv"]) == 0
+        # one per depth basis, from the reduced space down to the vacuum-only one
+        assert len(built) == len({id(basis) for basis, _ in built}) \
+            == load_model("m_triv").grid.levels + 1
+        assert [ref() for _, ref in built] == [None] * len(built)
 
     @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli"])
     def test_terminal_energy_vanishes_at_the_oracle_eigenvalue(self, tmp_path, name):

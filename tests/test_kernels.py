@@ -11,15 +11,15 @@ from specrg.fock import (
     field_energy,
 )
 from specrg.kernels import (
+    BasisSpline,
+    PchipNodes,
     extract_w00,
     hermite,
-    pchip_slopes,
     polydisc_check,
-    w00_matrix,
 )
 from specrg.config import load_model
 from specrg.model import PROFILES
-from specrg.rg import C_CHI, C_GAMMA, contraction_factor, flow_scale
+from specrg.rg import C_CHI, C_GAMMA, Flow, contraction_factor, flow_scale, run_ladder
 
 
 def make_basis(J=4, rho=0.5, d=2, n_max=2, e_cut=1.0):
@@ -34,9 +34,30 @@ def linear_w00(const, slope):
     return np.array([0.0, 1.0]), np.stack([const, const + slope]), np.stack([slope, slope])
 
 
+def diagonal_blocks(blocks, basis) -> np.ndarray:
+    """sum_i blocks[i] (x) |i><i| in atomic-major layout, for d x d blocks
+    one per Fock state, shape (size, ..., d, d); the axes between are a
+    stack, and the result carries them in front."""
+    mat = np.einsum("i...ac,ij->...aicj", blocks, np.eye(basis.size))
+    return mat.reshape(blocks.shape[1:-2] + (basis.dim, basis.dim))
+
+
+def assert_t_is_hermite(ext):
+    """The extraction's w00(H_f) against ``hermite`` at the basis' H_f
+    values, entry by entry: within 1e-15 where T's entries are at most 1,
+    and relative to the largest entry where the end piece extrapolates to
+    larger values (there both evaluations round at its scale)."""
+    basis = ext.source.basis
+    want = diagonal_blocks(hermite(ext.nodes, ext.node_values, ext.slopes,
+                                   basis.hf_values)[0], basis)
+    got = ext.hf_matrix()
+    assert got.shape == want.shape == ext.source.mat.shape
+    assert np.abs(got - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
+
+
 def h_of_w00(w00, basis) -> OperatorMatrix:
     """H(w) with only the diagonal kernel: w00(H_f)."""
-    return OperatorMatrix(w00_matrix(*w00, basis), basis)
+    return OperatorMatrix(diagonal_blocks(hermite(*w00, basis.hf_values)[0], basis), basis)
 
 
 def line_at(w00, r):
@@ -71,6 +92,21 @@ def blocks_node_by_node(h: OperatorMatrix) -> np.ndarray:
     return out
 
 
+# e_cut 0.3 keeps the one-photon states of the two lowest of four shells;
+# e_cut 1.6 keeps H_f values up to 1.5, past the last node at 1
+BASES = [make_basis(J=4, d=1), make_basis(J=5, d=2), make_basis(J=3, d=3, n_max=3),
+         make_basis(J=4, d=2, e_cut=0.3), make_basis(J=3, d=1, e_cut=1.6),
+         FockBasis(ModeGrid(0.5, 0), 2, 1.0, d_at=2)]
+BASIS_IDS = ["J4-d1", "J5-d2", "J3-d3", "J4-cut", "J3-past-last-node", "vacuum-only"]
+
+
+def random_stack(basis, seed=5) -> OperatorMatrix:
+    """A stack of K = 4 random complex operators on the basis."""
+    rng = np.random.default_rng(seed)
+    shape = (4, basis.dim, basis.dim)
+    return OperatorMatrix(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), basis)
+
+
 def bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
@@ -93,7 +129,7 @@ class TestPchip:
             y = rng.standard_normal((n, 2, 2))
             if k % 3 == 0:   # flat segments and repeated values
                 y[1:3] = y[1]
-            slopes = pchip_slopes(x, y)
+            slopes = PchipNodes(x).slopes(y)
             want_slopes, want_v, want_dv, r = scipy_fit(x, y)
             v, dv = hermite(x, y, slopes, r)
             assert np.abs(slopes - want_slopes).max() <= 1e-14 * max(1.0, np.abs(want_slopes).max())
@@ -103,7 +139,7 @@ class TestPchip:
     def test_two_nodes_give_the_line(self):
         x = np.array([0.0, 0.5])
         y = np.array([[1.0], [2.0]])
-        slopes = pchip_slopes(x, y)
+        slopes = PchipNodes(x).slopes(y)
         assert np.array_equal(slopes, [[2.0], [2.0]])
         v, dv = hermite(x, y, slopes, np.array([0.0, 0.25, 0.5, 0.75]))
         assert np.abs(v[:, 0] - [1.0, 1.5, 2.0, 2.5]).max() <= 1e-15
@@ -112,7 +148,7 @@ class TestPchip:
     def test_flat_segment_and_sign_change_have_zero_slope(self):
         x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
         y = np.array([[0.0], [1.0], [1.0], [0.0], [2.0]])   # flat, then down, then up
-        slopes = pchip_slopes(x, y)
+        slopes = PchipNodes(x).slopes(y)
         assert slopes[1, 0] == 0.0 and slopes[2, 0] == 0.0 and slopes[3, 0] == 0.0
         assert np.allclose(slopes, scipy_fit(x, y)[0], rtol=0, atol=1e-14)
         v, _ = hermite(x, y, slopes, np.linspace(0.25, 0.5, 7))
@@ -121,7 +157,7 @@ class TestPchip:
     def test_one_node_is_a_constant(self):
         x = np.array([0.0])
         y = np.array([[[1.0 + 2.0j, 0.5]]])
-        slopes = pchip_slopes(x, y)
+        slopes = PchipNodes(x).slopes(y)
         assert np.array_equal(slopes, np.zeros_like(y))
         v, dv = hermite(x, y, slopes, np.array([0.0, 0.3]))
         assert np.array_equal(v, np.repeat(y, 2, axis=0))
@@ -210,20 +246,13 @@ class TestExtraction:
         for m in (mat, signed):
             ext = extract_w00(OperatorMatrix(m, b))
             v = ext.node_values
-            assert bits(ext.slopes.real) == bits(pchip_slopes(ext.nodes, v.real))
-            assert bits(ext.slopes.imag) == bits(pchip_slopes(ext.nodes, v.imag))
+            assert bits(ext.slopes.real) == bits(PchipNodes(ext.nodes).slopes(v.real))
+            assert bits(ext.slopes.imag) == bits(PchipNodes(ext.nodes).slopes(v.imag))
         assert np.signbit(ext.slopes[0, 0, 0].real)
 
-    # e_cut 0.3 keeps the one-photon states of the two lowest of four shells
-    @pytest.mark.parametrize("basis", [make_basis(J=5, d=2), make_basis(J=3, d=3, n_max=3),
-                                       make_basis(J=4, d=2, e_cut=0.3),
-                                       FockBasis(ModeGrid(0.5, 0), 2, 1.0, d_at=2)],
-                             ids=["J5-d2", "J3-d3", "J4-cut", "vacuum-only"])
+    @pytest.mark.parametrize("basis", BASES, ids=BASIS_IDS)
     def test_one_gather_equals_the_node_loop(self, basis):
-        rng = np.random.default_rng(5)
-        shape = (4, basis.dim, basis.dim)   # a stack of K = 4 operators
-        stack = OperatorMatrix(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-                               basis)
+        stack = random_stack(basis)
         fock = one_photon_states(basis)
         assert basis.node_rows.tolist() == [[i + a * basis.size for a in range(basis.d_at)]
                                             for i in fock]
@@ -233,6 +262,35 @@ class TestExtraction:
             want = blocks_node_by_node(h)
             assert ext.node_values.shape == want.shape
             assert bits(ext.node_values) == bits(want)
+
+    @pytest.mark.parametrize("basis", BASES, ids=BASIS_IDS)
+    def test_t_is_hermite_at_the_hf_values(self, basis):
+        stack = random_stack(basis)
+        spline = BasisSpline(basis)
+        for h in (stack, OperatorMatrix(stack.mat[1], basis)):
+            ext = extract_w00(h, spline)
+            assert ext.spline is spline
+            assert_t_is_hermite(ext)
+            assert_t_is_hermite(extract_w00(h))   # a spline built from h.basis
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli", "m_exact"])
+    def test_t_is_hermite_on_every_depth_basis(self, name):
+        spec = load_model(name)
+        flow = Flow(spec, spec.s0, False)
+        z = spec.e_at(spec.s0)
+        n = spec.grid.levels + 1   # down to the vacuum-only space
+        for lad in (run_ladder(flow, z, n, check_windows=False),
+                    run_ladder(flow, z + 1e-3 * np.exp(0.5j * np.pi * np.arange(4)), n,
+                               check_windows=False)):
+            for level in lad.levels:
+                assert level.ext.spline is flow.depth(level.n).spline
+                assert_t_is_hermite(level.ext)
+
+    def test_a_spline_serves_only_its_basis(self):
+        b = make_basis(J=4, d=1)
+        h = OperatorMatrix(np.eye(b.dim, dtype=complex), b)
+        with pytest.raises(ValueError, match="another basis"):
+            extract_w00(h, BasisSpline(make_basis(J=4, d=1)))
 
     def test_vacuum_only_space(self):
         b = FockBasis(ModeGrid(0.5, 0), 2, 1.0, d_at=2)   # a flow's terminal space

@@ -178,8 +178,16 @@ class FeshbachPair:
         self.m_h = self.minus_z(fixed.h_on)
 
     def minus_z(self, m) -> np.ndarray:
-        """m - z on the diagonal of its last two axes, stacked like z."""
-        return m - self.z[..., None, None] * np.eye(m.shape[-1])
+        """m - z on the diagonal of its last two axes, stacked like z: m
+        itself when every z is 0, as at every flow step, else a copy.  The
+        result may be m, so no caller writes it."""
+        if not self.z.any():
+            return m
+        shape = np.broadcast_shapes(m.shape, self.z.shape + (1, 1))
+        out = np.array(np.broadcast_to(m, shape), dtype=np.result_type(m, self.z))
+        i = np.arange(m.shape[-1])
+        out[..., i, i] -= self.z[..., None]
+        return out
 
     @cached_property
     def t_margin(self) -> float:

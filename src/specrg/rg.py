@@ -27,7 +27,11 @@ extractions the ladder kept.  z is one value or an array of K values: a
 stacked ladder carries a leading axis of K on every operator, pair, kernel
 and E^(n), and is the same code as the ladder at one z, whose operators have
 no leading axis.  The secant and the eigenvectors run a ladder at one z; the
-winding check runs one stacked ladder per round of nodes.  The diagnostics
+winding check runs one stacked ladder per round of nodes.  H^(n)(z) =
+R_rho(H^(n-1)(z)), so a ladder at z is the ladder one level shorter at z
+plus one step: depth n's secant starts at z_{n-1}, and its first evaluation
+is the ladder depth n-1 converged on (``run_ladder``'s ``start``) plus one
+step, not a fresh first decimation and n steps.  The diagnostics
 of a depth (polydisc radii, Schur deviation, symmetry residual, contraction
 norms of the pair into the top) are computed once per depth by
 ``iterate_to_fixed_point``, on the top of the ladder ``find_zn`` returns.
@@ -49,7 +53,7 @@ by the winding of E^(n) is the flow's one option.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -206,6 +210,7 @@ class LadderLevel:
 
 @dataclass
 class Ladder:
+    z: complex | np.ndarray   # the z of every level, as run_ladder was given it
     levels: list
     qs: list | None = None   # first decimation's lift, then one per step, when collected
 
@@ -214,39 +219,66 @@ class Ladder:
         return self.levels[-1]
 
 
-def run_ladder(flow: Flow, z, n_levels: int,
-               check_windows: bool = True, collect_q: bool = False) -> Ladder:
+def run_ladder(flow: Flow, z, n_levels: int, check_windows: bool = True,
+               collect_q: bool = False, start: Ladder | None = None) -> Ladder:
     """First decimation followed by n_levels flow steps at fixed z: one
     complex value, or an array of K values evaluated as one stack.
 
     Windows gate the descent: going from depth k to k+1 requires
     |E^(k)(z)| <= threshold at every z of the stack; a violation at any
     one raises WindowExitError(k) with its value, for the whole stack.
+
+    ``start`` is a ladder at the same z, whose levels are reused: only the
+    steps above its top are run, so a depth's secant starts from the ladder
+    the previous depth converged on with one new step.  Its windows are
+    checked as a fresh ladder's, and only the new top keeps its pair.
+    Raises ValueError when ``start.z`` is not exactly z, when ``start`` has
+    more than n_levels levels, or when it is combined with ``collect_q``.
     """
-    h, pair = first_feshbach(flow.first, z)
-    qs = [q_ops(pair)] if collect_q else None
-    del pair   # the steps do not read it; its AffinePair stays with flow.first
+    if start is None:
+        h, pair = first_feshbach(flow.first, z)
+        qs = [q_ops(pair)] if collect_q else None
+        del pair   # the steps do not read it; its AffinePair stays with flow.first
+        levels = [_make_level(flow, 0, h, None)]
+    else:
+        if collect_q:
+            raise ValueError("a ladder grown from start collects no auxiliary operators")
+        here = np.asarray(z, dtype=complex)
+        there = np.asarray(start.z, dtype=complex)
+        if here.shape != there.shape or here.tobytes() != there.tobytes():
+            raise ValueError(f"start ladder is at z = {start.z}, not at {z}")
+        if len(start.levels) > n_levels + 1:
+            raise ValueError(f"start ladder has {len(start.levels) - 1} levels, "
+                             f"more than the {n_levels} asked for")
+        qs = None
+        levels = list(start.levels)
+        if len(levels) <= n_levels:   # its top becomes an inner level
+            levels[-1] = replace(levels[-1], pair=None)
 
-    def make_level(n, h_op, pair):
-        ext = extract_w00(h_op, flow.depth(n).spline)
-        c = np.trace(ext.node_values[0], axis1=-2, axis2=-1) / h_op.basis.d_at
-        return LadderLevel(n, ext, c, pair)
-
-    levels = [make_level(0, h, None)]
     for n in range(1, n_levels + 1):
-        prev = levels[-1]
+        prev = levels[n - 1]
         if check_windows:
             for e in np.ravel(prev.e_value):
                 if abs(e) > flow.window_threshold:
                     raise WindowExitError(prev.n, complex(e), flow.window_threshold)
+        if n < len(levels):   # reused from start
+            continue
         h, pair = rg_step(prev.ext, flow.depth(n - 1), flow.rho)
         if collect_q:   # the terminal step's auxiliary operator is the identity
             qs.append(np.broadcast_to(np.eye(h.basis.dim, dtype=complex), h.mat.shape)
                       if pair is None else q_ops(pair))
         # only the top level keeps its pair, for the trace's pair report
-        levels.append(make_level(n, h, pair if n == n_levels else None))
+        levels.append(_make_level(flow, n, h, pair if n == n_levels else None))
         del pair
-    return Ladder(levels, qs)
+    return Ladder(z, levels, qs)
+
+
+def _make_level(flow: Flow, n: int, h: OperatorMatrix, pair) -> LadderLevel:
+    """Level n of a ladder from its operator h: one extraction with its
+    depth's spline, and E^(n)(z) off its node 0."""
+    ext = extract_w00(h, flow.depth(n).spline)
+    c = np.trace(ext.node_values[0], axis1=-2, axis2=-1) / h.basis.d_at
+    return LadderLevel(n, ext, c, pair)
 
 
 @dataclass
@@ -257,20 +289,24 @@ class RootResult:
     ladder: Ladder
 
 
-def find_zn(flow: Flow, n: int, z_start: complex) -> RootResult:
+def find_zn(flow: Flow, n: int, z_start: complex, start: Ladder | None = None) -> RootResult:
     """Secant root of E^(n) from z_start, with a slope-prior first step
     (dE/dz ~ -rho^-n) and window-violation backtracking; uniqueness is
-    cross-checked by the image winding of E^(n) on a small circle."""
+    cross-checked by the image winding of E^(n) on a small circle.
+
+    ``start``, a ladder at z_start (the one depth n-1 converged on), makes
+    the first evaluation one step above it; every other evaluation, the
+    winding check's included, runs a fresh ladder."""
 
     last = None   # ladder of the latest successful evaluation
 
-    def e_val(z):
+    def e_val(z, start=None):
         nonlocal last
-        last = run_ladder(flow, z, n)
+        last = run_ladder(flow, z, n, start=start)
         return complex(last.top.e_value)
 
     z0 = complex(z_start)
-    e0 = e_val(z0)
+    e0 = e_val(z0, start)
     iters = 1
     if abs(e0) >= TOL_Z:
         z1 = z0 + e0 * flow.rho**n
@@ -446,7 +482,8 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, check_winding: bool,
     result = None
     prev_gamma = 0.0
     for n in range(N_ITER_MAX + 1):
-        root = find_zn(flow, n, z_start=z)
+        # depth n's secant starts from the ladder depth n-1 converged on, at z
+        root = find_zn(flow, n, z_start=z, start=None if result is None else result.ladder)
         top = root.ladder.top
         polydisc = polydisc_check(top.ext)
         ghat = polydisc.gamma_hat

@@ -146,6 +146,21 @@ class TestFeshbachPair:
                 - left @ np.linalg.solve(h_bar[np.ix_(on, on)], right))
         assert np.max(np.abs(f - want)) <= 1e-12
 
+    def test_minus_z_subtracts_on_the_diagonal_without_writing_its_block(self):
+        h, t, c, cb = diagonal_pair()
+        fixed = pair_of(h, t, c, cb).fixed
+        m, stack = fixed.base, np.stack([fixed.base, 2 * fixed.base])
+        before = m.copy()
+        assert FeshbachPair(fixed, 0.0).minus_z(m) is m   # every flow step's pair
+        assert FeshbachPair(fixed, np.zeros(3)).minus_z(m) is m
+        eye = np.eye(m.shape[-1])
+        for z, block in ((0.3 - 0.2j, m), (np.array([0.3, -0.1j]), m),
+                         (np.array([0.3, -0.1j]), stack), (0.3 - 0.2j, stack)):
+            got = FeshbachPair(fixed, z).minus_z(block)
+            want = block - np.asarray(z)[..., None, None] * eye
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(m, before)
+
     def test_a_singular_t_raises_with_the_pair_report(self):
         h, t, c, cb = diagonal_pair()
         t = t.copy()

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specrg import fock, kernels, model, oracle, rg, symmetry
+from specrg import feshbach, fock, kernels, model, oracle, rg, symmetry
 from specrg.cli import main
 from specrg.config import load_model
 from specrg.feshbach import verify_pair
@@ -91,16 +91,21 @@ class TestLadder:
     def test_each_level_is_extracted_once(self, tmp_path, monkeypatch, name):
         spec = load_model(cut_fixture(tmp_path, name))
         extracts = count_calls(monkeypatch, kernels, "extract_w00")
-        levels = []   # n + 1 per ladder of n levels
+        levels = []   # n + 1 per fresh ladder of n levels, its new ones per grown ladder
+        grown = []
         ladder = rg.run_ladder
 
-        def counted(flow, z, n, *args, **kwargs):
-            levels.append(n + 1)
-            return ladder(flow, z, n, *args, **kwargs)
+        def counted(flow, z, n, *args, start=None, **kwargs):
+            levels.append(n + 1 - (0 if start is None else len(start.levels)))
+            if start is not None:
+                grown.append(n)
+            return ladder(flow, z, n, *args, start=start, **kwargs)
 
         monkeypatch.setattr(rg, "run_ladder", counted)
         res = iterate_to_fixed_point(spec, spec.s0, True)
         assert res.converged and len(levels) > res.n_levels + 1
+        # every depth after the first starts from the ladder of the depth before
+        assert grown == list(range(1, res.n_levels + 1))
         # the trace's polydisc radii read the top's extraction: no other call
         assert len(extracts) == sum(levels)
         ladder(res.flow, res.z_inf, spec.grid.levels + 1, check_windows=False)
@@ -128,6 +133,62 @@ class TestLadder:
         spec = load_model(cut_fixture(tmp_path, "m_triv"))
         lad = run_ladder(Flow(spec, spec.s0, True), spec.e_at(spec.s0), 2)
         assert [level.pair is None for level in lad.levels] == [True, True, False]
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli"])
+    def test_a_ladder_grown_from_start_is_a_fresh_ladder_bit_for_bit(self, tmp_path,
+                                                                    monkeypatch, name):
+        spec = load_model(cut_fixture(tmp_path, name))
+        roots = []
+        find_zn = rg.find_zn
+
+        def recorded(*args, **kwargs):
+            roots.append(find_zn(*args, **kwargs))
+            return roots[-1]
+
+        monkeypatch.setattr(rg, "find_zn", recorded)
+        res = iterate_to_fixed_point(spec, spec.s0, False)
+        assert res.converged and len(roots) == res.n_levels + 1 >= 3
+        for n, prev in enumerate(roots[:-1], start=1):
+            old_top = prev.ladder.top
+            grown = run_ladder(res.flow, prev.z, n, start=prev.ladder)
+            fresh = run_ladder(res.flow, prev.z, n)
+            assert len(grown.levels) == len(fresh.levels) == n + 1
+            # the start's levels are reused, and start keeps its own top's pair
+            assert all(a.ext is b.ext for a, b in zip(grown.levels, prev.ladder.levels))
+            assert prev.ladder.top is old_top and grown.levels[n - 1].pair is None
+            for a, b in zip(grown.levels, fresh.levels):
+                assert a.ext.node_values.tobytes() == b.ext.node_values.tobytes()
+                assert np.complex128(a.e_value).tobytes() == np.complex128(b.e_value).tobytes()
+            assert grown.top.h.mat.tobytes() == fresh.top.h.mat.tobytes()
+            assert (grown.top.pair is None) == (fresh.top.pair is None)
+            if fresh.top.pair is not None:
+                assert verify_pair(grown.top.pair) == verify_pair(fresh.top.pair)
+
+    def test_start_must_be_a_shorter_ladder_at_the_same_z(self, tmp_path):
+        spec = load_model(cut_fixture(tmp_path, "m_triv"))
+        flow = Flow(spec, spec.s0, True)
+        z = spec.e_at(spec.s0)
+        start = run_ladder(flow, z, 1)
+        assert z + 1e-15 != z
+        for other in (z + 1e-15, z + 1e-3, np.array([z])):
+            with pytest.raises(ValueError, match="start ladder is at z"):
+                run_ladder(flow, other, 2, start=start)
+        with pytest.raises(ValueError, match="more than the 0 asked for"):
+            run_ladder(flow, z, 0, start=start)
+        with pytest.raises(ValueError, match="collects no auxiliary operators"):
+            run_ladder(flow, z, 2, collect_q=True, start=start)
+        same = run_ladder(flow, z, 1, start=start)
+        assert all(a is b for a, b in zip(same.levels, start.levels, strict=True))
+
+    def test_each_depth_after_the_first_saves_one_first_decimation(self, tmp_path,
+                                                                   monkeypatch):
+        spec = load_model(cut_fixture(tmp_path, "m_kramers"))
+        decimations = count_calls(monkeypatch, feshbach, "first_feshbach")
+        evals = count_calls(monkeypatch, rg, "run_ladder")
+        res = iterate_to_fixed_point(spec, spec.s0, False)
+        depths = len(res.trace.records)
+        assert res.converged and depths >= 3
+        assert len(decimations) == len(evals) - depths + 1
 
 
 class TestFlow:

@@ -80,8 +80,8 @@ class TestRule:
 
     def test_find_zn_refuses_a_second_zero_inside_the_circle(self, monkeypatch):
         e = two_zeros(0.75 * RADIUS)
-        monkeypatch.setattr(rg, "run_ladder", lambda flow, z, n: types.SimpleNamespace(
-            top=types.SimpleNamespace(e_value=e(np.asarray(z)))))
+        monkeypatch.setattr(rg, "run_ladder", lambda flow, z, n, start=None: (
+            types.SimpleNamespace(top=types.SimpleNamespace(e_value=e(np.asarray(z))))))
         flow = types.SimpleNamespace(rho=0.5, check_winding=True)
         with pytest.raises(ArithmeticError, match="at depth 0 gave winding 2"):
             find_zn(flow, 0, 0.002)

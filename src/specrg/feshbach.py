@@ -30,8 +30,10 @@ stack.
 The first cutoff P_at(s0) (x) chi_1(H_f) is diagonal in the atomic frame
 u = [basis of Ran P_at(s0) | basis of Ran(1 - P_at(s0))], times Kato's
 U(s) = P_at(s) P_at(s0) + (1 - P_at(s))(1 - P_at(s0)) (``model.hyp5_frame``)
-when P_at(s) varies.  A ``FirstDecimation`` conjugates H_g(s) and H_0(s) by
-u (x) 1 once per (model, s, g), and ``first_decimation`` keeps it in
+when P_at(s) varies.  What no s changes (the bases, that cutoff, the
+reduced coordinates, and u at s0 with its inverse) is one ``FirstFrame``
+per model.  A ``FirstDecimation`` reads it and conjugates H_g(s) and H_0(s)
+by u (x) 1 once per (model, s, g), and ``first_decimation`` keeps it in
 ``spec.built`` for every caller of the command.  Its pair (H_g(s) - z,
 H_0(s) - z) is affine in z and W does not depend on z: its ``AffinePair``
 on the reduced space is formed once, and ``FirstDecimation.pair(z)`` only
@@ -184,9 +186,10 @@ class FeshbachPair:
         if not self.z.any():
             return m
         shape = np.broadcast_shapes(m.shape, self.z.shape + (1, 1))
-        out = np.array(np.broadcast_to(m, shape), dtype=np.result_type(m, self.z))
-        i = np.arange(m.shape[-1])
-        out[..., i, i] -= self.z[..., None]
+        out = np.empty(shape, dtype=np.result_type(m, self.z))
+        out[...] = m
+        diagonal = out.reshape(shape[:-2] + (-1,))[..., :: m.shape[-1] + 1]   # a view
+        diagonal -= self.z[..., None]
         return out
 
     @cached_property
@@ -302,51 +305,65 @@ def _conjugate_atomic(uinv: np.ndarray, mat: np.ndarray, u: np.ndarray) -> np.nd
     return np.einsum("ac,cidj,db->aibj", uinv, blocks, u).reshape(mat.shape)
 
 
-class FirstDecimation:
-    """z-independent data of the first decimation at (model, s, g):
-    ``hamiltonian``, the truncated H_g(s) as built; ``cut``, the cutoff
-    P_at(s0) (x) chi_1(H_f) and its partner in the atomic frame ``u`` of the
-    module docstring (``atomic_frame()`` first, times Kato's frame U(s) of
-    ``hyp5_frame`` when P_at(s) differs from P_at(s0) by more than 1e-12);
-    the full and reduced bases, and ``reduced_index``, the coordinates of
-    the reduced space Ran(P_at(s0) (x) 1_{H_f <= 1}); and ``affine``, the
-    ``AffinePair`` of H_g(s) and T = H_0(s), both conjugated by u (x) 1,
-    on ``reduced_index``, which every ``pair(z)`` reads.  T is
-    block-diagonal: u^-1 H_at(s) u + hf_i on Fock state i.  ``u`` is
-    unitary only when P_at is orthogonal and P_at(s) = P_at(s0)."""
+class FirstFrame:
+    """What every first decimation of a model shares, for every (s, g): the
+    full and reduced bases; ``cut``, the cutoff P_at(s0) (x) chi_1(H_f) and
+    its partner, diagonal in the frame ``u0`` = [``atomic_frame()`` | frame
+    of Ran(1 - P_at(s0))], and ``u0inv``; and ``reduced_index``, the
+    coordinates of the reduced space Ran(P_at(s0) (x) 1_{H_f <= 1})."""
 
-    def __init__(self, spec: ModelSpec, s: complex, g: float | None):
-        self.spec = spec
-        self.s = s
+    def __init__(self, spec: ModelSpec):
         self.basis = basis = spec.full_basis()
         self.reduced_basis = spec.reduced_fock_basis()
-
         p0 = spec.p_at(spec.s0)
-        u = np.hstack([spec.atomic_frame(),
-                       projection_frame(np.eye(spec.d_at) - p0, spec.d_at - spec.d)])
-        if np.linalg.norm(spec.p_at(s) - p0) > 1e-12:
-            u = hyp5_frame(spec, s) @ u
-        self.u = u
-        uinv = np.linalg.inv(u)
-        self.hamiltonian = build_hamiltonian(spec, s, g, basis)
-
+        self.u0 = np.hstack([spec.atomic_frame(),
+                             projection_frame(np.eye(spec.d_at) - p0, spec.d_at - spec.d)])
+        self.u0inv = np.linalg.inv(self.u0)
         cut = CutoffSpec(1.0)
-        on_d = np.arange(spec.d_at) < spec.d   # Ran P_at(s0) in the frame u
+        on_d = np.arange(spec.d_at) < spec.d   # Ran P_at(s0) in the frame u0
         self.cut = Cutoffs(np.kron(on_d, cut.chi(basis.hf_values)),
                            np.kron(~on_d, np.ones(basis.size))
                            + np.kron(on_d, cut.chibar(basis.hf_values)), spec.d_at)
         fock = np.array([basis.index[occ] for occ in self.reduced_basis.states])
         self.reduced_index = (np.arange(spec.d)[:, None] * basis.size + fock).ravel()
+
+
+class FirstDecimation:
+    """The first decimation at (model, s, g): the model's ``FirstFrame``
+    (its bases, ``cut`` and ``reduced_index`` are read here), and what
+    depends on s: ``hamiltonian``, the truncated H_g(s) as built; ``e_at``
+    = E_at(s), the centre of the window every ``pair(z)`` checks; the frame
+    ``u``, the shared u0 times Kato's U(s) of ``hyp5_frame`` when P_at(s)
+    differs from P_at(s0) by more than 1e-12; and ``affine``, the
+    ``AffinePair`` of H_g(s) and T = H_0(s), both conjugated by u (x) 1, on
+    ``reduced_index``.  T is block-diagonal: u^-1 H_at(s) u + hf_i on Fock
+    state i.  ``u`` is unitary only when P_at is orthogonal and P_at(s) =
+    P_at(s0)."""
+
+    def __init__(self, spec: ModelSpec, s: complex, g: float | None):
+        self.spec = spec
+        self.s = s
+        frame = spec.memo(("first frame",), lambda: FirstFrame(spec))
+        self.basis, self.reduced_basis = frame.basis, frame.reduced_basis
+        self.cut, self.reduced_index = frame.cut, frame.reduced_index
+
+        u, uinv = frame.u0, frame.u0inv
+        if np.linalg.norm(spec.p_at(s) - spec.p_at(spec.s0)) > 1e-12:
+            u = hyp5_frame(spec, s) @ u
+            uinv = np.linalg.inv(u)
+        self.u = u
+        self.e_at = spec.e_at(s)
+        self.hamiltonian = build_hamiltonian(spec, s, g, self.basis)
         self.affine = AffinePair(_conjugate_atomic(uinv, self.hamiltonian.mat, u),
-                                 _conjugate_atomic(uinv, build_h0(spec, s, basis), u),
+                                 _conjugate_atomic(uinv, build_h0(spec, s, self.basis), u),
                                  self.cut, self.reduced_index)
 
     def pair(self, z) -> FeshbachPair:
         """The pair (H_g(s) - z, H_0(s) - z) with the first cutoffs, for one
         z or, with a leading axis, for each z of an array, after a check
-        that every z lies in the declared window."""
+        that every z lies in the declared window about ``e_at``."""
         for zk in np.ravel(z):
-            if not self.spec.in_window(self.s, zk):
+            if not self.spec.in_z_window(self.e_at, zk):
                 raise WindowError(f"(s, z) = ({self.s}, {complex(zk)}) outside the "
                                   "declared window")
         return FeshbachPair(self.affine, z)

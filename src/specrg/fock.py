@@ -15,6 +15,7 @@ fock) ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,7 +88,6 @@ class FockBasis:
         if not self.states:
             raise TruncationError("truncation produced an empty basis")
         self.size = len(self.states)
-        self.index = {s: i for i, s in enumerate(self.states)}
         occ = np.array(self.states, dtype=np.int64).reshape(self.size, grid.levels)
         self.occupations = occ
         self.hf_values = occ @ grid.omega if grid.levels else np.zeros(self.size)
@@ -97,6 +97,26 @@ class FockBasis:
         self.node_rows = fock[:, None] + np.arange(self.d_at) * self.size
         for a in (self.hf_values, self.occupations, self.node_energies, self.node_rows):
             a.flags.writeable = False
+
+    @cached_property
+    def index(self) -> dict:
+        """Occupation tuple -> state index; built on first use."""
+        return {s: i for i, s in enumerate(self.states)}
+
+    @cached_property
+    def raised(self) -> np.ndarray:
+        """(size, J) index of the state with one more photon in mode j, -1
+        where that state leaves the truncation; built on first use, as int32
+        since a basis that a spec keeps carries it."""
+        J, occ = self.grid.levels, self.occupations
+        rows = np.vstack([occ, (occ[:, None, :] + np.eye(J, dtype=occ.dtype)).reshape(-1, J)])
+        order = np.lexsort(rows.T[::-1])   # lexicographic, as the states are
+        ordered = rows[order]
+        group = np.empty(len(rows), dtype=np.intp)   # equal rows share a group
+        group[order] = np.cumsum(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]) - 1
+        state = np.full(len(rows), -1, dtype=np.int32)
+        state[group[:self.size]] = np.arange(self.size)
+        return state[group[self.size:]].reshape(self.size, J)
 
     @property
     def dim(self) -> int:
@@ -172,20 +192,6 @@ class OperatorMatrix:
         self.mat.flags.writeable = False
 
 
-def _mode_raising(basis: FockBasis, j: int) -> np.ndarray:
-    """Matrix of a*_j on the Fock factor; transitions leaving the truncation
-    are clipped (equivalently the operator is P a* P)."""
-    n = basis.size
-    op = np.zeros((n, n), dtype=complex)
-    for i, s in enumerate(basis.states):
-        t = list(s)
-        t[j] += 1
-        k = basis.index.get(tuple(t))
-        if k is not None:
-            op[k, i] = np.sqrt(s[j] + 1.0)
-    return op
-
-
 def _coeff_matrices(basis: FockBasis, coeffs) -> list[np.ndarray]:
     J = basis.grid.levels
     if len(coeffs) != J:
@@ -203,15 +209,24 @@ def _coeff_matrices(basis: FockBasis, coeffs) -> list[np.ndarray]:
 
 
 def creation_op(basis: FockBasis, coeffs) -> OperatorMatrix:
-    """a*(G) = sum_j G_j (x) a*_j for per-mode atomic matrices G_j.
+    """a*(G) = sum_j G_j (x) a*_j for per-mode atomic matrices G_j, with
+    a*_j clipped to the truncation (the operator is P a* P).
 
     For a rotation-invariant continuum coupling g(|k|) B the per-mode matrix
-    is G_j = (int_shell |g|^2 dmu)^(1/2) B.
+    is G_j = (int_shell |g|^2 dmu)^(1/2) B.  a*_j sends Fock state i to
+    ``basis.raised[i, j]`` with amplitude sqrt(n_j + 1), so each mode fills
+    its entries by one scatter; no entry is reached by two modes, and each
+    is 0 + G_j[a, b] sqrt(n_j + 1), as in the sum of the Kronecker products.
     """
     G = _coeff_matrices(basis, coeffs)
+    atoms = np.arange(basis.d_at)[:, None] * basis.size   # row a: atom a's first coordinate
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
     for j, Gj in enumerate(G):
-        mat += np.kron(Gj, _mode_raising(basis, j))
+        src = np.flatnonzero(basis.raised[:, j] >= 0)
+        amp = np.sqrt(basis.occupations[src, j] + 1.0)
+        rows = atoms + basis.raised[src, j]   # (a, m): atom a, m-th raised state
+        cols = atoms + src
+        mat[rows[:, :, None], cols.T[None]] += Gj[:, None, :] * amp[:, None]
     return OperatorMatrix(mat, basis)
 
 

@@ -17,6 +17,9 @@ from .fock import FOUR_PI, FockBasis, ModeGrid, OperatorMatrix, build_fock_basis
 from .symmetry import SymmetryOp, is_irreducible, is_symmetry_of
 
 
+WINDOW_SLACK = 1e-9   # relative slack at the region's and the window's boundaries
+
+
 class InfraredError(ValueError):
     """Coupling profile too singular for the requested infrared exponent."""
 
@@ -101,9 +104,11 @@ class ModelSpec:
     reflection_symmetric: bool = False
     complex_selfadjoint: bool = False
     jconj: np.ndarray | None = None                  # atomic part of J (with conj)
-    # ``memo``'s store: P_at, the Fock bases, rg.Flow's depths and the first
-    # decimations keyed by ("p_at", s), ("basis", e_cut, d_at), ("depth", n)
-    # and ("first", s, g); a replace() copy starts empty
+    # ``memo``'s store: P_at, the Fock bases, rg.Flow's depths, the
+    # s-independent frame of every first decimation and the first
+    # decimations, keyed by ("p_at", s), ("basis", e_cut, d_at), ("depth", n),
+    # ("first frame",) and ("first", s, g); a command clears it when it ends,
+    # and a replace() copy starts empty
     built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def memo(self, key, build):
@@ -122,13 +127,13 @@ class ModelSpec:
     def b2(self, s: complex) -> np.ndarray:
         return _poly_eval(self.b2_coeffs, s)
 
-    def in_window(self, s: complex, z: complex | None = None) -> bool:
-        tol = 1e-9   # relative slack at both boundaries
-        if abs(s - self.s0) > self.region_radius * (1 + tol) + tol:
-            return False
-        if z is not None and abs(z - self.e_at(s)) > self.window_radius * (1 + tol):
-            return False
-        return True
+    def in_window(self, s: complex) -> bool:
+        """s lies in the declared region about s0."""
+        return not abs(s - self.s0) > self.region_radius * (1 + WINDOW_SLACK) + WINDOW_SLACK
+
+    def in_z_window(self, e_at: complex, z: complex) -> bool:
+        """z lies in the declared window about e_at = E_at(s)."""
+        return not abs(z - e_at) > self.window_radius * (1 + WINDOW_SLACK)
 
     @cached_property
     def _cluster_center(self) -> complex:
@@ -237,8 +242,10 @@ def spectral_projection(h: np.ndarray, center: complex, radius: float) -> np.nda
     error of about (a/r)^N (or (r/b)^N) with N nodes (Trefethen & Weideman,
     SIAM Rev. 56, 2014), so N is raised until the largest of these is at most
     IDEM_TOL/100. The 10% exclusion around the contour keeps N below about
-    290.  The node resolvents come from one stacked solve and are summed in
-    node order.
+    290.  The nodes, the shifted matrices and the weighted resolvents are
+    arrays over the node axis: one stacked solve, then one sum over that
+    axis that starts from 0 and adds the nodes in order, so P is bit for
+    bit the node-by-node sum.
     """
     h = np.asarray(h, dtype=complex)
     n = h.shape[0]
@@ -254,12 +261,10 @@ def spectral_projection(h: np.ndarray, center: complex, radius: float) -> np.nda
     if q > 0.0:
         n_nodes = max(n_nodes, int(np.ceil(np.log(IDEM_TOL / 100) / np.log(q))))
     theta = 2 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
-    ws = [radius * np.exp(1j * t) for t in theta]
+    ws = (radius * np.exp(1j * theta))[:, None, None]
     eye = np.eye(n)
-    resolvents = np.linalg.solve(np.stack([(center + w) * eye - h for w in ws]), eye)
-    p = np.zeros_like(h)
-    for w, r in zip(ws, resolvents):
-        p += w * r
+    resolvents = np.linalg.solve((center + ws) * eye - h, eye)
+    p = np.add.reduce(ws * resolvents, axis=0, initial=0.0)   # from 0, node by node
     p /= n_nodes
     residual = np.linalg.norm(p @ p - p)
     if residual > IDEM_TOL * max(1.0, np.linalg.norm(p)):

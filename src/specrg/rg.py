@@ -31,10 +31,14 @@ winding check runs one stacked ladder per round of nodes.  H^(n)(z) =
 R_rho(H^(n-1)(z)), so a ladder at z is the ladder one level shorter at z
 plus one step: depth n's secant starts at z_{n-1}, and its first evaluation
 is the ladder depth n-1 converged on (``run_ladder``'s ``start``) plus one
-step, not a fresh first decimation and n steps.  The diagnostics
-of a depth (polydisc radii, Schur deviation, symmetry residual, contraction
-norms of the pair into the top) are computed once per depth by
-``iterate_to_fixed_point``, on the top of the ladder ``find_zn`` returns.
+step, not a fresh first decimation and n steps.
+
+``iterate_to_fixed_point`` keeps per depth only its root, the report of the
+pair into the top (its convergence test reads the margins) and the top
+level without its pair.  The other diagnostics of a depth (polydisc radii,
+Schur deviation, symmetry residual) are computed from that top, once per
+depth, when the result's ``trace`` is first read; the analyticity probe and
+the coupling sweep read only z_inf and compute none of them.
 
 Each root's uniqueness is certified by the argument principle: the winding of
 E^(n) around 0 along a small circle about the root must be 1.  The count
@@ -42,7 +46,10 @@ starts from 4 nodes on the circle and accepts a round only when every phase
 step arg(E_{k+1}/E_k) lies within pi/4 of 2 pi/K, so that no step can alias;
 otherwise the nodes double, up to 64, evaluating only the new ones (the
 refinement of Delves & Lyness, Math. Comp. 21, 1967, and Ying & Katz, Numer.
-Math. 53, 1988).  A window exit or a zero sample halves the radius.
+Math. 53, 1988).  A window exit or a zero sample halves the radius.  A
+secant iterate or a winding node outside a window backtracks, whether it
+left a flow depth's window (WindowExitError) or the model's declared window
+about E_at(s), which the first decimation checks (WindowError).
 
 The map is iterated with the fixed constants below.  The model fixes the
 scale: rho is its mode-grid ratio, which makes the dilation an exact shell
@@ -54,6 +61,7 @@ by the winding of E^(n) is the flow's one option.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +70,7 @@ from .feshbach import (
     Cutoffs,
     CutoffSpec,
     FeshbachPair,
+    FeshbachPairReport,
     feshbach_map,
     first_decimation,
     first_feshbach,
@@ -70,7 +79,7 @@ from .feshbach import (
 )
 from .fock import DilationMap, FockBasis, OperatorMatrix, dilation
 from .kernels import BasisSpline, ExtractionResult, extract_w00, polydisc_check
-from .model import ModelSpec, projection_rank
+from .model import ModelSpec, WindowError, projection_rank
 from .symmetry import is_symmetry_of, schur_scalar
 
 C_CHI = 1.0              # cutoff constant, sets xi and C_gamma
@@ -115,6 +124,10 @@ class WindowExitError(ValueError):
         super().__init__(
             f"|E^({level})(z)| = {abs(value):.3e} exceeds window threshold "
             f"{threshold:.3e}")
+
+
+# what a z outside a window raises; the secant and the winding check back off
+WINDOW_ERRORS = (WindowExitError, WindowError)
 
 
 @dataclass(frozen=True)
@@ -291,8 +304,10 @@ class RootResult:
 
 def find_zn(flow: Flow, n: int, z_start: complex, start: Ladder | None = None) -> RootResult:
     """Secant root of E^(n) from z_start, with a slope-prior first step
-    (dE/dz ~ -rho^-n) and window-violation backtracking; uniqueness is
-    cross-checked by the image winding of E^(n) on a small circle.
+    (dE/dz ~ -rho^-n) and window-violation backtracking (an iterate that
+    raises one of WINDOW_ERRORS is halved back toward the last good one);
+    uniqueness is cross-checked by the image winding of E^(n) on a small
+    circle.
 
     ``start``, a ladder at z_start (the one depth n-1 converged on), makes
     the first evaluation one step above it; every other evaluation, the
@@ -315,7 +330,7 @@ def find_zn(flow: Flow, n: int, z_start: complex, start: Ladder | None = None) -
         while True:
             try:
                 e_cur = e_val(z_cur)
-            except WindowExitError:
+            except WINDOW_ERRORS:
                 z_cur = 0.5 * (z_cur + z_prev)   # backtrack toward last good
                 iters += 1
                 if iters > SECANT_MAX_ITER:
@@ -379,9 +394,10 @@ def _winding_count(flow: Flow, n: int, z_center: complex) -> int:
     ``circle_winding``: start at 4 nodes, accept a round only when every
     phase step lies within pi/4 of 2 pi/K, else double the nodes up to 64
     and evaluate only the new ones.  Each round of nodes is one stacked
-    ladder.  A window exit or a zero sample halves the radius and starts
-    again from WINDING_NODES nodes.  Every ArithmeticError raised here names
-    the depth, the node count of the last round and its radius."""
+    ladder.  A window exit (one of WINDOW_ERRORS) or a zero sample halves
+    the radius and starts again from WINDING_NODES nodes.  Every
+    ArithmeticError raised here names the depth, the node count of the last
+    round and its radius."""
     for radius in flow.rho ** (n + 1) / 16.0 * 0.5 ** np.arange(WINDING_HALVINGS):
         sampled = []   # node counts sent at this radius
 
@@ -391,7 +407,7 @@ def _winding_count(flow: Flow, n: int, z_center: complex) -> int:
 
         try:
             winding = circle_winding(sample, f"at depth {n} on radius {radius:.3e}")
-        except WindowExitError:
+        except WINDOW_ERRORS:
             winding = None
         if winding is not None:
             return winding
@@ -457,62 +473,95 @@ class RGTrace:
 
 
 @dataclass
+class DepthResult:
+    """What ``iterate_to_fixed_point`` keeps of one depth: its root (z, |E|,
+    winding), the step dz from the previous root (0 at depth 0), the
+    ``verify_pair`` report of the pair into the top (None at depth 0) and
+    the top level of the root's ladder without its pair."""
+
+    z: complex
+    dz: float
+    e_abs: float
+    winding: int | None
+    pair_report: FeshbachPairReport | None
+    top: LadderLevel
+
+
+@dataclass
 class PipelineResult:
+    """The flow's fixed point z_inf, the ladder it converged on, the flow
+    (its z-independent data, for the eigenvectors and the oracle) and one
+    ``DepthResult`` per depth.  ``trace`` is built from ``depths`` when it is
+    first read, and kept."""
+
     z_inf: complex
-    trace: RGTrace
     converged: bool
-    n_levels: int
     final_ladder: Ladder
-    flow: Flow   # z-independent data of the run, for its eigenvectors and oracle
+    flow: Flow
+    depths: list
+
+    @property
+    def n_levels(self) -> int:
+        """The deepest depth the flow reached."""
+        return len(self.depths) - 1
+
+    @cached_property
+    def trace(self) -> RGTrace:
+        """One ``TraceRecord`` per depth: the polydisc radii, Schur deviation
+        and symmetry residual of its top, and gamma_hat's ratio to the depth
+        before."""
+        flow = self.flow
+        factor = contraction_factor(flow.spec)
+        word = ("admissible" if factor < 1.0
+                else "inadmissible; running on measured contraction")
+        trace = RGTrace(window_threshold=flow.window_threshold,
+                        theoretical_note=f"theoretical contraction C_gamma rho^mu = "
+                                         f"{factor:.4g} ({word})")
+        prev_gamma = 0.0
+        for depth in self.depths:
+            top, pairrep = depth.top, depth.pair_report
+            polydisc = polydisc_check(top.ext)
+            ghat = polydisc.gamma_hat
+            trace.append(TraceRecord(
+                n=top.n, z=depth.z, dz=depth.dz, e_abs=depth.e_abs,
+                beta_hat=polydisc.beta_hat,
+                gamma_hat=ghat,
+                schur_deviation=schur_scalar(top.h.mat, top.h.basis.d_at, top.h.basis.size)[1],
+                symmetry_residual=max([0.0] + [is_symmetry_of(gen, top.h.mat)[1]
+                                               for gen in flow.depth(top.n).generators]),
+                t_margin=pairrep.t_margin if pairrep else np.inf,
+                contraction_left=pairrep.contraction_left if pairrep else 0.0,
+                gamma_ratio=(ghat / prev_gamma) if prev_gamma > 0 else 0.0,
+                winding=depth.winding,
+            ))
+            prev_gamma = ghat
+        return trace
 
 
 def iterate_to_fixed_point(spec: ModelSpec, s: complex, check_winding: bool,
                            g: float | None = None) -> PipelineResult:
     """Cascade the per-depth roots z_n until |z_n - z_{n-1}| < tolerance
-    with healthy pair margins; z_inf is the last root."""
+    with healthy pair margins; z_inf is the last root.  Per depth it keeps a
+    ``DepthResult``; the trace is left to the result's first read."""
     flow = Flow(spec, s, check_winding, g)
-    z = spec.e_at(s)
-    trace = RGTrace(window_threshold=flow.window_threshold)
-    factor = contraction_factor(spec)
-    word = ("admissible" if factor < 1.0
-            else "inadmissible; running on measured contraction")
-    trace.theoretical_note = (
-        f"theoretical contraction C_gamma rho^mu = {factor:.4g} ({word})")
+    z = flow.first.e_at
+    depths = []
     converged = False
-    result = None
-    prev_gamma = 0.0
+    root = None
     for n in range(N_ITER_MAX + 1):
         # depth n's secant starts from the ladder depth n-1 converged on, at z
-        root = find_zn(flow, n, z_start=z, start=None if result is None else result.ladder)
+        root = find_zn(flow, n, z_start=z, start=None if root is None else root.ladder)
         top = root.ladder.top
-        polydisc = polydisc_check(top.ext)
-        ghat = polydisc.gamma_hat
         pairrep = None if top.pair is None else verify_pair(top.pair)
-        rec = TraceRecord(
-            n=n, z=root.z, dz=abs(root.z - z) if n > 0 else 0.0,
-            e_abs=root.e_abs,
-            beta_hat=polydisc.beta_hat,
-            gamma_hat=ghat,
-            schur_deviation=schur_scalar(top.h.mat, top.h.basis.d_at, top.h.basis.size)[1],
-            symmetry_residual=max([0.0] + [is_symmetry_of(gen, top.h.mat)[1]
-                                           for gen in flow.depth(n).generators]),
-            t_margin=pairrep.t_margin if pairrep else np.inf,
-            contraction_left=pairrep.contraction_left if pairrep else 0.0,
-            gamma_ratio=(ghat / prev_gamma) if prev_gamma > 0 else 0.0,
-            winding=root.winding,
-        )
-        trace.append(rec)
-        prev_gamma = ghat
-        margins_ok = pairrep.passed if pairrep else True
-        if n >= 1 and abs(root.z - z) < TOL_FIXED_POINT and margins_ok:
-            converged = True
-            z = root.z
-            result = root
-            break
+        dz = abs(root.z - z) if n > 0 else 0.0
+        depths.append(DepthResult(root.z, dz, root.e_abs, root.winding, pairrep,
+                                  replace(top, pair=None)))
         z = root.z
-        result = root
-    return PipelineResult(z, trace, converged, len(trace.records) - 1,
-                          result.ladder, flow)
+        margins_ok = pairrep.passed if pairrep else True
+        if n >= 1 and dz < TOL_FIXED_POINT and margins_ok:
+            converged = True
+            break
+    return PipelineResult(z, converged, root.ladder, flow, depths)
 
 
 @dataclass

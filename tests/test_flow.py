@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specrg import config as cfgmod
 from specrg import feshbach, fock, kernels, model, oracle, rg, symmetry
 from specrg.cli import main
 from specrg.config import load_model
@@ -77,15 +78,37 @@ class TestLadder:
     def test_diagnostics_run_once_per_depth(self, tmp_path, monkeypatch, name):
         spec = load_model(cut_fixture(tmp_path, name))
         checks = count_calls(monkeypatch, kernels, "polydisc_check")
+        schurs = count_calls(monkeypatch, symmetry, "schur_scalar")
         residuals = count_calls(monkeypatch, symmetry, "is_symmetry_of")
         res = iterate_to_fixed_point(spec, spec.s0, True)
         depths = res.n_levels + 1
+        # the trace is built when it is first read
+        assert (len(checks), len(schurs), len(residuals)) == (0, 0, 0)
         assert res.converged and all(r.winding == 1 for r in res.trace.records)
-        assert len(checks) == depths
-        assert len(residuals) == depths * len(spec.generators)
+        once = (depths, depths, depths * len(spec.generators))
+        assert (len(checks), len(schurs), len(residuals)) == once
+        assert len(res.trace.records) == depths   # a second read computes nothing
         assert _winding_count(res.flow, res.n_levels, res.z_inf) == 1
         # a winding ladder reads only E^(n)
-        assert (len(checks), len(residuals)) == (depths, depths * len(spec.generators))
+        assert (len(checks), len(schurs), len(residuals)) == once
+
+    @pytest.mark.parametrize("command, n_solves",
+                             [("run", 1), ("probe-analyticity", 24), ("sweep-g", 4)])
+    def test_only_run_computes_the_trace(self, tmp_path, monkeypatch, capsys, command,
+                                         n_solves):
+        config = cut_fixture(tmp_path, "m_kramers")
+        counted = [count_calls(monkeypatch, kernels, "polydisc_check"),
+                   count_calls(monkeypatch, symmetry, "schur_scalar"),
+                   count_calls(monkeypatch, symmetry, "is_symmetry_of")]
+        solves = count_calls(monkeypatch, rg, "iterate_to_fixed_point")
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert len(solves) == n_solves
+        if command == "run":
+            depths = int(read_kv(tmp_path / "run.kv")["n_levels"]) + 1
+            # the hypothesis check adds one residual, of the conjugation J
+            assert [len(c) for c in counted] == [depths, depths, depths + 1]
+        else:
+            assert [len(c) for c in counted] == [0, 0, 0]
 
     @pytest.mark.parametrize("name", ["m_triv", "m_kramers"])
     def test_each_level_is_extracted_once(self, tmp_path, monkeypatch, name):
@@ -317,6 +340,76 @@ class TestFlow:
         assert max(rec.symmetry_residual for rec in res.trace.records) <= 1e-9
 
 
+class TestWindowBacktracking:
+    """A z outside the model's declared window about E_at(s), refused by the
+    first decimation with WindowError, backtracks like a flow depth's window
+    exit: the secant halves its step, the winding check its radius."""
+
+    def test_a_secant_iterate_backtracks(self, tmp_path, monkeypatch):
+        spec = load_model(cut_fixture(tmp_path, "m_triv"))
+        plain = iterate_to_fixed_point(spec, spec.s0, False)
+        ladder = rg.run_ladder
+        zs = []   # z of every evaluation
+
+        def refuse_once(flow, z, n, *args, **kwargs):
+            zs.append(z)
+            if len(zs) == 2:   # the first secant iterate at depth 0
+                raise model.WindowError("outside the declared window")
+            return ladder(flow, z, n, *args, **kwargs)
+
+        monkeypatch.setattr(rg, "run_ladder", refuse_once)
+        res = iterate_to_fixed_point(spec, spec.s0, False)
+        assert zs[2] == 0.5 * (zs[1] + zs[0])   # halfway back to the start
+        assert res.converged and abs(res.z_inf - plain.z_inf) <= 1e-12
+
+    def test_a_winding_round_halves_its_radius(self, tmp_path, monkeypatch):
+        spec = load_model(cut_fixture(tmp_path, "m_triv"))
+        plain = iterate_to_fixed_point(spec, spec.s0, True)
+        ladder = rg.run_ladder
+        radii = []   # radius of every round of winding nodes
+
+        def refuse_once(flow, z, n, *args, **kwargs):
+            if np.ndim(z) == 1:
+                radii.append(abs(z[0] - z[2]) / 2)   # nodes at angles 0 and pi
+                if len(radii) == 1:
+                    raise model.WindowError("outside the declared window")
+            return ladder(flow, z, n, *args, **kwargs)
+
+        monkeypatch.setattr(rg, "run_ladder", refuse_once)
+        res = iterate_to_fixed_point(spec, spec.s0, True)
+        assert radii[1] == pytest.approx(radii[0] / 2, rel=1e-9)
+        assert res.converged and res.z_inf == plain.z_inf
+        assert all(r.winding == 1 for r in res.trace.records)
+
+
+class TestMemory:
+    """The benchmark (perfbench) keeps the spec of every solve for its
+    oracle, which builds H_g(s) after the pass: anything a command or that
+    oracle leaves in ``spec.built`` adds to peak_rss_mb once per pass."""
+
+    @pytest.mark.parametrize("command", ["run", "verify", "probe-analyticity", "sweep-g"])
+    def test_a_command_leaves_nothing_on_its_spec(self, tmp_path, monkeypatch, capsys,
+                                                 command):
+        specs = []
+        load = cfgmod.load_run_config
+
+        def kept(path):
+            check_winding, spec = load(path)
+            specs.append(spec)
+            return check_winding, spec
+
+        monkeypatch.setattr(cfgmod, "load_run_config", kept)
+        assert main([command, "--config", str(cut_fixture(tmp_path, "m_triv"))]) == 0
+        assert len(specs) == 1 and specs[0].built == {}
+
+    def test_the_oracle_hamiltonian_adds_only_its_basis(self, tmp_path):
+        spec = load_model(cut_fixture(tmp_path, "m_kramers"))
+        iterate_to_fixed_point(spec, spec.s0, False)
+        spec.built.clear()
+        model.build_hamiltonian(spec, spec.s0 + 0.01j)
+        assert list(spec.built) == [("basis", spec.e_cut, spec.d_at)]
+
+
 class TestCli:
     def test_m_exact_matches_m_triv_bit_for_bit(self, tmp_path, capsys):
         # shipped grids: on grids cut to 2-4 shells the two z_inf differ by
@@ -356,14 +449,17 @@ class TestCli:
         assert len(extracts) - counts[1] == counts[0]
 
     def test_flow_failure_is_reported_with_exit_code_3(self, tmp_path, capsys):
+        # every secant iterate at depth 0 leaves the declared window: the
+        # secant backs off toward the start until it gives up
         config = cut_fixture(tmp_path, "m_triv", coupling_strength=3.0)
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 3
         kv = read_kv(out / "run.kv")
         assert kv["check.flow"] == "fail"
-        assert kv["flow.error"].startswith("WindowError: ")
+        assert kv["flow.error"] == ("ArithmeticError: secant failed to stay inside "
+                                    "the window at depth 0")
         assert kv["all_passed"] == "false"
-        assert "[FAIL] flow: WindowError" in (out / "run.txt").read_text()
+        assert "[FAIL] flow: ArithmeticError" in (out / "run.txt").read_text()
 
     def test_probe_report_does_not_depend_on_jobs(self, tmp_path, capsys):
         config = cut_fixture(tmp_path, "m_triv")

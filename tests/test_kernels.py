@@ -119,6 +119,41 @@ def scipy_fit(x, y):
     return f.derivative()(x), f(r), f.derivative()(r), r
 
 
+def creation_by_kron(basis: FockBasis, coeffs) -> np.ndarray:
+    """sum_j G_j (x) a*_j, with a*_j filled state by state from the basis'
+    index and added as a Kronecker product per mode."""
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for j, c in enumerate(coeffs):
+        g = np.asarray(c, dtype=complex)
+        if g.ndim == 0:
+            g = g * np.eye(basis.d_at)
+        raise_j = np.zeros((basis.size, basis.size), dtype=complex)
+        for i, occ in enumerate(basis.states):
+            k = basis.index.get(occ[:j] + (occ[j] + 1,) + occ[j + 1:])
+            if k is not None:
+                raise_j[k, i] = np.sqrt(occ[j] + 1.0)
+        mat += np.kron(g, raise_j)
+    return mat
+
+
+class TestCreationOp:
+    @pytest.mark.parametrize("basis", BASES, ids=BASIS_IDS)
+    def test_equals_the_kron_sum_bit_for_bit(self, basis):
+        rng = np.random.default_rng(3)
+        J, d = basis.grid.levels, basis.d_at
+        scalars = list(rng.standard_normal(J) + 1j * rng.standard_normal(J))
+        blocks = list(rng.standard_normal((J, d, d)) + 1j * rng.standard_normal((J, d, d)))
+        real = list(rng.standard_normal((J, d, d)))
+        if J:
+            scalars[0] = -0.0
+            blocks[0][0, 0] = complex(-0.0, 0.0)
+            blocks[-1][-1, -1] = complex(0.0, -0.0)
+            blocks[-1][0, -1] = complex(-0.0, -0.0)
+            real[0][-1, 0] = -0.0
+        for coeffs in (scalars, blocks, real):
+            assert bits(creation_op(basis, coeffs).mat) == bits(creation_by_kron(basis, coeffs))
+
+
 class TestPchip:
     def test_matches_scipy_on_random_node_sets(self):
         rng = np.random.default_rng(8)

@@ -239,6 +239,65 @@ class TestSpectralProjection:
             assert projection_rank(spec.p_at(s)) == 2
 
 
+def projection_node_by_node(h, center, radius):
+    """spectral_projection's quadrature with a Python loop over the nodes:
+    the node count, one shifted matrix per node, and the weighted
+    resolvents added in node order.  Returns (P, node count)."""
+    h = np.asarray(h, dtype=complex)
+    dist = np.abs(np.linalg.eigvals(h) - center)
+    inside = dist < radius
+    q = max(np.max(dist[inside], initial=0.0) / radius,
+            radius / np.min(dist[~inside], initial=np.inf))
+    n_nodes = model.MIN_NODES
+    if q > 0.0:
+        n_nodes = max(n_nodes, int(np.ceil(np.log(model.IDEM_TOL / 100) / np.log(q))))
+    theta = 2 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
+    ws = [radius * np.exp(1j * t) for t in theta]
+    eye = np.eye(h.shape[0])
+    resolvents = np.linalg.solve(np.stack([(center + w) * eye - h for w in ws]), eye)
+    p = np.zeros_like(h)
+    for w, r in zip(ws, resolvents):
+        p += w * r
+    p /= n_nodes
+    return p, n_nodes
+
+
+class TestProjectionBitForBit:
+    """spectral_projection forms the nodes, the shifted stack and the
+    weighted sum as arrays; its P equals the node loop's bit for bit."""
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli", "m_exact"])
+    def test_at_the_probe_nodes(self, name):
+        from specrg.cli import CR_STEP, PROBE_NODES, PROBE_RADIUS, REFLECTION_PAIRS
+
+        spec = load_model(name)
+        s0 = spec.s0
+        refl = [s0 + PROBE_RADIUS * np.exp(1j * np.pi / (k + 3))
+                for k in range(REFLECTION_PAIRS)]
+        nodes = ([s0 + PROBE_RADIUS * np.exp(2j * np.pi * k / PROBE_NODES)
+                  for k in range(PROBE_NODES)]
+                 + [s0 + CR_STEP, s0 - CR_STEP, s0 + 1j * CR_STEP, s0 - 1j * CR_STEP]
+                 + refl + [np.conj(s) for s in refl])
+        assert len(nodes) == 24
+        for s in nodes:
+            args = (spec.h_at(s), spec._cluster_center, spec.contour_radius)
+            want, _ = projection_node_by_node(*args)
+            assert spectral_projection(*args).tobytes() == want.tobytes(), s
+
+    def test_on_seeded_matrices_past_the_node_floor(self):
+        rng = np.random.default_rng(11)
+        counts = []
+        for k in range(12):
+            # an enclosed eigenvalue at 0.8-0.88 of the radius raises the node count
+            eigs = np.array([0.1, -0.3 + 0.2j, 0.8 + 0.08 * k / 11, 1.5, -2.0j])
+            v = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+            h = v @ np.diag(eigs) @ np.linalg.inv(v)
+            want, n_nodes = projection_node_by_node(h, 0.0, 1.0)
+            counts.append(n_nodes)
+            assert spectral_projection(h, 0.0, 1.0).tobytes() == want.tobytes()
+        assert min(counts) > model.MIN_NODES
+
+
 class TestVerifyHypotheses:
     @pytest.mark.parametrize("name", ["m_triv", "m_exact", "m_pauli",
                                       "m_kramers"])

@@ -353,9 +353,10 @@ class FirstDecimation:
             uinv = np.linalg.inv(u)
         self.u = u
         self.e_at = spec.e_at(s)
-        self.hamiltonian = build_hamiltonian(spec, s, g, self.basis)
+        h0 = build_h0(spec, s, self.basis)
+        self.hamiltonian = build_hamiltonian(spec, s, g, self.basis, h0)
         self.affine = AffinePair(_conjugate_atomic(uinv, self.hamiltonian.mat, u),
-                                 _conjugate_atomic(uinv, build_h0(spec, s, self.basis), u),
+                                 _conjugate_atomic(uinv, h0, u),
                                  self.cut, self.reduced_index)
 
     def pair(self, z) -> FeshbachPair:

@@ -214,15 +214,18 @@ def build_h0(spec: ModelSpec, s: complex, basis: FockBasis) -> np.ndarray:
 
 
 def build_hamiltonian(spec: ModelSpec, s: complex, g: float | None = None,
-                      basis: FockBasis | None = None) -> OperatorMatrix:
-    """H_g(s) on the truncated space; errors if s leaves the declared region."""
+                      basis: FockBasis | None = None,
+                      h0: np.ndarray | None = None) -> OperatorMatrix:
+    """H_g(s) on the truncated space; errors if s leaves the declared region.
+    ``h0`` is H_0(s) on ``basis`` when the caller has built it already.  The
+    result is flagged self-adjoint when ||H - H*|| <= 1e-12 max(1, ||H||)."""
     if not spec.in_window(s):
         raise WindowError(f"s={s} outside declared region of '{spec.name}'")
     if g is None:
         g = spec.g
     if basis is None:
         basis = spec.full_basis()
-    mat = build_h0(spec, s, basis)
+    mat = build_h0(spec, s, basis) if h0 is None else h0
     if g != 0.0:
         mat = mat + g * spec.interaction(basis, s)
     herm = np.linalg.norm(mat - mat.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(mat))

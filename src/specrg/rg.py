@@ -33,6 +33,15 @@ plus one step: depth n's secant starts at z_{n-1}, and its first evaluation
 is the ladder depth n-1 converged on (``run_ladder``'s ``start``) plus one
 step, not a fresh first decimation and n steps.
 
+The secant's first step from z_{n-1} divides by a scaled slope sigma =
+rho^n dE^(n)/dz.  R_rho divides by rho, so dE^(n)/dz is about rho^-1
+dE^(n-1)/dz and sigma barely moves from one depth to the next (-1.0247,
+-1.0277, -1.0281, ... on m_triv at max_photons 3, settling to a relative
+1e-7).  Depth 0 takes the prior -1; every later depth takes the chord of
+E^(n-1) from the previous depth's start to its root, which is nearer its
+own root's slope than the prior, so most first iterates already meet
+TOL_Z.
+
 ``iterate_to_fixed_point`` keeps per depth only its root, the report of the
 pair into the top (its convergence test reads the margins) and the top
 level without its pair.  The other diagnostics of a depth (polydisc radii,
@@ -93,6 +102,7 @@ SECANT_MAX_ITER = 50     # evaluations of E^(n) per secant root
 WINDING_NODES = 4        # nodes of the first winding round
 WINDING_MAX_NODES = 64   # the winding check fails when no round up to this is accepted
 WINDING_HALVINGS = 5     # radii the winding check tries, each half the last
+SLOPE_PRIOR = -1.0       # rho^n dE^(n)/dz assumed by depth 0's first secant step
 
 
 def flow_scale(spec: ModelSpec) -> float:
@@ -300,18 +310,25 @@ class RootResult:
     e_abs: float
     winding: int | None
     ladder: Ladder
+    # rho^n dE^(n)/dz measured as the chord from z_start to the root; the
+    # slope find_zn was given when that chord is undefined, zero or not finite
+    slope: complex
 
 
-def find_zn(flow: Flow, n: int, z_start: complex, start: Ladder | None = None) -> RootResult:
-    """Secant root of E^(n) from z_start, with a slope-prior first step
-    (dE/dz ~ -rho^-n) and window-violation backtracking (an iterate that
-    raises one of WINDOW_ERRORS is halved back toward the last good one);
-    uniqueness is cross-checked by the image winding of E^(n) on a small
-    circle.
+def find_zn(flow: Flow, n: int, z_start: complex, start: Ladder | None = None,
+            slope: complex = SLOPE_PRIOR) -> RootResult:
+    """Secant root of E^(n) from z_start, with a first step from the scaled
+    slope ``slope`` = rho^n dE^(n)/dz (z_1 = z_start - E^(n)(z_start)
+    rho^n / slope; the prior -1 at depth 0, the slope depth n-1 measured
+    after it) and window-violation backtracking (an iterate that raises one
+    of WINDOW_ERRORS is halved back toward the last good one); uniqueness is
+    cross-checked by the image winding of E^(n) on a small circle.
 
     ``start``, a ladder at z_start (the one depth n-1 converged on), makes
     the first evaluation one step above it; every other evaluation, the
-    winding check's included, runs a fresh ladder."""
+    winding check's included, runs a fresh ladder.  The result's ``slope``
+    is the chord rho^n (E(z_root) - E(z_start)) / (z_root - z_start), not
+    the last secant slope, whose two values of E differ by rounding only."""
 
     last = None   # ladder of the latest successful evaluation
 
@@ -324,9 +341,8 @@ def find_zn(flow: Flow, n: int, z_start: complex, start: Ladder | None = None) -
     e0 = e_val(z0, start)
     iters = 1
     if abs(e0) >= TOL_Z:
-        z1 = z0 + e0 * flow.rho**n
         z_prev, e_prev = z0, e0
-        z_cur = z1
+        z_cur = z0 + e0 * (flow.rho**n / -slope)   # the prior -1 gives z0 + e0 rho^n exactly
         while True:
             try:
                 e_cur = e_val(z_cur)
@@ -339,7 +355,6 @@ def find_zn(flow: Flow, n: int, z_start: complex, start: Ladder | None = None) -
                 continue
             iters += 1
             if abs(e_cur) < TOL_Z:
-                z0, e0 = z_cur, e_cur
                 break
             if iters > SECANT_MAX_ITER:
                 raise ArithmeticError(
@@ -351,6 +366,11 @@ def find_zn(flow: Flow, n: int, z_start: complex, start: Ladder | None = None) -
             z_next = z_cur - e_cur * (z_cur - z_prev) / denom
             z_prev, e_prev = z_cur, e_cur
             z_cur = z_next
+        # z_cur != z0, since |E(z_cur)| < TOL_Z <= |E(z0)|
+        chord = flow.rho**n * (e_cur - e0) / (z_cur - z0)
+        if chord != 0 and np.isfinite(chord):
+            slope = chord
+        z0, e0 = z_cur, e_cur
 
     winding = None
     if flow.check_winding:
@@ -359,7 +379,7 @@ def find_zn(flow: Flow, n: int, z_start: complex, start: Ladder | None = None) -
             raise ArithmeticError(
                 f"argument-principle count at depth {n} gave winding "
                 f"{winding}, expected a unique simple zero")
-    return RootResult(z0, abs(e0), winding, last)
+    return RootResult(z0, abs(e0), winding, last, slope)
 
 
 def circle_winding(sample, where: str) -> int | None:
@@ -548,9 +568,13 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, check_winding: bool,
     depths = []
     converged = False
     root = None
+    slope = SLOPE_PRIOR
     for n in range(N_ITER_MAX + 1):
-        # depth n's secant starts from the ladder depth n-1 converged on, at z
-        root = find_zn(flow, n, z_start=z, start=None if root is None else root.ladder)
+        # depth n's secant starts from the ladder depth n-1 converged on, at
+        # z, with the scaled slope depth n-1 measured
+        root = find_zn(flow, n, z_start=z, start=None if root is None else root.ladder,
+                       slope=slope)
+        slope = root.slope
         top = root.ladder.top
         pairrep = None if top.pair is None else verify_pair(top.pair)
         dz = abs(root.z - z) if n > 0 else 0.0

@@ -5,6 +5,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +38,24 @@ def cut_fixture(tmp_path, name, levels=3, edit=None, **overrides):
     path = tmp_path / f"{name}_l{levels}.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.json"
+
+
+def large_fock_config(tmp_path, factor):
+    """perfbench's large-fock-run input: m_triv at max_photons 3 (dim 157),
+    its coupling scaled by ``factor``, through a run config with the winding
+    check off."""
+    doc = json.loads(resources.files("specrg").joinpath("fixtures/m_triv.json").read_text())
+    doc["truncation"]["max_photons"] = 3
+    doc["coupling_strength"] = doc["coupling_strength"] * factor
+    model_path = tmp_path / f"m_triv_n3@{factor:.2f}.json"
+    model_path.write_text(json.dumps(doc))
+    config = tmp_path / f"m_triv_n3@{factor:.2f}.run.json"
+    config.write_text(json.dumps({"schema_version": 1, "model": str(model_path),
+                                  "rg": {"check_winding": False}}))
+    return config
 
 
 def read_kv(path):
@@ -278,6 +297,16 @@ class TestFlow:
         assert main(["run", "--config", str(config)]) == 0
         assert (len(built), len(dilated)) == (hamiltonians, dilations)
 
+    @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli"])
+    def test_one_first_decimation_builds_h0_once(self, tmp_path, monkeypatch, name):
+        spec = load_model(cut_fixture(tmp_path, name))
+        built = count_calls(monkeypatch, model, "build_h0")
+        first = feshbach.FirstDecimation(spec, spec.s0, None)
+        assert len(built) == 1
+        ref = model.build_hamiltonian(spec, spec.s0, None, first.basis)
+        assert first.hamiltonian.mat.tobytes() == ref.mat.tobytes()
+        assert first.hamiltonian.selfadjoint_known == ref.selfadjoint_known
+
     def test_one_spline_per_basis_released_after_the_command(self, monkeypatch, capsys):
         built = []   # (basis, weak reference to its spline), one per construction
         init = kernels.BasisSpline.__init__
@@ -380,6 +409,115 @@ class TestWindowBacktracking:
         assert radii[1] == pytest.approx(radii[0] / 2, rel=1e-9)
         assert res.converged and res.z_inf == plain.z_inf
         assert all(r.winding == 1 for r in res.trace.records)
+
+
+class StubLadder:
+    """``run_ladder`` replaced by E(z) = energy(z) at every depth: a ladder
+    whose top holds only E, and the z of every evaluation in ``zs``."""
+
+    def __init__(self, energy, refuse=()):
+        self.energy = energy
+        self.refuse = refuse   # evaluations (0 = the start) that raise WindowError
+        self.zs = []
+
+    def __call__(self, flow, z, n, *args, **kwargs):
+        self.zs.append(z)
+        if len(self.zs) - 1 in self.refuse:
+            raise model.WindowError("outside the declared window")
+        return rg.Ladder(z, [SimpleNamespace(e_value=self.energy(z))])
+
+
+class TestSecantSlope:
+    """The secant's first step z_1 = z_0 - E(z_0) rho^n / sigma uses the
+    scaled slope sigma = rho^n dE^(n)/dz: the prior -1 at depth 0, then the
+    chord the previous depth measured from its start to its root."""
+
+    RHO = 0.375
+    N = 3
+
+    def find(self, monkeypatch, ladder, z0, slope=rg.SLOPE_PRIOR):
+        monkeypatch.setattr(rg, "run_ladder", ladder)
+        flow = SimpleNamespace(rho=self.RHO, check_winding=False)
+        return rg.find_zn(flow, self.N, z0, slope=slope)
+
+    @pytest.mark.parametrize("z0, e0", [(-0.025, 3e-4), (-0.03 + 2e-3j, -1e-5 + 4e-6j),
+                                        (0.1 - 0.0j, -0.0 + 7e-9j)])
+    def test_the_prior_gives_the_fixed_first_step_bit_for_bit(self, monkeypatch, z0, e0):
+        ladder = StubLadder(lambda z: e0 if z == z0 else 0.0)
+        self.find(monkeypatch, ladder, z0)
+        expected = complex(z0) + e0 * self.RHO**self.N
+        assert np.complex128(ladder.zs[1]).tobytes() == np.complex128(expected).tobytes()
+
+    def test_the_exact_slope_lands_on_a_linear_root_in_one_step(self, monkeypatch):
+        a, r = -1.028 * self.RHO**-self.N, -0.02596 + 1e-4j
+        ladder = StubLadder(lambda z: a * (z - r))
+        root = self.find(monkeypatch, ladder, -0.0253, slope=a * self.RHO**self.N)
+        assert len(ladder.zs) == 2   # the start and one iterate
+        assert abs(root.z - r) < 1e-15 and root.e_abs < rg.TOL_Z
+        prior = StubLadder(lambda z: a * (z - r))
+        self.find(monkeypatch, prior, -0.0253)
+        assert len(prior.zs) > 2
+
+    def test_the_returned_slope_is_the_start_to_root_chord(self, monkeypatch):
+        a, b, r = -1.03 * self.RHO**-self.N, 40.0, -0.02596
+
+        def energy(z):
+            return a * (z - r) + b * (z - r) ** 2
+
+        ladder = StubLadder(energy)
+        z0 = -0.0253
+        root = self.find(monkeypatch, ladder, z0)
+        assert len(ladder.zs) > 2 and root.z == ladder.zs[-1]
+        chord = self.RHO**self.N * (energy(root.z) - energy(z0)) / (root.z - z0)
+        assert root.slope == chord
+        # far nearer the scaled derivative at the root than the prior is
+        exact = a * self.RHO**self.N
+        assert abs(root.slope - exact) < 0.1 * abs(rg.SLOPE_PRIOR - exact)
+
+    def test_a_converged_start_carries_the_slope(self, monkeypatch):
+        ladder = StubLadder(lambda z: 1e-13)
+        root = self.find(monkeypatch, ladder, -0.02, slope=-1.03 + 0.01j)
+        assert len(ladder.zs) == 1 and root.z == -0.02
+        assert root.slope == -1.03 + 0.01j
+
+    def test_a_non_finite_chord_carries_the_slope(self, monkeypatch):
+        # the first iterate, refused, backs off halfway to a zero of E: the
+        # chord is twice the finite slope -1e308 and overflows
+        z0 = -0.02
+        ladder = StubLadder(lambda z: 1e299 if z == z0 else 0.0, refuse=(1,))
+        root = self.find(monkeypatch, ladder, z0, slope=-1e308)
+        assert len(ladder.zs) == 3 and root.z == ladder.zs[2] != z0
+        assert not np.isfinite(self.RHO**self.N * (0.0 - 1e299) / (root.z - z0))
+        assert root.slope == -1e308
+
+    def test_a_carried_slope_backs_off_halfway(self, monkeypatch):
+        a, r, slope = -1.028 * self.RHO**-self.N, -0.02596, -1.02
+        ladder = StubLadder(lambda z: a * (z - r), refuse=(1,))
+        z0 = -0.0253
+        root = self.find(monkeypatch, ladder, z0, slope=slope)
+        e0 = a * (z0 - r)
+        assert ladder.zs[1] == z0 + e0 * (self.RHO**self.N / -slope)
+        assert ladder.zs[2] == 0.5 * (ladder.zs[1] + z0)   # halfway back to the start
+        assert root.e_abs < rg.TOL_Z
+
+    def test_each_depth_starts_from_the_slope_the_depth_before_measured(self, tmp_path,
+                                                                         monkeypatch):
+        spec = load_model(cut_fixture(tmp_path, "m_kramers"))
+        calls = []   # (slope given, root) per depth
+        find_zn = rg.find_zn
+
+        def recorded(*args, slope, **kwargs):
+            calls.append((slope, find_zn(*args, slope=slope, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(rg, "find_zn", recorded)
+        res = iterate_to_fixed_point(spec, spec.s0, False)
+        assert res.converged and len(calls) >= 3
+        assert calls[0][0] == rg.SLOPE_PRIOR
+        for (_, prev), (slope, _) in zip(calls, calls[1:]):
+            assert slope == prev.slope
+        # rho^n dE^(n)/dz is near -1 at every depth but not -1
+        assert all(0.9 < abs(root.slope) < 1.1 and root.slope != -1 for _, root in calls[:-1])
 
 
 class TestMemory:
@@ -494,24 +632,33 @@ class TestCli:
         assert abs(float(kv["z_inf.re"]) - z_ref) <= 1e-12
 
     def test_golden_run_on_the_large_fock_space(self, tmp_path, capsys):
-        # perfbench's large-fock-run input: m_triv at max_photons 3 (dim 157)
-        # with the winding check off, against its z_inf at coupling factor 1.00
-        ref = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())
-        z_ref = complex(*ref["large-fock-run"]["m_triv_n3@1.00"][0])
-        doc = json.loads(resources.files("specrg").joinpath("fixtures/m_triv.json").read_text())
-        doc["truncation"]["max_photons"] = 3
-        model_path = tmp_path / "m_triv_n3.json"
-        model_path.write_text(json.dumps(doc))
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"schema_version": 1, "model": str(model_path),
-                                      "rg": {"check_winding": False}}))
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-        kv = read_kv(out / "run.kv")
-        failed = [k for k, v in kv.items() if k.startswith("check.") and v != "pass"]
-        assert failed == []
-        assert kv["all_passed"] == "true"
-        assert abs(complex(float(kv["z_inf.re"]), float(kv["z_inf.im"])) - z_ref) <= 1e-12
+        # perfbench's large-fock-run input at every coupling factor it draws:
+        # each z_inf within 1e-12 of perfbench/reference.json and of the
+        # dense oracle
+        ref = json.loads(REFERENCE.read_text())["large-fock-run"]
+        assert len(ref) == 11
+        for label, (z_ref,) in sorted(ref.items()):
+            factor = float(label.removeprefix("m_triv_n3@"))
+            out = tmp_path / label
+            assert main(["run", "--config", str(large_fock_config(tmp_path, factor)),
+                         "--out", str(out)]) == 0
+            kv = read_kv(out / "run.kv")
+            failed = [k for k, v in kv.items() if k.startswith("check.") and v != "pass"]
+            assert failed == []
+            assert kv["all_passed"] == "true"
+            z_inf = complex(float(kv["z_inf.re"]), float(kv["z_inf.im"]))
+            assert abs(z_inf - complex(*z_ref)) <= 1e-12, label
+            assert float(kv["oracle.eigenvalue_error"]) <= 1e-12, label
+
+    def test_the_large_fock_run_keeps_its_ladder_budget(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # the algorithm's ladder budget on large-fock-run's input at factor
+        # 1.00: 24 secant ladders, fresh or grown from the depth before (8
+        # depths, each first step from the slope the depth before measured),
+        # and the eigenvectors' ladder
+        ladders = count_calls(monkeypatch, rg, "run_ladder")
+        assert main(["run", "--config", str(large_fock_config(tmp_path, 1.0))]) == 0
+        assert len(ladders) <= 25
 
 
 class TestExitCodes:

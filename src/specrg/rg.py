@@ -40,7 +40,12 @@ dE^(n-1)/dz and sigma barely moves from one depth to the next (-1.0247,
 1e-7).  Depth 0 takes the prior -1; every later depth takes the chord of
 E^(n-1) from the previous depth's start to its root, which is nearer its
 own root's slope than the prior, so most first iterates already meet
-TOL_Z.
+TOL_Z.  |E^(n)| < TOL_Z bounds the root's z error only by TOL_Z rho^n /
+|sigma|, up to 1e-13 on a flow that stops at depth 3.  A later depth's
+secant corrects an earlier root's error, but the last root is z_inf: a root
+within TOL_FIXED_POINT of its start, the one the flow stops on, takes one
+more step from sigma when its error |E^(n)| rho^n / |sigma| is TOL_Z_INF or
+more, which brings z_inf to the rounding level for one ladder.
 
 ``iterate_to_fixed_point`` keeps per depth only its root, the report of the
 pair into the top (its convergence test reads the margins) and the top
@@ -96,6 +101,7 @@ C_GAMMA = 128.0 * C_CHI**2
 N_ITER_MAX = 24          # deepest flow depth
 TOL_Z = 1e-12            # secant target for |E^(n)(z_n)|
 TOL_FIXED_POINT = 1e-9   # stop when |z_n - z_{n-1}| is below
+TOL_Z_INF = 1e-16        # the last root's z error |E^(n)| rho^n / |sigma| is refined below this
 WINDOW_FACTOR = 0.125    # window threshold = WINDOW_FACTOR * rho (the construction's 1/8)
 SCHUR_TOL = 1e-9         # relative Schur deviation accepted as scalar
 SECANT_MAX_ITER = 50     # evaluations of E^(n) per secant root
@@ -328,7 +334,13 @@ def find_zn(flow: Flow, n: int, z_start: complex, start: Ladder | None = None,
     the first evaluation one step above it; every other evaluation, the
     winding check's included, runs a fresh ladder.  The result's ``slope``
     is the chord rho^n (E(z_root) - E(z_start)) / (z_root - z_start), not
-    the last secant slope, whose two values of E differ by rounding only."""
+    the last secant slope, whose two values of E differ by rounding only.
+
+    At n >= 1 a root within TOL_FIXED_POINT of z_start, where the flow
+    stops when the margins hold, is refined by one step z - E rho^n / slope
+    when its z error |E| rho^n / |slope| is TOL_Z_INF or more; the step is
+    kept when it lowers |E| and stays in the windows, and does not change
+    ``slope``."""
 
     last = None   # ladder of the latest successful evaluation
 
@@ -339,6 +351,7 @@ def find_zn(flow: Flow, n: int, z_start: complex, start: Ladder | None = None,
 
     z0 = complex(z_start)
     e0 = e_val(z0, start)
+    z_cur, e_cur = z0, e0   # the root, once the secant below has run
     iters = 1
     if abs(e0) >= TOL_Z:
         z_prev, e_prev = z0, e0
@@ -370,16 +383,28 @@ def find_zn(flow: Flow, n: int, z_start: complex, start: Ladder | None = None,
         chord = flow.rho**n * (e_cur - e0) / (z_cur - z0)
         if chord != 0 and np.isfinite(chord):
             slope = chord
-        z0, e0 = z_cur, e_cur
+
+    if (n >= 1 and abs(z_cur - z0) < TOL_FIXED_POINT
+            and abs(e_cur) * flow.rho**n >= TOL_Z_INF * abs(slope)):
+        root_ladder = last
+        z_step = z_cur - e_cur * (flow.rho**n / slope)
+        try:
+            e_step = e_val(z_step)
+        except WINDOW_ERRORS:
+            e_step = None
+        if e_step is not None and abs(e_step) < abs(e_cur):
+            z_cur, e_cur = z_step, e_step
+        else:
+            last = root_ladder
 
     winding = None
     if flow.check_winding:
-        winding = _winding_count(flow, n, z0)
+        winding = _winding_count(flow, n, z_cur)
         if winding != 1:
             raise ArithmeticError(
                 f"argument-principle count at depth {n} gave winding "
                 f"{winding}, expected a unique simple zero")
-    return RootResult(z0, abs(e0), winding, last, slope)
+    return RootResult(z_cur, abs(e_cur), winding, last, slope)
 
 
 def circle_winding(sample, where: str) -> int | None:
@@ -481,9 +506,11 @@ class RGTrace:
         return head + [r.line() for r in self.records]
 
     def fitted_rate(self) -> float:
-        """Geometric rate of |z_n - z_{n-1}| over n in [2, 6]."""
+        """Geometric rate of |z_n - z_{n-1}| over n in [2, 6], read off the
+        steps of at least TOL_FIXED_POINT: the step the flow stops on is
+        below it and may be only the rounding of the roots' z."""
         pts = [(r.n, r.dz) for r in self.records
-               if 2 <= r.n <= 6 and r.dz > 0]
+               if 2 <= r.n <= 6 and r.dz >= TOL_FIXED_POINT]
         if len(pts) < 2:
             return 0.0
         ns = np.array([p[0] for p in pts], dtype=float)

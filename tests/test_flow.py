@@ -475,9 +475,10 @@ class TestSecantSlope:
         assert abs(root.slope - exact) < 0.1 * abs(rg.SLOPE_PRIOR - exact)
 
     def test_a_converged_start_carries_the_slope(self, monkeypatch):
+        # the start is the last root: its refining step finds no lower |E|
         ladder = StubLadder(lambda z: 1e-13)
         root = self.find(monkeypatch, ladder, -0.02, slope=-1.03 + 0.01j)
-        assert len(ladder.zs) == 1 and root.z == -0.02
+        assert len(ladder.zs) == 2 and root.z == -0.02 and root.ladder.z == -0.02
         assert root.slope == -1.03 + 0.01j
 
     def test_a_non_finite_chord_carries_the_slope(self, monkeypatch):
@@ -500,6 +501,47 @@ class TestSecantSlope:
         assert ladder.zs[2] == 0.5 * (ladder.zs[1] + z0)   # halfway back to the start
         assert root.e_abs < rg.TOL_Z
 
+    def test_a_converged_start_is_refined_to_rounding(self, monkeypatch):
+        # |E| < TOL_Z leaves z 5e-14 off; one step from the slope lands on r
+        a, r = -1.028 * self.RHO**-self.N, -0.02596
+        ladder = StubLadder(lambda z: a * (z - r))
+        z0 = r + 5e-14
+        assert abs(a * (z0 - r)) < rg.TOL_Z
+        root = self.find(monkeypatch, ladder, z0, slope=a * self.RHO**self.N)
+        assert len(ladder.zs) == 2 and root.z == ladder.zs[1] == root.ladder.z
+        assert abs(root.z - r) < 1e-17 and root.e_abs < 1e-15
+
+    def test_a_root_near_its_start_is_refined_from_its_chord(self, monkeypatch):
+        # 5e-10 from the root, below TOL_FIXED_POINT: the first iterate, from a
+        # slope 1e-4 off, stops 5e-14 off with |E| < TOL_Z; the refining
+        # step from the exact chord lands on r
+        a, r = -1.028 * self.RHO**-self.N, -0.02596
+        ladder = StubLadder(lambda z: a * (z - r))
+        z0 = r + 5e-10
+        root = self.find(monkeypatch, ladder, z0, slope=a * self.RHO**self.N * (1 + 1e-4))
+        assert len(ladder.zs) == 3
+        assert 1e-14 < abs(ladder.zs[1] - r) and abs(a * (ladder.zs[1] - r)) < rg.TOL_Z
+        assert root.z == ladder.zs[2] and abs(root.z - r) < 1e-17
+        assert root.slope == pytest.approx(a * self.RHO**self.N, rel=1e-3)
+
+    def test_a_root_far_from_its_start_is_not_refined(self, monkeypatch):
+        # 1e-6 from the root the flow goes on, and the next depth's secant
+        # corrects the 2e-14 this root is off
+        a, r = -1.028 * self.RHO**-self.N, -0.02596
+        ladder = StubLadder(lambda z: a * (z - r))
+        root = self.find(monkeypatch, ladder, r + 1e-6,
+                         slope=a * self.RHO**self.N * (1 + 2e-8))
+        assert len(ladder.zs) == 2 and root.z == ladder.zs[1]
+        assert 1e-15 < abs(root.z - r) and root.e_abs < rg.TOL_Z
+
+    def test_a_refining_step_outside_the_window_keeps_the_root(self, monkeypatch):
+        a, r = -1.028 * self.RHO**-self.N, -0.02596
+        ladder = StubLadder(lambda z: a * (z - r), refuse=(1,))
+        z0 = r + 5e-14
+        root = self.find(monkeypatch, ladder, z0, slope=a * self.RHO**self.N)
+        assert len(ladder.zs) == 2
+        assert root.z == z0 and root.ladder.z == z0
+
     def test_each_depth_starts_from_the_slope_the_depth_before_measured(self, tmp_path,
                                                                          monkeypatch):
         spec = load_model(cut_fixture(tmp_path, "m_kramers"))
@@ -518,6 +560,37 @@ class TestSecantSlope:
             assert slope == prev.slope
         # rho^n dE^(n)/dz is near -1 at every depth but not -1
         assert all(0.9 < abs(root.slope) < 1.1 and root.slope != -1 for _, root in calls[:-1])
+
+
+class TestLastRoot:
+    """The flow stops on a root within TOL_FIXED_POINT of its start, and
+    that root is z_inf: it is refined past |E| < TOL_Z, and its step, below
+    the tolerance, is left out of the fitted rate."""
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli"])
+    def test_z_inf_is_an_eigenvalue_to_rounding(self, tmp_path, name):
+        # on three shells the flow stops at depth 3, where E^(3) = E^(2) / rho,
+        # on a root of depth 2 whose |E| < TOL_Z leaves z up to 1e-13 off
+        spec = load_model(cut_fixture(tmp_path, name))
+        res = iterate_to_fixed_point(spec, spec.s0, False)
+        h = res.flow.first.hamiltonian.mat
+        smallest = np.linalg.svd(h - res.z_inf * np.eye(len(h)), compute_uv=False)[-1]
+        assert smallest <= 1e-15
+
+    def test_the_step_the_flow_stops_on_is_not_fitted(self):
+        steps = [SimpleNamespace(n=n, dz=1.5e-3 * 0.0625 ** (n - 1)) for n in range(1, 6)]
+        trace = rg.RGTrace(steps + [SimpleNamespace(n=6, dz=1.9e-14)])
+        assert trace.fitted_rate() == pytest.approx(0.0625, rel=1e-12)
+
+    def test_m_kramers_rate_is_the_rate_of_its_steps(self):
+        spec = load_model("m_kramers")
+        res = iterate_to_fixed_point(spec, spec.s0, False)
+        assert res.converged and res.depths[-1].dz < rg.TOL_FIXED_POINT
+        steps = [d.dz for d in res.depths[1:-1]]
+        rate = res.trace.fitted_rate()
+        assert 0.05 < rate < 0.075
+        assert all(b / a == pytest.approx(rate, rel=0.02)
+                   for a, b in zip(steps[1:], steps[2:]))
 
 
 class TestMemory:

@@ -430,7 +430,9 @@ class StubLadder:
 class TestSecantSlope:
     """The secant's first step z_1 = z_0 - E(z_0) rho^n / sigma uses the
     scaled slope sigma = rho^n dE^(n)/dz: the prior -1 at depth 0, then the
-    chord the previous depth measured from its start to its root."""
+    chord the previous depth measured from its start to its root.  A root
+    within TOL_FIXED_POINT of its start, where the flow stops, takes one
+    more step from sigma."""
 
     RHO = 0.375
     N = 3

@@ -175,9 +175,10 @@ def _report_hypotheses(spec: ModelSpec, report: Report) -> bool:
 def _first_decimation_checks(spec: ModelSpec, report: Report) -> None:
     """Report the first decimation at (s0, E_at(s0)) and its Neumann
     cross-check.  The flow reuses the first decimation: its ``AffinePair``
-    (T and W on the full space, and the blocks on Ran chibar and on the
-    reduced space) stays in ``spec.built`` for the rest of the command, and
-    only the pair's restricted blocks at E_at(s0) are freed on return."""
+    (T on the full space, and the blocks of W = H - T on Ran chibar and on
+    the reduced space) stays in ``spec.built`` for the rest of the command,
+    and only the pair's restricted blocks and solve at E_at(s0) are freed on
+    return."""
     s = spec.s0
     first = first_decimation(spec, s, None)
     _, pair = first_feshbach(first, spec.e_at(s))

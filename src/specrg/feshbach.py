@@ -12,15 +12,17 @@ A flow keeps only a principal submatrix of each map, on the coordinates
 ``keep`` of the next space, so ``feshbach_map`` computes only that block:
 (T - z + chi W chi)[keep, keep] minus the rows ``keep`` of chi W chibar
 times one LU solve of H_chibar| against the columns ``keep`` of chibar W
-chi.  What of this does not depend on z (T, W = H - T, the blocks on Ran
-chibar and on ``keep``) is one ``AffinePair``; a ``FeshbachPair`` reads it
-at one z, subtracting z in one place (``minus_z``), and is what
-``feshbach_map``, ``q_ops`` and ``verify_pair`` read.
+chi.  What of this does not depend on z (T, and the blocks of W = H - T on
+Ran chibar and on ``keep``) is one ``AffinePair``; a ``FeshbachPair`` reads
+it at one z, subtracting z in one place (``minus_z``), and holds that one
+solve (``solved``), which ``feshbach_map``, ``q_ops`` and ``neumann_check``
+read.
 T is block-diagonal, one d_at x d_at block per Fock state, so a step is
 gated by the smallest singular value of those blocks on Ran chibar (a
 batched SVD of d_at x d_at matrices) and by that LU solve; a singular block
-raises FeshbachPairError with ``verify_pair``'s report, whose full-SVD
-margins and contraction norms are computed only where a report is read.
+raises FeshbachPairError with ``verify_pair``'s report, which reads the
+same block margin and computes H_chibar's full-SVD margin and the
+contraction norms only where a report is read.
 
 H and T may carry leading axes, one stack of K matrices per z of a stacked
 ladder: every block, inverse and map then carries them too, the cutoffs and
@@ -143,7 +145,7 @@ class FeshbachPairReport:
 class AffinePair:
     """What the pairs (H - z, T - z) share for every z, from H and T at z = 0,
     the cutoffs ``cut`` and the coordinates ``keep`` on which the map is
-    computed: T and W = H - T; on Ran chibar, ``w_bar`` = chibar W chibar,
+    computed: T; with W = H - T, on Ran chibar, ``w_bar`` = chibar W chibar,
     ``t_on`` = T|_on and ``h_on`` = t_on + w_bar; and on ``keep``, ``base``
     = (T + chi W chi)[keep, keep], ``left`` = chi W chibar on the rows
     ``keep`` and ``right`` = chibar W chi on the columns ``keep``.  A
@@ -151,7 +153,7 @@ class AffinePair:
 
     def __init__(self, h, t, cut: Cutoffs, keep):
         self.t = np.asarray(t, dtype=complex)
-        self.w = w = np.asarray(h, dtype=complex) - self.t
+        w = np.asarray(h, dtype=complex) - self.t
         self.cut, self.keep = cut, keep
         on, cb, c = cut.on_index, cut.cb, cut.chi[keep]
         self.w_bar = cb[:, None] * w.take(on, -2).take(on, -1) * cb
@@ -168,10 +170,10 @@ class FeshbachPair:
     with a leading axis, at each z of an array.  ``minus_z`` is the one place
     z is subtracted; the pair forms with it the two restricted blocks that
     move with z, ``m_t`` = (T - z)|_on and ``m_h`` = H_chibar|_on.
-    ``t_margin`` gates a step from T's d_at x d_at blocks, ``solve_h`` gates
-    H_chibar by the LU solve the map needs, and ``verify_pair`` reports the
-    full margins.  ``feshbach_map``, ``q_ops`` and ``neumann_check`` all read
-    the same pair."""
+    ``t_margin`` gates a step from T's d_at x d_at blocks, ``solved`` gates
+    H_chibar by the one LU solve of the pair, and ``verify_pair`` reports
+    the margins.  ``feshbach_map``, ``q_ops`` and ``neumann_check`` all read
+    that solve."""
 
     def __init__(self, fixed: AffinePair, z):
         self.fixed = fixed
@@ -208,26 +210,23 @@ class FeshbachPair:
 
     def require_margins(self):
         """Raise FeshbachPairError unless ``t_margin`` is positive.  H_chibar
-        is gated where it is solved (``solve_h``)."""
+        is gated where it is solved (``solved``)."""
         if not self.t_margin > 0:
             raise FeshbachPairError(verify_pair(self))
 
-    def solve_h(self, rhs) -> np.ndarray:
-        """(H_chibar|_Ran chibar)^-1 rhs by one LU solve.  Raise
+    @cached_property
+    def solved(self) -> np.ndarray:
+        """(H_chibar|_Ran chibar)^-1 chibar W chi on the columns ``keep``, by
+        one LU solve against the ``AffinePair``'s ``right``.  Raise
         FeshbachPairError with the pair's report when the LU finds the block
         singular or the solution is not finite."""
         try:
-            x = np.linalg.solve(self.m_h, rhs)
+            x = np.linalg.solve(self.m_h, self.fixed.right)
         except np.linalg.LinAlgError:
             raise FeshbachPairError(verify_pair(self)) from None
         if not np.isfinite(x).all():
             raise FeshbachPairError(verify_pair(self))
         return x
-
-    @cached_property
-    def inverse_h(self) -> np.ndarray:
-        """(H_chibar|_Ran chibar)^-1 on the coordinates ``on``, by ``solve_h``."""
-        return self.solve_h(np.eye(self.m_h.shape[-1]))
 
     @cached_property
     def _t_inverse(self) -> np.ndarray | None:
@@ -251,17 +250,17 @@ class FeshbachPair:
 def verify_pair(pair: FeshbachPair) -> FeshbachPairReport:
     """Check the sufficient pair conditions and report margins.
 
-    The margins are the smallest singular values of (T - z)|_Ran chibar and
-    H_chibar|_Ran chibar from full SVDs, the least over a stack, and inf
-    when Ran chibar is empty; the contraction norms ||T^-1 chibar W chibar||,
-    ||chibar W T^-1 chibar|| are the largest over a stack, and inf when
-    T|_Ran chibar is singular.
+    The margins are the gate's ``t_margin`` of (T - z)|_Ran chibar and the
+    smallest singular value of H_chibar|_Ran chibar from a full SVD, the
+    least over a stack, and inf when Ran chibar is empty; the contraction
+    norms ||T^-1 chibar W chibar||, ||chibar W T^-1 chibar|| are the largest
+    over a stack, and inf when T|_Ran chibar is singular.
     """
     p, w_bar = pair, pair.fixed.w_bar
     if not p.fixed.cut.on.any():
         return FeshbachPairReport(np.inf, np.inf, 0.0, 0.0)
-    t_margin, h_margin = (float(np.linalg.svd(m, compute_uv=False)[..., -1].min())
-                          for m in (p.m_t, p.m_h))
+    t_margin = p.t_margin
+    h_margin = float(np.linalg.svd(p.m_h, compute_uv=False)[..., -1].min())
     r0 = p._t_inverse if t_margin > 0 else None
     if r0 is None:
         left = right = np.inf
@@ -280,21 +279,20 @@ class FeshbachPairError(ArithmeticError):
 def feshbach_map(pair: FeshbachPair) -> np.ndarray:
     """The principal submatrix on the pair's coordinates ``keep`` of
     F(H - z, T - z) = T - z + chi W chi - chi W chibar (H_chibar|)^-1 chibar W chi:
-    the ``AffinePair``'s ``base`` less z, and its ``left`` times one LU
-    solve of H_chibar| against its ``right`` (``solve_h``)."""
-    fixed = pair.fixed
-    return pair.minus_z(fixed.base) - fixed.left @ pair.solve_h(fixed.right)
+    the ``AffinePair``'s ``base`` less z, and its ``left`` times the pair's
+    one solve (``solved``)."""
+    return pair.minus_z(pair.fixed.base) - pair.fixed.left @ pair.solved
 
 
 def q_ops(pair: FeshbachPair) -> np.ndarray:
-    """The auxiliary operator Q = chi - chibar H_chibar^-1 chibar W chi,
-    which maps ker F into ker H, stacked like the pair."""
-    p, w = pair, pair.fixed.w
-    on, cb, c = p.fixed.cut.on, p.fixed.cut.cb, p.fixed.cut.chi
-    right = cb[:, None] * w[..., on, :] * c    # chibar W chi
-    q = np.zeros(p.m_h.shape[:-2] + (c.size, c.size), dtype=complex)
-    q[..., np.arange(c.size), np.arange(c.size)] = c
-    q[..., on, :] -= cb[:, None] * (p.inverse_h @ right)
+    """Q Gamma*, the columns ``keep`` of the auxiliary operator
+    Q = chi - chibar H_chibar^-1 chibar W chi, which maps ker F into ker H,
+    stacked like the pair: chi on (keep, keep) less chibar times the pair's
+    solve on the rows of Ran chibar."""
+    cut, keep = pair.fixed.cut, pair.fixed.keep
+    q = np.zeros(pair.m_h.shape[:-2] + (cut.chi.size, len(keep)), dtype=complex)
+    q[..., keep, np.arange(len(keep))] = cut.chi[keep]
+    q[..., cut.on, :] -= cut.cb[:, None] * pair.solved
     return q
 
 

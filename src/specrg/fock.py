@@ -236,11 +236,11 @@ def field_energy(basis: FockBasis) -> OperatorMatrix:
 
 class DilationMap:
     """The dilation Gamma_rho as a map of coordinates: it sends the
-    H_f <= rho sector of ``source`` onto ``target``, the basis of the grid
-    with the lowest shell dropped (shell index j -> j-1, so the occupation
-    (0,) + m goes to m), and rescales H_f by 1/rho.
+    H_f <= rho sector of the basis it is built on onto ``target``, the basis
+    of the grid with the lowest shell dropped (shell index j -> j-1, so the
+    occupation (0,) + m goes to m), and rescales H_f by 1/rho.
 
-    ``rows`` holds the atomic-major coordinates of that sector in ``source``,
+    ``rows`` holds the atomic-major coordinates of that sector in the source,
     in target order.  Gamma M Gamma* is the principal submatrix
     M[rows, rows], and Gamma* v is the vector with v at the coordinates
     ``rows`` and zeros elsewhere.
@@ -251,7 +251,6 @@ class DilationMap:
             raise ValueError(
                 f"dilation scale {rho} does not match grid ratio {basis.grid.ratio}"
             )
-        self.source = basis
         target_grid = basis.grid.drop_lowest_shell()
         self.target = FockBasis(target_grid, basis.n_max,
                                 min(1.0, basis.e_cut), basis.d_at)

@@ -241,7 +241,7 @@ class LadderLevel:
 class Ladder:
     z: complex | np.ndarray   # the z of every level, as run_ladder was given it
     levels: list
-    qs: list | None = None   # first decimation's lift, then one per step, when collected
+    qs: list | None = None   # q_ops of the first decimation, then of each step with a pair
 
     @property
     def top(self) -> LadderLevel:
@@ -263,6 +263,8 @@ def run_ladder(flow: Flow, z, n_levels: int, check_windows: bool = True,
     checked as a fresh ladder's, and only the new top keeps its pair.
     Raises ValueError when ``start.z`` is not exactly z, when ``start`` has
     more than n_levels levels, or when it is combined with ``collect_q``.
+    ``collect_q`` keeps ``q_ops`` of each pair, the first decimation's and
+    each step's; the terminal step has no pair.
     """
     if start is None:
         h, pair = first_feshbach(flow.first, z)
@@ -293,9 +295,8 @@ def run_ladder(flow: Flow, z, n_levels: int, check_windows: bool = True,
         if n < len(levels):   # reused from start
             continue
         h, pair = rg_step(prev.ext, flow.depth(n - 1), flow.rho)
-        if collect_q:   # the terminal step's auxiliary operator is the identity
-            qs.append(np.broadcast_to(np.eye(h.basis.dim, dtype=complex), h.mat.shape)
-                      if pair is None else q_ops(pair))
+        if collect_q and pair is not None:
+            qs.append(q_ops(pair))
         # only the top level keeps its pair, for the trace's pair report
         levels.append(_make_level(flow, n, h, pair if n == n_levels else None))
         del pair
@@ -628,39 +629,25 @@ class EigenvectorResult:
         return self.gram_smallest_sv > 1e-3 * self.gram_largest_sv
 
 
-def _scatter(vec: np.ndarray, index: np.ndarray, dim: int) -> np.ndarray:
-    """vec at the coordinates index of a zero length-dim vector."""
-    full = np.zeros(dim, dtype=complex)
-    full[index] = vec
-    return full
-
-
 def build_eigenvectors(flow: Flow, z_inf: complex) -> EigenvectorResult:
-    """Assemble d eigenvectors of the flow's truncated H_g(s) from the
-    auxiliary-operator product Q_0 Gamma* Q_1 ... Q_n (v (x) Omega), one per
-    coordinate vector v of C^d, then lift through the first decimation.
-    Gamma* and the embedding of the reduced space are scatters.  On a
-    truncated grid the product stabilizes exactly at the terminal depth."""
+    """Assemble d eigenvectors of the flow's truncated H_g(s) as
+    (u (x) 1) Q_0 E* Q_1 Gamma* ... Q_n Gamma* (v (x) Omega), one per
+    coordinate vector v of C^d, with Omega the terminal space's vacuum and
+    E* the embedding of the reduced space: each Q_k Gamma* is one ``q_ops``
+    block of the ladder at z_inf, which on a truncated grid ends there."""
     depth = flow.spec.grid.levels + 1
     lad = run_ladder(flow, z_inf, depth, check_windows=False, collect_q=True)
-    lift, qs = lad.qs[0], lad.qs[1:]   # qs[k]: the step from level k to k+1
     first = flow.first
-    n_star = depth - 1  # deepest level whose auxiliary operator was collected
-    start_basis = flow.depth(n_star).basis
+    vacuum = lad.top.h.basis.vacuum_vector()
 
     h_full = first.hamiltonian.mat
     vectors = []
     residuals = []
     for v in np.eye(flow.spec.d):
-        # phi = Q_0 Gamma* Q_1 Gamma* ... Gamma* Q_{n*} (v (x) Omega)
-        vec = qs[n_star] @ np.kron(v, start_basis.vacuum_vector())
-        for k in range(n_star - 1, -1, -1):
-            dil = flow.depth(k).dilation   # level k to k+1; None if trivial
-            if dil is not None:
-                vec = _scatter(vec, dil.rows, dil.source.dim)
-            vec = qs[k] @ vec
-        full = _scatter(vec, first.reduced_index, first.basis.dim)   # from level 0
-        psi = (first.u @ (lift @ full).reshape(first.u.shape[0], -1)).ravel()   # (u (x) 1)
+        psi = np.kron(v, vacuum)
+        for q in reversed(lad.qs):
+            psi = q @ psi
+        psi = (first.u @ psi.reshape(first.u.shape[0], -1)).ravel()   # (u (x) 1)
         nrm = np.linalg.norm(psi)
         residuals.append(float(np.linalg.norm(h_full @ psi - z_inf * psi)
                                / max(nrm, 1e-300)))

@@ -13,6 +13,7 @@ from specrg.feshbach import (
     FeshbachPair,
     FeshbachPairError,
     feshbach_map,
+    neumann_check,
     q_ops,
     verify_pair,
 )
@@ -79,18 +80,19 @@ def isospectrality_suite(h, t, chi, chibar) -> IsospectralityReport:
         return out
 
     f = feshbach_map(p)
-    q = q_ops(p)
+    q = q_ops(p)   # every column is kept
+    h_bar_inv = np.linalg.inv(p.m_h)
     # the sharp partner Q# = chi - chi W chibar H_chibar^-1 chibar
-    left = cut.chi[:, None] * p.fixed.w[:, cut.on] * cut.cb
+    left = cut.chi[:, None] * (h - t)[:, cut.on] * cut.cb
     q_sharp = np.diag(cut.chi).astype(complex)
-    q_sharp[:, cut.on] -= (left @ p.inverse_h) * cut.cb
+    q_sharp[:, cut.on] -= (left @ h_bar_inv) * cut.cb
     kd_h = kernel_dim(h)
     kd_f = kernel_dim(f)
     res_h = res_f = np.nan
     if kd_h == 0 and kd_f == 0:
         hinv = np.linalg.inv(h)
         finv = np.linalg.inv(f)
-        rhs = q @ finv @ q_sharp + chibar_sandwich(p.inverse_h)
+        rhs = q @ finv @ q_sharp + chibar_sandwich(h_bar_inv)
         res_h = float(np.linalg.norm(hinv - rhs) / np.linalg.norm(hinv))
         rhs2 = cut.chi[:, None] * hinv * cut.chi + chibar_sandwich(p.inverse_t)
         res_f = float(np.linalg.norm(finv - rhs2) / np.linalg.norm(finv))
@@ -173,20 +175,33 @@ class TestFeshbachPair:
 
     def test_one_factorization_per_pair(self, monkeypatch):
         h, t, c, cb = diagonal_pair()
-        full = []
-        svd = np.linalg.svd
+        pair = pair_of(h, t, c, cb)
+        full, solves, h_inverses = [], [], []
+        svd, solve, inv = np.linalg.svd, np.linalg.solve, np.linalg.inv
 
         def counting_svd(a, *args, **kwargs):
             if kwargs.get("compute_uv", True):
                 full.append(a.shape)
             return svd(a, *args, **kwargs)
 
+        def counting_solve(a, b):
+            solves.append(a.shape)
+            return solve(a, b)
+
+        def counting_inv(a):
+            if np.array_equal(a, pair.m_h):
+                h_inverses.append(a.shape)
+            return inv(a)
+
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        pair = pair_of(h, t, c, cb)
-        verify_pair(pair)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        report = verify_pair(pair)
         feshbach_map(pair)
         q_ops(pair)
+        neumann_check(pair, report.contraction_left)
         assert full == []
+        assert solves == [pair.m_h.shape] and h_inverses == []
 
 
 def dense_map(h, t, chi, chibar):
@@ -289,19 +304,47 @@ class TestKeptBlock:
             assert np.abs(got - want).max() <= tol
 
 
+def dense_q(h, t, chi, chibar):
+    """The full auxiliary operator Q = chi - chibar (H_chibar|)^-1 chibar W chi
+    by its formula, with a dense inverse of H_chibar on Ran chibar."""
+    w = h - t
+    on = chibar > RANK_THRESHOLD * chibar.max()
+    h_bar = (t + chibar[:, None] * w * chibar)[np.ix_(on, on)]
+    q = np.diag(chi).astype(complex)
+    q[on, :] -= chibar[on, None] * (np.linalg.inv(h_bar) @ (chibar[:, None] * w * chi)[on, :])
+    return q
+
+
+class TestAuxiliaryOperator:
+    @pytest.mark.parametrize("k", range(len(PAIRS)))
+    def test_q_ops_is_the_dense_q_on_the_kept_columns_of_random_pairs(self, k):
+        h, t, c, cb = PAIRS[k]
+        keep = random_keep(np.random.default_rng(k), h.shape[0])
+        q = q_ops(pair_of(h, t, c, cb, keep=keep))
+        tol = 1e-14 * max(1.0, np.linalg.norm(h, 2))
+        assert np.abs(q - dense_q(h, t, c, cb)[:, keep]).max() <= tol
+
+    @pytest.mark.parametrize("case", FIXTURE_CASES, ids=CASE_IDS)
+    def test_q_ops_is_the_dense_q_on_the_kept_columns_of_ladder_pairs(self, case):
+        _, pair, h, t, c, cb, keep, _ = case
+        tol = 1e-14 * max(1.0, np.linalg.norm(h, 2))
+        assert np.abs(q_ops(pair) - dense_q(h, t, c, cb)[:, keep]).max() <= tol
+
+
 class TestGate:
     @pytest.mark.parametrize("k", range(len(PAIRS)))
     def test_the_block_t_margin_is_the_full_svd_margin_on_random_pairs(self, k):
         h, t, c, cb = PAIRS[k]
         pair = pair_of(h, t, c, cb)
-        full = verify_pair(pair).t_margin
+        full = np.linalg.svd(pair.m_t, compute_uv=False)[..., -1].min()
         assert abs(pair.t_margin - full) <= 1e-13 * full
 
     @pytest.mark.parametrize("case", FIXTURE_CASES, ids=CASE_IDS)
     def test_the_block_t_margin_is_the_full_svd_margin_on_ladder_pairs(self, case):
         pair = case[1]
-        full = verify_pair(pair).t_margin
+        full = np.linalg.svd(pair.m_t, compute_uv=False)[..., -1].min()
         assert abs(pair.t_margin - full) <= 1e-13 * full
+        assert verify_pair(pair).t_margin == pair.t_margin
 
     def test_the_cases_cover_blocks_and_mixed_on_patterns(self):
         d_ats = {label: d_at for label, *_, d_at in FIXTURE_CASES}

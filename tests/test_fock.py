@@ -172,10 +172,11 @@ class TestFieldOperators:
             creation_op(basis, [np.eye(2)] * (basis.grid.levels + 1))
 
 
-def dense_gamma(d):
-    """Gamma as a dense 0/1 matrix, built from the states alone: row
-    (a, m) of the target has its 1 at column (a, (0,) + m) of the source."""
-    src, tgt = d.source, d.target
+def dense_gamma(src, d):
+    """Gamma of the dilation d of the basis src as a dense 0/1 matrix, built
+    from the states alone: row (a, m) of the target has its 1 at column
+    (a, (0,) + m) of the source."""
+    tgt = d.target
     gamma = np.zeros((tgt.dim, src.dim))
     for a in range(src.d_at):
         for i, m in enumerate(tgt.states):
@@ -211,7 +212,7 @@ class TestDilation:
             assert set(d.rows) == set(np.flatnonzero(hf <= rho * (1 + 1e-12)))
             rng = np.random.default_rng(3)
             m = rng.standard_normal((b.dim, b.dim)) + 1j * rng.standard_normal((b.dim, b.dim))
-            gamma = dense_gamma(d)
+            gamma = dense_gamma(b, d)
             assert np.array_equal(gamma @ m @ gamma.T, m[np.ix_(d.rows, d.rows)])
 
     def test_intertwines_field_energy(self):
@@ -229,7 +230,7 @@ class TestDilation:
         v = np.random.default_rng(4).standard_normal(d.target.dim)
         up = np.zeros(b.dim)
         up[d.rows] = v
-        assert np.array_equal(up, dense_gamma(d).T @ v)
+        assert np.array_equal(up, dense_gamma(b, d).T @ v)
         assert np.array_equal(up[d.rows], v)
         assert np.count_nonzero(up) == d.target.dim
 

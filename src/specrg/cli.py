@@ -43,7 +43,7 @@ from .feshbach import (
     neumann_check,
     verify_pair,
 )
-from .model import InfraredError, ModelSpec, WindowError, verify_hypotheses
+from .model import ContourError, InfraredError, ModelSpec, WindowError, verify_hypotheses
 from .oracle import compare, dense_spectrum, perturbation_scaling
 from .rg import (
     C_CHI,
@@ -52,8 +52,10 @@ from .rg import (
     build_eigenprojection,
     build_eigenvectors,
     contraction_factor,
+    fitted_rate,
     flow_scale,
     iterate_to_fixed_point,
+    run_ladder,
     window_threshold,
 )
 
@@ -217,20 +219,20 @@ def run_pipeline(spec: ModelSpec, report: Report, check_winding: bool,
     res = iterate_to_fixed_point(spec, s, check_winding)
     report.put("z_inf", res.z_inf)
     report.put("n_levels", res.n_levels)
-    report.put("fitted_rate", res.trace.fitted_rate())
+    report.put("fitted_rate", fitted_rate(res.trace))
     report.check("converged", res.converged,
                  f"{res.n_levels} levels, z_inf = {res.z_inf}")
-    worst_schur = max(r.schur_deviation for r in res.trace.records)
-    worst_sym = max(r.symmetry_residual for r in res.trace.records)
-    scale = max(1.0, max(abs(r.z) for r in res.trace.records))
+    worst_schur = max(r.schur_deviation for r in res.trace)
+    worst_sym = max(r.symmetry_residual for r in res.trace)
+    scale = max(1.0, max(abs(r.z) for r in res.trace))
     report.put("max_schur_deviation", worst_schur)
     report.put("max_symmetry_residual", worst_sym)
     report.check("schur_scalarization", worst_schur <= SCHUR_TOL * scale)
     report.check("symmetry_preserved", worst_sym <= 1e-9)
-    windings = [r.winding for r in res.trace.records if r.winding is not None]
+    windings = [r.winding for r in res.trace if r.winding is not None]
     report.check("winding_unique_root",
                  all(w == 1 for w in windings) if windings else True)
-    _write(out_dir, "trace.txt", lambda: "\n".join(res.trace.lines()) + "\n")
+    _write(out_dir, "trace.txt", lambda: "\n".join(res.trace_lines()) + "\n")
 
     ev = build_eigenvectors(res.flow, res.z_inf)
     report.put("eigvec.depth", ev.depth)
@@ -261,8 +263,9 @@ def run_pipeline(spec: ModelSpec, report: Report, check_winding: bool,
         report.check("ground_state_identity",
                      cmp_rep.ground_state_error < 1e-8)
     _write(out_dir, "spectrum.txt", lambda: _spectrum_dump(oracle_rep))
+    # level 0 at z_inf, built only when it is written
     _write(out_dir, "kernel.txt",
-           lambda: _kernel_dump(res.final_ladder.levels[0].ext))
+           lambda: _kernel_dump(run_ladder(res.flow, res.z_inf, 0).top.ext))
 
     if spec.complex_selfadjoint and spec.jconj is not None:
         jfull = np.kron(spec.jconj, np.eye(h_full.basis.size))
@@ -408,7 +411,7 @@ def main(argv=None) -> int:
     except InfraredError as exc:
         print(f"configuration error: infrared failure: {exc}", file=sys.stderr)
         return 1
-    except cfgmod.ConfigError as exc:
+    except (cfgmod.ConfigError, ContourError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except FLOW_ERRORS as exc:

@@ -65,17 +65,12 @@ def parse_model_config(doc: dict, validate: bool = True) -> ModelSpec:
                   "coupling", "coupling_strength", "infrared_exponent",
                   "reference_point", "region_radius", "window_radius",
                   "contour_radius", "grid", "truncation"],
-        optional=["symmetry_generators", "flags", "conjugation", "dispersion"],
+        optional=["symmetry_generators", "flags", "conjugation"],
     )
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {doc['schema_version']} "
             f"(this build reads {SCHEMA_VERSION})")
-    dispersion = doc.get("dispersion", "massless")
-    if dispersion != "massless":
-        raise ConfigError(
-            f"dispersion '{dispersion}' not supported (reserved key; only "
-            f"'massless' is implemented)")
 
     dims = doc["dims"]
     _require_keys(dims, ["atomic", "degeneracy"], where="dims")

@@ -161,8 +161,16 @@ class ModelSpec:
         return complex(np.trace(self.h_at(s) @ p) / self.d)
 
     def atomic_frame(self) -> np.ndarray:
-        """Orthonormal columns spanning Ran P_at(s0) (see ``projection_frame``)."""
-        return projection_frame(self.p_at(self.s0), self.d)
+        """Orthonormal columns spanning Ran P_at(s0) (see ``projection_frame``).
+        Raises ContourError when the isolation contour does not enclose d
+        eigenvalues of H_at(s0)."""
+        p = self.p_at(self.s0)
+        rank = projection_rank(p)
+        if rank != self.d:
+            raise ContourError(
+                f"the isolation contour |z-{self._cluster_center}|={self.contour_radius} "
+                f"encloses {rank} eigenvalues of H_at(s0), not d = {self.d}")
+        return projection_frame(p, self.d)
 
     def interaction(self, basis: FockBasis, s: complex) -> np.ndarray:
         """W(s): annihilation legs smeared with B_1(sbar), creation legs

@@ -10,9 +10,10 @@ kernel-preserving at the matrix level).
 
 Only H - z changes from one evaluation of E^(n)(z) to the next.  A ``Flow``
 holds what does not: the first decimation, once per (model, s, g), and per
-depth the basis, generators, cutoffs, dilation and the basis'
-``kernels.BasisSpline`` (the PCHIP node constants and the Hermite weights at
-the H_f values), once per model, in ``spec.built`` until the command ends.
+depth the generators, cutoffs, dilation and the basis'
+``kernels.BasisSpline`` (the basis, the PCHIP node constants and the Hermite
+weights at the H_f values), once per model, in ``spec.built`` until the
+command ends.
 ``run_ladder(flow, z, n)`` computes on every level its operator and reads it
 once: one ``extract_w00`` per level, with its depth's spline, gives E^(n)(z)
 = tr w_{0,0}(0) / d, and below the top the next step's T = w_{0,0}(H_f) (the
@@ -22,16 +23,18 @@ next space keeps: the first decimation's pair is affine in z, so its level
 costs one LU solve on Ran chibar and products on the reduced space, and a
 step maps only the dilation's rows.  A pair is gated by the smallest
 singular value of T's d_at x d_at blocks and by that LU solve, with no
-full-size SVD.  The trace's polydisc radii and ``kernel.txt`` read the
-extractions the ladder kept.  z is one value or an array of K values: a
-stacked ladder carries a leading axis of K on every operator, pair, kernel
-and E^(n), and is the same code as the ladder at one z, whose operators have
-no leading axis.  The secant and the eigenvectors run a ladder at one z; the
-winding check runs one stacked ladder per round of nodes.  H^(n)(z) =
-R_rho(H^(n-1)(z)), so a ladder at z is the ladder one level shorter at z
-plus one step: depth n's secant starts at z_{n-1}, and its first evaluation
-is the ladder depth n-1 converged on (``run_ladder``'s ``start``) plus one
-step, not a fresh first decimation and n steps.
+full-size SVD.  A level depends only on the level below it, so a ladder
+keeps only its top: its level, the pair of the step into it and, when asked,
+each pair's ``q_ops``; ``kernel.txt`` runs its own ladder of level 0 at
+z_inf.  z is one value or an array of K values: a stacked ladder carries a
+leading axis of K on every operator, pair, kernel and E^(n), and is the
+same code as the ladder at one z, whose operators have no leading axis.
+The secant and the eigenvectors run a ladder at one z; the winding check
+runs one stacked ladder per round of nodes.  H^(n)(z) = R_rho(H^(n-1)(z)),
+so a ladder at z is the ladder one level shorter at z plus one step: depth
+n's secant starts at z_{n-1}, and its first evaluation is the ladder depth
+n-1 converged on (``run_ladder``'s ``start``) plus one step, not a fresh
+first decimation and n steps.
 
 The secant's first step from z_{n-1} divides by a scaled slope sigma =
 rho^n dE^(n)/dz.  R_rho divides by rho, so dE^(n)/dz is about rho^-1
@@ -49,10 +52,11 @@ more, which brings z_inf to the rounding level for one ladder.
 
 ``iterate_to_fixed_point`` keeps per depth only its root, the report of the
 pair into the top (its convergence test reads the margins) and the top
-level without its pair.  The other diagnostics of a depth (polydisc radii,
-Schur deviation, symmetry residual) are computed from that top, once per
-depth, when the result's ``trace`` is first read; the analyticity probe and
-the coupling sweep read only z_inf and compute none of them.
+level; no ladder outlives the flow.  The other diagnostics of a depth
+(polydisc radii, Schur deviation, symmetry residual) are computed from that
+top, once per depth, when the result's ``trace`` is first read; the
+analyticity probe and the coupling sweep read only z_inf and compute none
+of them.
 
 Each root's uniqueness is certified by the argument principle: the winding of
 E^(n) around 0 along a small circle about the root must be 1.  The count
@@ -74,7 +78,7 @@ by the winding of E^(n) is the flow's one option.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -148,15 +152,14 @@ WINDOW_ERRORS = (WindowExitError, WindowError)
 
 @dataclass(frozen=True)
 class Depth:
-    """z-independent data of one flow depth: the reduced basis, the symmetry
-    generators restricted to it, the cutoffs chi_rho(H_f) and chibar_rho(H_f)
-    with their Ran chibar and T-block index sets, the dilation to the
-    next depth (``cut`` and ``dilation`` are None on the vacuum-only
-    terminal space, where a step is division by rho), and the basis'
-    ``BasisSpline``, which every extraction at this depth reads.  It depends
-    on the model, not on s."""
+    """z-independent data of one flow depth: the symmetry generators
+    restricted to its reduced basis, the cutoffs chi_rho(H_f) and
+    chibar_rho(H_f) with their Ran chibar and T-block index sets, the
+    dilation to the next depth (``cut`` and ``dilation`` are None on the
+    vacuum-only terminal space, where a step is division by rho), and the
+    basis' ``BasisSpline`` (``spline.basis`` is the basis), which every
+    extraction at this depth reads.  It depends on the model, not on s."""
 
-    basis: FockBasis
     generators: list
     cut: Cutoffs | None
     dilation: DilationMap | None
@@ -191,8 +194,8 @@ class Flow:
         spec, rho = self.spec, self.rho
         gens = spec.reduced_generators(basis) if spec.generators else []
         if basis.grid.levels == 0:
-            return Depth(basis, gens, None, None, BasisSpline(basis))
-        return Depth(basis, gens, Cutoffs(*CutoffSpec(rho).diagonals(basis), basis.d_at),
+            return Depth(gens, None, None, BasisSpline(basis))
+        return Depth(gens, Cutoffs(*CutoffSpec(rho).diagonals(basis), basis.d_at),
                      dilation(basis, rho), BasisSpline(basis))
 
 
@@ -230,7 +233,6 @@ class LadderLevel:
     n: int
     ext: ExtractionResult
     e_value: complex | np.ndarray
-    pair: FeshbachPair | None      # pair of the step INTO this level, kept on the top only
 
     @property
     def h(self) -> OperatorMatrix:
@@ -239,38 +241,42 @@ class LadderLevel:
 
 @dataclass
 class Ladder:
-    z: complex | np.ndarray   # the z of every level, as run_ladder was given it
-    levels: list
-    qs: list | None = None   # q_ops of the first decimation, then of each step with a pair
+    """A ladder at z is its top level: every level depends only on the one
+    below it, and no reader reads a lower level again."""
 
-    @property
-    def top(self) -> LadderLevel:
-        return self.levels[-1]
+    z: complex | np.ndarray   # the z of every level, as run_ladder was given it
+    top: LadderLevel
+    pair: FeshbachPair | None = None   # of the step into the top, if it has one
+    qs: list | None = None   # q_ops of the first decimation, then of each step with a pair
 
 
 def run_ladder(flow: Flow, z, n_levels: int, check_windows: bool = True,
                collect_q: bool = False, start: Ladder | None = None) -> Ladder:
     """First decimation followed by n_levels flow steps at fixed z: one
-    complex value, or an array of K values evaluated as one stack.
+    complex value, or an array of K values evaluated as one stack.  Only the
+    current level is kept; the ladder returned holds level n_levels and the
+    pair of the step into it, which is None at level 0 and for a step from
+    the vacuum-only terminal space.
 
     Windows gate the descent: going from depth k to k+1 requires
     |E^(k)(z)| <= threshold at every z of the stack; a violation at any
     one raises WindowExitError(k) with its value, for the whole stack.
 
-    ``start`` is a ladder at the same z, whose levels are reused: only the
-    steps above its top are run, so a depth's secant starts from the ladder
-    the previous depth converged on with one new step.  Its windows are
-    checked as a fresh ladder's, and only the new top keeps its pair.
-    Raises ValueError when ``start.z`` is not exactly z, when ``start`` has
-    more than n_levels levels, or when it is combined with ``collect_q``.
-    ``collect_q`` keeps ``q_ops`` of each pair, the first decimation's and
-    each step's; the terminal step has no pair.
+    ``start`` is a ladder at the same z whose top is the level to climb
+    from: only the steps above it are run, so a depth's secant starts from
+    the ladder the previous depth converged on with one new step.  The
+    window of its top is checked before the step from it; its lower levels
+    were checked when it was built.  Raises ValueError when ``start.z`` is
+    not exactly z, when ``start``'s top is above level n_levels, or when it
+    is combined with ``collect_q``.  ``collect_q`` keeps ``q_ops`` of each
+    pair, the first decimation's and each step's; the terminal step has no
+    pair.
     """
     if start is None:
         h, pair = first_feshbach(flow.first, z)
         qs = [q_ops(pair)] if collect_q else None
-        del pair   # the steps do not read it; its AffinePair stays with flow.first
-        levels = [_make_level(flow, 0, h, None)]
+        pair = None   # the steps do not read it; its AffinePair stays with flow.first
+        level = _make_level(flow, 0, h)
     else:
         if collect_q:
             raise ValueError("a ladder grown from start collects no auxiliary operators")
@@ -278,37 +284,31 @@ def run_ladder(flow: Flow, z, n_levels: int, check_windows: bool = True,
         there = np.asarray(start.z, dtype=complex)
         if here.shape != there.shape or here.tobytes() != there.tobytes():
             raise ValueError(f"start ladder is at z = {start.z}, not at {z}")
-        if len(start.levels) > n_levels + 1:
-            raise ValueError(f"start ladder has {len(start.levels) - 1} levels, "
+        if start.top.n > n_levels:
+            raise ValueError(f"start ladder has {start.top.n} levels, "
                              f"more than the {n_levels} asked for")
         qs = None
-        levels = list(start.levels)
-        if len(levels) <= n_levels:   # its top becomes an inner level
-            levels[-1] = replace(levels[-1], pair=None)
+        level, pair = start.top, start.pair
 
-    for n in range(1, n_levels + 1):
-        prev = levels[n - 1]
+    while level.n < n_levels:
         if check_windows:
-            for e in np.ravel(prev.e_value):
+            for e in np.ravel(level.e_value):
                 if abs(e) > flow.window_threshold:
-                    raise WindowExitError(prev.n, complex(e), flow.window_threshold)
-        if n < len(levels):   # reused from start
-            continue
-        h, pair = rg_step(prev.ext, flow.depth(n - 1), flow.rho)
+                    raise WindowExitError(level.n, complex(e), flow.window_threshold)
+        pair = None   # the step below's pair holds that level's operator: free it first
+        h, pair = rg_step(level.ext, flow.depth(level.n), flow.rho)
         if collect_q and pair is not None:
             qs.append(q_ops(pair))
-        # only the top level keeps its pair, for the trace's pair report
-        levels.append(_make_level(flow, n, h, pair if n == n_levels else None))
-        del pair
-    return Ladder(z, levels, qs)
+        level = _make_level(flow, level.n + 1, h)
+    return Ladder(z, level, pair, qs)
 
 
-def _make_level(flow: Flow, n: int, h: OperatorMatrix, pair) -> LadderLevel:
+def _make_level(flow: Flow, n: int, h: OperatorMatrix) -> LadderLevel:
     """Level n of a ladder from its operator h: one extraction with its
     depth's spline, and E^(n)(z) off its node 0."""
     ext = extract_w00(h, flow.depth(n).spline)
     c = np.trace(ext.node_values[0], axis1=-2, axis2=-1) / h.basis.d_at
-    return LadderLevel(n, ext, c, pair)
+    return LadderLevel(n, ext, c)
 
 
 @dataclass
@@ -489,35 +489,17 @@ class TraceRecord:
                 f"gamma_ratio={self.gamma_ratio:.6e} winding={w}")
 
 
-@dataclass
-class RGTrace:
-    """Append-only per-iteration record of one pipeline run."""
-
-    records: list = field(default_factory=list)
-    window_threshold: float = 0.0
-    theoretical_note: str = ""
-
-    def append(self, rec: TraceRecord):
-        self.records.append(rec)
-
-    def lines(self):
-        head = [f"# window_threshold={self.window_threshold:.6e}"]
-        if self.theoretical_note:
-            head.append(f"# {self.theoretical_note}")
-        return head + [r.line() for r in self.records]
-
-    def fitted_rate(self) -> float:
-        """Geometric rate of |z_n - z_{n-1}| over n in [2, 6], read off the
-        steps of at least TOL_FIXED_POINT: the step the flow stops on is
-        below it and may be only the rounding of the roots' z."""
-        pts = [(r.n, r.dz) for r in self.records
-               if 2 <= r.n <= 6 and r.dz >= TOL_FIXED_POINT]
-        if len(pts) < 2:
-            return 0.0
-        ns = np.array([p[0] for p in pts], dtype=float)
-        ys = np.log(np.array([p[1] for p in pts]))
-        slope = np.polyfit(ns, ys, 1)[0]
-        return float(np.exp(slope))
+def fitted_rate(records) -> float:
+    """Geometric rate of |z_n - z_{n-1}| over n in [2, 6] from trace
+    records, read off the steps of at least TOL_FIXED_POINT: the step the
+    flow stops on is below it and may be only the rounding of the roots' z."""
+    pts = [(r.n, r.dz) for r in records if 2 <= r.n <= 6 and r.dz >= TOL_FIXED_POINT]
+    if len(pts) < 2:
+        return 0.0
+    ns = np.array([p[0] for p in pts], dtype=float)
+    ys = np.log(np.array([p[1] for p in pts]))
+    slope = np.polyfit(ns, ys, 1)[0]
+    return float(np.exp(slope))
 
 
 @dataclass
@@ -525,7 +507,7 @@ class DepthResult:
     """What ``iterate_to_fixed_point`` keeps of one depth: its root (z, |E|,
     winding), the step dz from the previous root (0 at depth 0), the
     ``verify_pair`` report of the pair into the top (None at depth 0) and
-    the top level of the root's ladder without its pair."""
+    the top level of the root's ladder."""
 
     z: complex
     dz: float
@@ -537,14 +519,13 @@ class DepthResult:
 
 @dataclass
 class PipelineResult:
-    """The flow's fixed point z_inf, the ladder it converged on, the flow
-    (its z-independent data, for the eigenvectors and the oracle) and one
-    ``DepthResult`` per depth.  ``trace`` is built from ``depths`` when it is
-    first read, and kept."""
+    """The flow's fixed point z_inf, the flow (its z-independent data, for
+    the eigenvectors, ``kernel.txt`` and the oracle) and one ``DepthResult``
+    per depth; no ladder is kept.  ``trace`` is built from ``depths`` when
+    it is first read, and kept."""
 
     z_inf: complex
     converged: bool
-    final_ladder: Ladder
     flow: Flow
     depths: list
 
@@ -554,36 +535,40 @@ class PipelineResult:
         return len(self.depths) - 1
 
     @cached_property
-    def trace(self) -> RGTrace:
+    def trace(self) -> list:
         """One ``TraceRecord`` per depth: the polydisc radii, Schur deviation
         and symmetry residual of its top, and gamma_hat's ratio to the depth
         before."""
-        flow = self.flow
-        factor = contraction_factor(flow.spec)
-        word = ("admissible" if factor < 1.0
-                else "inadmissible; running on measured contraction")
-        trace = RGTrace(window_threshold=flow.window_threshold,
-                        theoretical_note=f"theoretical contraction C_gamma rho^mu = "
-                                         f"{factor:.4g} ({word})")
+        records = []
         prev_gamma = 0.0
         for depth in self.depths:
             top, pairrep = depth.top, depth.pair_report
             polydisc = polydisc_check(top.ext)
             ghat = polydisc.gamma_hat
-            trace.append(TraceRecord(
+            records.append(TraceRecord(
                 n=top.n, z=depth.z, dz=depth.dz, e_abs=depth.e_abs,
                 beta_hat=polydisc.beta_hat,
                 gamma_hat=ghat,
                 schur_deviation=schur_scalar(top.h.mat, top.h.basis.d_at, top.h.basis.size)[1],
                 symmetry_residual=max([0.0] + [is_symmetry_of(gen, top.h.mat)[1]
-                                               for gen in flow.depth(top.n).generators]),
+                                               for gen in self.flow.depth(top.n).generators]),
                 t_margin=pairrep.t_margin if pairrep else np.inf,
                 contraction_left=pairrep.contraction_left if pairrep else 0.0,
                 gamma_ratio=(ghat / prev_gamma) if prev_gamma > 0 else 0.0,
                 winding=depth.winding,
             ))
             prev_gamma = ghat
-        return trace
+        return records
+
+    def trace_lines(self) -> list:
+        """The lines of trace.txt: the window threshold and the theoretical
+        contraction, then one line per depth."""
+        factor = contraction_factor(self.flow.spec)
+        word = ("admissible" if factor < 1.0
+                else "inadmissible; running on measured contraction")
+        return ([f"# window_threshold={self.flow.window_threshold:.6e}",
+                 f"# theoretical contraction C_gamma rho^mu = {factor:.4g} ({word})"]
+                + [r.line() for r in self.trace])
 
 
 def iterate_to_fixed_point(spec: ModelSpec, s: complex, check_winding: bool,
@@ -603,17 +588,16 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, check_winding: bool,
         root = find_zn(flow, n, z_start=z, start=None if root is None else root.ladder,
                        slope=slope)
         slope = root.slope
-        top = root.ladder.top
-        pairrep = None if top.pair is None else verify_pair(top.pair)
+        pairrep = None if root.ladder.pair is None else verify_pair(root.ladder.pair)
         dz = abs(root.z - z) if n > 0 else 0.0
         depths.append(DepthResult(root.z, dz, root.e_abs, root.winding, pairrep,
-                                  replace(top, pair=None)))
+                                  root.ladder.top))
         z = root.z
         margins_ok = pairrep.passed if pairrep else True
         if n >= 1 and dz < TOL_FIXED_POINT and margins_ok:
             converged = True
             break
-    return PipelineResult(z, converged, root.ladder, flow, depths)
+    return PipelineResult(z, converged, flow, depths)
 
 
 @dataclass

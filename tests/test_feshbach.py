@@ -250,8 +250,8 @@ def fixture_cases():
         first, cut = flow.first, flow.first.cut
         cases.append((f"{name}-first", first.pair(z), *first_h_t(first, z), cut.chi,
                       cut.chibar, first.reduced_index, spec.d_at))
-        lad = run_ladder(flow, z, spec.grid.levels + 1, check_windows=False)
-        for level in lad.levels:
+        for n in range(spec.grid.levels + 2):
+            level = run_ladder(flow, z, n, check_windows=False).top
             depth = flow.depth(level.n)
             if depth.dilation is None:
                 continue
@@ -367,7 +367,7 @@ class TestGate:
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         monkeypatch.setattr(np.linalg._linalg, "svd", recording_svd)
         lad = run_ladder(flow, spec.e_at(spec.s0), spec.grid.levels + 1, check_windows=False)
-        assert len(lad.levels) == spec.grid.levels + 2
+        assert lad.top.n == spec.grid.levels + 1
         assert all(max(shape) <= spec.d_at for shape in shapes)
         if spec.d_at == 1:
             assert shapes == []   # 1 x 1 blocks: the margin is a modulus

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import sys
 import weakref
@@ -78,19 +79,35 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def record_roots(monkeypatch):
+    """List that grows by the ``RootResult`` of each ``rg.find_zn`` call."""
+    find_zn = rg.find_zn
+    roots = []
+
+    def recorded(*args, **kwargs):
+        roots.append(find_zn(*args, **kwargs))
+        return roots[-1]
+
+    monkeypatch.setattr(rg, "find_zn", recorded)
+    return roots
+
+
 class TestLadder:
-    def test_trace_diagnostics_equal_eager_calls(self, tmp_path):
+    def test_trace_diagnostics_equal_eager_calls(self, tmp_path, monkeypatch):
         spec = load_model(cut_fixture(tmp_path, "m_kramers"))
+        roots = record_roots(monkeypatch)
         res = iterate_to_fixed_point(spec, spec.s0, True)
-        top, rec = res.final_ladder.top, res.trace.records[-1]
-        assert top.n == rec.n == res.n_levels >= 1 and top.pair is not None
+        lad, rec = roots[-1].ladder, res.trace[-1]
+        top = lad.top
+        assert res.depths[-1].top is top
+        assert top.n == rec.n == res.n_levels >= 1 and lad.pair is not None
         chk = polydisc_check(extract_w00(top.h))
         assert (rec.beta_hat, rec.gamma_hat) == (chk.beta_hat, chk.gamma_hat)
         assert rec.schur_deviation == schur_scalar(top.h.mat, spec.d, top.h.basis.size)[1]
         gens = res.flow.depth(rec.n).generators
         assert len(gens) == 1
         assert rec.symmetry_residual == is_symmetry_of(gens[0], top.h.mat)[1]
-        report = verify_pair(top.pair)
+        report = verify_pair(lad.pair)
         assert (rec.t_margin, rec.contraction_left) == (report.t_margin, report.contraction_left)
 
     @pytest.mark.parametrize("name", ["m_triv", "m_kramers"])
@@ -103,10 +120,10 @@ class TestLadder:
         depths = res.n_levels + 1
         # the trace is built when it is first read
         assert (len(checks), len(schurs), len(residuals)) == (0, 0, 0)
-        assert res.converged and all(r.winding == 1 for r in res.trace.records)
+        assert res.converged and all(r.winding == 1 for r in res.trace)
         once = (depths, depths, depths * len(spec.generators))
         assert (len(checks), len(schurs), len(residuals)) == once
-        assert len(res.trace.records) == depths   # a second read computes nothing
+        assert len(res.trace) == depths   # a second read computes nothing
         assert _winding_count(res.flow, res.n_levels, res.z_inf) == 1
         # a winding ladder reads only E^(n)
         assert (len(checks), len(schurs), len(residuals)) == once
@@ -138,7 +155,7 @@ class TestLadder:
         ladder = rg.run_ladder
 
         def counted(flow, z, n, *args, start=None, **kwargs):
-            levels.append(n + 1 - (0 if start is None else len(start.levels)))
+            levels.append(n - (-1 if start is None else start.top.n))
             if start is not None:
                 grown.append(n)
             return ladder(flow, z, n, *args, start=start, **kwargs)
@@ -159,11 +176,15 @@ class TestLadder:
         flow = Flow(spec, spec.s0, True)
         z = spec.e_at(spec.s0)
         zs = z + 1e-3 * np.exp(0.5j * np.pi * np.arange(4))
-        n = spec.grid.levels + 1   # down to the vacuum-only space
-        for lad in (run_ladder(flow, z, n, check_windows=False),
-                    run_ladder(flow, zs, n, check_windows=False)):
-            assert len(lad.levels) == n + 1
-            for level in lad.levels:
+        top = spec.grid.levels + 1   # down to the vacuum-only space
+        for n in range(top + 1):
+            for lad in (run_ladder(flow, z, n, check_windows=False),
+                        run_ladder(flow, zs, n, check_windows=False)):
+                level = lad.top
+                assert level.n == n
+                # a step into level n has a pair, but for the first decimation
+                # and the step from the vacuum-only space
+                assert (lad.pair is None) == (n in (0, top))
                 # E^(n) is read off node 0 of the level's one extraction
                 assert level.ext.source is level.h and level.ext.nodes[0] == 0.0
                 for k, e in enumerate(np.ravel(level.e_value)):
@@ -171,40 +192,71 @@ class TestLadder:
                     c, _ = schur_scalar(mat, spec.d, level.h.basis.size)
                     assert np.complex128(e).tobytes() == np.complex128(c).tobytes()
 
-    def test_only_the_top_level_keeps_its_pair(self, tmp_path):
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_a_ladder_keeps_no_level_below_its_top(self, tmp_path, monkeypatch, grown):
         spec = load_model(cut_fixture(tmp_path, "m_triv"))
-        lad = run_ladder(Flow(spec, spec.s0, True), spec.e_at(spec.s0), 2)
-        assert [level.pair is None for level in lad.levels] == [True, True, False]
+        flow = Flow(spec, spec.s0, True)
+        z = spec.e_at(spec.s0)
+        made = []   # weak references to every level built, and to its extraction
+        make = rg._make_level
+
+        def recorded(*args):
+            level = make(*args)
+            made.append((weakref.ref(level), weakref.ref(level.ext)))
+            return level
+
+        monkeypatch.setattr(rg, "_make_level", recorded)
+        start = run_ladder(flow, z, 1, check_windows=False) if grown else None
+        lad = run_ladder(flow, z, 3, check_windows=False, start=start)
+        del start
+        gc.collect()
+        assert len(made) == 4
+        assert [level() is None for level, _ in made] == [True] * 3 + [False]
+        assert [ext() is None for _, ext in made] == [True] * 3 + [False]
+        assert made[-1][0]() is lad.top and lad.top.n == 3
+
+    def test_a_flow_keeps_no_ladder(self, tmp_path, monkeypatch):
+        spec = load_model(cut_fixture(tmp_path, "m_kramers"))
+        ladders = []   # weak references to every ladder run_ladder returned
+        ladder = rg.run_ladder
+
+        def recorded(*args, **kwargs):
+            lad = ladder(*args, **kwargs)
+            ladders.append(weakref.ref(lad))
+            return lad
+
+        monkeypatch.setattr(rg, "run_ladder", recorded)
+        res = iterate_to_fixed_point(spec, spec.s0, True)
+        gc.collect()
+        assert res.converged and len(ladders) > res.n_levels + 1
+        assert [ref() for ref in ladders] == [None] * len(ladders)
+        # each depth keeps its root's top level
+        assert [d.top.n for d in res.depths] == list(range(res.n_levels + 1))
 
     @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli"])
     def test_a_ladder_grown_from_start_is_a_fresh_ladder_bit_for_bit(self, tmp_path,
                                                                     monkeypatch, name):
         spec = load_model(cut_fixture(tmp_path, name))
-        roots = []
-        find_zn = rg.find_zn
-
-        def recorded(*args, **kwargs):
-            roots.append(find_zn(*args, **kwargs))
-            return roots[-1]
-
-        monkeypatch.setattr(rg, "find_zn", recorded)
+        roots = record_roots(monkeypatch)
         res = iterate_to_fixed_point(spec, spec.s0, False)
         assert res.converged and len(roots) == res.n_levels + 1 >= 3
         for n, prev in enumerate(roots[:-1], start=1):
-            old_top = prev.ladder.top
-            grown = run_ladder(res.flow, prev.z, n, start=prev.ladder)
-            fresh = run_ladder(res.flow, prev.z, n)
-            assert len(grown.levels) == len(fresh.levels) == n + 1
-            # the start's levels are reused, and start keeps its own top's pair
-            assert all(a.ext is b.ext for a, b in zip(grown.levels, prev.ladder.levels))
-            assert prev.ladder.top is old_top and grown.levels[n - 1].pair is None
-            for a, b in zip(grown.levels, fresh.levels):
-                assert a.ext.node_values.tobytes() == b.ext.node_values.tobytes()
-                assert np.complex128(a.e_value).tobytes() == np.complex128(b.e_value).tobytes()
-            assert grown.top.h.mat.tobytes() == fresh.top.h.mat.tobytes()
-            assert (grown.top.pair is None) == (fresh.top.pair is None)
-            if fresh.top.pair is not None:
-                assert verify_pair(grown.top.pair) == verify_pair(fresh.top.pair)
+            start = prev.ladder
+            old_top, old_pair = start.top, start.pair
+            grown = run_ladder(res.flow, prev.z, n, start=start)
+            # the start's top is the level grown from, and is a fresh ladder's
+            # top one level down; the start is left as it was
+            assert start.top is old_top and start.pair is old_pair
+            for a, b in ((start, run_ladder(res.flow, prev.z, n - 1)),
+                         (grown, run_ladder(res.flow, prev.z, n))):
+                assert a.top.n == b.top.n
+                assert a.top.ext.node_values.tobytes() == b.top.ext.node_values.tobytes()
+                assert (np.complex128(a.top.e_value).tobytes()
+                        == np.complex128(b.top.e_value).tobytes())
+                assert a.top.h.mat.tobytes() == b.top.h.mat.tobytes()
+                assert (a.pair is None) == (b.pair is None)
+                if b.pair is not None:
+                    assert verify_pair(a.pair) == verify_pair(b.pair)
 
     def test_start_must_be_a_shorter_ladder_at_the_same_z(self, tmp_path):
         spec = load_model(cut_fixture(tmp_path, "m_triv"))
@@ -220,7 +272,7 @@ class TestLadder:
         with pytest.raises(ValueError, match="collects no auxiliary operators"):
             run_ladder(flow, z, 2, collect_q=True, start=start)
         same = run_ladder(flow, z, 1, start=start)
-        assert all(a is b for a, b in zip(same.levels, start.levels, strict=True))
+        assert same.top is start.top and same.pair is start.pair
 
     def test_each_depth_after_the_first_saves_one_first_decimation(self, tmp_path,
                                                                    monkeypatch):
@@ -228,7 +280,7 @@ class TestLadder:
         decimations = count_calls(monkeypatch, feshbach, "first_feshbach")
         evals = count_calls(monkeypatch, rg, "run_ladder")
         res = iterate_to_fixed_point(spec, spec.s0, False)
-        depths = len(res.trace.records)
+        depths = len(res.depths)
         assert res.converged and depths >= 3
         assert len(decimations) == len(evals) - depths + 1
 
@@ -249,7 +301,7 @@ class TestFlow:
         flows = [Flow(spec, spec.s0 + ds, True) for ds in (0.0, 0.01, 0.01j)]
         for n in range(spec.grid.levels + 2):
             assert flows[1].depth(n) is flows[0].depth(n) is flows[2].depth(n)
-        assert flows[0].depth(0).basis is flows[2].first.reduced_basis
+        assert flows[0].depth(0).spline.basis is flows[2].first.reduced_basis
         assert flows[0].first.basis is flows[1].first.basis
         assert len(dilations) == spec.grid.levels
         copy = dataclasses.replace(spec)
@@ -269,7 +321,7 @@ class TestFlow:
             sys.setswitchinterval(switch)
         for n in range(5):
             assert all(depths[n] is seen[0][n] for depths in seen)
-        assert seen[0][1].basis is seen[0][0].dilation.target
+        assert seen[0][1].spline.basis is seen[0][0].dilation.target
 
     def test_threads_share_one_first_decimation(self, tmp_path):
         spec = load_model(cut_fixture(tmp_path, "m_triv"))
@@ -366,7 +418,7 @@ class TestFlow:
         assert plain.converged and res.converged
         assert abs(res.z_inf - plain.z_inf) <= 1e-12
         assert max(build_eigenvectors(res.flow, res.z_inf).residuals) <= 1e-10
-        assert max(rec.symmetry_residual for rec in res.trace.records) <= 1e-9
+        assert max(rec.symmetry_residual for rec in res.trace) <= 1e-9
 
 
 class TestWindowBacktracking:
@@ -408,7 +460,7 @@ class TestWindowBacktracking:
         res = iterate_to_fixed_point(spec, spec.s0, True)
         assert radii[1] == pytest.approx(radii[0] / 2, rel=1e-9)
         assert res.converged and res.z_inf == plain.z_inf
-        assert all(r.winding == 1 for r in res.trace.records)
+        assert all(r.winding == 1 for r in res.trace)
 
 
 class StubLadder:
@@ -424,7 +476,7 @@ class StubLadder:
         self.zs.append(z)
         if len(self.zs) - 1 in self.refuse:
             raise model.WindowError("outside the declared window")
-        return rg.Ladder(z, [SimpleNamespace(e_value=self.energy(z))])
+        return rg.Ladder(z, SimpleNamespace(e_value=self.energy(z)))
 
 
 class TestSecantSlope:
@@ -581,15 +633,15 @@ class TestLastRoot:
 
     def test_the_step_the_flow_stops_on_is_not_fitted(self):
         steps = [SimpleNamespace(n=n, dz=1.5e-3 * 0.0625 ** (n - 1)) for n in range(1, 6)]
-        trace = rg.RGTrace(steps + [SimpleNamespace(n=6, dz=1.9e-14)])
-        assert trace.fitted_rate() == pytest.approx(0.0625, rel=1e-12)
+        records = steps + [SimpleNamespace(n=6, dz=1.9e-14)]
+        assert rg.fitted_rate(records) == pytest.approx(0.0625, rel=1e-12)
 
     def test_m_kramers_rate_is_the_rate_of_its_steps(self):
         spec = load_model("m_kramers")
         res = iterate_to_fixed_point(spec, spec.s0, False)
         assert res.converged and res.depths[-1].dz < rg.TOL_FIXED_POINT
         steps = [d.dz for d in res.depths[1:-1]]
-        rate = res.trace.fitted_rate()
+        rate = rg.fitted_rate(res.trace)
         assert 0.05 < rate < 0.075
         assert all(b / a == pytest.approx(rate, rel=0.02)
                    for a, b in zip(steps[1:], steps[2:]))
@@ -657,9 +709,9 @@ class TestCli:
         capsys.readouterr()
         assert main(["run", "--config", str(config)]) == 0
         assert capsys.readouterr().out.encode() == written[0][0]
-        # kernel.txt reads the extraction the ladder kept: a run with --out
-        # extracts as often as one without
-        assert len(extracts) - counts[1] == counts[0]
+        # kernel.txt is level 0 of a ladder at z_inf, built only with --out:
+        # one extraction more than a run without
+        assert len(extracts) - counts[1] == counts[0] - 1
 
     def test_flow_failure_is_reported_with_exit_code_3(self, tmp_path, capsys):
         # every secant iterate at depth 0 leaves the declared window: the
@@ -828,3 +880,26 @@ class TestExitCodes:
         kv = read_kv(out / "verify.kv")
         assert kv["check.hyp.symmetry_irreducible"] == "fail"
         assert kv["all_passed"] == "false"
+
+    # on m_pauli (eigenvalues of H_at(s0) at 0, 0 and 1) a contour radius of
+    # 1.0 passes through the third eigenvalue, and one of 1.5 encloses all
+    # three while d = 2; verify reports the latter as a failed hypothesis
+    @pytest.mark.parametrize("command", ["run", "verify", "probe-analyticity", "sweep-g"])
+    @pytest.mark.parametrize("radius, message", [
+        (1.0, "eigenvalue within 10% of the contour |z-0j|=1.0"),
+        (1.5, "the isolation contour |z-0j|=1.5 encloses 3 eigenvalues of H_at(s0), "
+              "not d = 2"),
+    ], ids=["on-an-eigenvalue", "three-inside"])
+    def test_a_malformed_contour_is_a_configuration_error(self, tmp_path, capsys, command,
+                                                         radius, message):
+        config = cut_fixture(tmp_path, "m_pauli", contour_radius=radius)
+        out = tmp_path / "out"
+        code = main([command, "--config", str(config), "--out", str(out)])
+        if command == "verify" and radius == 1.5:
+            assert code == 2
+            kv = read_kv(out / "verify.kv")
+            assert kv["check.hyp.eigenvalue_multiplicity"] == "fail"
+            assert kv["all_passed"] == "false"
+        else:
+            assert code == 1
+            assert f"configuration error: {message}" in capsys.readouterr().err

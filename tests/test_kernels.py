@@ -313,11 +313,10 @@ class TestExtraction:
         spec = load_model(name)
         flow = Flow(spec, spec.s0, False)
         z = spec.e_at(spec.s0)
-        n = spec.grid.levels + 1   # down to the vacuum-only space
-        for lad in (run_ladder(flow, z, n, check_windows=False),
-                    run_ladder(flow, z + 1e-3 * np.exp(0.5j * np.pi * np.arange(4)), n,
-                               check_windows=False)):
-            for level in lad.levels:
+        zs = z + 1e-3 * np.exp(0.5j * np.pi * np.arange(4))
+        for n in range(spec.grid.levels + 2):   # down to the vacuum-only space
+            for at in (z, zs):
+                level = run_ladder(flow, at, n, check_windows=False).top
                 assert level.ext.spline is flow.depth(level.n).spline
                 assert_t_is_hermite(level.ext)
 

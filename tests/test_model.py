@@ -66,12 +66,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="schema_version"):
             parse_model_config(doc)
 
-    def test_dispersion_hook_reserved(self):
+    def test_dispersion_is_an_unknown_key(self):
         doc = minimal_doc()
         doc["dispersion"] = "massless"
-        parse_model_config(doc)  # default value accepted
-        doc["dispersion"] = "massive"
-        with pytest.raises(ConfigError, match="dispersion"):
+        with pytest.raises(ConfigError, match=r"unknown keys in config: \['dispersion'\]"):
             parse_model_config(doc)
 
     def test_infrared_divergence_rejected_at_load(self):

@@ -112,19 +112,22 @@ class TestStack:
     def test_a_stack_of_4_equals_4_single_ladders_bit_for_bit(self, tmp_path):
         flow, z_inf, n = kramers_flow(tmp_path)
         zs = z_inf + flow.rho ** (n + 1) / 16 * np.exp(0.5j * np.pi * np.arange(4))
-        stack = run_ladder(flow, zs, n, collect_q=True)
-        for k, z in enumerate(zs):
-            for single in (run_ladder(flow, zs[k:k + 1], n, collect_q=True),
-                           run_ladder(flow, z, n, collect_q=True)):
-                for level, one in zip(stack.levels, single.levels, strict=True):
+        for m in range(n + 1):
+            stack = run_ladder(flow, zs, m, collect_q=True)
+            level = stack.top
+            for k, z in enumerate(zs):
+                for single in (run_ladder(flow, zs[k:k + 1], m, collect_q=True),
+                               run_ladder(flow, z, m, collect_q=True)):
+                    one = single.top
+                    assert one.n == level.n == m
                     assert np.ravel(one.e_value)[0] == level.e_value[k]
                     assert np.array_equal(one.h.mat.reshape(level.h.mat.shape[1:]),
                                           level.h.mat[k])
-                for q, q_one in zip(stack.qs, single.qs, strict=True):
-                    assert np.array_equal(q_one.reshape(q.shape[1:]), q[k])
+                    for q, q_one in zip(stack.qs, single.qs, strict=True):
+                        assert np.array_equal(q_one.reshape(q.shape[1:]), q[k])
         # the stack's pair report is the worst over its z values
-        report = verify_pair(stack.top.pair)
-        singles = [verify_pair(run_ladder(flow, z, n).top.pair) for z in zs]
+        report = verify_pair(stack.pair)
+        singles = [verify_pair(run_ladder(flow, z, n).pair) for z in zs]
         assert report.t_margin == min(r.t_margin for r in singles)
         assert report.h_margin == min(r.h_margin for r in singles)
         assert report.contraction_left == max(r.contraction_left for r in singles)

@@ -268,9 +268,9 @@ def run_pipeline(spec: ModelSpec, report: Report, check_winding: bool,
            lambda: _kernel_dump(run_ladder(res.flow, res.z_inf, 0).top.ext))
 
     if spec.complex_selfadjoint and spec.jconj is not None:
-        jfull = np.kron(spec.jconj, np.eye(h_full.basis.size))
-        proj = build_eigenprojection(ev.vectors, [jfull @ np.conj(p) for p in ev.vectors],
-                                     h_full.mat, res.z_inf)
+        # J (x) 1 on each conjugated eigenvector, one atomic block at a time
+        duals = [(spec.jconj @ np.conj(p).reshape(spec.d_at, -1)).ravel() for p in ev.vectors]
+        proj = build_eigenprojection(ev.vectors, duals, h_full.mat, res.z_inf)
     elif spec.reflection_symmetric and abs(np.imag(s)) == 0.0:
         # at real s the eigenvectors at sbar are those at s
         proj = build_eigenprojection(ev.vectors, ev.vectors, h_full.mat, res.z_inf)

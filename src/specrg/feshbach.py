@@ -405,8 +405,13 @@ def neumann_check(pair: FeshbachPair, contraction: float) -> NeumannCheck:
     ``contraction_left`` that ``verify_pair`` measured.
 
     chi vanishes outside the pair's ``keep``, so there both maps equal T on
-    every row and column: the series is summed on keep x keep, and T's
-    entries outside that block enter only the scale ||F||_F.
+    every row and column, and T's entries outside keep x keep enter only
+    the scale ||F||_F.  Every term is ``left`` times a factor on Ran chibar
+    x keep, cur_L = K^(L-1) R0 chibar W chi with K = R0 chibar W chibar
+    formed once: the factors are summed there and multiplied by ``left``
+    once.  The stop rule reads each term's Frobenius and 2-norms from R
+    cur_L, with left = QR factored once; Q has orthonormal columns, so the
+    norms are the term's.
     """
     fixed = pair.fixed
     if np.delete(fixed.cut.chi, fixed.keep).any():
@@ -423,26 +428,28 @@ def neumann_check(pair: FeshbachPair, contraction: float) -> NeumannCheck:
     t_outside = pair.minus_z(fixed.t)[..., outside]
     scale = max(1.0, float(np.hypot(np.linalg.norm(f_direct),
                                     np.linalg.norm(t_outside))))   # ||F||_F
-    series = np.zeros_like(f_direct)
+    r_left = np.linalg.qr(fixed.left, mode="r")
+    k_op = r0 @ fixed.w_bar
     cur = r0 @ fixed.right
+    factors = np.zeros_like(cur)
     n_terms = 0
     last_norm = 0.0
     # ||term||_2 >= ||term||_F / sqrt(N): a term with a Frobenius norm this far
     # above the tolerance cannot end the series, and its 2-norm is not taken
     certain = 2 * NEUMANN_TOL * scale * np.sqrt(n)
     for L in range(1, NEUMANN_MAX_TERMS + 1):
-        term = fixed.left @ cur
-        series += ((-1) ** (L - 1)) * term
+        factors += ((-1) ** (L - 1)) * cur
         n_terms = L
+        term = r_left @ cur   # left @ cur = Q term, with the same norms
         if L == NEUMANN_MAX_TERMS or np.linalg.norm(term) < certain:
             last_norm = float(np.linalg.norm(term, 2))
             if last_norm < NEUMANN_TOL * scale:
                 break
-        cur = r0 @ (fixed.w_bar @ cur)
+        cur = k_op @ cur
     if contraction < 1.0:
         tail_bound = last_norm * contraction / (1.0 - contraction)
     else:
         tail_bound = np.inf
-    f_neumann = pair.minus_z(fixed.base) - series
+    f_neumann = pair.minus_z(fixed.base) - fixed.left @ factors
     discrepancy = float(np.linalg.norm(f_direct - f_neumann) / scale)
     return NeumannCheck(discrepancy, n_terms, tail_bound)

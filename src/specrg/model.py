@@ -417,17 +417,23 @@ def verify_hypotheses(spec: ModelSpec) -> HypothesesReport:
 
     # resolvent bound on the complement, sampled q-grid plus the q->infty tail;
     # the shifted systems of one s are solved as one stack, and a singular
-    # one fails the entry
+    # one fails the entry, as does a sample where 1 - P_at(s) does not have
+    # rank d_at - d (a contour that encloses more or fewer eigenvalues)
     qs = np.array([0.0] + [2.0**k for k in range(-6, 7)])
     eye = np.eye(spec.d_at)
     pbar = eye - p0
     sup = float(np.linalg.norm(pbar, 2))  # q -> infinity limit
     okw = True
+    bad_ranks = []
     for s in s_samples:
         es = spec.e_at(s)
         pbar_s = eye - spec.p_at(s)
         u, sv, _ = np.linalg.svd(pbar_s)
         rank = int(np.sum(sv > 0.5))
+        if rank != spec.d_at - spec.d:
+            okw = False
+            bad_ranks.append(rank)
+            continue
         if rank == 0:
             continue  # full degeneracy: nothing outside the eigenspace
         vbar = u[:, :rank]
@@ -442,10 +448,14 @@ def verify_hypotheses(spec: ModelSpec) -> HypothesesReport:
             continue
         norms = (np.tile(qs, len(zs)) + 1.0) * np.linalg.norm(r, 2, axis=(1, 2))
         sup = max(sup, float(np.max(norms)))
+    detail = (f"grid max over q of ||(q+1)(H_at-z+q)^-1 Pbar|| = "
+              f"{sup:.6g} (grid max, not a certified sup)")
+    if bad_ranks:
+        detail = (f"rank of 1 - P_at(s) is {bad_ranks[0]}, not d_at - d = "
+                  f"{spec.d_at - spec.d}, at {len(bad_ranks)} of {len(s_samples)} "
+                  f"samples; " + detail)
     entries.append(HypEntry("reduced_resolvent_bound", True,
-                            okw and np.isfinite(sup), sup,
-                            f"grid max over q of ||(q+1)(H_at-z+q)^-1 Pbar|| = "
-                            f"{sup:.6g} (grid max, not a certified sup)"))
+                            okw and np.isfinite(sup), sup, detail))
 
     # reflection symmetry of the family
     if spec.reflection_symmetric:

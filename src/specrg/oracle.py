@@ -1,5 +1,9 @@
 """Brute-force ground truth by dense diagonalization of the truncated model,
-and the principal angles that compare an eigenspace with it, both on numpy."""
+and the principal angles that compare an eigenspace with it, both on numpy.
+
+A self-adjoint H whose imaginary part is exactly zero, as at a real s of
+every shipped fixture, is decomposed in real arithmetic, at about half
+the cost of the complex Hermitian decomposition."""
 
 from __future__ import annotations
 
@@ -28,7 +32,8 @@ class OracleReport:
 
 def dense_spectrum(h: OperatorMatrix) -> OracleReport:
     """Full eigen-decomposition; Hermitian fast path when h is flagged
-    self-adjoint.
+    self-adjoint, in real arithmetic (``eigh`` of the real part, real
+    eigenvectors) when the imaginary part of its matrix is exactly zero.
 
     Multiplicity of the lowest eigenvalue is the number of eigenvalues
     within CLUSTER_TOL_FACTOR * max(1, |lowest|); that tolerance only
@@ -39,7 +44,7 @@ def dense_spectrum(h: OperatorMatrix) -> OracleReport:
     if n > DIM_BUDGET:
         raise ValueError(f"dimension {n} exceeds the dense budget {DIM_BUDGET}")
     if h.selfadjoint_known:
-        vals, vecs = np.linalg.eigh(mat)
+        vals, vecs = np.linalg.eigh(mat if np.imag(mat).any() else mat.real)
         vals = vals.astype(complex)
     else:
         vals, vecs = np.linalg.eig(mat)

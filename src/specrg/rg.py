@@ -52,11 +52,12 @@ more, which brings z_inf to the rounding level for one ladder.
 
 ``iterate_to_fixed_point`` keeps per depth only its root, the report of the
 pair into the top (its convergence test reads the margins) and the top
-level; no ladder outlives the flow.  The other diagnostics of a depth
-(polydisc radii, Schur deviation, symmetry residual) are computed from that
-top, once per depth, when the result's ``trace`` is first read; the
-analyticity probe and the coupling sweep read only z_inf and compute none
-of them.
+level; no ladder outlives the flow.  The other diagnostics of a depth are
+computed from that top only when read: the Schur deviation and the
+symmetry residual once per depth, when the result's ``trace`` is first
+read, and the polydisc radii, which only trace.txt prints, when a trace
+line is formed.  The analyticity probe and the coupling sweep read only
+z_inf and compute none of them.
 
 Each root's uniqueness is certified by the argument principle: the winding of
 E^(n) around 0 along a small circle about the root must be 1.  The count
@@ -96,8 +97,8 @@ from .feshbach import (
     verify_pair,
 )
 from .fock import DilationMap, FockBasis, OperatorMatrix, dilation
-from .kernels import BasisSpline, ExtractionResult, extract_w00, polydisc_check
-from .model import ModelSpec, WindowError, projection_rank
+from .kernels import BasisSpline, ExtractionResult, PolydiscCheck, extract_w00, polydisc_check
+from .model import ModelSpec, WindowError
 from .symmetry import is_symmetry_of, schur_scalar
 
 C_CHI = 1.0              # cutoff constant, sets xi and C_gamma
@@ -464,21 +465,37 @@ def _winding_count(flow: Flow, n: int, z_center: complex) -> int:
 
 @dataclass
 class TraceRecord:
+    """One depth of the trace.  The polydisc radii, which only a trace line
+    prints, are measured from the top's extraction ``ext`` when first read."""
+
     n: int
     z: complex
     dz: float
     e_abs: float
-    beta_hat: float
-    gamma_hat: float
     schur_deviation: float
     symmetry_residual: float
     t_margin: float
     contraction_left: float
-    gamma_ratio: float
     winding: int | None
+    ext: ExtractionResult
 
-    def line(self) -> str:
+    @cached_property
+    def polydisc(self) -> PolydiscCheck:
+        return polydisc_check(self.ext)
+
+    @property
+    def beta_hat(self) -> float:
+        return self.polydisc.beta_hat
+
+    @property
+    def gamma_hat(self) -> float:
+        return self.polydisc.gamma_hat
+
+    def line(self, prev_gamma: float = 0.0) -> str:
+        """The trace.txt line of this depth; gamma_ratio is gamma_hat over
+        ``prev_gamma``, the depth before's, and 0 when that is not positive."""
         w = "-" if self.winding is None else str(self.winding)
+        gamma_ratio = self.gamma_hat / prev_gamma if prev_gamma > 0 else 0.0
         return (f"n={self.n} z_re={self.z.real:.16e} z_im={self.z.imag:.16e} "
                 f"dz={self.dz:.3e} e_abs={self.e_abs:.3e} "
                 f"beta_hat={self.beta_hat:.6e} gamma_hat={self.gamma_hat:.6e} "
@@ -486,7 +503,7 @@ class TraceRecord:
                 f"sym_res={self.symmetry_residual:.3e} "
                 f"t_margin={self.t_margin:.6e} "
                 f"contraction={self.contraction_left:.6e} "
-                f"gamma_ratio={self.gamma_ratio:.6e} winding={w}")
+                f"gamma_ratio={gamma_ratio:.6e} winding={w}")
 
 
 def fitted_rate(records) -> float:
@@ -522,7 +539,8 @@ class PipelineResult:
     """The flow's fixed point z_inf, the flow (its z-independent data, for
     the eigenvectors, ``kernel.txt`` and the oracle) and one ``DepthResult``
     per depth; no ladder is kept.  ``trace`` is built from ``depths`` when
-    it is first read, and kept."""
+    it is first read, and kept; a record's polydisc radii are measured only
+    when ``trace_lines`` prints them."""
 
     z_inf: complex
     converged: bool
@@ -536,39 +554,37 @@ class PipelineResult:
 
     @cached_property
     def trace(self) -> list:
-        """One ``TraceRecord`` per depth: the polydisc radii, Schur deviation
-        and symmetry residual of its top, and gamma_hat's ratio to the depth
-        before."""
+        """One ``TraceRecord`` per depth: the Schur deviation and symmetry
+        residual of its top; its polydisc radii are left to a trace line."""
         records = []
-        prev_gamma = 0.0
         for depth in self.depths:
             top, pairrep = depth.top, depth.pair_report
-            polydisc = polydisc_check(top.ext)
-            ghat = polydisc.gamma_hat
             records.append(TraceRecord(
                 n=top.n, z=depth.z, dz=depth.dz, e_abs=depth.e_abs,
-                beta_hat=polydisc.beta_hat,
-                gamma_hat=ghat,
                 schur_deviation=schur_scalar(top.h.mat, top.h.basis.d_at, top.h.basis.size)[1],
                 symmetry_residual=max([0.0] + [is_symmetry_of(gen, top.h.mat)[1]
                                                for gen in self.flow.depth(top.n).generators]),
                 t_margin=pairrep.t_margin if pairrep else np.inf,
                 contraction_left=pairrep.contraction_left if pairrep else 0.0,
-                gamma_ratio=(ghat / prev_gamma) if prev_gamma > 0 else 0.0,
                 winding=depth.winding,
+                ext=top.ext,
             ))
-            prev_gamma = ghat
         return records
 
     def trace_lines(self) -> list:
         """The lines of trace.txt: the window threshold and the theoretical
-        contraction, then one line per depth."""
+        contraction, then one line per depth, each with gamma_hat's ratio to
+        the depth before."""
         factor = contraction_factor(self.flow.spec)
         word = ("admissible" if factor < 1.0
                 else "inadmissible; running on measured contraction")
-        return ([f"# window_threshold={self.flow.window_threshold:.6e}",
+        lines = [f"# window_threshold={self.flow.window_threshold:.6e}",
                  f"# theoretical contraction C_gamma rho^mu = {factor:.4g} ({word})"]
-                + [r.line() for r in self.trace])
+        prev_gamma = 0.0
+        for r in self.trace:
+            lines.append(r.line(prev_gamma))
+            prev_gamma = r.gamma_hat
+        return lines
 
 
 def iterate_to_fixed_point(spec: ModelSpec, s: complex, check_winding: bool,
@@ -649,10 +665,18 @@ class ProjectionResult:
 
 
 def build_eigenprojection(psis, duals, h_full: np.ndarray, z: complex) -> ProjectionResult:
-    """Rank-d spectral projection sum_ab (M^-1)_ab |psi_a><dual_b| from
-    eigenvectors psis and their duals, with M_ab = <dual_a, psi_b>: the
-    eigenvectors at the conjugate parameter for the reflection pairing,
-    J psi_a for the conjugation pairing with the antiunitary J."""
+    """Rank-d spectral projection P = Psi M^-1 D* = sum_ab (M^-1)_ab
+    |psi_a><dual_b| from eigenvectors psis and their duals, with M_ab =
+    <dual_a, psi_b>: the eigenvectors at the conjugate parameter for the
+    reflection pairing, J psi_a for the conjugation pairing with the
+    antiunitary J.
+
+    P is never formed.  Each Frobenius norm ||Psi X D*||_F is read from the
+    d x d Gram matrices Psi* Psi and D* D, with P^2 - P = Psi M^-1 (D* Psi -
+    M) M^-1 D* and HP - zP = (H Psi - z Psi) M^-1 D*; the rank is tr P =
+    tr M^-1 D* Psi, rounded.  D* Psi is the product of the two column
+    matrices, not M, so the idempotency measures how far M's entries are
+    from it."""
     k = len(psis)
     m = np.array([[np.vdot(duals[a], psis[b]) for b in range(k)]
                   for a in range(k)])
@@ -662,11 +686,19 @@ def build_eigenprojection(psis, duals, h_full: np.ndarray, z: complex) -> Projec
             "degenerate pairing matrix; the bilinear form is singular on the "
             "eigenspace")
     minv = np.linalg.inv(m)
-    p = np.zeros((psis[0].size, psis[0].size), dtype=complex)
-    for a in range(k):
-        for b in range(k):
-            p += minv[a, b] * np.outer(psis[a], np.conj(duals[b]))
-    idem = float(np.linalg.norm(p @ p - p) / max(1.0, np.linalg.norm(p)))
-    rank = projection_rank(p)
-    resid = float(np.linalg.norm(h_full @ p - z * p) / max(1.0, np.linalg.norm(p)))
+    psi = np.column_stack(psis)
+    dual = np.column_stack(duals)
+    dual_psi = dual.conj().T @ psi
+    gram_dual = dual.conj().T @ dual
+    gram_psi = psi.conj().T @ psi
+    resid_cols = h_full @ psi - z * psi
+
+    def frobenius(gram, x):
+        """||A X D*||_F from gram = A* A."""
+        return float(np.sqrt(max(0.0, np.trace(x.conj().T @ gram @ x @ gram_dual).real)))
+
+    p_norm = max(1.0, frobenius(gram_psi, minv))
+    idem = frobenius(gram_psi, minv @ (dual_psi - m) @ minv) / p_norm
+    rank = int(round(float(np.trace(minv @ dual_psi).real)))
+    resid = frobenius(resid_cols.conj().T @ resid_cols, minv) / p_norm
     return ProjectionResult(idem, rank, resid)

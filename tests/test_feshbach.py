@@ -6,6 +6,8 @@ import pytest
 from specrg import fock
 from specrg.config import load_model
 from specrg.feshbach import (
+    NEUMANN_MAX_TERMS,
+    NEUMANN_TOL,
     RANK_THRESHOLD,
     AffinePair,
     Cutoffs,
@@ -13,6 +15,8 @@ from specrg.feshbach import (
     FeshbachPair,
     FeshbachPairError,
     feshbach_map,
+    first_decimation,
+    first_feshbach,
     neumann_check,
     q_ops,
     verify_pair,
@@ -469,3 +473,66 @@ class TestSpoiledBlocks:
         with pytest.raises((FeshbachPairError, np.linalg.LinAlgError)):
             pair.require_margins()
             feshbach_map(pair)
+
+
+def full_term_neumann(pair, contraction):
+    """The Neumann cross-check with every series term formed on keep x
+    keep: the term left @ cur_L, its norms taken from it, and cur_{L+1} =
+    R0 (W_bar cur_L); returns (discrepancy, terms, tail_bound)."""
+    fixed = pair.fixed
+    n = fixed.cut.chi.size
+    outside = np.ones((n, n), dtype=bool)
+    outside[np.ix_(fixed.keep, fixed.keep)] = False
+    f_direct = feshbach_map(pair)
+    r0 = pair.inverse_t
+    t_outside = pair.minus_z(fixed.t)[..., outside]
+    scale = max(1.0, float(np.hypot(np.linalg.norm(f_direct), np.linalg.norm(t_outside))))
+    series = np.zeros_like(f_direct)
+    cur = r0 @ fixed.right
+    certain = 2 * NEUMANN_TOL * scale * np.sqrt(n)
+    last_norm = 0.0
+    for L in range(1, NEUMANN_MAX_TERMS + 1):
+        term = fixed.left @ cur
+        series += ((-1) ** (L - 1)) * term
+        n_terms = L
+        if L == NEUMANN_MAX_TERMS or np.linalg.norm(term) < certain:
+            last_norm = float(np.linalg.norm(term, 2))
+            if last_norm < NEUMANN_TOL * scale:
+                break
+        cur = r0 @ (fixed.w_bar @ cur)
+    tail = last_norm * contraction / (1.0 - contraction) if contraction < 1.0 else np.inf
+    f_neumann = pair.minus_z(fixed.base) - series
+    return float(np.linalg.norm(f_direct - f_neumann) / scale), n_terms, tail
+
+
+def first_pair_at_e_at(spec):
+    """The first decimation's pair at (s0, E_at(s0)), as ``run`` checks it."""
+    return first_feshbach(first_decimation(spec, spec.s0, None), spec.e_at(spec.s0))[1]
+
+
+def large_fock_spec():
+    """m_triv at max_photons 3: dim 157."""
+    return dataclasses.replace(load_model("m_triv"), n_max=3)
+
+
+class TestNeumannCheck:
+    @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli", "m_exact", "dim157"])
+    def test_the_sum_on_ran_chibar_is_the_full_term_series(self, name):
+        spec = large_fock_spec() if name == "dim157" else cut_spec(name)
+        pair = first_pair_at_e_at(spec)
+        contraction = verify_pair(pair).contraction_left
+        assert 0 < contraction < 1
+        got = neumann_check(pair, contraction)
+        discrepancy, terms, tail = full_term_neumann(pair, contraction)
+        assert got.terms == terms >= 2
+        assert abs(got.discrepancy - discrepancy) <= 1e-15
+        assert abs(got.tail_bound - tail) <= 1e-15
+        assert got.discrepancy < 1e-10
+
+    def test_a_contraction_of_one_or_more_has_no_tail_bound(self):
+        pair = first_pair_at_e_at(cut_spec("m_triv"))
+        contraction = verify_pair(pair).contraction_left
+        for c in (1.0, 2.0):
+            got = neumann_check(pair, c)
+            assert got.tail_bound == np.inf
+            assert got.terms == neumann_check(pair, contraction).terms

@@ -121,9 +121,15 @@ class TestLadder:
         # the trace is built when it is first read
         assert (len(checks), len(schurs), len(residuals)) == (0, 0, 0)
         assert res.converged and all(r.winding == 1 for r in res.trace)
+        # the polydisc radii wait for a trace line
+        read = (0, depths, depths * len(spec.generators))
+        assert (len(checks), len(schurs), len(residuals)) == read
+        assert len(res.trace) == depths   # a second read computes nothing
+        assert (len(checks), len(schurs), len(residuals)) == read
+        lines = res.trace_lines()
         once = (depths, depths, depths * len(spec.generators))
         assert (len(checks), len(schurs), len(residuals)) == once
-        assert len(res.trace) == depths   # a second read computes nothing
+        assert res.trace_lines() == lines   # nor does a second set of lines
         assert _winding_count(res.flow, res.n_levels, res.z_inf) == 1
         # a winding ladder reads only E^(n)
         assert (len(checks), len(schurs), len(residuals)) == once
@@ -143,6 +149,11 @@ class TestLadder:
             depths = int(read_kv(tmp_path / "run.kv")["n_levels"]) + 1
             # the hypothesis check adds one residual, of the conjugation J
             assert [len(c) for c in counted] == [depths, depths, depths + 1]
+            # without --out no trace line is formed, and no polydisc radius
+            for c in counted:
+                c.clear()
+            assert main([command, "--config", str(config)]) == 0
+            assert [len(c) for c in counted] == [0, depths, depths + 1]
         else:
             assert [len(c) for c in counted] == [0, 0, 0]
 
@@ -647,6 +658,65 @@ class TestLastRoot:
                    for a, b in zip(steps[1:], steps[2:]))
 
 
+def dense_eigenprojection(psis, duals, h, z):
+    """The eigenprojection's report from the N x N projection P = sum_ab
+    (M^-1)_ab |psi_a><dual_b|, with P @ P and H @ P formed densely: (the
+    idempotency, the rank, the eigen residual)."""
+    k = len(psis)
+    m = np.array([[np.vdot(duals[a], psis[b]) for b in range(k)] for a in range(k)])
+    minv = np.linalg.inv(m)
+    p = np.zeros((psis[0].size, psis[0].size), dtype=complex)
+    for a in range(k):
+        for b in range(k):
+            p += minv[a, b] * np.outer(psis[a], np.conj(duals[b]))
+    scale = max(1.0, np.linalg.norm(p))
+    return (float(np.linalg.norm(p @ p - p) / scale), model.projection_rank(p),
+            float(np.linalg.norm(h @ p - z * p) / scale))
+
+
+class TestEigenprojection:
+    @pytest.mark.parametrize("name", ["m_triv", "m_kramers"])
+    def test_the_rank_d_form_is_the_dense_projection(self, tmp_path, name):
+        spec = load_model(cut_fixture(tmp_path, name))
+        res = iterate_to_fixed_point(spec, spec.s0, False)
+        psis = build_eigenvectors(res.flow, res.z_inf).vectors
+        if name == "m_kramers":   # the conjugation pairing, J psi_a
+            jfull = np.kron(spec.jconj, np.eye(len(psis[0]) // spec.d_at))
+            duals = [jfull @ np.conj(p) for p in psis]
+        else:                     # the reflection pairing at real s
+            duals = psis
+        h = res.flow.first.hamiltonian.mat
+        got = rg.build_eigenprojection(psis, duals, h, res.z_inf)
+        idem, rank, resid = dense_eigenprojection(psis, duals, h, res.z_inf)
+        assert got.rank == rank == spec.d
+        assert abs(got.idempotency - idem) <= 1e-14
+        assert abs(got.eigen_residual - resid) <= 1e-14
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_the_norms_are_the_dense_norms_off_an_eigenspace(self, k):
+        # random vectors, duals and H: P is an oblique projection whose eigen
+        # residual is of order one, so the Gram-matrix norms are checked
+        # against the dense ones at a relative 1e-12
+        rng = np.random.default_rng(k)
+        n = 30
+        psis = list(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+        duals = list(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        got = rg.build_eigenprojection(psis, duals, h, 0.3 - 0.1j)
+        idem, rank, resid = dense_eigenprojection(psis, duals, h, 0.3 - 0.1j)
+        assert got.rank == rank == k
+        assert resid > 0.1 and got.eigen_residual == pytest.approx(resid, rel=1e-12)
+        assert abs(got.idempotency - idem) <= 1e-14
+
+    def test_a_degenerate_pairing_raises(self):
+        psi = np.zeros(6, dtype=complex)
+        psi[0] = 1.0
+        dual = np.zeros(6, dtype=complex)
+        dual[1] = 1.0   # <dual, psi> = 0
+        with pytest.raises(np.linalg.LinAlgError, match="degenerate pairing"):
+            rg.build_eigenprojection([psi], [dual], np.eye(6), 1.0)
+
+
 class TestMemory:
     """The benchmark (perfbench) keeps the spec of every solve for its
     oracle, which builds H_g(s) after the pass: anything a command or that
@@ -903,3 +973,26 @@ class TestExitCodes:
         else:
             assert code == 1
             assert f"configuration error: {message}" in capsys.readouterr().err
+
+    def test_a_contour_around_every_atomic_eigenvalue_fails_the_resolvent_bound(self, tmp_path,
+                                                                               capsys):
+        # with radius 1.5 on m_pauli, 1 - P_at(s) has rank 0 at every sample,
+        # not d_at - d = 1: nothing is left to bound, and the entry fails
+        config = cut_fixture(tmp_path, "m_pauli", contour_radius=1.5)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == 2
+        kv = read_kv(out / "verify.kv")
+        assert kv["check.hyp.reduced_resolvent_bound"] == "fail"
+        assert kv["check.hyp.eigenvalue_multiplicity"] == "fail"
+        digest = (out / "verify.txt").read_text()
+        assert ("[FAIL] hyp.reduced_resolvent_bound: rank of 1 - P_at(s) is 0, not "
+                "d_at - d = 1, at 13 of 13 samples") in digest
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli"])
+    def test_the_resolvent_bound_passes_on_the_declared_rank(self, tmp_path, name):
+        # m_triv and m_kramers have d = d_at: 1 - P_at(s) has the declared rank 0
+        spec = load_model(cut_fixture(tmp_path, name))
+        entry = {e.name: e for e in model.verify_hypotheses(spec).entries}[
+            "reduced_resolvent_bound"]
+        assert entry.passed and "rank" not in entry.detail
+        assert (spec.d == spec.d_at) == (name != "m_pauli")

@@ -1,11 +1,14 @@
 """Principal angles of the dense oracle against scipy and against subspaces
-whose angles are known."""
+whose angles are known, and the dense spectrum's real and complex paths."""
 
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from specrg.oracle import principal_angles
+from specrg import fock
+from specrg.config import load_model
+from specrg.model import build_hamiltonian
+from specrg.oracle import dense_spectrum, principal_angles
 
 
 def complex_normal(rng, *shape):
@@ -86,3 +89,43 @@ def test_rank_deficient_columns_count_once():
     b = np.hstack([a, a[:, :1] * 2.0])   # rank 2 in three columns
     assert np.abs(principal_angles(a, b)).max() <= 1e-15
     assert principal_angles(b, a).shape == (2,)
+
+
+def eigh_inputs(monkeypatch):
+    """List that grows by the matrix of each ``np.linalg.eigh`` call."""
+    eigh = np.linalg.eigh
+    seen = []
+
+    def recorded(a, *args, **kwargs):
+        seen.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli", "m_exact"])
+def test_a_real_hamiltonian_is_decomposed_in_real_arithmetic(monkeypatch, name):
+    spec = load_model(name)
+    h = build_hamiltonian(spec, spec.s0)
+    assert h.selfadjoint_known and not h.mat.imag.any()
+    seen = eigh_inputs(monkeypatch)
+    rep = dense_spectrum(h)
+    assert len(seen) == 1 and seen[0].dtype == np.float64
+    vals, vecs = np.linalg.eigh(h.mat)   # the complex Hermitian decomposition
+    assert np.abs(rep.eigenvalues - vals).max() <= 1e-14
+    assert rep.multiplicity >= spec.d
+    cluster = vecs[:, np.argsort(vals)[: rep.multiplicity]]
+    assert principal_angles(rep.cluster_vectors(), cluster).max() <= 1e-12
+
+
+def test_a_complex_hamiltonian_takes_the_complex_path(monkeypatch):
+    rng = np.random.default_rng(4)
+    spec = load_model("m_triv")
+    basis = spec.full_basis()
+    a = complex_normal(rng, basis.dim, basis.dim)
+    h = fock.OperatorMatrix(a + a.conj().T, basis, selfadjoint_known=True)
+    seen = eigh_inputs(monkeypatch)
+    rep = dense_spectrum(h)
+    assert len(seen) == 1 and seen[0].dtype == np.complex128
+    assert np.abs(rep.eigenvalues - np.sort(np.linalg.eigvalsh(h.mat))).max() <= 1e-12

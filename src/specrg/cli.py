@@ -36,13 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .feshbach import (
-    FeshbachPairError,
-    first_decimation,
-    first_feshbach,
-    neumann_check,
-    verify_pair,
-)
+from .feshbach import FeshbachPairError, first_decimation, neumann_check
 from .model import ContourError, InfraredError, ModelSpec, WindowError, verify_hypotheses
 from .oracle import compare, dense_spectrum, perturbation_scaling
 from .rg import (
@@ -175,22 +169,22 @@ def _report_hypotheses(spec: ModelSpec, report: Report) -> bool:
 
 
 def _first_decimation_checks(spec: ModelSpec, report: Report) -> None:
-    """Report the first decimation at (s0, E_at(s0)) and its Neumann
-    cross-check.  The flow reuses the first decimation: its ``AffinePair``
-    (T on the full space, and the blocks of W = H - T on Ran chibar and on
-    the reduced space) stays in ``spec.built`` for the rest of the command,
-    and only the pair's restricted blocks and solve at E_at(s0) are freed on
-    return."""
+    """Report the first decimation's pair at (s0, E_at(s0)), its margin on
+    T, and the Neumann cross-check of its map, which measures the
+    contraction norm of the expansion; the map is formed once, there.  The
+    flow reuses the first decimation: its ``AffinePair`` (T on the full
+    space, and the blocks of W = H - T on Ran chibar and on the reduced
+    space) stays in ``spec.built`` for the rest of the command, and only the
+    pair's restricted blocks and solve at E_at(s0) are freed on return."""
     s = spec.s0
-    first = first_decimation(spec, s, None)
-    _, pair = first_feshbach(first, spec.e_at(s))
-    pair_report = verify_pair(pair)
-    neumann = neumann_check(pair, pair_report.contraction_left)
+    pair = first_decimation(spec, s, None).pair(spec.e_at(s))
+    pair.require_margins()
+    neumann = neumann_check(pair)
     report.put("first.neumann_discrepancy", neumann.discrepancy)
     report.put("first.neumann_terms", neumann.terms)
     report.put("first.neumann_tail_bound", neumann.tail_bound)
-    report.put("first.contraction", pair_report.contraction_left)
-    report.put("first.t_margin", pair_report.t_margin)
+    report.put("first.contraction", neumann.contraction)
+    report.put("first.t_margin", pair.t_margin)
     report.check("first_feshbach_consistency", neumann.discrepancy < 1e-10,
                  f"direct vs Neumann discrepancy {neumann.discrepancy:.3e}")
 
@@ -219,17 +213,17 @@ def run_pipeline(spec: ModelSpec, report: Report, check_winding: bool,
     res = iterate_to_fixed_point(spec, s, check_winding)
     report.put("z_inf", res.z_inf)
     report.put("n_levels", res.n_levels)
-    report.put("fitted_rate", fitted_rate(res.trace))
+    report.put("fitted_rate", fitted_rate(res.depths))
     report.check("converged", res.converged,
                  f"{res.n_levels} levels, z_inf = {res.z_inf}")
-    worst_schur = max(r.schur_deviation for r in res.trace)
-    worst_sym = max(r.symmetry_residual for r in res.trace)
-    scale = max(1.0, max(abs(r.z) for r in res.trace))
+    worst_schur = max(r.schur_deviation for r in res.depths)
+    worst_sym = max(r.symmetry_residual for r in res.depths)
+    scale = max(1.0, max(abs(r.z) for r in res.depths))
     report.put("max_schur_deviation", worst_schur)
     report.put("max_symmetry_residual", worst_sym)
     report.check("schur_scalarization", worst_schur <= SCHUR_TOL * scale)
     report.check("symmetry_preserved", worst_sym <= 1e-9)
-    windings = [r.winding for r in res.trace if r.winding is not None]
+    windings = [r.winding for r in res.depths if r.winding is not None]
     report.check("winding_unique_root",
                  all(w == 1 for w in windings) if windings else True)
     _write(out_dir, "trace.txt", lambda: "\n".join(res.trace_lines()) + "\n")
@@ -265,7 +259,7 @@ def run_pipeline(spec: ModelSpec, report: Report, check_winding: bool,
     _write(out_dir, "spectrum.txt", lambda: _spectrum_dump(oracle_rep))
     # level 0 at z_inf, built only when it is written
     _write(out_dir, "kernel.txt",
-           lambda: _kernel_dump(run_ladder(res.flow, res.z_inf, 0).top.ext))
+           lambda: _kernel_dump(run_ladder(res.flow, res.z_inf, 0).ext))
 
     if spec.complex_selfadjoint and spec.jconj is not None:
         # J (x) 1 on each conjugated eigenvector, one atomic block at a time

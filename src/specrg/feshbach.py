@@ -44,8 +44,8 @@ for one z or a stack of z values.  The frame is unitary only
 when P_at(s0) is an orthogonal projection and P_at(s) = P_at(s0); in an
 oblique frame the first pair's margins are measured in that frame.
 ``first_feshbach`` maps the pair to the reduced space, and ``neumann_check``
-cross-checks it on the same block with the contraction norm that
-``verify_pair`` measured.
+cross-checks the map on the same block and measures the contraction norm of
+its expansion, ``verify_pair``'s ``contraction_left``.
 """
 
 from __future__ import annotations
@@ -392,17 +392,19 @@ class NeumannCheck:
     discrepancy: float     # ||F_direct - F_Neumann|| / max(1, ||F_direct||)
     terms: int
     tail_bound: float      # a-posteriori bound from the contraction norm
+    contraction: float     # ||(T|_Ran chibar)^-1 chibar W chibar||, the largest over a stack
 
 
 NEUMANN_MAX_TERMS = 30
 NEUMANN_TOL = 1e-13       # stop when a term falls below this, relative to ||F||
 
 
-def neumann_check(pair: FeshbachPair, contraction: float) -> NeumannCheck:
+def neumann_check(pair: FeshbachPair) -> NeumannCheck:
     """Cross-check the Feshbach map of a pair against the truncated Neumann
     expansion of the same Schur complement, with an a-posteriori tail bound
-    from the contraction norm ||(T|_Ran chibar)^-1 chibar W chibar||, the
-    ``contraction_left`` that ``verify_pair`` measured.
+    from the contraction norm ||K|| of K = (T|_Ran chibar)^-1 chibar W
+    chibar, which the expansion forms: the ``contraction_left`` of
+    ``verify_pair``, returned with the check.
 
     chi vanishes outside the pair's ``keep``, so there both maps equal T on
     every row and column, and T's entries outside keep x keep enter only
@@ -446,10 +448,11 @@ def neumann_check(pair: FeshbachPair, contraction: float) -> NeumannCheck:
             if last_norm < NEUMANN_TOL * scale:
                 break
         cur = k_op @ cur
+    contraction = float(np.linalg.norm(k_op, 2, axis=(-2, -1)).max())
     if contraction < 1.0:
         tail_bound = last_norm * contraction / (1.0 - contraction)
     else:
         tail_bound = np.inf
     f_neumann = pair.minus_z(fixed.base) - fixed.left @ factors
     discrepancy = float(np.linalg.norm(f_direct - f_neumann) / scale)
-    return NeumannCheck(discrepancy, n_terms, tail_bound)
+    return NeumannCheck(discrepancy, n_terms, tail_bound, contraction)

@@ -16,10 +16,10 @@ the PCHIP constants of the node spacings (``PchipNodes``), the Hermite
 weights W at the H_f values, with w_{0,0}(H_f) on the diagonal = W @
 [values; slopes] since the cubic is linear in both, and the scatter index
 of the diagonal blocks.  The flow keeps one per depth in its ``rg.Depth``,
-in ``spec.built``, which a command clears when it ends; an extraction
-without one builds it from the operator's basis.  A step then computes
-only what depends on the node values: the slopes, in a fixed short
-sequence of array operations with scipy's arithmetic, and one product.
+in ``spec.built``, which a command clears when it ends.  A step then
+computes only what depends on the node values: the slopes, in a fixed
+short sequence of array operations with scipy's arithmetic, and one
+product.
 
 A step of a stacked ladder extracts the kernels of its K operators at once:
 the node values carry the stack axes after the node axis, which the PCHIP
@@ -195,7 +195,7 @@ class ExtractionResult:
         return KernelC1(grid, *hermite(self.nodes, self.node_values, self.slopes, grid))
 
 
-def extract_w00(h: OperatorMatrix, spline: BasisSpline | None = None) -> ExtractionResult:
+def extract_w00(h: OperatorMatrix, spline: BasisSpline) -> ExtractionResult:
     """Read the nodes of w_{0,0} off the vacuum and one-photon blocks.
 
     w00(0) is the exact vacuum block; w00(omega_j) is read off the one-photon
@@ -205,16 +205,14 @@ def extract_w00(h: OperatorMatrix, spline: BasisSpline | None = None) -> Extract
     blocks of every node and every operator of a stack come from one
     gather at the basis' ``node_rows``.  A step reads w00(H_f) at the
     basis' H_f values from the PCHIP slopes (Fritsch & Carlson 1980) and
-    the Hermite weights of ``spline``, the ``BasisSpline`` of h's basis,
-    which is built from the basis when not given; the 65-point
+    the Hermite weights of ``spline``, the ``BasisSpline`` of h's basis
+    (ValueError when it was built for another basis); the 65-point
     ``KernelC1`` is sampled only when beta_hat or ``kernel.txt`` reads it.
     A stack of operators gives a stack of kernels: every node value
     carries the stack's leading axes.
     """
     basis = h.basis
-    if spline is None:
-        spline = BasisSpline(basis)
-    elif spline.basis is not basis:
+    if spline.basis is not basis:
         raise ValueError("the spline was built for another basis")
     mats = h.mat.reshape((-1,) + h.mat.shape[-2:])
     rows = basis.node_rows[:, None]   # (nodes, 1, d): broadcast over the stack

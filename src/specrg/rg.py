@@ -23,18 +23,18 @@ next space keeps: the first decimation's pair is affine in z, so its level
 costs one LU solve on Ran chibar and products on the reduced space, and a
 step maps only the dilation's rows.  A pair is gated by the smallest
 singular value of T's d_at x d_at blocks and by that LU solve, with no
-full-size SVD.  A level depends only on the level below it, so a ladder
-keeps only its top: its level, the pair of the step into it and, when asked,
-each pair's ``q_ops``; ``kernel.txt`` runs its own ladder of level 0 at
-z_inf.  z is one value or an array of K values: a stacked ladder carries a
-leading axis of K on every operator, pair, kernel and E^(n), and is the
-same code as the ladder at one z, whose operators have no leading axis.
-The secant and the eigenvectors run a ladder at one z; the winding check
-runs one stacked ladder per round of nodes.  H^(n)(z) = R_rho(H^(n-1)(z)),
-so a ladder at z is the ladder one level shorter at z plus one step: depth
-n's secant starts at z_{n-1}, and its first evaluation is the ladder depth
-n-1 converged on (``run_ladder``'s ``start``) plus one step, not a fresh
-first decimation and n steps.
+full-size SVD.  A level depends only on the level below it, so a ``Ladder``
+is its top level: its extraction, E^(n)(z), the pair of the step into it
+and, when asked, each pair's ``q_ops``; ``kernel.txt`` runs its own ladder
+of level 0 at z_inf.  z is one value or an array of K values: a stacked
+ladder carries a leading axis of K on every operator, pair, kernel and
+E^(n), and is the same code as the ladder at one z, whose operators have no
+leading axis.  The secant and the eigenvectors run a ladder at one z; the
+winding check runs one stacked ladder per round of nodes.  H^(n)(z) =
+R_rho(H^(n-1)(z)), so a ladder at z is the ladder one level shorter at z
+plus one step: depth n's secant starts at z_{n-1}, and its first evaluation
+is the ladder depth n-1 converged on (``run_ladder``'s ``start``) plus one
+step, not a fresh first decimation and n steps.
 
 The secant's first step from z_{n-1} divides by a scaled slope sigma =
 rho^n dE^(n)/dz.  R_rho divides by rho, so dE^(n)/dz is about rho^-1
@@ -50,14 +50,14 @@ within TOL_FIXED_POINT of its start, the one the flow stops on, takes one
 more step from sigma when its error |E^(n)| rho^n / |sigma| is TOL_Z_INF or
 more, which brings z_inf to the rounding level for one ladder.
 
-``iterate_to_fixed_point`` keeps per depth only its root, the report of the
-pair into the top (its convergence test reads the margins) and the top
-level; no ladder outlives the flow.  The other diagnostics of a depth are
-computed from that top only when read: the Schur deviation and the
-symmetry residual once per depth, when the result's ``trace`` is first
-read, and the polydisc radii, which only trace.txt prints, when a trace
-line is formed.  The analyticity probe and the coupling sweep read only
-z_inf and compute none of them.
+``iterate_to_fixed_point`` keeps one ``DepthResult`` per depth: its root,
+the report of the pair into the root ladder's top (its convergence test
+reads the margins), the top's extraction and the depth's generators; no
+ladder outlives the flow.  The other diagnostics of a depth are computed
+from that extraction only when read: the Schur deviation of its vacuum
+block and the symmetry residual once per depth, and the polydisc radii,
+which only trace.txt prints, when a trace line is formed.  The analyticity
+probe and the coupling sweep read only z_inf and compute none of them.
 
 Each root's uniqueness is certified by the argument principle: the winding of
 E^(n) around 0 along a small circle about the root must be 1.  The count
@@ -226,36 +226,30 @@ def rg_step(ext: ExtractionResult, depth: Depth, rho: float):
 
 
 @dataclass
-class LadderLevel:
-    """Level n of a ladder: the one extraction of w_{0,0} from its operator
-    ``h``, read by the next step and the trace, and E^(n)(z) = tr w_{0,0}(0)
-    / d read off its node 0, all stacked like z."""
+class Ladder:
+    """A ladder at z is its top level n: every level depends only on the one
+    below it, and no reader reads a lower level again.  The level is the one
+    extraction of w_{0,0} from its operator ``h``, read by the next step and
+    the trace, and E^(n)(z) = tr w_{0,0}(0) / d read off its node 0, all
+    stacked like z."""
 
+    z: complex | np.ndarray   # the z of every level, as run_ladder was given it
     n: int
     ext: ExtractionResult
     e_value: complex | np.ndarray
+    pair: FeshbachPair | None = None   # of the step into level n, if it has one
+    qs: list | None = None   # q_ops of the first decimation, then of each step with a pair
 
     @property
     def h(self) -> OperatorMatrix:
         return self.ext.source
 
 
-@dataclass
-class Ladder:
-    """A ladder at z is its top level: every level depends only on the one
-    below it, and no reader reads a lower level again."""
-
-    z: complex | np.ndarray   # the z of every level, as run_ladder was given it
-    top: LadderLevel
-    pair: FeshbachPair | None = None   # of the step into the top, if it has one
-    qs: list | None = None   # q_ops of the first decimation, then of each step with a pair
-
-
 def run_ladder(flow: Flow, z, n_levels: int, check_windows: bool = True,
                collect_q: bool = False, start: Ladder | None = None) -> Ladder:
     """First decimation followed by n_levels flow steps at fixed z: one
     complex value, or an array of K values evaluated as one stack.  Only the
-    current level is kept; the ladder returned holds level n_levels and the
+    current level is kept; the ladder returned is level n_levels, with the
     pair of the step into it, which is None at level 0 and for a step from
     the vacuum-only terminal space.
 
@@ -263,21 +257,21 @@ def run_ladder(flow: Flow, z, n_levels: int, check_windows: bool = True,
     |E^(k)(z)| <= threshold at every z of the stack; a violation at any
     one raises WindowExitError(k) with its value, for the whole stack.
 
-    ``start`` is a ladder at the same z whose top is the level to climb
-    from: only the steps above it are run, so a depth's secant starts from
-    the ladder the previous depth converged on with one new step.  The
-    window of its top is checked before the step from it; its lower levels
-    were checked when it was built.  Raises ValueError when ``start.z`` is
-    not exactly z, when ``start``'s top is above level n_levels, or when it
-    is combined with ``collect_q``.  ``collect_q`` keeps ``q_ops`` of each
-    pair, the first decimation's and each step's; the terminal step has no
-    pair.
+    ``start`` is a ladder at the same z to climb from: only the steps above
+    it are run, so a depth's secant starts from the ladder the previous
+    depth converged on with one new step, and ``start`` itself is returned
+    when it is at level n_levels.  The window of ``start`` is checked before
+    the step from it; its lower levels were checked when it was built.
+    Raises ValueError when ``start.z`` is not exactly z, when ``start`` is
+    above level n_levels, or when it is combined with ``collect_q``.
+    ``collect_q`` keeps ``q_ops`` of each pair, the first decimation's and
+    each step's; the terminal step has no pair.
     """
     if start is None:
         h, pair = first_feshbach(flow.first, z)
         qs = [q_ops(pair)] if collect_q else None
         pair = None   # the steps do not read it; its AffinePair stays with flow.first
-        level = _make_level(flow, 0, h)
+        lad = _make_level(flow, z, 0, h, None, qs)
     else:
         if collect_q:
             raise ValueError("a ladder grown from start collects no auxiliary operators")
@@ -285,41 +279,47 @@ def run_ladder(flow: Flow, z, n_levels: int, check_windows: bool = True,
         there = np.asarray(start.z, dtype=complex)
         if here.shape != there.shape or here.tobytes() != there.tobytes():
             raise ValueError(f"start ladder is at z = {start.z}, not at {z}")
-        if start.top.n > n_levels:
-            raise ValueError(f"start ladder has {start.top.n} levels, "
+        if start.n > n_levels:
+            raise ValueError(f"start ladder has {start.n} levels, "
                              f"more than the {n_levels} asked for")
         qs = None
-        level, pair = start.top, start.pair
+        lad = start
 
-    while level.n < n_levels:
+    while lad.n < n_levels:
+        n, ext = lad.n, lad.ext
         if check_windows:
-            for e in np.ravel(level.e_value):
+            for e in np.ravel(lad.e_value):
                 if abs(e) > flow.window_threshold:
-                    raise WindowExitError(level.n, complex(e), flow.window_threshold)
-        pair = None   # the step below's pair holds that level's operator: free it first
-        h, pair = rg_step(level.ext, flow.depth(level.n), flow.rho)
+                    raise WindowExitError(n, complex(e), flow.window_threshold)
+        # the ladder below and its pair hold that level's operator: free them first
+        lad = pair = None
+        h, pair = rg_step(ext, flow.depth(n), flow.rho)
         if collect_q and pair is not None:
             qs.append(q_ops(pair))
-        level = _make_level(flow, level.n + 1, h)
-    return Ladder(z, level, pair, qs)
+        lad = _make_level(flow, z, n + 1, h, pair, qs)
+    return lad
 
 
-def _make_level(flow: Flow, n: int, h: OperatorMatrix) -> LadderLevel:
-    """Level n of a ladder from its operator h: one extraction with its
-    depth's spline, and E^(n)(z) off its node 0."""
+def _make_level(flow: Flow, z, n: int, h: OperatorMatrix, pair: FeshbachPair | None,
+                qs: list | None) -> Ladder:
+    """The ladder at z whose top is level n with operator h, reached by
+    ``pair``: one extraction with its depth's spline, and E^(n)(z) off its
+    node 0."""
     ext = extract_w00(h, flow.depth(n).spline)
     c = np.trace(ext.node_values[0], axis1=-2, axis2=-1) / h.basis.d_at
-    return LadderLevel(n, ext, c)
+    return Ladder(z, n, ext, c, pair, qs)
 
 
 @dataclass
 class RootResult:
-    z: complex
-    e_abs: float
-    winding: int | None
+    """A depth's root: the ladder at it (``ladder.z`` is the root, and
+    ``ladder.e_value`` its E^(n)), the winding of E^(n) about it, when
+    checked, and rho^n dE^(n)/dz measured as the chord from z_start to the
+    root; the slope find_zn was given when that chord is undefined, zero or
+    not finite."""
+
     ladder: Ladder
-    # rho^n dE^(n)/dz measured as the chord from z_start to the root; the
-    # slope find_zn was given when that chord is undefined, zero or not finite
+    winding: int | None
     slope: complex
 
 
@@ -349,7 +349,7 @@ def find_zn(flow: Flow, n: int, z_start: complex, start: Ladder | None = None,
     def e_val(z, start=None):
         nonlocal last
         last = run_ladder(flow, z, n, start=start)
-        return complex(last.top.e_value)
+        return complex(last.e_value)
 
     z0 = complex(z_start)
     e0 = e_val(z0, start)
@@ -406,7 +406,7 @@ def find_zn(flow: Flow, n: int, z_start: complex, start: Ladder | None = None,
             raise ArithmeticError(
                 f"argument-principle count at depth {n} gave winding "
                 f"{winding}, expected a unique simple zero")
-    return RootResult(z_cur, abs(e_cur), winding, last, slope)
+    return RootResult(last, winding, slope)
 
 
 def circle_winding(sample, where: str) -> int | None:
@@ -450,7 +450,7 @@ def _winding_count(flow: Flow, n: int, z_center: complex) -> int:
 
         def sample(t):
             sampled.append(t.size)
-            return run_ladder(flow, z_center + radius * np.exp(2j * np.pi * t), n).top.e_value
+            return run_ladder(flow, z_center + radius * np.exp(2j * np.pi * t), n).e_value
 
         try:
             winding = circle_winding(sample, f"at depth {n} on radius {radius:.3e}")
@@ -463,54 +463,11 @@ def _winding_count(flow: Flow, n: int, z_center: complex) -> int:
         f"{sum(sampled)} nodes on radius {radius:.3e}")
 
 
-@dataclass
-class TraceRecord:
-    """One depth of the trace.  The polydisc radii, which only a trace line
-    prints, are measured from the top's extraction ``ext`` when first read."""
-
-    n: int
-    z: complex
-    dz: float
-    e_abs: float
-    schur_deviation: float
-    symmetry_residual: float
-    t_margin: float
-    contraction_left: float
-    winding: int | None
-    ext: ExtractionResult
-
-    @cached_property
-    def polydisc(self) -> PolydiscCheck:
-        return polydisc_check(self.ext)
-
-    @property
-    def beta_hat(self) -> float:
-        return self.polydisc.beta_hat
-
-    @property
-    def gamma_hat(self) -> float:
-        return self.polydisc.gamma_hat
-
-    def line(self, prev_gamma: float = 0.0) -> str:
-        """The trace.txt line of this depth; gamma_ratio is gamma_hat over
-        ``prev_gamma``, the depth before's, and 0 when that is not positive."""
-        w = "-" if self.winding is None else str(self.winding)
-        gamma_ratio = self.gamma_hat / prev_gamma if prev_gamma > 0 else 0.0
-        return (f"n={self.n} z_re={self.z.real:.16e} z_im={self.z.imag:.16e} "
-                f"dz={self.dz:.3e} e_abs={self.e_abs:.3e} "
-                f"beta_hat={self.beta_hat:.6e} gamma_hat={self.gamma_hat:.6e} "
-                f"schur_dev={self.schur_deviation:.3e} "
-                f"sym_res={self.symmetry_residual:.3e} "
-                f"t_margin={self.t_margin:.6e} "
-                f"contraction={self.contraction_left:.6e} "
-                f"gamma_ratio={gamma_ratio:.6e} winding={w}")
-
-
-def fitted_rate(records) -> float:
-    """Geometric rate of |z_n - z_{n-1}| over n in [2, 6] from trace
+def fitted_rate(depths) -> float:
+    """Geometric rate of |z_n - z_{n-1}| over n in [2, 6] from the depths'
     records, read off the steps of at least TOL_FIXED_POINT: the step the
     flow stops on is below it and may be only the rounding of the roots' z."""
-    pts = [(r.n, r.dz) for r in records if 2 <= r.n <= 6 and r.dz >= TOL_FIXED_POINT]
+    pts = [(r.n, r.dz) for r in depths if 2 <= r.n <= 6 and r.dz >= TOL_FIXED_POINT]
     if len(pts) < 2:
         return 0.0
     ns = np.array([p[0] for p in pts], dtype=float)
@@ -521,26 +478,58 @@ def fitted_rate(records) -> float:
 
 @dataclass
 class DepthResult:
-    """What ``iterate_to_fixed_point`` keeps of one depth: its root (z, |E|,
+    """What ``iterate_to_fixed_point`` keeps of depth n: its root (z, |E|,
     winding), the step dz from the previous root (0 at depth 0), the
-    ``verify_pair`` report of the pair into the top (None at depth 0) and
-    the top level of the root's ladder."""
+    ``verify_pair`` report of the pair into the root ladder's top (None at
+    depth 0), the top's extraction ``ext`` and the depth's symmetry
+    generators.  Its diagnostics are computed from ``ext`` when first read,
+    and kept: the Schur deviation of the vacuum block, which is ``ext``'s
+    node 0, the symmetry residual, and the polydisc radii, which only a
+    trace line prints."""
 
+    n: int
     z: complex
     dz: float
     e_abs: float
     winding: int | None
     pair_report: FeshbachPairReport | None
-    top: LadderLevel
+    ext: ExtractionResult
+    generators: list
+
+    @cached_property
+    def schur_deviation(self) -> float:
+        return schur_scalar(self.ext.node_values[0])[1]
+
+    @cached_property
+    def symmetry_residual(self) -> float:
+        return max([0.0] + [is_symmetry_of(gen, self.ext.source.mat)[1]
+                             for gen in self.generators])
+
+    @cached_property
+    def polydisc(self) -> PolydiscCheck:
+        return polydisc_check(self.ext)
+
+    def line(self, prev_gamma: float = 0.0) -> str:
+        """The trace.txt line of this depth; gamma_ratio is gamma_hat over
+        ``prev_gamma``, the depth before's, and 0 when that is not positive."""
+        w = "-" if self.winding is None else str(self.winding)
+        rep, radii = self.pair_report, self.polydisc
+        t_margin, contraction = (rep.t_margin, rep.contraction_left) if rep else (np.inf, 0.0)
+        gamma_ratio = radii.gamma_hat / prev_gamma if prev_gamma > 0 else 0.0
+        return (f"n={self.n} z_re={self.z.real:.16e} z_im={self.z.imag:.16e} "
+                f"dz={self.dz:.3e} e_abs={self.e_abs:.3e} "
+                f"beta_hat={radii.beta_hat:.6e} gamma_hat={radii.gamma_hat:.6e} "
+                f"schur_dev={self.schur_deviation:.3e} "
+                f"sym_res={self.symmetry_residual:.3e} "
+                f"t_margin={t_margin:.6e} contraction={contraction:.6e} "
+                f"gamma_ratio={gamma_ratio:.6e} winding={w}")
 
 
 @dataclass
 class PipelineResult:
     """The flow's fixed point z_inf, the flow (its z-independent data, for
     the eigenvectors, ``kernel.txt`` and the oracle) and one ``DepthResult``
-    per depth; no ladder is kept.  ``trace`` is built from ``depths`` when
-    it is first read, and kept; a record's polydisc radii are measured only
-    when ``trace_lines`` prints them."""
+    per depth; no ladder is kept."""
 
     z_inf: complex
     converged: bool
@@ -552,25 +541,6 @@ class PipelineResult:
         """The deepest depth the flow reached."""
         return len(self.depths) - 1
 
-    @cached_property
-    def trace(self) -> list:
-        """One ``TraceRecord`` per depth: the Schur deviation and symmetry
-        residual of its top; its polydisc radii are left to a trace line."""
-        records = []
-        for depth in self.depths:
-            top, pairrep = depth.top, depth.pair_report
-            records.append(TraceRecord(
-                n=top.n, z=depth.z, dz=depth.dz, e_abs=depth.e_abs,
-                schur_deviation=schur_scalar(top.h.mat, top.h.basis.d_at, top.h.basis.size)[1],
-                symmetry_residual=max([0.0] + [is_symmetry_of(gen, top.h.mat)[1]
-                                               for gen in self.flow.depth(top.n).generators]),
-                t_margin=pairrep.t_margin if pairrep else np.inf,
-                contraction_left=pairrep.contraction_left if pairrep else 0.0,
-                winding=depth.winding,
-                ext=top.ext,
-            ))
-        return records
-
     def trace_lines(self) -> list:
         """The lines of trace.txt: the window threshold and the theoretical
         contraction, then one line per depth, each with gamma_hat's ratio to
@@ -581,9 +551,9 @@ class PipelineResult:
         lines = [f"# window_threshold={self.flow.window_threshold:.6e}",
                  f"# theoretical contraction C_gamma rho^mu = {factor:.4g} ({word})"]
         prev_gamma = 0.0
-        for r in self.trace:
-            lines.append(r.line(prev_gamma))
-            prev_gamma = r.gamma_hat
+        for depth in self.depths:
+            lines.append(depth.line(prev_gamma))
+            prev_gamma = depth.polydisc.gamma_hat
         return lines
 
 
@@ -591,7 +561,7 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, check_winding: bool,
                            g: float | None = None) -> PipelineResult:
     """Cascade the per-depth roots z_n until |z_n - z_{n-1}| < tolerance
     with healthy pair margins; z_inf is the last root.  Per depth it keeps a
-    ``DepthResult``; the trace is left to the result's first read."""
+    ``DepthResult``, whose diagnostics are left to their first read."""
     flow = Flow(spec, s, check_winding, g)
     z = flow.first.e_at
     depths = []
@@ -603,12 +573,12 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, check_winding: bool,
         # z, with the scaled slope depth n-1 measured
         root = find_zn(flow, n, z_start=z, start=None if root is None else root.ladder,
                        slope=slope)
-        slope = root.slope
-        pairrep = None if root.ladder.pair is None else verify_pair(root.ladder.pair)
-        dz = abs(root.z - z) if n > 0 else 0.0
-        depths.append(DepthResult(root.z, dz, root.e_abs, root.winding, pairrep,
-                                  root.ladder.top))
-        z = root.z
+        lad, slope = root.ladder, root.slope
+        pairrep = None if lad.pair is None else verify_pair(lad.pair)
+        dz = abs(lad.z - z) if n > 0 else 0.0
+        depths.append(DepthResult(n, lad.z, dz, abs(complex(lad.e_value)), root.winding,
+                                  pairrep, lad.ext, flow.depth(n).generators))
+        z = lad.z
         margins_ok = pairrep.passed if pairrep else True
         if n >= 1 and dz < TOL_FIXED_POINT and margins_ok:
             converged = True
@@ -638,7 +608,7 @@ def build_eigenvectors(flow: Flow, z_inf: complex) -> EigenvectorResult:
     depth = flow.spec.grid.levels + 1
     lad = run_ladder(flow, z_inf, depth, check_windows=False, collect_q=True)
     first = flow.first
-    vacuum = lad.top.h.basis.vacuum_vector()
+    vacuum = lad.h.basis.vacuum_vector()
 
     h_full = first.hamiltonian.mat
     vectors = []

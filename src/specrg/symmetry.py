@@ -5,8 +5,9 @@ psi -> U conj(psi); it is never collapsed to a bare matrix, so all
 conjugation code branches on the flag explicitly.  Kato's frame for a
 moving eigenprojection, ``model.hyp5_frame``, is a polynomial in two
 projections, so it commutes with every unitary symmetry of the family.
-``schur_scalar`` measures how far an operator's vacuum block is from the
-scalar E^(n)(z) that ``rg.run_ladder`` reads off its extraction of w_{0,0}.
+``schur_scalar`` measures how far the vacuum block of an operator, which its
+extraction of w_{0,0} holds as node 0, is from the scalar E^(n)(z) that
+``rg.run_ladder`` reads off that node.
 """
 
 from __future__ import annotations
@@ -137,21 +138,14 @@ def is_irreducible(ops, dim: int | None = None) -> bool:
     return True
 
 
-def vacuum_expectation(t: np.ndarray, d: int, n_fock: int) -> np.ndarray:
-    """<T>_Omega: the d x d matrix <e_a (x) Omega, T e_b (x) Omega>, over any
-    leading axes of t; the vacuum is Fock index 0."""
-    t = np.asarray(t, dtype=complex)
-    idx = np.arange(d) * n_fock
-    return t[(..., *np.ix_(idx, idx))].copy()
-
-
-def schur_scalar(t: np.ndarray, d: int, n_fock: int):
-    """Scalarize the vacuum block: c = tr<T>_Omega / d, the E^(n)(z) that
-    a ladder level reads off node 0 of its extraction.
+def schur_scalar(block: np.ndarray):
+    """Scalarize a d x d vacuum block <T>_Omega = <e_a (x) Omega, T e_b (x)
+    Omega>, such as node 0 of an extraction of w_{0,0}: c = tr<T>_Omega /
+    d, the E^(n)(z) that a ladder level reads off that node.
 
     Returns (c, deviation) with deviation = ||<T>_Omega - c 1||; a large
     deviation signals broken symmetry upstream and is data, not an error.
     """
-    block = vacuum_expectation(t, d, n_fock)
+    d = block.shape[-1]
     c = complex(np.trace(block) / d)
     return c, float(np.linalg.norm(block - c * np.eye(d), 2))

@@ -16,7 +16,6 @@ from specrg.feshbach import (
     FeshbachPairError,
     feshbach_map,
     first_decimation,
-    first_feshbach,
     neumann_check,
     q_ops,
     verify_pair,
@@ -200,10 +199,10 @@ class TestFeshbachPair:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
-        report = verify_pair(pair)
+        verify_pair(pair)
         feshbach_map(pair)
         q_ops(pair)
-        neumann_check(pair, report.contraction_left)
+        neumann_check(pair)
         assert full == []
         assert solves == [pair.m_h.shape] and h_inverses == []
 
@@ -255,7 +254,7 @@ def fixture_cases():
         cases.append((f"{name}-first", first.pair(z), *first_h_t(first, z), cut.chi,
                       cut.chibar, first.reduced_index, spec.d_at))
         for n in range(spec.grid.levels + 2):
-            level = run_ladder(flow, z, n, check_windows=False).top
+            level = run_ladder(flow, z, n, check_windows=False)
             depth = flow.depth(level.n)
             if depth.dilation is None:
                 continue
@@ -371,7 +370,7 @@ class TestGate:
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         monkeypatch.setattr(np.linalg._linalg, "svd", recording_svd)
         lad = run_ladder(flow, spec.e_at(spec.s0), spec.grid.levels + 1, check_windows=False)
-        assert lad.top.n == spec.grid.levels + 1
+        assert lad.n == spec.grid.levels + 1
         assert all(max(shape) <= spec.d_at for shape in shapes)
         if spec.d_at == 1:
             assert shapes == []   # 1 x 1 blocks: the margin is a modulus
@@ -505,9 +504,12 @@ def full_term_neumann(pair, contraction):
     return float(np.linalg.norm(f_direct - f_neumann) / scale), n_terms, tail
 
 
-def first_pair_at_e_at(spec):
-    """The first decimation's pair at (s0, E_at(s0)), as ``run`` checks it."""
-    return first_feshbach(first_decimation(spec, spec.s0, None), spec.e_at(spec.s0))[1]
+def first_pair_at_e_at(spec, g=None):
+    """The first decimation's pair at (s0, E_at(s0)), as ``run`` checks it,
+    at the coupling g (the model's when None)."""
+    pair = first_decimation(spec, spec.s0, g).pair(spec.e_at(spec.s0))
+    pair.require_margins()
+    return pair
 
 
 def large_fock_spec():
@@ -522,7 +524,8 @@ class TestNeumannCheck:
         pair = first_pair_at_e_at(spec)
         contraction = verify_pair(pair).contraction_left
         assert 0 < contraction < 1
-        got = neumann_check(pair, contraction)
+        got = neumann_check(pair)
+        assert got.contraction == contraction   # read off the expansion's K
         discrepancy, terms, tail = full_term_neumann(pair, contraction)
         assert got.terms == terms >= 2
         assert abs(got.discrepancy - discrepancy) <= 1e-15
@@ -530,9 +533,11 @@ class TestNeumannCheck:
         assert got.discrepancy < 1e-10
 
     def test_a_contraction_of_one_or_more_has_no_tail_bound(self):
-        pair = first_pair_at_e_at(cut_spec("m_triv"))
-        contraction = verify_pair(pair).contraction_left
-        for c in (1.0, 2.0):
-            got = neumann_check(pair, c)
+        spec = cut_spec("m_triv")
+        # K scales with the coupling g: at g = 1 and 3 it is no contraction
+        for g in (1.0, 3.0):
+            pair = first_pair_at_e_at(spec, g)
+            got = neumann_check(pair)
+            assert got.contraction == verify_pair(pair).contraction_left >= 1.0
             assert got.tail_bound == np.inf
-            assert got.terms == neumann_check(pair, contraction).terms
+            assert got.terms == NEUMANN_MAX_TERMS

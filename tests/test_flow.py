@@ -16,7 +16,7 @@ from specrg import feshbach, fock, kernels, model, oracle, rg, symmetry
 from specrg.cli import main
 from specrg.config import load_model
 from specrg.feshbach import verify_pair
-from specrg.kernels import extract_w00, polydisc_check
+from specrg.kernels import BasisSpline, extract_w00, polydisc_check
 from specrg.oracle import dense_spectrum
 from specrg.rg import (
     Flow,
@@ -59,6 +59,13 @@ def large_fock_config(tmp_path, factor):
     return config
 
 
+def vacuum_block(mat, d):
+    """<T>_Omega = <e_a (x) Omega, T e_b (x) Omega>, gathered from the full
+    matrix in atomic-major layout, where the vacuum is Fock index 0."""
+    idx = np.arange(d) * (mat.shape[-1] // d)
+    return np.asarray(mat, dtype=complex)[np.ix_(idx, idx)].copy()
+
+
 def read_kv(path):
     return dict(line.split("=", 1) for line in path.read_text().splitlines())
 
@@ -97,18 +104,31 @@ class TestLadder:
         spec = load_model(cut_fixture(tmp_path, "m_kramers"))
         roots = record_roots(monkeypatch)
         res = iterate_to_fixed_point(spec, spec.s0, True)
-        lad, rec = roots[-1].ladder, res.trace[-1]
-        top = lad.top
-        assert res.depths[-1].top is top
-        assert top.n == rec.n == res.n_levels >= 1 and lad.pair is not None
-        chk = polydisc_check(extract_w00(top.h))
-        assert (rec.beta_hat, rec.gamma_hat) == (chk.beta_hat, chk.gamma_hat)
-        assert rec.schur_deviation == schur_scalar(top.h.mat, spec.d, top.h.basis.size)[1]
+        lad, rec = roots[-1].ladder, res.depths[-1]
+        assert rec.ext is lad.ext
+        assert lad.n == rec.n == res.n_levels >= 1 and lad.pair is not None
+        assert (rec.z, rec.e_abs, rec.winding) == (lad.z, abs(complex(lad.e_value)), 1)
+        chk = polydisc_check(extract_w00(lad.h, BasisSpline(lad.h.basis)))
+        assert rec.polydisc == chk
+        assert rec.schur_deviation == schur_scalar(vacuum_block(lad.h.mat, spec.d))[1]
         gens = res.flow.depth(rec.n).generators
-        assert len(gens) == 1
-        assert rec.symmetry_residual == is_symmetry_of(gens[0], top.h.mat)[1]
-        report = verify_pair(lad.pair)
-        assert (rec.t_margin, rec.contraction_left) == (report.t_margin, report.contraction_left)
+        assert len(gens) == 1 and rec.generators is gens
+        assert rec.symmetry_residual == is_symmetry_of(gens[0], lad.h.mat)[1]
+        assert rec.pair_report == verify_pair(lad.pair)
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli"])
+    def test_the_schur_deviation_reads_the_extraction_bit_for_bit(self, tmp_path, name):
+        spec = load_model(cut_fixture(tmp_path, name))
+        res = iterate_to_fixed_point(spec, spec.s0, False)
+        assert res.converged and len(res.depths) >= 3
+        for depth in res.depths:
+            h = depth.ext.source
+            d = h.basis.d_at
+            block = vacuum_block(h.mat, d)   # the gather from the full matrix
+            c = complex(np.trace(block) / d)
+            want = float(np.linalg.norm(block - c * np.eye(d), 2))
+            assert depth.ext.node_values[0].tobytes() == block.tobytes()
+            assert np.float64(depth.schur_deviation).tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize("name", ["m_triv", "m_kramers"])
     def test_diagnostics_run_once_per_depth(self, tmp_path, monkeypatch, name):
@@ -118,14 +138,14 @@ class TestLadder:
         residuals = count_calls(monkeypatch, symmetry, "is_symmetry_of")
         res = iterate_to_fixed_point(spec, spec.s0, True)
         depths = res.n_levels + 1
-        # the trace is built when it is first read
+        assert res.converged and all(r.winding == 1 for r in res.depths)
+        # a depth's diagnostics are computed when they are first read
         assert (len(checks), len(schurs), len(residuals)) == (0, 0, 0)
-        assert res.converged and all(r.winding == 1 for r in res.trace)
-        # the polydisc radii wait for a trace line
-        read = (0, depths, depths * len(spec.generators))
-        assert (len(checks), len(schurs), len(residuals)) == read
-        assert len(res.trace) == depths   # a second read computes nothing
-        assert (len(checks), len(schurs), len(residuals)) == read
+        read = (0, depths, depths * len(spec.generators))   # the radii wait for a trace line
+        for _ in range(2):   # a second read computes nothing
+            assert all(r.schur_deviation >= 0 and r.symmetry_residual >= 0
+                       for r in res.depths)
+            assert (len(checks), len(schurs), len(residuals)) == read
         lines = res.trace_lines()
         once = (depths, depths, depths * len(spec.generators))
         assert (len(checks), len(schurs), len(residuals)) == once
@@ -166,7 +186,7 @@ class TestLadder:
         ladder = rg.run_ladder
 
         def counted(flow, z, n, *args, start=None, **kwargs):
-            levels.append(n - (-1 if start is None else start.top.n))
+            levels.append(n - (-1 if start is None else start.n))
             if start is not None:
                 grown.append(n)
             return ladder(flow, z, n, *args, start=start, **kwargs)
@@ -191,16 +211,15 @@ class TestLadder:
         for n in range(top + 1):
             for lad in (run_ladder(flow, z, n, check_windows=False),
                         run_ladder(flow, zs, n, check_windows=False)):
-                level = lad.top
-                assert level.n == n
+                assert lad.n == n
                 # a step into level n has a pair, but for the first decimation
                 # and the step from the vacuum-only space
                 assert (lad.pair is None) == (n in (0, top))
                 # E^(n) is read off node 0 of the level's one extraction
-                assert level.ext.source is level.h and level.ext.nodes[0] == 0.0
-                for k, e in enumerate(np.ravel(level.e_value)):
-                    mat = level.h.mat.reshape((-1,) + level.h.mat.shape[-2:])[k]
-                    c, _ = schur_scalar(mat, spec.d, level.h.basis.size)
+                assert lad.ext.source is lad.h and lad.ext.nodes[0] == 0.0
+                for k, e in enumerate(np.ravel(lad.e_value)):
+                    mat = lad.h.mat.reshape((-1,) + lad.h.mat.shape[-2:])[k]
+                    c, _ = schur_scalar(vacuum_block(mat, spec.d))
                     assert np.complex128(e).tobytes() == np.complex128(c).tobytes()
 
     @pytest.mark.parametrize("grown", [False, True])
@@ -208,7 +227,7 @@ class TestLadder:
         spec = load_model(cut_fixture(tmp_path, "m_triv"))
         flow = Flow(spec, spec.s0, True)
         z = spec.e_at(spec.s0)
-        made = []   # weak references to every level built, and to its extraction
+        made = []   # weak references to every ladder built, and to its extraction
         make = rg._make_level
 
         def recorded(*args):
@@ -224,7 +243,7 @@ class TestLadder:
         assert len(made) == 4
         assert [level() is None for level, _ in made] == [True] * 3 + [False]
         assert [ext() is None for _, ext in made] == [True] * 3 + [False]
-        assert made[-1][0]() is lad.top and lad.top.n == 3
+        assert made[-1][0]() is lad and lad.n == 3
 
     def test_a_flow_keeps_no_ladder(self, tmp_path, monkeypatch):
         spec = load_model(cut_fixture(tmp_path, "m_kramers"))
@@ -241,8 +260,10 @@ class TestLadder:
         gc.collect()
         assert res.converged and len(ladders) > res.n_levels + 1
         assert [ref() for ref in ladders] == [None] * len(ladders)
-        # each depth keeps its root's top level
-        assert [d.top.n for d in res.depths] == list(range(res.n_levels + 1))
+        # each depth keeps its root's top extraction
+        assert [d.n for d in res.depths] == list(range(res.n_levels + 1))
+        assert [d.ext.source.basis for d in res.depths] == [
+            res.flow.depth(n).spline.basis for n in range(res.n_levels + 1)]
 
     @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli"])
     def test_a_ladder_grown_from_start_is_a_fresh_ladder_bit_for_bit(self, tmp_path,
@@ -253,18 +274,18 @@ class TestLadder:
         assert res.converged and len(roots) == res.n_levels + 1 >= 3
         for n, prev in enumerate(roots[:-1], start=1):
             start = prev.ladder
-            old_top, old_pair = start.top, start.pair
-            grown = run_ladder(res.flow, prev.z, n, start=start)
-            # the start's top is the level grown from, and is a fresh ladder's
-            # top one level down; the start is left as it was
-            assert start.top is old_top and start.pair is old_pair
-            for a, b in ((start, run_ladder(res.flow, prev.z, n - 1)),
-                         (grown, run_ladder(res.flow, prev.z, n))):
-                assert a.top.n == b.top.n
-                assert a.top.ext.node_values.tobytes() == b.top.ext.node_values.tobytes()
-                assert (np.complex128(a.top.e_value).tobytes()
-                        == np.complex128(b.top.e_value).tobytes())
-                assert a.top.h.mat.tobytes() == b.top.h.mat.tobytes()
+            old_ext, old_pair = start.ext, start.pair
+            grown = run_ladder(res.flow, prev.ladder.z, n, start=start)
+            # the start is the level grown from, and is a fresh ladder one
+            # level down; it is left as it was
+            assert start.ext is old_ext and start.pair is old_pair and start.n == n - 1
+            for a, b in ((start, run_ladder(res.flow, prev.ladder.z, n - 1)),
+                         (grown, run_ladder(res.flow, prev.ladder.z, n))):
+                assert a.n == b.n
+                assert a.ext.node_values.tobytes() == b.ext.node_values.tobytes()
+                assert (np.complex128(a.e_value).tobytes()
+                        == np.complex128(b.e_value).tobytes())
+                assert a.h.mat.tobytes() == b.h.mat.tobytes()
                 assert (a.pair is None) == (b.pair is None)
                 if b.pair is not None:
                     assert verify_pair(a.pair) == verify_pair(b.pair)
@@ -282,8 +303,7 @@ class TestLadder:
             run_ladder(flow, z, 0, start=start)
         with pytest.raises(ValueError, match="collects no auxiliary operators"):
             run_ladder(flow, z, 2, collect_q=True, start=start)
-        same = run_ladder(flow, z, 1, start=start)
-        assert same.top is start.top and same.pair is start.pair
+        assert run_ladder(flow, z, 1, start=start) is start
 
     def test_each_depth_after_the_first_saves_one_first_decimation(self, tmp_path,
                                                                    monkeypatch):
@@ -397,7 +417,7 @@ class TestFlow:
         J = spec.grid.levels
 
         def energy(z):
-            return abs(run_ladder(res.flow, z, J, check_windows=False).top.e_value)
+            return abs(run_ladder(res.flow, z, J, check_windows=False).e_value)
 
         assert energy(z_o) <= 1e-12
         assert energy(z_o + 1e-6) >= 0.5e-6 * spec.grid.ratio ** -J
@@ -429,7 +449,7 @@ class TestFlow:
         assert plain.converged and res.converged
         assert abs(res.z_inf - plain.z_inf) <= 1e-12
         assert max(build_eigenvectors(res.flow, res.z_inf).residuals) <= 1e-10
-        assert max(rec.symmetry_residual for rec in res.trace) <= 1e-9
+        assert max(rec.symmetry_residual for rec in res.depths) <= 1e-9
 
 
 class TestWindowBacktracking:
@@ -471,12 +491,13 @@ class TestWindowBacktracking:
         res = iterate_to_fixed_point(spec, spec.s0, True)
         assert radii[1] == pytest.approx(radii[0] / 2, rel=1e-9)
         assert res.converged and res.z_inf == plain.z_inf
-        assert all(r.winding == 1 for r in res.trace)
+        assert all(r.winding == 1 for r in res.depths)
 
 
 class StubLadder:
     """``run_ladder`` replaced by E(z) = energy(z) at every depth: a ladder
-    whose top holds only E, and the z of every evaluation in ``zs``."""
+    that holds only z, its level and E, and the z of every evaluation in
+    ``zs``."""
 
     def __init__(self, energy, refuse=()):
         self.energy = energy
@@ -487,7 +508,7 @@ class StubLadder:
         self.zs.append(z)
         if len(self.zs) - 1 in self.refuse:
             raise model.WindowError("outside the declared window")
-        return rg.Ladder(z, SimpleNamespace(e_value=self.energy(z)))
+        return rg.Ladder(z, n, None, self.energy(z))
 
 
 class TestSecantSlope:
@@ -518,7 +539,7 @@ class TestSecantSlope:
         ladder = StubLadder(lambda z: a * (z - r))
         root = self.find(monkeypatch, ladder, -0.0253, slope=a * self.RHO**self.N)
         assert len(ladder.zs) == 2   # the start and one iterate
-        assert abs(root.z - r) < 1e-15 and root.e_abs < rg.TOL_Z
+        assert abs(root.ladder.z - r) < 1e-15 and abs(root.ladder.e_value) < rg.TOL_Z
         prior = StubLadder(lambda z: a * (z - r))
         self.find(monkeypatch, prior, -0.0253)
         assert len(prior.zs) > 2
@@ -532,8 +553,9 @@ class TestSecantSlope:
         ladder = StubLadder(energy)
         z0 = -0.0253
         root = self.find(monkeypatch, ladder, z0)
-        assert len(ladder.zs) > 2 and root.z == ladder.zs[-1]
-        chord = self.RHO**self.N * (energy(root.z) - energy(z0)) / (root.z - z0)
+        z_root = root.ladder.z
+        assert len(ladder.zs) > 2 and z_root == ladder.zs[-1]
+        chord = self.RHO**self.N * (energy(z_root) - energy(z0)) / (z_root - z0)
         assert root.slope == chord
         # far nearer the scaled derivative at the root than the prior is
         exact = a * self.RHO**self.N
@@ -543,7 +565,7 @@ class TestSecantSlope:
         # the start is the last root: its refining step finds no lower |E|
         ladder = StubLadder(lambda z: 1e-13)
         root = self.find(monkeypatch, ladder, -0.02, slope=-1.03 + 0.01j)
-        assert len(ladder.zs) == 2 and root.z == -0.02 and root.ladder.z == -0.02
+        assert len(ladder.zs) == 2 and root.ladder.z == -0.02
         assert root.slope == -1.03 + 0.01j
 
     def test_a_non_finite_chord_carries_the_slope(self, monkeypatch):
@@ -552,8 +574,8 @@ class TestSecantSlope:
         z0 = -0.02
         ladder = StubLadder(lambda z: 1e299 if z == z0 else 0.0, refuse=(1,))
         root = self.find(monkeypatch, ladder, z0, slope=-1e308)
-        assert len(ladder.zs) == 3 and root.z == ladder.zs[2] != z0
-        assert not np.isfinite(self.RHO**self.N * (0.0 - 1e299) / (root.z - z0))
+        assert len(ladder.zs) == 3 and root.ladder.z == ladder.zs[2] != z0
+        assert not np.isfinite(self.RHO**self.N * (0.0 - 1e299) / (root.ladder.z - z0))
         assert root.slope == -1e308
 
     def test_a_carried_slope_backs_off_halfway(self, monkeypatch):
@@ -564,7 +586,7 @@ class TestSecantSlope:
         e0 = a * (z0 - r)
         assert ladder.zs[1] == z0 + e0 * (self.RHO**self.N / -slope)
         assert ladder.zs[2] == 0.5 * (ladder.zs[1] + z0)   # halfway back to the start
-        assert root.e_abs < rg.TOL_Z
+        assert abs(root.ladder.e_value) < rg.TOL_Z
 
     def test_a_converged_start_is_refined_to_rounding(self, monkeypatch):
         # |E| < TOL_Z leaves z 5e-14 off; one step from the slope lands on r
@@ -573,8 +595,8 @@ class TestSecantSlope:
         z0 = r + 5e-14
         assert abs(a * (z0 - r)) < rg.TOL_Z
         root = self.find(monkeypatch, ladder, z0, slope=a * self.RHO**self.N)
-        assert len(ladder.zs) == 2 and root.z == ladder.zs[1] == root.ladder.z
-        assert abs(root.z - r) < 1e-17 and root.e_abs < 1e-15
+        assert len(ladder.zs) == 2 and root.ladder.z == ladder.zs[1]
+        assert abs(root.ladder.z - r) < 1e-17 and abs(root.ladder.e_value) < 1e-15
 
     def test_a_root_near_its_start_is_refined_from_its_chord(self, monkeypatch):
         # 5e-10 from the root, below TOL_FIXED_POINT: the first iterate, from a
@@ -586,7 +608,7 @@ class TestSecantSlope:
         root = self.find(monkeypatch, ladder, z0, slope=a * self.RHO**self.N * (1 + 1e-4))
         assert len(ladder.zs) == 3
         assert 1e-14 < abs(ladder.zs[1] - r) and abs(a * (ladder.zs[1] - r)) < rg.TOL_Z
-        assert root.z == ladder.zs[2] and abs(root.z - r) < 1e-17
+        assert root.ladder.z == ladder.zs[2] and abs(root.ladder.z - r) < 1e-17
         assert root.slope == pytest.approx(a * self.RHO**self.N, rel=1e-3)
 
     def test_a_root_far_from_its_start_is_not_refined(self, monkeypatch):
@@ -596,8 +618,8 @@ class TestSecantSlope:
         ladder = StubLadder(lambda z: a * (z - r))
         root = self.find(monkeypatch, ladder, r + 1e-6,
                          slope=a * self.RHO**self.N * (1 + 2e-8))
-        assert len(ladder.zs) == 2 and root.z == ladder.zs[1]
-        assert 1e-15 < abs(root.z - r) and root.e_abs < rg.TOL_Z
+        assert len(ladder.zs) == 2 and root.ladder.z == ladder.zs[1]
+        assert 1e-15 < abs(root.ladder.z - r) and abs(root.ladder.e_value) < rg.TOL_Z
 
     def test_a_refining_step_outside_the_window_keeps_the_root(self, monkeypatch):
         a, r = -1.028 * self.RHO**-self.N, -0.02596
@@ -605,7 +627,7 @@ class TestSecantSlope:
         z0 = r + 5e-14
         root = self.find(monkeypatch, ladder, z0, slope=a * self.RHO**self.N)
         assert len(ladder.zs) == 2
-        assert root.z == z0 and root.ladder.z == z0
+        assert root.ladder.z == z0
 
     def test_each_depth_starts_from_the_slope_the_depth_before_measured(self, tmp_path,
                                                                          monkeypatch):
@@ -652,7 +674,7 @@ class TestLastRoot:
         res = iterate_to_fixed_point(spec, spec.s0, False)
         assert res.converged and res.depths[-1].dz < rg.TOL_FIXED_POINT
         steps = [d.dz for d in res.depths[1:-1]]
-        rate = rg.fitted_rate(res.trace)
+        rate = rg.fitted_rate(res.depths)
         assert 0.05 < rate < 0.075
         assert all(b / a == pytest.approx(rate, rel=0.02)
                    for a, b in zip(steps[1:], steps[2:]))

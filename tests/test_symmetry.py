@@ -3,15 +3,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from specrg.fock import ModeGrid, OperatorMatrix, build_fock_basis, creation_op, field_energy
+from specrg.kernels import BasisSpline, extract_w00
 from specrg.model import hyp5_frame
-
 from specrg.symmetry import (
     SymmetryOp,
     conjugate,
     is_irreducible,
     is_symmetry_of,
     schur_scalar,
-    vacuum_expectation,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -144,42 +144,47 @@ class TestIrreducibility:
             s.restricted(bad_frame)
 
 
-class TestVacuumExpectation:
+def vacuum_block(t, basis):
+    """<T>_Omega = <e_a (x) Omega, T e_b (x) Omega> as ``schur_scalar`` reads
+    it: node 0 of the extraction of w_{0,0} from T on ``basis``."""
+    return extract_w00(OperatorMatrix(t, basis), BasisSpline(basis)).node_values[0]
+
+
+class TestVacuumBlock:
+    BASIS = build_fock_basis(ModeGrid(0.5, 2), 2, 2.0, d_at=2)
+
     def test_identity(self):
-        t = np.eye(6, dtype=complex)
-        assert np.allclose(vacuum_expectation(t, 2, 3), np.eye(2))
+        b = self.BASIS
+        assert np.allclose(vacuum_block(np.eye(b.dim, dtype=complex), b), np.eye(2))
 
     def test_creation_vanishes(self):
-        from specrg.fock import ModeGrid, build_fock_basis, creation_op
-        b = build_fock_basis(ModeGrid(0.5, 2), 2, 2.0, d_at=2)
+        b = self.BASIS
         t = creation_op(b, [np.eye(2), np.eye(2)]).mat
-        assert np.linalg.norm(vacuum_expectation(t, 2, b.size)) == 0.0
+        assert np.linalg.norm(vacuum_block(t, b)) == 0.0
 
     def test_shifted_field_energy(self):
-        from specrg.fock import ModeGrid, build_fock_basis, field_energy
-        b = build_fock_basis(ModeGrid(0.5, 2), 2, 2.0, d_at=2)
+        b = self.BASIS
         t = field_energy(b).mat + 3.7 * np.eye(b.dim)
-        assert np.allclose(vacuum_expectation(t, 2, b.size), 3.7 * np.eye(2))
+        assert np.allclose(vacuum_block(t, b), 3.7 * np.eye(2))
 
     def test_adjoint_identity_random(self):
+        b = self.BASIS
         rng = np.random.default_rng(4)
         for _ in range(100):
-            t = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            lhs = vacuum_expectation(t.conj().T, 2, 4)
-            rhs = vacuum_expectation(t, 2, 4).conj().T
+            t = rng.standard_normal((b.dim, b.dim)) + 1j * rng.standard_normal((b.dim, b.dim))
+            lhs = vacuum_block(t.conj().T, b)
+            rhs = vacuum_block(t, b).conj().T
             assert np.linalg.norm(lhs - rhs) == 0.0
 
 
 class TestSchurScalar:
     def test_scalar_input(self):
-        t = 5.0 * np.eye(8, dtype=complex)
-        c, dev = schur_scalar(t, 2, 4)
+        c, dev = schur_scalar(5.0 * np.eye(2, dtype=complex))
         assert c == pytest.approx(5.0)
         assert dev == 0.0
 
     def test_no_symmetry_fails_as_expected(self):
-        t = np.kron(np.diag([1.0, 2.0]), np.eye(4)).astype(complex)
-        c, dev = schur_scalar(t, 2, 4)
+        c, dev = schur_scalar(np.diag([1.0, 2.0]).astype(complex))
         assert c == pytest.approx(1.5)
         assert dev == pytest.approx(0.5)
 

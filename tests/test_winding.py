@@ -81,7 +81,7 @@ class TestRule:
     def test_find_zn_refuses_a_second_zero_inside_the_circle(self, monkeypatch):
         e = two_zeros(0.75 * RADIUS)
         monkeypatch.setattr(rg, "run_ladder", lambda flow, z, n, start=None: (
-            types.SimpleNamespace(top=types.SimpleNamespace(e_value=e(np.asarray(z))))))
+            types.SimpleNamespace(e_value=e(np.asarray(z)))))
         flow = types.SimpleNamespace(rho=0.5, check_winding=True)
         with pytest.raises(ArithmeticError, match="at depth 0 gave winding 2"):
             find_zn(flow, 0, 0.002)
@@ -114,15 +114,13 @@ class TestStack:
         zs = z_inf + flow.rho ** (n + 1) / 16 * np.exp(0.5j * np.pi * np.arange(4))
         for m in range(n + 1):
             stack = run_ladder(flow, zs, m, collect_q=True)
-            level = stack.top
             for k, z in enumerate(zs):
                 for single in (run_ladder(flow, zs[k:k + 1], m, collect_q=True),
                                run_ladder(flow, z, m, collect_q=True)):
-                    one = single.top
-                    assert one.n == level.n == m
-                    assert np.ravel(one.e_value)[0] == level.e_value[k]
-                    assert np.array_equal(one.h.mat.reshape(level.h.mat.shape[1:]),
-                                          level.h.mat[k])
+                    assert single.n == stack.n == m
+                    assert np.ravel(single.e_value)[0] == stack.e_value[k]
+                    assert np.array_equal(single.h.mat.reshape(stack.h.mat.shape[1:]),
+                                          stack.h.mat[k])
                     for q, q_one in zip(stack.qs, single.qs, strict=True):
                         assert np.array_equal(q_one.reshape(q.shape[1:]), q[k])
         # the stack's pair report is the worst over its z values
@@ -139,7 +137,7 @@ class TestStack:
         zs = z_inf + flow.rho ** (n + 1) / 16 * np.exp(0.5j * np.pi * np.arange(4))
         run_ladder(flow, zs, n)
         zs[k] = z_inf + 0.2   # inside the declared window, outside the flow's
-        far = run_ladder(flow, zs[k], 0).top.e_value
+        far = run_ladder(flow, zs[k], 0).e_value
         assert abs(far) > flow.window_threshold
         with pytest.raises(WindowExitError) as exc:
             run_ladder(flow, zs, n)

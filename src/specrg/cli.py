@@ -169,15 +169,17 @@ def _report_hypotheses(spec: ModelSpec, report: Report) -> bool:
 
 
 def _first_decimation_checks(spec: ModelSpec, report: Report) -> None:
-    """Report the first decimation's pair at (s0, E_at(s0)), its margin on
-    T, and the Neumann cross-check of its map, which measures the
-    contraction norm of the expansion; the map is formed once, there.  The
+    """Report the first decimation's pair at (s0, E_at(s0)), at the z the
+    flow starts from (a float where the flow is real), its margin on T, and
+    the Neumann cross-check of its map, which measures the contraction norm
+    of the expansion; the map is formed once, there.  The
     flow reuses the first decimation: its ``AffinePair`` (T on the full
     space, and the blocks of W = H - T on Ran chibar and on the reduced
     space) stays in ``spec.built`` for the rest of the command, and only the
     pair's restricted blocks and solve at E_at(s0) are freed on return."""
     s = spec.s0
-    pair = first_decimation(spec, s, None).pair(spec.e_at(s))
+    first = first_decimation(spec, s, None)
+    pair = first.pair(first.z_start)
     pair.require_margins()
     neumann = neumann_check(pair)
     report.put("first.neumann_discrepancy", neumann.discrepancy)

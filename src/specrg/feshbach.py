@@ -16,7 +16,10 @@ chi.  What of this does not depend on z (T, and the blocks of W = H - T on
 Ran chibar and on ``keep``) is one ``AffinePair``; a ``FeshbachPair`` reads
 it at one z, subtracting z in one place (``minus_z``), and holds that one
 solve (``solved``), which ``feshbach_map``, ``q_ops`` and ``neumann_check``
-read.
+read.  The pair's arithmetic follows its data: an ``AffinePair`` keeps the
+dtype of H and T, real for a real model at a real s, and ``minus_z`` the
+dtype of the block and z, so a real z keeps a real pair real and a complex
+z makes it complex.
 T is block-diagonal, one d_at x d_at block per Fock state, so a step is
 gated by the smallest singular value of those blocks on Ran chibar (a
 batched SVD of d_at x d_at matrices) and by that LU solve; a singular block
@@ -38,14 +41,23 @@ per model.  A ``FirstDecimation`` reads it and conjugates H_g(s) and H_0(s)
 by u (x) 1 once per (model, s, g), and ``first_decimation`` keeps it in
 ``spec.built`` for every caller of the command.  Its pair (H_g(s) - z,
 H_0(s) - z) is affine in z and W does not depend on z: its ``AffinePair``
-on the reduced space is formed once, and ``FirstDecimation.pair(z)`` only
-moves the diagonals of the restricted blocks and of the kept block by -z,
-for one z or a stack of z values.  The frame is unitary only
-when P_at(s0) is an orthogonal projection and P_at(s) = P_at(s0); in an
-oblique frame the first pair's margins are measured in that frame.
+on the reduced space is formed once, from the real parts of H_g(s) and
+H_0(s) when both conjugated imaginary parts are exactly 0, and
+``FirstDecimation.pair(z)`` only moves the diagonals of the restricted
+blocks and of the kept block by -z, for one z or a stack of z values.
+Where the pair's h_on = H_chibar|_on + z is exactly Hermitian, as at a real
+s, its map is taken in spectral form (``SpectralForm``): one ``eigh`` of
+h_on per (model, s, g) turns (h_on - z)^-1 into a diagonal scaling for
+every z, and only the rows and columns that chi W chibar reaches are
+updated, with no LU solve per z (Laub, IEEE TAC 26, 1981: one
+factorization for all shifts); elsewhere, as at a complex s whose H
+depends on s, the map is the LU solve.  ``pair_map`` is the map the flow
+uses.  The frame is unitary only when P_at(s0) is an orthogonal projection
+and P_at(s) = P_at(s0); in an oblique frame the first pair's margins are
+measured in that frame.
 ``first_feshbach`` maps the pair to the reduced space, and ``neumann_check``
-cross-checks the map on the same block and measures the contraction norm of
-its expansion, ``verify_pair``'s ``contraction_left``.
+cross-checks that map on the same block and measures the contraction norm
+of its expansion, ``verify_pair``'s ``contraction_left``.
 """
 
 from __future__ import annotations
@@ -148,12 +160,14 @@ class AffinePair:
     computed: T; with W = H - T, on Ran chibar, ``w_bar`` = chibar W chibar,
     ``t_on`` = T|_on and ``h_on`` = t_on + w_bar; and on ``keep``, ``base``
     = (T + chi W chi)[keep, keep], ``left`` = chi W chibar on the rows
-    ``keep`` and ``right`` = chibar W chi on the columns ``keep``.  A
+    ``keep`` and ``right`` = chibar W chi on the columns ``keep``.  Every
+    block has the dtype of H and T together, real when both are.  A
     ``FeshbachPair`` reads it at one z or a stack of z values."""
 
     def __init__(self, h, t, cut: Cutoffs, keep):
-        self.t = np.asarray(t, dtype=complex)
-        w = np.asarray(h, dtype=complex) - self.t
+        dtype = np.result_type(h, t)
+        self.t = np.asarray(t, dtype=dtype)
+        w = np.asarray(h, dtype=dtype) - self.t
         self.cut, self.keep = cut, keep
         on, cb, c = cut.on_index, cut.cb, cut.chi[keep]
         self.w_bar = cb[:, None] * w.take(on, -2).take(on, -1) * cb
@@ -169,17 +183,23 @@ class FeshbachPair:
     """The pair (H - z, T - z) of the ``AffinePair`` ``fixed`` at one z or,
     with a leading axis, at each z of an array.  ``minus_z`` is the one place
     z is subtracted; the pair forms with it the two restricted blocks that
-    move with z, ``m_t`` = (T - z)|_on and ``m_h`` = H_chibar|_on.
-    ``t_margin`` gates a step from T's d_at x d_at blocks, ``solved`` gates
-    H_chibar by the one LU solve of the pair, and ``verify_pair`` reports
-    the margins.  ``feshbach_map``, ``q_ops`` and ``neumann_check`` all read
-    that solve."""
+    move with z, ``m_t`` = (T - z)|_on and, when first read, ``m_h`` =
+    H_chibar|_on.  ``t_margin`` gates a step from T's d_at x d_at blocks,
+    ``solved`` gates H_chibar by the one LU solve of the pair, and
+    ``verify_pair`` reports the margins.  ``feshbach_map``, ``q_ops`` and
+    ``neumann_check`` all read that solve.  ``spectral`` is the
+    ``SpectralForm`` of ``fixed``'s h_on, which the first decimation passes
+    where it is exact, and ``pair_map`` then reads in place of the solve."""
 
-    def __init__(self, fixed: AffinePair, z):
+    def __init__(self, fixed: AffinePair, z, spectral: SpectralForm | None = None):
         self.fixed = fixed
         self.z = np.asarray(z)
+        self.spectral = spectral
         self.m_t = self.minus_z(fixed.t_on)
-        self.m_h = self.minus_z(fixed.h_on)
+
+    @cached_property
+    def m_h(self) -> np.ndarray:
+        return self.minus_z(self.fixed.h_on)
 
     def minus_z(self, m) -> np.ndarray:
         """m - z on the diagonal of its last two axes, stacked like z: m
@@ -284,6 +304,46 @@ def feshbach_map(pair: FeshbachPair) -> np.ndarray:
     return pair.minus_z(pair.fixed.base) - pair.fixed.left @ pair.solved
 
 
+class SpectralForm:
+    """The map of every pair of an ``AffinePair`` whose h_on is exactly
+    Hermitian, from one ``eigh``: h_on = V diag(lam) V*, so (h_on - z)^-1 =
+    V diag(1/(lam - z)) V* for every z.  Only the rows ``rows`` of ``left``
+    and the columns ``cols`` of ``right`` that are not exactly zero enter
+    the Schur correction, and L = left[rows] V and Rm = V* right[:, cols]
+    are formed once, so a z costs one diagonal scaling and one product on
+    rows x cols.  V is real when h_on is."""
+
+    def __init__(self, fixed: AffinePair):
+        self.lam, v = np.linalg.eigh(fixed.h_on)
+        self.rows = np.flatnonzero(fixed.left.any(axis=-1))
+        self.cols = np.flatnonzero(fixed.right.any(axis=-2))
+        self.l = fixed.left[self.rows] @ v
+        self.rm = v.conj().T @ fixed.right[:, self.cols]
+
+    def map(self, pair: FeshbachPair) -> np.ndarray:
+        """``feshbach_map`` of ``pair``, a pair of the ``AffinePair`` this
+        form was taken of, stacked like its z: base - z less L diag(1/(lam -
+        z)) Rm on rows x cols.  Raise FeshbachPairError with the pair's
+        report when a 1/(lam - z) is not finite, as at an eigenvalue of
+        h_on."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / (self.lam - pair.z[..., None])
+        if not np.isfinite(inv).all():
+            raise FeshbachPairError(verify_pair(pair))
+        correction = self.l @ (inv[..., :, None] * self.rm)
+        base = pair.fixed.base
+        out = pair.minus_z(base)
+        out = out.astype(np.result_type(out, correction), copy=out is base)
+        out[..., self.rows[:, None], self.cols] -= correction
+        return out
+
+
+def pair_map(pair: FeshbachPair) -> np.ndarray:
+    """The kept block of the pair's map as the flow computes it: from the
+    pair's ``spectral`` form where it carries one, else ``feshbach_map``."""
+    return feshbach_map(pair) if pair.spectral is None else pair.spectral.map(pair)
+
+
 def q_ops(pair: FeshbachPair) -> np.ndarray:
     """Q Gamma*, the columns ``keep`` of the auxiliary operator
     Q = chi - chibar H_chibar^-1 chibar W chi, which maps ker F into ker H,
@@ -334,9 +394,14 @@ class FirstDecimation:
     ``u``, the shared u0 times Kato's U(s) of ``hyp5_frame`` when P_at(s)
     differs from P_at(s0) by more than 1e-12; and ``affine``, the
     ``AffinePair`` of H_g(s) and T = H_0(s), both conjugated by u (x) 1, on
-    ``reduced_index``.  T is block-diagonal: u^-1 H_at(s) u + hf_i on Fock
-    state i.  ``u`` is unitary only when P_at is orthogonal and P_at(s) =
-    P_at(s0)."""
+    ``reduced_index``, of their real parts when both imaginary parts are
+    exactly 0 (the oracle's rule); ``spectral``, its ``SpectralForm``
+    where its h_on is exactly Hermitian, else None; and ``z_start``, the z
+    the flow and the first-decimation report start from: E_at(s), as a
+    float where it and the pair are real, so that the flow of a real model
+    at a real s runs in real arithmetic.  T is block-diagonal:
+    u^-1 H_at(s) u + hf_i on Fock state i.  ``u`` is unitary only when P_at
+    is orthogonal and P_at(s) = P_at(s0)."""
 
     def __init__(self, spec: ModelSpec, s: complex, g: float | None):
         self.spec = spec
@@ -353,9 +418,15 @@ class FirstDecimation:
         self.e_at = spec.e_at(s)
         h0 = build_h0(spec, s, self.basis)
         self.hamiltonian = build_hamiltonian(spec, s, g, self.basis, h0)
-        self.affine = AffinePair(_conjugate_atomic(uinv, self.hamiltonian.mat, u),
-                                 _conjugate_atomic(uinv, h0, u),
-                                 self.cut, self.reduced_index)
+        h = _conjugate_atomic(uinv, self.hamiltonian.mat, u)
+        t = _conjugate_atomic(uinv, h0, u)
+        if not (h.imag.any() or t.imag.any()):
+            h, t = np.ascontiguousarray(h.real), np.ascontiguousarray(t.real)
+        self.affine = AffinePair(h, t, self.cut, self.reduced_index)
+        h_on = self.affine.h_on
+        self.spectral = SpectralForm(self.affine) if np.array_equal(h_on, h_on.conj().T) else None
+        real = self.e_at.imag == 0 and np.isrealobj(self.affine.base)
+        self.z_start = self.e_at.real if real else self.e_at
 
     def pair(self, z) -> FeshbachPair:
         """The pair (H_g(s) - z, H_0(s) - z) with the first cutoffs, for one
@@ -365,7 +436,7 @@ class FirstDecimation:
             if not self.spec.in_z_window(self.e_at, zk):
                 raise WindowError(f"(s, z) = ({self.s}, {complex(zk)}) outside the "
                                   "declared window")
-        return FeshbachPair(self.affine, z)
+        return FeshbachPair(self.affine, z, self.spectral)
 
 
 def first_decimation(spec: ModelSpec, s: complex, g: float | None) -> FirstDecimation:
@@ -378,11 +449,13 @@ def first_decimation(spec: ModelSpec, s: complex, g: float | None) -> FirstDecim
 def first_feshbach(first: FirstDecimation, z) -> tuple[OperatorMatrix, FeshbachPair]:
     """Decimate (H_g(s) - z, H_0(s) - z) with the projection-weighted cutoff
     P_at (x) chi_1(H_f), on the reduced space only: the map's principal
-    submatrix on ``reduced_index``, which the map leaves invariant.  Returns
-    the reduced operator and the pair, both stacked like z."""
+    submatrix on ``reduced_index``, which the map leaves invariant, by
+    ``pair_map``: in spectral form where the pair's h_on is exactly
+    Hermitian, else by one LU solve.  Returns the reduced operator and the
+    pair, both stacked like z."""
     pair = first.pair(z)
     pair.require_margins()
-    return OperatorMatrix(feshbach_map(pair), first.reduced_basis), pair
+    return OperatorMatrix(pair_map(pair), first.reduced_basis), pair
 
 
 @dataclass
@@ -400,11 +473,12 @@ NEUMANN_TOL = 1e-13       # stop when a term falls below this, relative to ||F||
 
 
 def neumann_check(pair: FeshbachPair) -> NeumannCheck:
-    """Cross-check the Feshbach map of a pair against the truncated Neumann
-    expansion of the same Schur complement, with an a-posteriori tail bound
-    from the contraction norm ||K|| of K = (T|_Ran chibar)^-1 chibar W
-    chibar, which the expansion forms: the ``contraction_left`` of
-    ``verify_pair``, returned with the check.
+    """Cross-check the Feshbach map of a pair, as the flow computes it
+    (``pair_map``), against the truncated Neumann expansion of the same
+    Schur complement, with an a-posteriori tail bound from the contraction
+    norm ||K|| of K = (T|_Ran chibar)^-1 chibar W chibar, which the
+    expansion forms: the ``contraction_left`` of ``verify_pair``, returned
+    with the check.
 
     chi vanishes outside the pair's ``keep``, so there both maps equal T on
     every row and column, and T's entries outside keep x keep enter only
@@ -421,7 +495,7 @@ def neumann_check(pair: FeshbachPair) -> NeumannCheck:
     n = fixed.cut.chi.size
     outside = np.ones((n, n), dtype=bool)
     outside[np.ix_(fixed.keep, fixed.keep)] = False
-    f_direct = feshbach_map(pair)
+    f_direct = pair_map(pair)
 
     # F = T + chi W chi - sum_{L>=1} (-1)^(L-1) chi W chibar (R0 chibar W chibar)^(L-1) R0 chibar W chi
     # with R0 the restricted inverse of T on Ran chibar and W = g W(s); the

@@ -7,9 +7,10 @@ field energies by 1/rho is an exact shell shift (no interpolation): a map of
 coordinates.  ``DilationMap.rows`` holds it, so Gamma M Gamma* is a principal
 submatrix of M and Gamma* v is a scatter of v.
 
-All operators are dense complex matrices on C^d_at (x) span(occupation
-states); the atomic index is the major (slowest) index, i.e. kron(atomic,
-fock) ordering.
+All operators are dense matrices on C^d_at (x) span(occupation states),
+real (float64) where the model and z are real and complex otherwise; the
+atomic index is the major (slowest) index, i.e. kron(atomic, fock)
+ordering.
 """
 
 from __future__ import annotations
@@ -171,17 +172,20 @@ def build_fock_basis(grid: ModeGrid, n_max: int, e_cut: float, d_at: int = 1) ->
 
 @dataclass
 class OperatorMatrix:
-    """Dense complex matrix on (atomic space) (x) (truncated Fock space), or a
-    stack of them along leading axes (one per z of a stacked ladder).
-    ``selfadjoint_known`` is the builder's word, not checked here: H_f is
-    real diagonal, and ``model.build_hamiltonian`` measures ||H - H*||."""
+    """Dense matrix on (atomic space) (x) (truncated Fock space), or a stack
+    of them along leading axes (one per z of a stacked ladder).  A float64
+    matrix is kept as it is, as the flow of a real model at a real z makes
+    it; any other dtype is cast to complex.  ``selfadjoint_known`` is the
+    builder's word, not checked here: H_f is real diagonal, and
+    ``model.build_hamiltonian`` measures ||H - H*||."""
 
     mat: np.ndarray
     basis: FockBasis
     selfadjoint_known: bool = False
 
     def __post_init__(self):
-        self.mat = np.asarray(self.mat, dtype=complex)
+        mat = np.asarray(self.mat)
+        self.mat = mat if mat.dtype == np.float64 else mat.astype(complex, copy=False)
         n = self.basis.dim
         if self.mat.shape[-2:] != (n, n):
             raise ValueError(

@@ -3,9 +3,10 @@
 ``extract_w00`` reads the nodes of w_{0,0} off the vacuum and one-photon
 diagonal blocks of an operator, in one gather at the coordinates its basis
 keeps (``FockBasis.node_rows``); between the nodes w_{0,0} is the monotone
-cubic (PCHIP) of Fritsch & Carlson, fitted once to the real view of the
-complex node values.  A flow step reads w_{0,0}(H_f), the unperturbed part
-of the next Feshbach pair, at the basis' H_f values; the 65-point
+cubic (PCHIP) of Fritsch & Carlson, fitted once to the node values as they
+are when real, and to their interleaved real view when complex.  A flow
+step reads w_{0,0}(H_f), the unperturbed part of the next Feshbach pair,
+at the basis' H_f values; the 65-point
 ``KernelC1`` on r in [0, 1] is built only for beta_hat and ``kernel.txt``,
 by ``hermite``.  ``polydisc_check`` measures the operator's polydisc radii
 beta and gamma for the trace; only w_{0,0} is extracted, so the interaction
@@ -156,13 +157,14 @@ class BasisSpline:
         """w_{0,0}(H_f) = sum_i w_{0,0}(hf_i) (x) |i><i| in atomic-major layout,
         for the cubic through the basis' nodes with these values and slopes,
         shape (nodes, ..., d, d); the axes between are a stack, and the
-        result carries them in front.  The diagonal blocks are one real
-        product of the weights with the stacked values and slopes."""
+        result carries them in front, in their dtype.  The diagonal blocks
+        are one real product of the weights with the stacked values and
+        slopes: as they are when real, else their interleaved real view."""
         lead, dim = values.shape[1:-2], self.basis.dim
         y = np.concatenate((values, slopes)).reshape(self.weights.shape[1], -1)
-        blocks = (self.weights @ y.view(float)).view(complex)   # (n, stack * d * d)
+        blocks = (self.weights @ y.view(float)).view(y.dtype)   # (n, stack * d * d)
         n, dd = self.diagonal.shape
-        out = np.zeros((blocks.shape[1] // dd, dim * dim), dtype=complex)
+        out = np.zeros((blocks.shape[1] // dd, dim * dim), dtype=y.dtype)
         out[:, self.diagonal] = blocks.reshape(n, -1, dd).swapaxes(0, 1)
         return out.reshape(lead + (dim, dim))
 
@@ -180,10 +182,12 @@ class ExtractionResult:
 
     @cached_property
     def slopes(self) -> np.ndarray:
-        """PCHIP slopes of the real and imaginary part of every entry, from
-        one fit of the interleaved real view: every PCHIP operation acts
-        entry by entry."""
-        return self.spline.pchip.slopes(self.node_values.view(float)).view(complex)
+        """PCHIP slopes of every entry, from one fit: of the node values as
+        they are when real, else of their interleaved real view, which fits
+        the real and imaginary parts at once since every PCHIP operation acts
+        entry by entry.  The view of a float64 array is the array."""
+        values = self.node_values
+        return self.spline.pchip.slopes(values.view(float)).view(values.dtype)
 
     def hf_matrix(self) -> np.ndarray:
         """w_{0,0}(H_f) on the source's basis, one per operator of the stack."""

@@ -157,8 +157,15 @@ class ModelSpec:
         return self.memo(("p_at", complex(s)), build)
 
     def e_at(self, s: complex) -> complex:
-        p = self.p_at(s)
-        return complex(np.trace(self.h_at(s) @ p) / self.d)
+        """E_at(s) = tr H_at(s) P_at(s) / d.  Its imaginary part is exactly 0
+        when H_at(s) has none and the cluster centre is real: the trapezoid
+        nodes of ``spectral_projection`` then pair up under conjugation, so
+        the trace is real, and only its rounding is dropped."""
+        h = self.h_at(s)
+        e = complex(np.trace(h @ self.p_at(s)) / self.d)
+        if not np.imag(h).any() and self._cluster_center.imag == 0:
+            return complex(e.real, 0.0)
+        return e
 
     def atomic_frame(self) -> np.ndarray:
         """Orthonormal columns spanning Ran P_at(s0) (see ``projection_frame``).

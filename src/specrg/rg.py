@@ -20,21 +20,27 @@ once: one ``extract_w00`` per level, with its depth's spline, gives E^(n)(z)
 slopes, then one product with the spline's weights), whose window the step
 checks.  Each level's operator is only the block of a Feshbach map that the
 next space keeps: the first decimation's pair is affine in z, so its level
-costs one LU solve on Ran chibar and products on the reduced space, and a
-step maps only the dilation's rows.  A pair is gated by the smallest
-singular value of T's d_at x d_at blocks and by that LU solve, with no
-full-size SVD.  A level depends only on the level below it, so a ``Ladder``
-is its top level: its extraction, E^(n)(z), the pair of the step into it
-and, when asked, each pair's ``q_ops``; ``kernel.txt`` runs its own ladder
-of level 0 at z_inf.  z is one value or an array of K values: a stacked
+costs, where its h_on is exactly Hermitian, one diagonal scaling and one
+product in the spectral form the first decimation takes once, else one LU
+solve on Ran chibar, and products on the reduced space; a step maps only
+the dilation's rows.  A pair is gated by the smallest singular value of
+T's d_at x d_at blocks and by that LU solve, with no full-size SVD.  A
+level depends only on the level below it, so a ``Ladder`` is its top
+level: its extraction, E^(n)(z), the pair of the step into it and, when
+asked, each pair's ``q_ops``; ``kernel.txt`` runs its own ladder of level
+0 at z_inf.  z is one value or an array of K values: a stacked
 ladder carries a leading axis of K on every operator, pair, kernel and
 E^(n), and is the same code as the ladder at one z, whose operators have no
-leading axis.  The secant and the eigenvectors run a ladder at one z; the
-winding check runs one stacked ladder per round of nodes.  H^(n)(z) =
-R_rho(H^(n-1)(z)), so a ladder at z is the ladder one level shorter at z
-plus one step: depth n's secant starts at z_{n-1}, and its first evaluation
-is the ladder depth n-1 converged on (``run_ladder``'s ``start``) plus one
-step, not a fresh first decimation and n steps.
+leading axis.  z's dtype sets the ladder's arithmetic: a float z on a
+first decimation whose pair is real keeps every operator, kernel and E^(n)
+real (float64), and a complex z, such as a winding node or a caller's z,
+runs in complex arithmetic even when its imaginary part is 0.  The secant
+and the eigenvectors run a ladder at one z; the winding check runs one
+stacked ladder per round of nodes.  H^(n)(z) = R_rho(H^(n-1)(z)), so a
+ladder at z is the ladder one level shorter at z plus one step: depth n's
+secant starts at z_{n-1}, and its first evaluation is the ladder depth n-1
+converged on (``run_ladder``'s ``start``) plus one step, not a fresh first
+decimation and n steps.
 
 The secant's first step from z_{n-1} divides by a scaled slope sigma =
 rho^n dE^(n)/dz.  R_rho divides by rho, so dE^(n)/dz is about rho^-1
@@ -233,10 +239,10 @@ class Ladder:
     the trace, and E^(n)(z) = tr w_{0,0}(0) / d read off its node 0, all
     stacked like z."""
 
-    z: complex | np.ndarray   # the z of every level, as run_ladder was given it
+    z: float | complex | np.ndarray   # the z of every level, as run_ladder was given it
     n: int
     ext: ExtractionResult
-    e_value: complex | np.ndarray
+    e_value: float | complex | np.ndarray   # in the dtype of the ladder's operators
     pair: FeshbachPair | None = None   # of the step into level n, if it has one
     qs: list | None = None   # q_ops of the first decimation, then of each step with a pair
 
@@ -248,7 +254,8 @@ class Ladder:
 def run_ladder(flow: Flow, z, n_levels: int, check_windows: bool = True,
                collect_q: bool = False, start: Ladder | None = None) -> Ladder:
     """First decimation followed by n_levels flow steps at fixed z: one
-    complex value, or an array of K values evaluated as one stack.  Only the
+    value, or an array of K values evaluated as one stack; a float z runs
+    in real arithmetic where the first decimation's pair is real.  Only the
     current level is kept; the ladder returned is level n_levels, with the
     pair of the step into it, which is None at level 0 and for a step from
     the vacuum-only terminal space.
@@ -262,8 +269,9 @@ def run_ladder(flow: Flow, z, n_levels: int, check_windows: bool = True,
     depth converged on with one new step, and ``start`` itself is returned
     when it is at level n_levels.  The window of ``start`` is checked before
     the step from it; its lower levels were checked when it was built.
-    Raises ValueError when ``start.z`` is not exactly z, when ``start`` is
-    above level n_levels, or when it is combined with ``collect_q``.
+    Raises ValueError when ``start.z`` is not exactly z, in dtype and in
+    value, when ``start`` is above level n_levels, or when it is combined
+    with ``collect_q``.
     ``collect_q`` keeps ``q_ops`` of each pair, the first decimation's and
     each step's; the terminal step has no pair.
     """
@@ -275,8 +283,8 @@ def run_ladder(flow: Flow, z, n_levels: int, check_windows: bool = True,
     else:
         if collect_q:
             raise ValueError("a ladder grown from start collects no auxiliary operators")
-        here = np.asarray(z, dtype=complex)
-        there = np.asarray(start.z, dtype=complex)
+        # no cast: a float z and the same complex z differ in their bytes
+        here, there = np.asarray(z), np.asarray(start.z)
         if here.shape != there.shape or here.tobytes() != there.tobytes():
             raise ValueError(f"start ladder is at z = {start.z}, not at {z}")
         if start.n > n_levels:
@@ -320,11 +328,11 @@ class RootResult:
 
     ladder: Ladder
     winding: int | None
-    slope: complex
+    slope: float | complex
 
 
-def find_zn(flow: Flow, n: int, z_start: complex, start: Ladder | None = None,
-            slope: complex = SLOPE_PRIOR) -> RootResult:
+def find_zn(flow: Flow, n: int, z_start: float | complex, start: Ladder | None = None,
+            slope: float | complex = SLOPE_PRIOR) -> RootResult:
     """Secant root of E^(n) from z_start, with a first step from the scaled
     slope ``slope`` = rho^n dE^(n)/dz (z_1 = z_start - E^(n)(z_start)
     rho^n / slope; the prior -1 at depth 0, the slope depth n-1 measured
@@ -337,6 +345,8 @@ def find_zn(flow: Flow, n: int, z_start: complex, start: Ladder | None = None,
     winding check's included, runs a fresh ladder.  The result's ``slope``
     is the chord rho^n (E(z_root) - E(z_start)) / (z_root - z_start), not
     the last secant slope, whose two values of E differ by rounding only.
+    E^(n) is taken in the ladder's dtype, so from a float z_start the
+    iterates, the chord and the root stay float.
 
     At n >= 1 a root within TOL_FIXED_POINT of z_start, where the flow
     stops when the margins hold, is refined by one step z - E rho^n / slope
@@ -349,9 +359,9 @@ def find_zn(flow: Flow, n: int, z_start: complex, start: Ladder | None = None,
     def e_val(z, start=None):
         nonlocal last
         last = run_ladder(flow, z, n, start=start)
-        return complex(last.e_value)
+        return last.e_value
 
-    z0 = complex(z_start)
+    z0 = z_start
     e0 = e_val(z0, start)
     z_cur, e_cur = z0, e0   # the root, once the secant below has run
     iters = 1
@@ -561,9 +571,13 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, check_winding: bool,
                            g: float | None = None) -> PipelineResult:
     """Cascade the per-depth roots z_n until |z_n - z_{n-1}| < tolerance
     with healthy pair margins; z_inf is the last root.  Per depth it keeps a
-    ``DepthResult``, whose diagnostics are left to their first read."""
+    ``DepthResult``, whose diagnostics are left to their first read.  The
+    secant starts from the first decimation's ``z_start``, E_at(s) as a
+    float when it is real and the first decimation's pair is real, so that
+    a real model at a real s flows in real arithmetic; z_inf and every
+    depth's z are reported as complex."""
     flow = Flow(spec, s, check_winding, g)
-    z = flow.first.e_at
+    z = flow.first.z_start
     depths = []
     converged = False
     root = None
@@ -576,14 +590,14 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, check_winding: bool,
         lad, slope = root.ladder, root.slope
         pairrep = None if lad.pair is None else verify_pair(lad.pair)
         dz = abs(lad.z - z) if n > 0 else 0.0
-        depths.append(DepthResult(n, lad.z, dz, abs(complex(lad.e_value)), root.winding,
-                                  pairrep, lad.ext, flow.depth(n).generators))
+        depths.append(DepthResult(n, complex(lad.z), dz, abs(complex(lad.e_value)),
+                                  root.winding, pairrep, lad.ext, flow.depth(n).generators))
         z = lad.z
         margins_ok = pairrep.passed if pairrep else True
         if n >= 1 and dz < TOL_FIXED_POINT and margins_ok:
             converged = True
             break
-    return PipelineResult(z, converged, flow, depths)
+    return PipelineResult(complex(z), converged, flow, depths)
 
 
 @dataclass

@@ -14,9 +14,12 @@ from specrg.feshbach import (
     CutoffSpec,
     FeshbachPair,
     FeshbachPairError,
+    SpectralForm,
     feshbach_map,
     first_decimation,
+    first_feshbach,
     neumann_check,
+    pair_map,
     q_ops,
     verify_pair,
 )
@@ -505,9 +508,11 @@ def full_term_neumann(pair, contraction):
 
 
 def first_pair_at_e_at(spec, g=None):
-    """The first decimation's pair at (s0, E_at(s0)), as ``run`` checks it,
-    at the coupling g (the model's when None)."""
-    pair = first_decimation(spec, spec.s0, g).pair(spec.e_at(spec.s0))
+    """The first decimation's pair at (s0, E_at(s0)), as ``run`` checks it
+    (at the z the flow starts from), at the coupling g (the model's when
+    None)."""
+    first = first_decimation(spec, spec.s0, g)
+    pair = first.pair(first.z_start)
     pair.require_margins()
     return pair
 
@@ -541,3 +546,97 @@ class TestNeumannCheck:
             assert got.contraction == verify_pair(pair).contraction_left >= 1.0
             assert got.tail_bound == np.inf
             assert got.terms == NEUMANN_MAX_TERMS
+
+
+def spectral_first(name):
+    """The first decimation at s0 of a shipped fixture, or of large-fock-run's
+    input (dim 157)."""
+    spec = large_fock_spec() if name == "dim157" else load_model(name)
+    return first_decimation(spec, spec.s0, None)
+
+
+def count_linalg(monkeypatch, name):
+    """List that grows by the shape of the first argument of each call of
+    ``np.linalg.<name>``."""
+    fn = getattr(np.linalg, name)
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return shapes
+
+
+SPECTRAL_NAMES = ["m_triv", "m_exact", "m_kramers", "m_pauli", "dim157"]
+
+
+class TestSpectralForm:
+    """The first decimation's map from one eigh of its h_on, where h_on is
+    exactly Hermitian: base - z less L diag(1/(lam - z)) Rm on the rows and
+    columns that chi W chibar reaches."""
+
+    @pytest.mark.parametrize("name", SPECTRAL_NAMES)
+    @pytest.mark.parametrize("kind", ["real", "complex", "stack"])
+    def test_the_spectral_map_is_the_lu_map(self, name, kind):
+        first = spectral_first(name)
+        e = first.e_at
+        assert e.imag == 0 and first.affine.base.dtype == np.float64
+        z = {"real": e.real + 2e-3, "complex": e + (1e-3 + 2e-3j),
+             "stack": e + 1e-3 * np.exp(0.5j * np.pi * np.arange(4))}[kind]
+        pair = first.pair(z)
+        assert first.spectral is not None and pair.spectral is first.spectral
+        lu = feshbach_map(pair)
+        got = pair_map(pair)
+        assert got.shape == lu.shape and got.dtype == lu.dtype
+        assert got.dtype == (np.float64 if kind == "real" else np.complex128)
+        scale = max(1.0, float(np.linalg.norm(lu, 2, axis=(-2, -1)).max()))
+        assert np.abs(got - lu).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("name", SPECTRAL_NAMES)
+    def test_the_rows_and_columns_are_those_that_are_not_zero(self, name):
+        first = spectral_first(name)
+        left, right, form = first.affine.left, first.affine.right, first.spectral
+        assert left[form.rows].any(axis=1).all() and not np.delete(left, form.rows, 0).any()
+        assert right[:, form.cols].any(axis=0).all() and not np.delete(right, form.cols, 1).any()
+        if name == "dim157":
+            assert first.affine.h_on.shape == (51, 51)
+            assert (len(form.rows), len(form.cols), left.shape[0]) == (35, 35, 114)
+
+    @pytest.mark.parametrize("name", ["m_triv", "dim157"])
+    def test_a_hermitian_h_on_takes_one_eigh_and_no_solve(self, name, monkeypatch):
+        first = spectral_first(name)
+        eighs = count_linalg(monkeypatch, "eigh")
+        solves = count_linalg(monkeypatch, "solve")
+        again = SpectralForm(first.affine)
+        for z in (first.e_at.real, first.e_at + 1e-3j):
+            first_feshbach(first, z)
+        assert eighs == [first.affine.h_on.shape] and solves == []
+        assert np.array_equal(again.lam, first.spectral.lam)
+
+    def test_a_h_on_that_is_not_hermitian_runs_one_lu_solve(self, monkeypatch):
+        # m_pauli's H depends on s: at a complex s h_on is not Hermitian
+        spec = load_model("m_pauli")
+        first = first_decimation(spec, spec.s0 + 0.05j, None)
+        h_on = first.affine.h_on
+        assert not np.array_equal(h_on, h_on.conj().T) and first.spectral is None
+        solves = count_linalg(monkeypatch, "solve")
+        h, pair = first_feshbach(first, first.e_at)
+        assert solves == [h_on.shape] and pair.spectral is None
+        assert np.array_equal(h.mat, feshbach_map(pair))
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_pauli"])
+    def test_a_z_at_an_eigenvalue_of_h_on_raises(self, name):
+        first = spectral_first(name)
+        for lam in (first.spectral.lam[0], first.spectral.lam[[0, -1]]):
+            pair = FeshbachPair(first.affine, lam, first.spectral)
+            with pytest.raises(FeshbachPairError) as exc:
+                pair_map(pair)
+            assert exc.value.report == verify_pair(pair)
+
+    def test_the_neumann_check_reads_the_map_the_flow_uses(self, monkeypatch):
+        first = spectral_first("m_triv")
+        solves = count_linalg(monkeypatch, "solve")
+        got = neumann_check(first.pair(first.e_at))
+        assert solves == [] and got.discrepancy < 1e-10

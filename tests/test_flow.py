@@ -61,9 +61,10 @@ def large_fock_config(tmp_path, factor):
 
 def vacuum_block(mat, d):
     """<T>_Omega = <e_a (x) Omega, T e_b (x) Omega>, gathered from the full
-    matrix in atomic-major layout, where the vacuum is Fock index 0."""
+    matrix in atomic-major layout, where the vacuum is Fock index 0, in the
+    matrix's own dtype."""
     idx = np.arange(d) * (mat.shape[-1] // d)
-    return np.asarray(mat, dtype=complex)[np.ix_(idx, idx)].copy()
+    return np.asarray(mat)[np.ix_(idx, idx)].copy()
 
 
 def read_kv(path):
@@ -314,6 +315,92 @@ class TestLadder:
         depths = len(res.depths)
         assert res.converged and depths >= 3
         assert len(decimations) == len(evals) - depths + 1
+
+
+def large_fock_spec():
+    """perfbench's large-fock-run input at factor 1.00: m_triv at max_photons
+    3 (dim 157)."""
+    return dataclasses.replace(load_model("m_triv"), n_max=3)
+
+
+def record_levels(monkeypatch):
+    """List that grows by each ladder ``rg._make_level`` builds."""
+    make = rg._make_level
+    levels = []
+
+    def recorded(*args):
+        levels.append(make(*args))
+        return levels[-1]
+
+    monkeypatch.setattr(rg, "_make_level", recorded)
+    return levels
+
+
+class TestRealArithmetic:
+    """A real model at a real s flows in real arithmetic: z's dtype, not the
+    value of its imaginary part, chooses the path."""
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli", "dim157"])
+    def test_energy_at_a_float_z_is_the_energy_at_complex_z(self, tmp_path, name):
+        spec = large_fock_spec() if name == "dim157" else load_model(cut_fixture(tmp_path, name))
+        res = iterate_to_fixed_point(spec, spec.s0, False)
+        assert res.converged and len(res.depths) >= 4
+        roots = [d.z.real for d in res.depths]
+        for n, z in enumerate(roots):
+            for zz in {z, ([res.flow.first.e_at.real] + roots)[n]}:   # its root, its start
+                real = run_ladder(res.flow, zz, n, check_windows=False)
+                cplx = run_ladder(res.flow, complex(zz), n, check_windows=False)
+                assert (real.h.mat.dtype, cplx.h.mat.dtype) == (np.float64, np.complex128)
+                # E^(n) carries -z / rho^n: the difference is relative to that part
+                scale = max(abs(cplx.e_value), abs(zz) / res.flow.rho**n)
+                assert abs(real.e_value - cplx.e_value) <= 1e-15 * scale
+
+    def test_every_operator_of_the_large_fock_secant_ladders_is_real(self, monkeypatch):
+        spec = large_fock_spec()
+        levels = record_levels(monkeypatch)
+        res = iterate_to_fixed_point(spec, spec.s0, False)
+        assert res.converged and len(levels) > res.n_levels + 1
+        first = res.flow.first
+        assert first.hamiltonian.mat.dtype == np.complex128   # as built
+        assert isinstance(first.z_start, float) and first.z_start == first.e_at.real
+        assert {a.dtype for a in (first.affine.t, first.affine.base, first.spectral.l,
+                                  first.spectral.rm)} == {np.dtype(np.float64)}
+        for lad in levels:
+            assert isinstance(lad.z, float)
+            arrays = [lad.h.mat, lad.ext.node_values, lad.ext.slopes, np.asarray(lad.e_value)]
+            if lad.pair is not None:
+                arrays += [lad.pair.fixed.t, lad.pair.fixed.base, lad.pair.solved]
+            assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
+        # what the flow reports stays complex
+        assert isinstance(res.z_inf, complex) and res.z_inf.imag == 0
+        assert all(isinstance(d.z, complex) for d in res.depths)
+
+    def test_a_complex_hamiltonian_keeps_the_complex_path(self, tmp_path, monkeypatch):
+        # the photon phase a* -> i a* makes H complex and leaves its spectrum
+        spec = load_model(cut_fixture(tmp_path, "m_triv"))
+        phased = dataclasses.replace(spec, b1_coeffs=[1j * b for b in spec.b1_coeffs],
+                                     b2_coeffs=[1j * b for b in spec.b2_coeffs])
+        real = iterate_to_fixed_point(spec, spec.s0, False)
+        levels = record_levels(monkeypatch)
+        res = iterate_to_fixed_point(phased, phased.s0, False)
+        assert np.imag(res.flow.first.hamiltonian.mat).any()
+        assert res.flow.first.e_at.imag == 0   # H_at is real: only the pair is complex
+        assert res.flow.first.affine.base.dtype == np.complex128
+        assert isinstance(res.flow.first.z_start, complex)
+        assert {lad.h.mat.dtype for lad in levels} == {np.dtype(np.complex128)}
+        assert all(isinstance(lad.z, complex) for lad in levels)
+        assert res.converged and abs(res.z_inf - real.z_inf) <= 1e-12
+
+    def test_a_start_ladder_must_match_z_in_dtype(self, tmp_path):
+        spec = load_model(cut_fixture(tmp_path, "m_triv"))
+        flow = Flow(spec, spec.s0, False)
+        z = spec.e_at(spec.s0).real - 1e-4
+        for here, there in ((z, complex(z)), (complex(z), z),
+                            (np.array([z]), np.array([complex(z)]))):
+            start = run_ladder(flow, there, 1)
+            with pytest.raises(ValueError, match="start ladder is at z"):
+                run_ladder(flow, here, 2, start=start)
+            assert run_ladder(flow, there, 2, start=start).n == 2
 
 
 class TestFlow:
@@ -836,6 +923,14 @@ class TestCli:
         assert kv["check.sweep_flow_matches_oracle"] == "pass"
         assert len(spectra) == 4
         assert len(built) == 4   # the oracle and the flow share each H_g(s0)
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_exact", "m_kramers", "m_pauli"])
+    def test_a_real_model_at_a_real_s_reports_a_real_z_inf(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cut_fixture(tmp_path, name)),
+                     "--out", str(out)]) == 0
+        kv = read_kv(out / "run.kv")
+        assert kv["z_inf.im"] == "0" and kv["all_passed"] == "true"
 
     # z_inf at coupling factor 1.00 in perfbench/reference.json (fixtures-run)
     @pytest.mark.parametrize("name, z_ref", [("m_pauli", -0.025954561352956353),

@@ -237,6 +237,28 @@ class TestSpectralProjection:
             assert projection_rank(spec.p_at(s)) == 2
 
 
+class TestAtomicEnergy:
+    """E_at(s) = tr H_at(s) P_at(s) / d is exactly real where H_at(s) is real
+    and the cluster centre is real, as the conjugate-paired trapezoid nodes
+    make it; only the rounding of its imaginary part is dropped."""
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_exact", "m_kramers", "m_pauli"])
+    def test_e_at_is_exactly_real_at_a_real_s(self, name):
+        spec = load_model(name)
+        assert spec._cluster_center.imag == 0
+        for s in (spec.s0, spec.s0 + 0.05, spec.s0 - 0.1):
+            e = spec.e_at(s)
+            trace = complex(np.trace(spec.h_at(s) @ spec.p_at(s)) / spec.d)
+            assert isinstance(e, complex) and e.imag == 0.0 and e.real == trace.real
+
+    def test_e_at_keeps_its_imaginary_part_where_h_at_is_complex(self):
+        spec = load_model("m_pauli")
+        s = spec.s0 + 0.05j
+        assert np.imag(spec.h_at(s)).any()
+        e = spec.e_at(s)
+        assert e.imag != 0 and e == complex(np.trace(spec.h_at(s) @ spec.p_at(s)) / spec.d)
+
+
 def projection_node_by_node(h, center, radius):
     """spectral_projection's quadrature with a Python loop over the nodes:
     the node count, one shifted matrix per node, and the weighted

@@ -62,11 +62,12 @@ of its expansion, ``verify_pair``'s ``contraction_left``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
 
-from .fock import FockBasis, OperatorMatrix
+from .fock import FockBasis, OperatorMatrix, TruncationError
 from .model import ModelSpec, WindowError, build_h0, build_hamiltonian, hyp5_frame, projection_frame
 
 RANK_THRESHOLD = 1e-10
@@ -104,9 +105,8 @@ class CutoffSpec:
     def diagonals(self, basis: FockBasis):
         """The diagonals of chi(H_f) and chibar(H_f) on the full product
         basis (identity on the atomic factor)."""
-        ones = np.ones(basis.d_at)
-        return (np.kron(ones, self.chi(basis.hf_values)),
-                np.kron(ones, self.chibar(basis.hf_values)))
+        c = self.chi(basis.hf_values)
+        return np.tile(c, basis.d_at), np.tile(np.sqrt(1.0 - c * c), basis.d_at)   # chibar from c
 
 
 class Cutoffs:
@@ -117,10 +117,15 @@ class Cutoffs:
     entry, the rank decision of an SVD of the diagonal matrix) as a mask and
     as ``on_index``; ``cb`` = chibar[on]; and ``t_blocks``, one index tuple
     per pattern of on atoms that gathers from T|_on the d_at x d_at blocks
-    of T (one per Fock state) restricted to ``on``.  A T that is not
+    of T (one per Fock state) restricted to ``on``, in the lexicographic
+    order of the patterns.  A pattern is found by its integer code, the on
+    atoms as the bits of one int64, most significant first, so the codes
+    sort as the patterns do; d_at is at most 63.  A T that is not
     block-diagonal is one block: d_at = the number of coordinates."""
 
     def __init__(self, chi, chibar, d_at: int):
+        if d_at > 63:
+            raise ValueError(f"an on-atom pattern of {d_at} atoms has no int64 code")
         self.chi = np.asarray(chi, dtype=float)
         self.chibar = np.asarray(chibar, dtype=float)
         self.on = on = self.chibar > RANK_THRESHOLD * self.chibar.max(initial=0.0)
@@ -128,9 +133,11 @@ class Cutoffs:
         self.on_index = np.flatnonzero(on)
         place = (np.cumsum(on) - 1).reshape(d_at, -1).T   # row i: block of Fock state i in T|_on
         atoms = on.reshape(d_at, -1).T
+        codes = atoms @ (1 << np.arange(d_at, dtype=np.int64)[::-1])
         self.t_blocks = []
-        for pattern in np.unique(atoms[atoms.any(axis=1)], axis=0):
-            rows = place[(atoms == pattern).all(axis=1)][:, pattern]
+        for code in np.unique(codes[codes > 0]):
+            states = codes == code
+            rows = place[states][:, atoms[states.argmax()]]
             self.t_blocks.append((..., rows[:, :, None], rows[:, None, :]))
 
 
@@ -189,7 +196,8 @@ class FeshbachPair:
     ``verify_pair`` reports the margins.  ``feshbach_map``, ``q_ops`` and
     ``neumann_check`` all read that solve.  ``spectral`` is the
     ``SpectralForm`` of ``fixed``'s h_on, which the first decimation passes
-    where it is exact, and ``pair_map`` then reads in place of the solve."""
+    where it is exact, and ``pair_map`` then reads in place of the solve.
+    ``reportable`` is the part of the pair that ``verify_pair`` reads."""
 
     def __init__(self, fixed: AffinePair, z, spectral: SpectralForm | None = None):
         self.fixed = fixed
@@ -247,6 +255,15 @@ class FeshbachPair:
         if not np.isfinite(x).all():
             raise FeshbachPairError(verify_pair(self))
         return x
+
+    def reportable(self) -> FeshbachPair:
+        """This pair as ``verify_pair`` reads it: a pair at the same z whose
+        ``AffinePair`` holds only the cutoffs and the blocks on Ran chibar,
+        with no solve, no T and no block on ``keep``, so a record can keep
+        it and not the rest of the ladder the pair stepped into."""
+        fixed = copy.copy(self.fixed)
+        del fixed.t, fixed.base, fixed.left, fixed.right
+        return FeshbachPair(fixed, self.z)
 
     @cached_property
     def _t_inverse(self) -> np.ndarray | None:
@@ -311,7 +328,8 @@ class SpectralForm:
     and the columns ``cols`` of ``right`` that are not exactly zero enter
     the Schur correction, and L = left[rows] V and Rm = V* right[:, cols]
     are formed once, so a z costs one diagonal scaling and one product on
-    rows x cols.  V is real when h_on is."""
+    rows x cols.  V is real when h_on is, and a complex z then takes the
+    correction's real and imaginary parts as two real products."""
 
     def __init__(self, fixed: AffinePair):
         self.lam, v = np.linalg.eigh(fixed.h_on)
@@ -330,7 +348,13 @@ class SpectralForm:
             inv = 1.0 / (self.lam - pair.z[..., None])
         if not np.isfinite(inv).all():
             raise FeshbachPairError(verify_pair(pair))
-        correction = self.l @ (inv[..., :, None] * self.rm)
+        if np.isrealobj(self.l) and np.iscomplexobj(inv):
+            # a real form at a complex z: two real products, with no complex copy of L
+            correction = np.empty(inv.shape[:-1] + (self.rows.size, self.cols.size), complex)
+            correction.real = self.l @ (inv.real[..., :, None] * self.rm)
+            correction.imag = self.l @ (inv.imag[..., :, None] * self.rm)
+        else:
+            correction = self.l @ (inv[..., :, None] * self.rm)
         base = pair.fixed.base
         out = pair.minus_z(base)
         out = out.astype(np.result_type(out, correction), copy=out is base)
@@ -382,7 +406,10 @@ class FirstFrame:
         self.cut = Cutoffs(np.kron(on_d, cut.chi(basis.hf_values)),
                            np.kron(~on_d, np.ones(basis.size))
                            + np.kron(on_d, cut.chibar(basis.hf_values)), spec.d_at)
-        fock = np.array([basis.index[occ] for occ in self.reduced_basis.states])
+        fock = basis.find(self.reduced_basis.occupations)
+        if (fock < 0).any():
+            raise TruncationError("the reduced space H_f <= 1 leaves the truncation: "
+                                  f"energy cutoff {basis.e_cut} is below 1")
         self.reduced_index = (np.arange(spec.d)[:, None] * basis.size + fock).ravel()
 
 

@@ -69,12 +69,15 @@ class FockBasis:
 
     States (n_0, ..., n_{J-1}) satisfy sum n_j <= n_max and
     sum n_j omega_j <= e_cut; the vacuum is index 0 and the ordering is
-    ascending lexicographic, hence deterministic.  ``node_energies`` and
-    ``node_rows`` hold the H_f values and the atomic-major coordinates of the
-    vacuum and the one-photon states, the nodes of ``kernels.extract_w00``.
+    ascending lexicographic, hence deterministic.  ``occupations`` holds them
+    as rows, enumerated or, from ``DilationMap``, selected from another
+    basis' states.  ``node_energies`` and ``node_rows`` hold the H_f values
+    and the atomic-major coordinates of the vacuum and the one-photon
+    states, the nodes of ``kernels.extract_w00``.
     """
 
-    def __init__(self, grid: ModeGrid, n_max: int, e_cut: float, d_at: int = 1):
+    def __init__(self, grid: ModeGrid, n_max: int, e_cut: float, d_at: int = 1,
+                 occupations: np.ndarray | None = None):
         if n_max < 0:
             raise TruncationError("n_max must be >= 0")
         if e_cut <= 0.0:
@@ -85,12 +88,12 @@ class FockBasis:
         self.n_max = int(n_max)
         self.e_cut = float(e_cut)
         self.d_at = int(d_at)
-        self.states = _enumerate_occupations(grid, self.n_max, self.e_cut)
-        if not self.states:
+        if occupations is None:
+            occupations = _enumerate_occupations(grid, self.n_max, self.e_cut)
+        if not len(occupations):
             raise TruncationError("truncation produced an empty basis")
-        self.size = len(self.states)
-        occ = np.array(self.states, dtype=np.int64).reshape(self.size, grid.levels)
-        self.occupations = occ
+        self.size = len(occupations)
+        self.occupations = occ = occupations
         self.hf_values = occ @ grid.omega if grid.levels else np.zeros(self.size)
         # lexicographic: the vacuum, then one photon by increasing energy
         fock = np.flatnonzero(occ.sum(axis=1) <= 1)
@@ -99,10 +102,19 @@ class FockBasis:
         for a in (self.hf_values, self.occupations, self.node_energies, self.node_rows):
             a.flags.writeable = False
 
-    @cached_property
-    def index(self) -> dict:
-        """Occupation tuple -> state index; built on first use."""
-        return {s: i for i, s in enumerate(self.states)}
+    def find(self, occupations) -> np.ndarray:
+        """The index of each row of ``occupations`` among the states, -1 where
+        the row is not a state: one lexicographic sort of the states and the
+        rows together, in which equal rows are neighbours."""
+        J, occ = self.grid.levels, self.occupations
+        rows = np.vstack([occ, np.reshape(occupations, (-1, J))])
+        order = np.lexsort(rows.T[::-1])   # lexicographic, as the states are
+        ordered = rows[order]
+        group = np.empty(len(rows), dtype=np.intp)   # equal rows share a group
+        group[order] = np.cumsum(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]) - 1
+        state = np.full(len(rows), -1, dtype=np.intp)
+        state[group[:self.size]] = np.arange(self.size)
+        return state[group[self.size:]]
 
     @cached_property
     def raised(self) -> np.ndarray:
@@ -110,14 +122,8 @@ class FockBasis:
         where that state leaves the truncation; built on first use, as int32
         since a basis that a spec keeps carries it."""
         J, occ = self.grid.levels, self.occupations
-        rows = np.vstack([occ, (occ[:, None, :] + np.eye(J, dtype=occ.dtype)).reshape(-1, J)])
-        order = np.lexsort(rows.T[::-1])   # lexicographic, as the states are
-        ordered = rows[order]
-        group = np.empty(len(rows), dtype=np.intp)   # equal rows share a group
-        group[order] = np.cumsum(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]) - 1
-        state = np.full(len(rows), -1, dtype=np.int32)
-        state[group[:self.size]] = np.arange(self.size)
-        return state[group[self.size:]].reshape(self.size, J)
+        up = self.find(occ[:, None, :] + np.eye(J, dtype=occ.dtype))
+        return up.astype(np.int32).reshape(self.size, J)
 
     @property
     def dim(self) -> int:
@@ -137,10 +143,16 @@ class FockBasis:
         )
 
 
-def _enumerate_occupations(grid: ModeGrid, n_max: int, e_cut: float):
-    """All occupation tuples within both truncations, lexicographic order."""
+def _energy_cut(e_cut: float) -> float:
+    """The largest H_f inside the truncation e_cut, with its slack."""
+    return e_cut * (1.0 + _ENERGY_TOL) + _ENERGY_TOL
+
+
+def _enumerate_occupations(grid: ModeGrid, n_max: int, e_cut: float) -> np.ndarray:
+    """All occupation tuples within both truncations, lexicographic order,
+    as the rows of an int64 array."""
     out = []
-    cut = e_cut * (1.0 + _ENERGY_TOL) + _ENERGY_TOL
+    cut = _energy_cut(e_cut)
     state = [0] * grid.levels
 
     def rec(j, photons, energy):
@@ -157,7 +169,7 @@ def _enumerate_occupations(grid: ModeGrid, n_max: int, e_cut: float):
 
     rec(0, 0, 0.0)
     out.sort()
-    return out
+    return np.array(out, dtype=np.int64).reshape(len(out), grid.levels)
 
 
 def build_fock_basis(grid: ModeGrid, n_max: int, e_cut: float, d_at: int = 1) -> FockBasis:
@@ -244,6 +256,10 @@ class DilationMap:
     of the grid with the lowest shell dropped (shell index j -> j-1, so the
     occupation (0,) + m goes to m), and rescales H_f by 1/rho.
 
+    The target's states are the source's with no photon in the lowest
+    shell and an energy on the target grid within min(1, e_cut): one mask
+    over the source's occupations, whose order stays lexicographic when the
+    first column is dropped (the photon count holds already).
     ``rows`` holds the atomic-major coordinates of that sector in the source,
     in target order.  Gamma M Gamma* is the principal submatrix
     M[rows, rows], and Gamma* v is the vector with v at the coordinates
@@ -256,9 +272,11 @@ class DilationMap:
                 f"dilation scale {rho} does not match grid ratio {basis.grid.ratio}"
             )
         target_grid = basis.grid.drop_lowest_shell()
-        self.target = FockBasis(target_grid, basis.n_max,
-                                min(1.0, basis.e_cut), basis.d_at)
-        fock = np.array([basis.index[(0,) + m] for m in self.target.states])
+        e_cut = min(1.0, basis.e_cut)
+        occ = basis.occupations
+        sector = (occ[:, 0] == 0) & (occ[:, 1:] @ target_grid.omega <= _energy_cut(e_cut))
+        fock = np.flatnonzero(sector)
+        self.target = FockBasis(target_grid, basis.n_max, e_cut, basis.d_at, occ[fock, 1:])
         self.rows = (np.arange(basis.d_at)[:, None] * basis.size + fock).ravel()
 
 

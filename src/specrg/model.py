@@ -104,11 +104,12 @@ class ModelSpec:
     reflection_symmetric: bool = False
     complex_selfadjoint: bool = False
     jconj: np.ndarray | None = None                  # atomic part of J (with conj)
-    # ``memo``'s store: P_at, the Fock bases, rg.Flow's depths, the
-    # s-independent frame of every first decimation and the first
-    # decimations, keyed by ("p_at", s), ("basis", e_cut, d_at), ("depth", n),
-    # ("first frame",) and ("first", s, g); a command clears it when it ends,
-    # and a replace() copy starts empty
+    # ``memo``'s store: P_at, the Fock bases, the restricted generators,
+    # rg.Flow's list of depths, the s-independent frame of every first
+    # decimation and the first decimations, keyed by ("p_at", s), ("basis",
+    # e_cut, d_at), ("generators",), ("depths",), ("first frame",) and
+    # ("first", s, g); a command clears it when it ends, and a replace() copy
+    # starts empty
     built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def memo(self, key, build):
@@ -200,15 +201,15 @@ class ModelSpec:
     def reduced_fock_basis(self) -> FockBasis:
         return self._basis(1.0, self.d)
 
-    def reduced_generators(self, reduced_basis: FockBasis) -> list:
-        """Generators restricted to Ran P_at (x) reduced Fock space."""
-        frame = self.atomic_frame()
-        eye = np.eye(reduced_basis.size)
-        out = []
-        for gat in self.generators:
-            r = gat.restricted(frame)
-            out.append(SymmetryOp(np.kron(r.matrix, eye), r.antiunitary))
-        return out
+    def reduced_generators(self) -> list:
+        """The generators restricted to Ran P_at(s0), as d x d operators, once
+        per instance: on every reduced space of the flow, Ran P_at (x) a Fock
+        space, a generator acts as this restriction (x) 1."""
+        def build():
+            frame = self.atomic_frame()
+            return [g.restricted(frame) for g in self.generators]
+
+        return self.memo(("generators",), build) if self.generators else []
 
 
 def projection_frame(p: np.ndarray, rank: int) -> np.ndarray:
@@ -406,9 +407,7 @@ def verify_hypotheses(spec: ModelSpec) -> HypothesesReport:
     if spec.d >= 2:
         try:
             gen_res = validate_generators(spec)
-            frame = spec.atomic_frame()
-            restricted = [g.restricted(frame) for g in spec.generators]
-            irr = is_irreducible(restricted, dim=spec.d)
+            irr = is_irreducible(spec.reduced_generators(), dim=spec.d)
             entries.append(HypEntry("symmetry_irreducible", True, irr, gen_res,
                                     f"{len(spec.generators)} generators on the "
                                     f"{spec.d}-dim eigenspace"))

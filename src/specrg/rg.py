@@ -10,10 +10,13 @@ kernel-preserving at the matrix level).
 
 Only H - z changes from one evaluation of E^(n)(z) to the next.  A ``Flow``
 holds what does not: the first decimation, once per (model, s, g), and per
-depth the generators, cutoffs, dilation and the basis'
-``kernels.BasisSpline`` (the basis, the PCHIP node constants and the Hermite
-weights at the H_f values), once per model, in ``spec.built`` until the
-command ends.
+depth the cutoffs, dilation and the basis' ``kernels.BasisSpline`` (the
+basis, the PCHIP node constants and the Hermite weights at the H_f values),
+every depth at once on first use, once per model, in ``spec.built`` until
+the command ends.  No depth enumerates its basis: the dilation selects the
+next depth's states from its own by one mask, so only the model's full and
+reduced bases are enumerated.  The symmetry generators are restricted to
+d x d once per model and act on every depth as that restriction (x) 1.
 ``run_ladder(flow, z, n)`` computes on every level its operator and reads it
 once: one ``extract_w00`` per level, with its depth's spline, gives E^(n)(z)
 = tr w_{0,0}(0) / d, and below the top the next step's T = w_{0,0}(H_f) (the
@@ -57,13 +60,16 @@ more step from sigma when its error |E^(n)| rho^n / |sigma| is TOL_Z_INF or
 more, which brings z_inf to the rounding level for one ladder.
 
 ``iterate_to_fixed_point`` keeps one ``DepthResult`` per depth: its root,
-the report of the pair into the root ladder's top (its convergence test
-reads the margins), the top's extraction and the depth's generators; no
-ladder outlives the flow.  The other diagnostics of a depth are computed
-from that extraction only when read: the Schur deviation of its vacuum
-block and the symmetry residual once per depth, and the polydisc radii,
+what ``verify_pair`` reads of the pair into the root ladder's top (its
+cutoffs and blocks on Ran chibar), the top's extraction and the model's
+restricted generators; no ladder outlives the flow.  A depth's diagnostics
+are computed only when read: the pair's report where the convergence test
+reads its margins, at a depth whose root moved less than TOL_FIXED_POINT,
+or a trace line prints them; the Schur deviation of the extraction's vacuum
+block and the symmetry residual once per depth; and the polydisc radii,
 which only trace.txt prints, when a trace line is formed.  The analyticity
-probe and the coupling sweep read only z_inf and compute none of them.
+probe and the coupling sweep read only z_inf and the report of the depth
+the flow stops on.
 
 Each root's uniqueness is certified by the argument principle: the winding of
 E^(n) around 0 along a small circle about the root must be 1.  The count
@@ -102,7 +108,7 @@ from .feshbach import (
     q_ops,
     verify_pair,
 )
-from .fock import DilationMap, FockBasis, OperatorMatrix, dilation
+from .fock import DilationMap, OperatorMatrix, dilation
 from .kernels import BasisSpline, ExtractionResult, PolydiscCheck, extract_w00, polydisc_check
 from .model import ModelSpec, WindowError
 from .symmetry import is_symmetry_of, schur_scalar
@@ -159,15 +165,14 @@ WINDOW_ERRORS = (WindowExitError, WindowError)
 
 @dataclass(frozen=True)
 class Depth:
-    """z-independent data of one flow depth: the symmetry generators
-    restricted to its reduced basis, the cutoffs chi_rho(H_f) and
+    """z-independent data of one flow depth: the cutoffs chi_rho(H_f) and
     chibar_rho(H_f) with their Ran chibar and T-block index sets, the
-    dilation to the next depth (``cut`` and ``dilation`` are None on the
-    vacuum-only terminal space, where a step is division by rho), and the
-    basis' ``BasisSpline`` (``spline.basis`` is the basis), which every
-    extraction at this depth reads.  It depends on the model, not on s."""
+    dilation to the next depth, whose target is the next depth's basis
+    (``cut`` and ``dilation`` are None on the vacuum-only terminal space,
+    where a step is division by rho), and the basis' ``BasisSpline``
+    (``spline.basis`` is the basis), which every extraction at this depth
+    reads.  It depends on the model, not on s."""
 
-    generators: list
     cut: Cutoffs | None
     dilation: DilationMap | None
     spline: BasisSpline
@@ -187,23 +192,21 @@ class Flow:
         self.first = first_decimation(spec, s, g)
 
     def depth(self, n: int) -> Depth:
-        """Data of depth n, kept in ``spec.built`` for every flow of the
-        model; every depth past the vacuum-only terminal space is that space."""
-        def build():
-            if n == 0:
-                return self._build(self.spec.reduced_fock_basis())
-            prev = self.depth(n - 1)
-            return prev if prev.dilation is None else self._build(prev.dilation.target)
+        """Data of depth n; every depth past the vacuum-only terminal space
+        is that space.  The model's depths are built together on first use,
+        from the reduced space down to the terminal one, one dilation's
+        target after another, and kept in ``spec.built`` for every flow of
+        the model."""
+        depths = self.spec.memo(("depths",), self._build_depths)
+        return depths[min(n, len(depths) - 1)]
 
-        return self.spec.memo(("depth", n), build)
-
-    def _build(self, basis: FockBasis) -> Depth:
-        spec, rho = self.spec, self.rho
-        gens = spec.reduced_generators(basis) if spec.generators else []
-        if basis.grid.levels == 0:
-            return Depth(gens, None, None, BasisSpline(basis))
-        return Depth(gens, Cutoffs(*CutoffSpec(rho).diagonals(basis), basis.d_at),
-                     dilation(basis, rho), BasisSpline(basis))
+    def _build_depths(self) -> list:
+        rho, basis, depths = self.rho, self.spec.reduced_fock_basis(), []
+        while basis.grid.levels:
+            depths.append(Depth(Cutoffs(*CutoffSpec(rho).diagonals(basis), basis.d_at),
+                                dilation(basis, rho), BasisSpline(basis)))
+            basis = depths[-1].dilation.target
+        return depths + [Depth(None, None, BasisSpline(basis))]
 
 
 def rg_step(ext: ExtractionResult, depth: Depth, rho: float):
@@ -489,22 +492,28 @@ def fitted_rate(depths) -> float:
 @dataclass
 class DepthResult:
     """What ``iterate_to_fixed_point`` keeps of depth n: its root (z, |E|,
-    winding), the step dz from the previous root (0 at depth 0), the
-    ``verify_pair`` report of the pair into the root ladder's top (None at
-    depth 0), the top's extraction ``ext`` and the depth's symmetry
-    generators.  Its diagnostics are computed from ``ext`` when first read,
-    and kept: the Schur deviation of the vacuum block, which is ``ext``'s
-    node 0, the symmetry residual, and the polydisc radii, which only a
-    trace line prints."""
+    winding), the step dz from the previous root (0 at depth 0), ``pair``,
+    the pair into the root ladder's top as ``verify_pair`` reads it (None
+    at depth 0 and past the terminal space), the top's extraction ``ext``
+    and the model's d x d generators.  Its diagnostics are computed when
+    first read, and kept: the pair's report, whose margins the convergence
+    test reads where the root moved less than TOL_FIXED_POINT; from
+    ``ext``, the Schur deviation of the vacuum block, which is ``ext``'s
+    node 0, and the symmetry residual of each generator (x) 1; and the
+    polydisc radii, which only a trace line prints."""
 
     n: int
     z: complex
     dz: float
     e_abs: float
     winding: int | None
-    pair_report: FeshbachPairReport | None
+    pair: FeshbachPair | None
     ext: ExtractionResult
     generators: list
+
+    @cached_property
+    def pair_report(self) -> FeshbachPairReport | None:
+        return None if self.pair is None else verify_pair(self.pair)
 
     @cached_property
     def schur_deviation(self) -> float:
@@ -577,6 +586,7 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, check_winding: bool,
     a real model at a real s flows in real arithmetic; z_inf and every
     depth's z are reported as complex."""
     flow = Flow(spec, s, check_winding, g)
+    gens = spec.reduced_generators()
     z = flow.first.z_start
     depths = []
     converged = False
@@ -588,13 +598,13 @@ def iterate_to_fixed_point(spec: ModelSpec, s: complex, check_winding: bool,
         root = find_zn(flow, n, z_start=z, start=None if root is None else root.ladder,
                        slope=slope)
         lad, slope = root.ladder, root.slope
-        pairrep = None if lad.pair is None else verify_pair(lad.pair)
         dz = abs(lad.z - z) if n > 0 else 0.0
-        depths.append(DepthResult(n, complex(lad.z), dz, abs(complex(lad.e_value)),
-                                  root.winding, pairrep, lad.ext, flow.depth(n).generators))
+        depth = DepthResult(n, complex(lad.z), dz, abs(complex(lad.e_value)), root.winding,
+                            None if lad.pair is None else lad.pair.reportable(), lad.ext, gens)
+        depths.append(depth)
         z = lad.z
-        margins_ok = pairrep.passed if pairrep else True
-        if n >= 1 and dz < TOL_FIXED_POINT and margins_ok:
+        # the report is taken only where the flow would stop on its margins
+        if n >= 1 and dz < TOL_FIXED_POINT and (depth.pair is None or depth.pair_report.passed):
             converged = True
             break
     return PipelineResult(complex(z), converged, flow, depths)

@@ -53,14 +53,20 @@ class SymmetryOp:
 
 
 def conjugate(s: SymmetryOp, t: np.ndarray) -> np.ndarray:
-    """S T S^* as a matrix: U T U^dag, or U conj(T) U^dag when antiunitary."""
+    """S T S^* as a matrix: U T U^dag, or U conj(T) U^dag when antiunitary.
+    On a space k times S's dimension, in atomic-major layout, S acts as
+    S (x) 1_k: U multiplies the d x d grid of k x k blocks from the left and
+    U^dag from the right, as ``feshbach._conjugate_atomic`` does, with no
+    dk x dk matrix formed; at k = 1 these are the two products U T U^dag."""
     t = np.asarray(t, dtype=complex)
-    if t.shape[0] != s.dim:
+    n, d = t.shape[0], s.dim
+    if n % d:
         raise ValueError("dimension mismatch between symmetry and operator")
-    u = s.matrix
+    u, k = s.matrix, n // d
     if s.antiunitary:
-        return u @ np.conj(t) @ u.conj().T
-    return u @ t @ u.conj().T
+        t = np.conj(t)
+    rows = (u @ t.reshape(d, -1)).reshape(n, d, k).transpose(0, 2, 1)   # (U (x) 1) T
+    return (rows.reshape(-1, d) @ u.conj().T).reshape(n, k, d).transpose(0, 2, 1).reshape(n, n)
 
 
 def is_symmetry_of(s: SymmetryOp, t: np.ndarray):

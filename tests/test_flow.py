@@ -112,9 +112,14 @@ class TestLadder:
         chk = polydisc_check(extract_w00(lad.h, BasisSpline(lad.h.basis)))
         assert rec.polydisc == chk
         assert rec.schur_deviation == schur_scalar(vacuum_block(lad.h.mat, spec.d))[1]
-        gens = res.flow.depth(rec.n).generators
-        assert len(gens) == 1 and rec.generators is gens
+        gens = spec.reduced_generators()
+        assert len(gens) == 1 and rec.generators is gens and gens[0].dim == spec.d
         assert rec.symmetry_residual == is_symmetry_of(gens[0], lad.h.mat)[1]
+        # the generator (x) 1 as one dense matrix gives the residual up to rounding
+        dense = SymmetryOp(np.kron(gens[0].matrix, np.eye(lad.h.basis.size)),
+                           gens[0].antiunitary)
+        assert rec.symmetry_residual == pytest.approx(is_symmetry_of(dense, lad.h.mat)[1],
+                                                      abs=1e-15)
         assert rec.pair_report == verify_pair(lad.pair)
 
     @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli"])
@@ -973,6 +978,46 @@ class TestCli:
         ladders = count_calls(monkeypatch, rg, "run_ladder")
         assert main(["run", "--config", str(large_fock_config(tmp_path, 1.0))]) == 0
         assert len(ladders) <= 25
+
+
+    def test_a_flow_depth_costs_only_its_ladders(self, tmp_path, capsys, monkeypatch):
+        # large-fock-run's input: the flow takes one pair report, at the
+        # depth it stops on; only the full and reduced bases are enumerated,
+        # and each depth is built once
+        config = large_fock_config(tmp_path, 1.0)
+        _, spec = cfgmod.load_run_config(str(config))
+        reports = count_calls(monkeypatch, feshbach, "verify_pair")
+        enumerated = []
+        enumerate_occupations = fock._enumerate_occupations
+
+        def recorded(grid, n_max, e_cut):
+            enumerated.append((grid.levels, n_max, e_cut))
+            return enumerate_occupations(grid, n_max, e_cut)
+
+        monkeypatch.setattr(fock, "_enumerate_occupations", recorded)
+        depths = count_calls(monkeypatch, rg, "Depth")
+        assert main(["run", "--config", str(config)]) == 0
+        assert len(reports) == 1
+        J = spec.grid.levels
+        assert sorted(enumerated) == sorted([(J, spec.n_max, spec.e_cut), (J, spec.n_max, 1.0)])
+        assert len(depths) == J + 1   # the reduced space down to the vacuum-only one
+
+        # with --out every depth's report is taken, and trace.txt is the trace
+        # of the reports of the pairs the root ladders stepped on
+        reports.clear()
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        n_levels = int(read_kv(out / "run.kv")["n_levels"])
+        assert len(reports) == n_levels   # every depth but 0 has a pair
+        roots = record_roots(monkeypatch)
+        res = iterate_to_fixed_point(spec, spec.s0, False)
+        for depth, root in zip(res.depths, roots, strict=True):
+            assert (depth.pair is None) == (root.ladder.pair is None) == (depth.n == 0)
+            if depth.pair is not None:
+                assert not hasattr(depth.pair.fixed, "t") and "solved" not in vars(depth.pair)
+                depth.pair_report = verify_pair(root.ladder.pair)   # the eager report
+        lines = res.trace_lines()
+        assert (out / "trace.txt").read_text() == "\n".join(lines) + "\n"
 
 
 class TestExitCodes:

@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from specrg.config import load_model
+from specrg.feshbach import Cutoffs, CutoffSpec, FirstFrame
 from specrg.fock import (
     FockBasis,
     ModeGrid,
@@ -23,6 +26,16 @@ def brute_force_states(J, rho, n_max, e_cut):
         if sum(occ) <= n_max and sum(n * w for n, w in zip(occ, omega)) <= e_cut + 1e-12:
             out.append(occ)
     return sorted(out)
+
+
+def states(basis):
+    """The basis' states as occupation tuples, in its order."""
+    return [tuple(int(n) for n in occ) for occ in basis.occupations]
+
+
+def index_map(basis):
+    """Occupation tuple -> state index, from the states alone."""
+    return {s: i for i, s in enumerate(states(basis))}
 
 
 class TestModeGrid:
@@ -56,16 +69,16 @@ class TestBasisEnumeration:
     def test_vacuum_only(self):
         b = build_fock_basis(ModeGrid(0.5, 2), n_max=0, e_cut=1.0)
         assert b.size == 1
-        assert b.states[0] == (0, 0)
+        assert states(b)[0] == (0, 0)
 
     def test_one_particle_states(self):
         b = build_fock_basis(ModeGrid(0.5, 2), n_max=1, e_cut=1.0)
-        assert b.states == [(0, 0), (0, 1), (1, 0)]
+        assert states(b) == [(0, 0), (0, 1), (1, 0)]
         assert b.size == 3
 
     def test_vacuum_first_always(self):
         b = build_fock_basis(ModeGrid(0.5, 3), n_max=2, e_cut=1.0)
-        assert b.states[0] == (0, 0, 0)
+        assert states(b)[0] == (0, 0, 0)
         assert b.hf_values[0] == 0.0
 
     @pytest.mark.parametrize("J,rho,n_max,e_cut", [
@@ -76,7 +89,7 @@ class TestBasisEnumeration:
     ])
     def test_matches_brute_force(self, J, rho, n_max, e_cut):
         b = build_fock_basis(ModeGrid(rho, J), n_max, e_cut)
-        assert list(b.states) == brute_force_states(J, rho, n_max, e_cut)
+        assert states(b) == brute_force_states(J, rho, n_max, e_cut)
 
     def test_rejects_empty_or_degenerate(self):
         with pytest.raises(TruncationError):
@@ -112,7 +125,7 @@ class TestFieldOperators:
         for j in range(basis.grid.levels):
             occ = tuple(1 if k == j else 0 for k in range(basis.grid.levels))
             one = np.zeros(basis.size)
-            one[basis.index[occ]] = 1.0
+            one[index_map(basis)[occ]] = 1.0
             for a in range(2):
                 for b in range(2):
                     bra = np.kron(np.eye(2)[a], one)
@@ -138,7 +151,7 @@ class TestFieldOperators:
             sum(f.conj().T @ g for f, g in zip(F, G)), np.eye(basis.size)
         )
         # valid on states whose creation image stays inside the truncation
-        safe = [i for i, s in enumerate(basis.states)
+        safe = [i for i, s in enumerate(states(basis))
                 if sum(s) <= basis.n_max - 1
                 and basis.hf_values[i] + 1.0 <= basis.e_cut + 1e-12]
         cols = np.concatenate([np.arange(2) * basis.size + i for i in safe])
@@ -151,14 +164,14 @@ class TestFieldOperators:
         assert np.vdot(vac, hf @ vac) == 0.0
         state = tuple(1 if k == 0 else 0 for k in range(basis.grid.levels))
         one = np.zeros(basis.size)
-        one[basis.index[state]] = 1.0
+        one[index_map(basis)[state]] = 1.0
         psi = np.kron(np.eye(2)[0], one)
         assert np.vdot(psi, hf @ psi) == pytest.approx(1.0)
 
     def test_two_photon_additivity(self):
         b = build_fock_basis(ModeGrid(0.5, 2), 2, 2.0)
         hf = field_energy(b).mat
-        i = b.index[(1, 1)]
+        i = index_map(b)[(1, 1)]
         assert hf[i, i] == pytest.approx(1.5)
 
     def test_hf_nonneg_commutes_with_number(self, basis):
@@ -176,11 +189,11 @@ def dense_gamma(src, d):
     """Gamma of the dilation d of the basis src as a dense 0/1 matrix, built
     from the states alone: row (a, m) of the target has its 1 at column
     (a, (0,) + m) of the source."""
-    tgt = d.target
+    tgt, index = d.target, index_map(src)
     gamma = np.zeros((tgt.dim, src.dim))
     for a in range(src.d_at):
-        for i, m in enumerate(tgt.states):
-            gamma[a * tgt.size + i, a * src.size + src.index[(0,) + m]] = 1.0
+        for i, m in enumerate(states(tgt)):
+            gamma[a * tgt.size + i, a * src.size + index[(0,) + m]] = 1.0
     return gamma
 
 
@@ -188,7 +201,7 @@ class TestDilation:
     def test_vacuum_fixed(self):
         b = build_fock_basis(ModeGrid(0.5, 4), 2, 1.0)
         d = dilation(b, 0.5)
-        assert d.target.states[0] == (0, 0, 0)
+        assert states(d.target)[0] == (0, 0, 0)
         assert d.rows[0] == 0   # target vacuum <- source vacuum
 
     def test_shell_shift(self):
@@ -196,10 +209,11 @@ class TestDilation:
         b = build_fock_basis(ModeGrid(0.5, 4), 2, 1.0, d_at=2)
         d = dilation(b, 0.5)
         assert d.target.d_at == 2
-        assert d.rows[d.target.index[(0, 0, 1)]] == b.index[(0, 0, 0, 1)]
+        index = index_map(b)
+        assert d.rows[index_map(d.target)[(0, 0, 1)]] == index[(0, 0, 0, 1)]
         for a in range(2):
-            for i, m in enumerate(d.target.states):
-                assert d.rows[a * d.target.size + i] == a * b.size + b.index[(0,) + m]
+            for i, m in enumerate(states(d.target)):
+                assert d.rows[a * d.target.size + i] == a * b.size + index[(0,) + m]
 
     def test_isometry_on_low_sector(self):
         # rows is injective and is exactly the H_f <= rho sector, so Gamma* is
@@ -300,7 +314,101 @@ class TestRelativeBounds:
         g = 0.7
         a = creation_op(b, [g]).mat.conj().T
         one = np.zeros(b.size)
-        one[b.index[(1,)]] = 1.0
+        one[index_map(b)[(1,)]] = 1.0
         lhs = np.linalg.norm(a @ one)
         bound = (g / np.sqrt(1.0)) * np.sqrt(1.0)
         assert lhs == pytest.approx(bound)
+
+
+def chain_start(name, levels=None, max_photons=None):
+    """The reduced basis of a shipped fixture, its grid or photon cut changed."""
+    spec = load_model(name)
+    if levels is not None:
+        spec = dataclasses.replace(spec, grid=ModeGrid(spec.grid.ratio, levels,
+                                                       spec.grid.channel_weight))
+    if max_photons is not None:
+        spec = dataclasses.replace(spec, n_max=max_photons)
+    return spec.reduced_fock_basis()
+
+
+# the reduced bases the flow starts from, down to the vacuum-only space: the
+# fixtures, large-fock-run's input (max_photons 3), 12 levels at max_photons 3
+# and 4; and two non-dyadic grids from a basis with e_cut above 1
+CHAINS = {
+    **{name: (lambda name=name: chain_start(name))
+       for name in ("m_triv", "m_exact", "m_pauli", "m_kramers")},
+    "large-fock": lambda: chain_start("m_triv", max_photons=3),
+    "J12-n3": lambda: chain_start("m_triv", levels=12, max_photons=3),
+    "J12-n4": lambda: chain_start("m_triv", levels=12, max_photons=4),
+    "rho0.3": lambda: build_fock_basis(ModeGrid(0.3, 7), 3, 2.0, d_at=2),
+    "rho0.7": lambda: build_fock_basis(ModeGrid(0.7, 8), 3, 1.5, d_at=3),
+}
+
+
+def t_blocks_by_rows(on, d_at):
+    """The row sets of the T blocks of ``Cutoffs``, one per pattern of on
+    atoms, the patterns found as unique boolean rows."""
+    place = (np.cumsum(on) - 1).reshape(d_at, -1).T
+    atoms = on.reshape(d_at, -1).T
+    return [place[(atoms == pattern).all(axis=1)][:, pattern]
+            for pattern in np.unique(atoms[atoms.any(axis=1)], axis=0)]
+
+
+def assert_t_blocks(cut, d_at):
+    want = t_blocks_by_rows(cut.on, d_at)
+    assert len(cut.t_blocks) == len(want)
+    for block, rows in zip(cut.t_blocks, want):
+        assert block[0] is Ellipsis
+        assert np.array_equal(block[1], rows[:, :, None])
+        assert np.array_equal(block[2], rows[:, None, :])
+
+
+class TestDerivedChain:
+    @pytest.mark.parametrize("label", CHAINS)
+    def test_each_depth_is_the_enumerated_basis(self, label):
+        basis = CHAINS[label]()
+        depths = 0
+        while basis.grid.levels:
+            rho = basis.grid.ratio
+            d = dilation(basis, rho)
+            tgt = d.target
+            ref = FockBasis(tgt.grid, basis.n_max, min(1.0, basis.e_cut), basis.d_at)
+            for name in ("occupations", "hf_values", "node_energies", "node_rows"):
+                got, want = getattr(tgt, name), getattr(ref, name)
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
+            assert (tgt.grid, tgt.n_max, tgt.e_cut, tgt.d_at, tgt.size) \
+                == (ref.grid, ref.n_max, ref.e_cut, ref.d_at, ref.size)
+            index = index_map(basis)   # the map from occupations to source states
+            rows = [a * basis.size + index[(0,) + m]
+                    for a in range(basis.d_at) for m in states(ref)]
+            assert d.rows.tolist() == rows
+            assert_t_blocks(Cutoffs(*CutoffSpec(rho).diagonals(basis), basis.d_at),
+                            basis.d_at)
+            basis, depths = tgt, depths + 1
+        assert depths >= 3
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_exact", "m_pauli", "m_kramers"])
+    def test_first_cutoffs_and_reduced_coordinates(self, name):
+        spec = load_model(name)
+        frame = FirstFrame(spec)
+        assert_t_blocks(frame.cut, spec.d_at)
+        index = index_map(frame.basis)
+        want = [a * frame.basis.size + index[occ]
+                for a in range(spec.d) for occ in states(frame.reduced_basis)]
+        assert frame.reduced_index.tolist() == want
+
+    @pytest.mark.parametrize("d_at", [1, 2, 3, 4])
+    def test_t_blocks_of_random_on_patterns(self, d_at):
+        rng = np.random.default_rng(d_at)
+        chibar = rng.choice([0.0, 0.5, 1.0], size=d_at * 40, p=[0.4, 0.3, 0.3])
+        cut = Cutoffs(np.sqrt(1.0 - chibar**2), chibar, d_at)
+        assert_t_blocks(cut, d_at)
+        assert len(cut.t_blocks) >= min(2**d_at - 1, 14)   # nearly every pattern occurs
+
+    def test_find_locates_states(self):
+        b = build_fock_basis(ModeGrid(0.5, 4), 2, 1.5, d_at=2)
+        index = index_map(b)
+        assert b.find(b.occupations).tolist() == list(range(b.size))
+        assert b.find([(0, 1, 0, 1), (2, 0, 0, 0), (0, 0, 3, 0)]).tolist() \
+            == [index[(0, 1, 0, 1)], -1, -1]

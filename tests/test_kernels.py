@@ -73,12 +73,17 @@ def shell_coeffs(basis, amp):
             for j in range(basis.grid.levels)]
 
 
+def index_map(basis: FockBasis) -> dict:
+    """Occupation tuple -> Fock index, from the basis' occupation rows."""
+    return {tuple(int(n) for n in occ): i for i, occ in enumerate(basis.occupations)}
+
+
 def one_photon_states(basis: FockBasis) -> list[int]:
     """Fock indices of the vacuum and the one-photon states, by increasing
     energy, from the occupation tuples."""
-    J = basis.grid.levels
-    return [0] + [basis.index[occ] for j in range(J - 1, -1, -1)
-                  if (occ := tuple(int(k == j) for k in range(J))) in basis.index]
+    J, index = basis.grid.levels, index_map(basis)
+    return [0] + [index[occ] for j in range(J - 1, -1, -1)
+                  if (occ := tuple(int(k == j) for k in range(J))) in index]
 
 
 def blocks_node_by_node(h: OperatorMatrix) -> np.ndarray:
@@ -121,15 +126,16 @@ def scipy_fit(x, y):
 
 def creation_by_kron(basis: FockBasis, coeffs) -> np.ndarray:
     """sum_j G_j (x) a*_j, with a*_j filled state by state from the basis'
-    index and added as a Kronecker product per mode."""
+    occupation tuples and added as a Kronecker product per mode."""
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
     for j, c in enumerate(coeffs):
         g = np.asarray(c, dtype=complex)
         if g.ndim == 0:
             g = g * np.eye(basis.d_at)
         raise_j = np.zeros((basis.size, basis.size), dtype=complex)
-        for i, occ in enumerate(basis.states):
-            k = basis.index.get(occ[:j] + (occ[j] + 1,) + occ[j + 1:])
+        index = index_map(basis)
+        for occ, i in index.items():
+            k = index.get(occ[:j] + (occ[j] + 1,) + occ[j + 1:])
             if k is not None:
                 raise_j[k, i] = np.sqrt(occ[j] + 1.0)
         mat += np.kron(g, raise_j)

@@ -49,6 +49,18 @@ class TestConjugation:
         with pytest.raises(ValueError):
             conjugate(SymmetryOp(np.eye(2)), np.eye(3))
 
+    @pytest.mark.parametrize("d, k", [(2, 1), (2, 5), (3, 4)])
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_on_a_multiple_of_its_dimension_s_acts_as_s_tensor_one(self, d, k, anti):
+        rng = np.random.default_rng(d * k)
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        t = rng.standard_normal((d * k, d * k)) + 1j * rng.standard_normal((d * k, d * k))
+        dense = conjugate(SymmetryOp(np.kron(u, np.eye(k)), anti), t)
+        got = conjugate(SymmetryOp(u, anti), t)
+        assert np.abs(got - dense).max() <= 1e-14
+        if k == 1:   # the same two products
+            assert got.tobytes() == dense.tobytes()
+
 
 class TestIsSymmetryOf:
     def test_identity_operator(self):

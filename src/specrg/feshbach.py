@@ -24,8 +24,8 @@ T is block-diagonal, one d_at x d_at block per Fock state, so a step is
 gated by the smallest singular value of those blocks on Ran chibar (a
 batched SVD of d_at x d_at matrices) and by that LU solve; a singular block
 raises FeshbachPairError with ``verify_pair``'s report, which reads the
-same block margin and computes H_chibar's full-SVD margin and the
-contraction norms only where a report is read.
+same block margin and computes H_chibar's full-SVD margin and each
+contraction norm only where that value is read.
 
 H and T may carry leading axes, one stack of K matrices per z of a stacked
 ladder: every block, inverse and map then carries them too, the cutoffs and
@@ -141,16 +141,59 @@ class Cutoffs:
             self.t_blocks.append((..., rows[:, :, None], rows[:, None, :]))
 
 
-@dataclass
 class FeshbachPairReport:
-    """Quantitative pair-condition check: the invertibility margin of T (and
-    H_chibar) on Ran chibar, and the two contraction norms whose smallness
-    certifies the Neumann expansion."""
+    """Quantitative pair-condition check of a pair: the invertibility margin
+    of T (and H_chibar) on Ran chibar, and the two contraction norms whose
+    smallness certifies the Neumann expansion.  Each value is computed when
+    first read and kept, so a reader of ``t_margin`` and
+    ``contraction_left`` alone takes no SVD of H_chibar and no second
+    2-norm.  Reports compare and print by their four values."""
 
-    t_margin: float
-    h_margin: float
-    contraction_left: float
-    contraction_right: float
+    FIELDS = ("t_margin", "h_margin", "contraction_left", "contraction_right")
+
+    def __init__(self, pair: FeshbachPair):
+        self.pair = pair
+        self.empty = not pair.fixed.cut.on.any()
+
+    @cached_property
+    def t_margin(self) -> float:
+        return np.inf if self.empty else self.pair.t_margin
+
+    @cached_property
+    def h_margin(self) -> float:
+        if self.empty:
+            return np.inf
+        return float(np.linalg.svd(self.pair.m_h, compute_uv=False)[..., -1].min())
+
+    def _contraction(self, left: bool) -> float:
+        if self.empty:
+            return 0.0
+        r0 = self.pair._t_inverse if self.t_margin > 0 else None
+        if r0 is None:
+            return np.inf
+        w_bar = self.pair.fixed.w_bar
+        k = r0 @ w_bar if left else w_bar @ r0
+        return float(np.linalg.norm(k, 2, axis=(-2, -1)).max())
+
+    @cached_property
+    def contraction_left(self) -> float:
+        return self._contraction(left=True)
+
+    @cached_property
+    def contraction_right(self) -> float:
+        return self._contraction(left=False)
+
+    def values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FeshbachPairReport):
+            return NotImplemented
+        return self.values() == other.values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.FIELDS, self.values()))
+        return f"FeshbachPairReport({fields})"
 
     @property
     def contractions_ok(self) -> bool:
@@ -285,7 +328,8 @@ class FeshbachPair:
 
 
 def verify_pair(pair: FeshbachPair) -> FeshbachPairReport:
-    """Check the sufficient pair conditions and report margins.
+    """Check the sufficient pair conditions and report margins, each when
+    first read.
 
     The margins are the gate's ``t_margin`` of (T - z)|_Ran chibar and the
     smallest singular value of H_chibar|_Ran chibar from a full SVD, the
@@ -293,18 +337,7 @@ def verify_pair(pair: FeshbachPair) -> FeshbachPairReport:
     norms ||T^-1 chibar W chibar||, ||chibar W T^-1 chibar|| are the largest
     over a stack, and inf when T|_Ran chibar is singular.
     """
-    p, w_bar = pair, pair.fixed.w_bar
-    if not p.fixed.cut.on.any():
-        return FeshbachPairReport(np.inf, np.inf, 0.0, 0.0)
-    t_margin = p.t_margin
-    h_margin = float(np.linalg.svd(p.m_h, compute_uv=False)[..., -1].min())
-    r0 = p._t_inverse if t_margin > 0 else None
-    if r0 is None:
-        left = right = np.inf
-    else:
-        left = float(np.linalg.norm(r0 @ w_bar, 2, axis=(-2, -1)).max())
-        right = float(np.linalg.norm(w_bar @ r0, 2, axis=(-2, -1)).max())
-    return FeshbachPairReport(t_margin, h_margin, left, right)
+    return FeshbachPairReport(pair)
 
 
 class FeshbachPairError(ArithmeticError):

@@ -9,7 +9,7 @@ rotation-invariant radial profiles times an atomic matrix polynomial, so the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -65,11 +65,12 @@ PROFILES = {
 
 def coupling_norm_mu(profile: RadialProfile, mu: float, matrix=None,
                      channel_weight: float = 1.0) -> float:
-    """||G||_mu for G(k) = g(|k|) B; infrared divergence raises."""
+    """||G||_mu for G(k) = g(|k|) B, the largest over a stack of matrices B
+    (one stacked 2-norm); infrared divergence raises."""
     radial = profile.mu_norm_radial(mu, channel_weight)
     if matrix is None:
         return radial
-    return radial * float(np.linalg.norm(np.atleast_2d(matrix), 2))
+    return radial * float(np.max(np.linalg.norm(np.atleast_2d(matrix), 2, axis=(-2, -1))))
 
 
 def _poly_eval(coeffs, s: complex) -> np.ndarray:
@@ -148,14 +149,30 @@ class ModelSpec:
         """Spectral projection of H_at(s) onto the tracked degenerate
         cluster, via the declared isolation contour around E_at(s0).
 
-        Computed once per s and returned read-only.
+        Computed once per s and returned read-only; ``p_at_samples`` fills
+        the entries of many s at once, with the same bytes.
         """
-        def build():
-            p = spectral_projection(self.h_at(s), self._cluster_center, self.contour_radius)
-            p.setflags(write=False)
-            return p
+        key = ("p_at", complex(s))
+        if key not in self.built:
+            self.p_at_samples([s])
+        return self.built[key]
 
-        return self.memo(("p_at", complex(s)), build)
+    def p_at_samples(self, samples) -> list:
+        """``p_at`` at each s of samples.  The samples not yet kept are
+        projected by one ``spectral_projection`` of the stack of their
+        H_at(s); each keeps its entry, a read-only slice of that stack."""
+        todo = {}
+        for s in samples:
+            key = ("p_at", complex(s))
+            if key not in self.built:
+                todo.setdefault(key, s)
+        if todo:
+            ps = spectral_projection(np.stack([self.h_at(s) for s in todo.values()]),
+                                     self._cluster_center, self.contour_radius)
+            ps.setflags(write=False)
+            for key, p in zip(todo, ps):
+                self.built.setdefault(key, p)
+        return [self.built[("p_at", complex(s))] for s in samples]
 
     def e_at(self, s: complex) -> complex:
         """E_at(s) = tr H_at(s) P_at(s) / d.  Its imaginary part is exactly 0
@@ -252,45 +269,80 @@ IDEM_TOL = 1e-10   # spectral_projection's gate: ||P^2 - P|| <= IDEM_TOL max(1, 
 MIN_NODES = 64     # spectral_projection's floor on the quadrature nodes
 
 
+@lru_cache(maxsize=32)
+def _trapezoid_offsets(n_nodes: int, radius: float) -> np.ndarray:
+    """The trapezoid nodes' offsets from the centre, r exp(i theta_k) with
+    theta_k = 2 pi (k + 1/2) / n_nodes, read-only, along the node axis of a
+    stack of matrices."""
+    theta = 2 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
+    ws = (radius * np.exp(1j * theta))[:, None, None]
+    ws.setflags(write=False)
+    return ws
+
+
 def spectral_projection(h: np.ndarray, center: complex, radius: float) -> np.ndarray:
     """Contour-integral projection (2 pi i)^-1 oint (z - H)^-1 dz by the
     trapezoidal rule on a circle; exponentially convergent off-spectrum.
+    h is one n x n matrix or a K x n x n stack of them, and P comes out
+    shaped like h.
 
     The rule takes at least MIN_NODES nodes. An eigenvalue at distance a < r
     inside (or b > r outside) the circle of radius r contributes a quadrature
     error of about (a/r)^N (or (r/b)^N) with N nodes (Trefethen & Weideman,
     SIAM Rev. 56, 2014), so N is raised until the largest of these is at most
-    IDEM_TOL/100. The 10% exclusion around the contour keeps N below about
-    290.  The nodes, the shifted matrices and the weighted resolvents are
-    arrays over the node axis: one stacked solve, then one sum over that
-    axis that starts from 0 and adds the nodes in order, so P is bit for
-    bit the node-by-node sum.
+    IDEM_TOL/100, for each matrix of a stack on its own. The 10% exclusion
+    around the contour keeps N below about 290.  The matrices of one node
+    count are projected together, in the manner of batched small-matrix
+    LAPACK (Dongarra et al., Procedia Comput. Sci. 108, 2017): the nodes,
+    the shifted matrices and the weighted resolvents are arrays over the
+    matrix and node axes, one stacked solve, then one sum over the node
+    axis that starts from 0 and adds the nodes in order, so each P is bit
+    for bit the node-by-node sum of that matrix alone.  A ContourError
+    names the fault of the first matrix of the stack that has one, as
+    projecting the matrices one by one would.
     """
     h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
-    eigs = np.linalg.eigvals(h)
-    dist = np.abs(eigs - center)
-    if np.any((dist > 0.9 * radius) & (dist < 1.1 * radius)):
-        raise ContourError(
-            f"eigenvalue within 10% of the contour |z-{center}|={radius}")
+    stack = h.reshape((-1,) + h.shape[-2:])
+    dist = np.abs(np.linalg.eigvals(stack) - center)
+    near = ((dist > 0.9 * radius) & (dist < 1.1 * radius)).any(axis=-1)
     inside = dist < radius
-    q = max(np.max(dist[inside], initial=0.0) / radius,
-            radius / np.min(dist[~inside], initial=np.inf))
-    n_nodes = MIN_NODES
-    if q > 0.0:
-        n_nodes = max(n_nodes, int(np.ceil(np.log(IDEM_TOL / 100) / np.log(q))))
-    theta = 2 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
-    ws = (radius * np.exp(1j * theta))[:, None, None]
-    eye = np.eye(n)
-    resolvents = np.linalg.solve((center + ws) * eye - h, eye)
-    p = np.add.reduce(ws * resolvents, axis=0, initial=0.0)   # from 0, node by node
-    p /= n_nodes
-    residual = np.linalg.norm(p @ p - p)
-    if residual > IDEM_TOL * max(1.0, np.linalg.norm(p)):
-        raise ContourError(
-            f"contour quadrature did not produce a projection "
-            f"({n_nodes} nodes, ||P^2-P|| = {residual:.3e})")
-    return p
+    q = np.maximum(dist.max(axis=-1, where=inside, initial=0.0) / radius,
+                   radius / dist.min(axis=-1, where=~inside, initial=np.inf))
+    with np.errstate(divide="ignore"):   # log 0 where q is 0, and for a matrix near the contour
+        raised = np.ceil(np.log(IDEM_TOL / 100) / np.log(np.where(near, 0.0, q)))
+    counts = np.maximum(MIN_NODES, raised).astype(int).tolist()
+    groups = {}
+    for k, (n_nodes, skip) in enumerate(zip(counts, near.tolist())):
+        if not skip:
+            groups.setdefault(n_nodes, []).append(k)
+    eye = np.eye(stack.shape[-1])
+    p = np.zeros_like(stack)
+    for n_nodes, group in groups.items():
+        ws = _trapezoid_offsets(n_nodes, radius)
+        whole = len(group) == len(stack)
+        shifted = (center + ws) * eye - (stack if whole else stack[group])[:, None]
+        sums = np.add.reduce(ws * np.linalg.solve(shifted, eye), axis=1,
+                             initial=0.0)   # from 0, node by node
+        sums /= n_nodes
+        if whole:
+            p = sums
+        else:
+            p[group] = sums
+    # the idempotency gate, passed at once by a stack whose P^2 - P has no
+    # entry above IDEM_TOL / 2n (so no Frobenius norm above IDEM_TOL / 2);
+    # else the matrices are gated one by one, in order
+    if not near.any() and np.abs(p @ p - p).max(initial=0.0) <= 0.5 * IDEM_TOL / stack.shape[-1]:
+        return p.reshape(h.shape)
+    for k in range(len(stack)):
+        if near[k]:
+            raise ContourError(
+                f"eigenvalue within 10% of the contour |z-{center}|={radius}")
+        residual = np.linalg.norm(p[k] @ p[k] - p[k])
+        if residual > IDEM_TOL * max(1.0, np.linalg.norm(p[k])):
+            raise ContourError(
+                f"contour quadrature did not produce a projection "
+                f"({counts[k]} nodes, ||P^2-P|| = {residual:.3e})")
+    return p.reshape(h.shape)
 
 
 def projection_rank(p: np.ndarray) -> int:
@@ -369,21 +421,31 @@ def _sample_ring(center: complex, radius: float, n: int):
     return [center + radius * np.exp(2j * np.pi * k / n) for k in range(n)]
 
 
+def _solvable(m: np.ndarray, b: np.ndarray) -> bool:
+    """Whether LAPACK solves every system of the stack m against b."""
+    try:
+        np.linalg.solve(m, b)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def verify_hypotheses(spec: ModelSpec) -> HypothesesReport:
     """Numerical pass over the standing assumptions at s0 and on two rings
     of 6 points; report only, no raises (apart from genuinely malformed
-    specs surfacing as exceptions)."""
+    specs surfacing as exceptions).  The samples are taken as stacks: one
+    ``spectral_projection`` of the 13 H_at(s) fills their ``p_at`` entries,
+    one 2-norm covers the 26 coupling matrices, and the resolvent bound is
+    one solve and one 2-norm over every (s, z, q) shift."""
     entries = []
     s_samples = [spec.s0] + _sample_ring(spec.s0, spec.region_radius, 6) \
         + _sample_ring(spec.s0, 0.5 * spec.region_radius, 6)
+    p_samples = spec.p_at_samples(s_samples)
 
     # coupling regularity and finiteness of the weighted norms
     try:
-        worst = 0.0
-        for s in s_samples:
-            for b in (spec.b1(np.conj(s)), spec.b2(s)):
-                worst = max(worst, coupling_norm_mu(
-                    spec.profile, spec.mu, b, spec.grid.channel_weight))
+        couplings = np.stack([b for s in s_samples for b in (spec.b1(np.conj(s)), spec.b2(s))])
+        worst = coupling_norm_mu(spec.profile, spec.mu, couplings, spec.grid.channel_weight)
         entries.append(HypEntry("coupling_norm_finite", True, np.isfinite(worst),
                                 worst, f"sup ||G||_mu = {worst:.6g}"))
     except InfraredError as exc:
@@ -393,7 +455,7 @@ def verify_hypotheses(spec: ModelSpec) -> HypothesesReport:
     # degenerate eigenvalue: multiplicity and non-defectiveness at s0
     h0 = spec.h_at(spec.s0)
     e0 = spec.e_at(spec.s0)
-    p0 = spec.p_at(spec.s0)
+    p0 = p_samples[0]
     alg = projection_rank(p0)
     sv = np.linalg.svd(h0 - e0 * np.eye(spec.d_at), compute_uv=False)
     scale = max(1.0, float(sv[0]))
@@ -421,39 +483,43 @@ def verify_hypotheses(spec: ModelSpec) -> HypothesesReport:
         entries.append(HypEntry("symmetry_irreducible", False, True, 0.0,
                                 "nondegenerate model, no symmetry needed"))
 
-    # resolvent bound on the complement, sampled q-grid plus the q->infty tail;
-    # the shifted systems of one s are solved as one stack, and a singular
-    # one fails the entry, as does a sample where 1 - P_at(s) does not have
-    # rank d_at - d (a contour that encloses more or fewer eigenvalues)
+    # resolvent bound on the complement, sampled q-grid plus the q->infty tail,
+    # at every sample where 1 - P_at(s) has rank d_at - d; a sample of
+    # another rank (a contour that encloses more or fewer eigenvalues) fails
+    # the entry, as does one with a singular shifted system, which leaves
+    # the sup of the others
     qs = np.array([0.0] + [2.0**k for k in range(-6, 7)])
     eye = np.eye(spec.d_at)
     pbar = eye - p0
     sup = float(np.linalg.norm(pbar, 2))  # q -> infinity limit
-    okw = True
-    bad_ranks = []
-    for s in s_samples:
-        es = spec.e_at(s)
-        pbar_s = eye - spec.p_at(s)
-        u, sv, _ = np.linalg.svd(pbar_s)
-        rank = int(np.sum(sv > 0.5))
-        if rank != spec.d_at - spec.d:
-            okw = False
-            bad_ranks.append(rank)
-            continue
-        if rank == 0:
-            continue  # full degeneracy: nothing outside the eigenspace
-        vbar = u[:, :rank]
-        zs = _sample_ring(es, 0.9 * spec.window_radius, 8) + [es]
-        okw = okw and all(abs(es - z) < 0.5 for z in zs)
-        shifts = np.array([q - z for z in zs for q in qs])
-        m = vbar.conj().T @ (spec.h_at(s) + shifts[:, None, None] * eye) @ vbar
+    rank = spec.d_at - spec.d
+    pbars = eye - np.stack(p_samples)
+    u, sv, _ = np.linalg.svd(pbars)
+    ranks = np.sum(sv > 0.5, axis=-1)
+    bad_ranks = [int(r) for r in ranks if r != rank]
+    okw = not bad_ranks
+    good = np.flatnonzero(ranks == rank) if rank else []   # rank 0: full degeneracy
+    if len(good):
+        es = np.array([spec.e_at(s_samples[k]) for k in good])
+        zs = np.array([_sample_ring(e, 0.9 * spec.window_radius, 8) + [e] for e in es])
+        okw = okw and bool(np.all(np.abs(es[:, None] - zs) < 0.5))
+        shifts = (qs - zs[..., None]).reshape(len(good), -1)
+        hs = np.stack([spec.h_at(s_samples[k]) for k in good])
+        vbar = u[good][..., :rank]
+        vbar_h = vbar.conj().transpose(0, 2, 1)
+        m = vbar_h[:, None] @ (hs[:, None] + shifts[..., None, None] * eye) @ vbar[:, None]
+        rhs = (vbar_h @ pbars[good])[:, None]
         try:
-            r = vbar @ np.linalg.solve(m, (vbar.conj().T @ pbar_s)[None])
+            solved = np.linalg.solve(m, rhs)
         except np.linalg.LinAlgError:
             okw = False
-            continue
-        norms = (np.tile(qs, len(zs)) + 1.0) * np.linalg.norm(r, 2, axis=(1, 2))
-        sup = max(sup, float(np.max(norms)))
+            regular = [k for k in range(len(good)) if _solvable(m[k], rhs[k])]
+            vbar, m, rhs = vbar[regular], m[regular], rhs[regular]
+            solved = np.linalg.solve(m, rhs)
+        r = vbar[:, None] @ solved
+        norms = (np.tile(qs, zs.shape[1]) + 1.0) * np.linalg.norm(r, 2, axis=(-2, -1))
+        for worst_s in np.max(norms, axis=-1):   # NaN-blind, sample by sample
+            sup = max(sup, float(worst_s))
     detail = (f"grid max over q of ||(q+1)(H_at-z+q)^-1 Pbar|| = "
               f"{sup:.6g} (grid max, not a certified sup)")
     if bad_ranks:
@@ -478,7 +544,7 @@ def verify_hypotheses(spec: ModelSpec) -> HypothesesReport:
                                 "not declared"))
 
     # constancy of the eigenprojection (else conjugation preprocessing)
-    res_p = max(float(np.linalg.norm(spec.p_at(s) - p0)) for s in s_samples)
+    res_p = max(float(np.linalg.norm(p - p0)) for p in p_samples)
     entries.append(HypEntry("constant_projection", True, True, res_p,
                             "constant" if res_p < 1e-12 else
                             "varies; evaluation conjugates to the constant frame"))

@@ -65,11 +65,13 @@ cutoffs and blocks on Ran chibar), the top's extraction and the model's
 restricted generators; no ladder outlives the flow.  A depth's diagnostics
 are computed only when read: the pair's report where the convergence test
 reads its margins, at a depth whose root moved less than TOL_FIXED_POINT,
-or a trace line prints them; the Schur deviation of the extraction's vacuum
-block and the symmetry residual once per depth; and the polydisc radii,
-which only trace.txt prints, when a trace line is formed.  The analyticity
-probe and the coupling sweep read only z_inf and the report of the depth
-the flow stops on.
+or a trace line prints them, and of the report only the values read (a
+trace line prints ``t_margin`` and ``contraction_left``, so H_chibar's SVD
+and the right contraction are taken only where the flow stops); the Schur
+deviation of the extraction's vacuum block and the symmetry residual once
+per depth; and the polydisc radii, which only trace.txt prints, when a
+trace line is formed.  The analyticity probe and the coupling sweep read
+only z_inf and the report of the depth the flow stops on.
 
 Each root's uniqueness is certified by the argument principle: the winding of
 E^(n) around 0 along a small circle about the root must be 1.  The count
@@ -497,7 +499,8 @@ class DepthResult:
     at depth 0 and past the terminal space), the top's extraction ``ext``
     and the model's d x d generators.  Its diagnostics are computed when
     first read, and kept: the pair's report, whose margins the convergence
-    test reads where the root moved less than TOL_FIXED_POINT; from
+    test reads where the root moved less than TOL_FIXED_POINT and whose
+    values are each computed when read; from
     ``ext``, the Schur deviation of the vacuum block, which is ``ext``'s
     node 0, and the symmetry residual of each generator (x) 1; and the
     polydisc radii, which only a trace line prints."""

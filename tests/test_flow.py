@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from specrg import config as cfgmod
-from specrg import feshbach, fock, kernels, model, oracle, rg, symmetry
+from specrg import cli, feshbach, fock, kernels, model, oracle, rg, symmetry
 from specrg.cli import main
 from specrg.config import load_model
 from specrg.feshbach import verify_pair
@@ -1018,6 +1018,46 @@ class TestCli:
                 depth.pair_report = verify_pair(root.ladder.pair)   # the eager report
         lines = res.trace_lines()
         assert (out / "trace.txt").read_text() == "\n".join(lines) + "\n"
+
+    def test_the_trace_takes_the_h_chibar_svd_only_where_the_flow_stops(self, tmp_path,
+                                                                       capsys, monkeypatch):
+        # large-fock-run's input with --out: trace.txt prints t_margin and
+        # contraction_left of every depth's report, and only the convergence
+        # test, at the depth the flow stops on, reads h_margin and
+        # contraction_right
+        config = large_fock_config(tmp_path, 1.0)
+        svd, norm = np.linalg.svd, np.linalg.norm
+        h_svds, right_norms = [], []
+
+        def recorded_svd(*args, **kwargs):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "h_margin":
+                h_svds.append(caller.f_locals["self"].pair)
+            return svd(*args, **kwargs)
+
+        def recorded_norm(*args, **kwargs):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "_contraction" and not caller.f_locals["left"]:
+                right_norms.append(caller.f_locals["self"].pair)
+            return norm(*args, **kwargs)
+
+        results = []
+        iterate = rg.iterate_to_fixed_point
+
+        def recorded_flow(*args, **kwargs):
+            results.append(iterate(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+        monkeypatch.setattr(np.linalg, "norm", recorded_norm)
+        monkeypatch.setattr(cli, "iterate_to_fixed_point", recorded_flow)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        [res] = results
+        assert res.n_levels >= 2
+        assert len((out / "trace.txt").read_text().splitlines()) == res.n_levels + 3
+        assert len(h_svds) == len(right_norms) == 1
+        assert h_svds[0] is right_norms[0] is res.depths[-1].pair
 
 
 class TestExitCodes:

@@ -317,6 +317,62 @@ class TestProjectionBitForBit:
             assert spectral_projection(h, 0.0, 1.0).tobytes() == want.tobytes()
         assert min(counts) > model.MIN_NODES
 
+    def test_a_stack_that_mixes_node_counts(self):
+        # the seeded matrices past the node floor, each followed by one at
+        # the floor (enclosed eigenvalue at half the radius)
+        rng = np.random.default_rng(11)
+        hs = []
+        for k in range(12):
+            for eigs in ([0.1, -0.3 + 0.2j, 0.8 + 0.08 * k / 11, 1.5, -2.0j],
+                         [0.1, -0.3 + 0.2j, 0.5, 2.5, -3.0j]):
+                v = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+                hs.append(v @ np.diag(eigs) @ np.linalg.inv(v))
+        got = spectral_projection(np.stack(hs), 0.0, 1.0)
+        assert got.shape == (24, 5, 5)
+        counts = set()
+        for h, p in zip(hs, got, strict=True):
+            want, n_nodes = projection_node_by_node(h, 0.0, 1.0)
+            counts.add(n_nodes)
+            assert p.tobytes() == want.tobytes()
+        assert model.MIN_NODES in counts and len(counts) >= 4
+
+    @pytest.mark.parametrize("name", ["m_triv", "m_kramers", "m_pauli", "m_exact"])
+    def test_a_stack_of_the_hypotheses_samples_and_probe_nodes(self, name):
+        from specrg.cli import PROBE_NODES, PROBE_RADIUS
+
+        spec = load_model(name)
+        s0 = spec.s0
+        samples = ([s0] + model._sample_ring(s0, spec.region_radius, 6)
+                   + model._sample_ring(s0, 0.5 * spec.region_radius, 6)
+                   + [s0 + PROBE_RADIUS * np.exp(2j * np.pi * k / PROBE_NODES)
+                      for k in range(PROBE_NODES)])
+        args = (spec._cluster_center, spec.contour_radius)
+        got = spectral_projection(np.stack([spec.h_at(s) for s in samples]), *args)
+        for s, p in zip(samples, got, strict=True):
+            want, _ = projection_node_by_node(spec.h_at(s), *args)
+            assert p.tobytes() == want.tobytes(), s
+        # p_at's entries from one stacked fill are the one-s entries, byte for byte
+        fresh = dataclasses.replace(spec)
+        for s, p in zip(samples, spec.p_at_samples(samples), strict=True):
+            assert not p.flags.writeable and spec.p_at(s) is p
+            assert p.tobytes() == fresh.p_at(s).tobytes()
+
+    def test_a_stack_raises_the_fault_of_its_first_failing_matrix(self):
+        good = np.diag([0.1, 2.0, 3.0, 4.0]).astype(complex)
+        # a 3x3 Jordan block at 0.85 fails the idempotency gate; an eigenvalue
+        # at the radius fails the exclusion test
+        jordan = np.diag([0.85, 0.85, 0.85, 4.0]).astype(complex) + np.diag([1.0, 1.0, 0.0], 1)
+        on_contour = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+        messages = []
+        for h in (jordan, on_contour):
+            with pytest.raises(ContourError) as exc:
+                spectral_projection(h, 0.0, 1.0)
+            messages.append(str(exc.value))
+        for order in ([good, jordan, on_contour], [good, on_contour, jordan]):
+            with pytest.raises(ContourError) as exc:
+                spectral_projection(np.stack(order), 0.0, 1.0)
+            assert str(exc.value) == messages[0 if order[1] is jordan else 1]
+
 
 class TestVerifyHypotheses:
     @pytest.mark.parametrize("name", ["m_triv", "m_exact", "m_pauli",

@@ -23,9 +23,10 @@ z makes it complex.
 T is block-diagonal, one d_at x d_at block per Fock state, so a step is
 gated by the smallest singular value of those blocks on Ran chibar (a
 batched SVD of d_at x d_at matrices) and by that LU solve; a singular block
-raises FeshbachPairError with ``verify_pair``'s report, which reads the
-same block margin and computes H_chibar's full-SVD margin and each
-contraction norm only where that value is read.
+raises FeshbachPairError with ``verify_pair``'s report of the pair's
+``reportable`` part, so the error keeps no solve and no block on ``keep``;
+the report reads the same block margin and computes H_chibar's full-SVD
+margin and each contraction norm only where that value is read.
 
 H and T may carry leading axes, one stack of K matrices per z of a stacked
 ladder: every block, inverse and map then carries them too, the cutoffs and
@@ -240,7 +241,8 @@ class FeshbachPair:
     ``neumann_check`` all read that solve.  ``spectral`` is the
     ``SpectralForm`` of ``fixed``'s h_on, which the first decimation passes
     where it is exact, and ``pair_map`` then reads in place of the solve.
-    ``reportable`` is the part of the pair that ``verify_pair`` reads."""
+    ``reportable`` is the part of the pair that ``verify_pair`` reads, and
+    the part that the report of a FeshbachPairError it raises keeps."""
 
     def __init__(self, fixed: AffinePair, z, spectral: SpectralForm | None = None):
         self.fixed = fixed
@@ -283,7 +285,7 @@ class FeshbachPair:
         """Raise FeshbachPairError unless ``t_margin`` is positive.  H_chibar
         is gated where it is solved (``solved``)."""
         if not self.t_margin > 0:
-            raise FeshbachPairError(verify_pair(self))
+            raise FeshbachPairError(verify_pair(self.reportable()))
 
     @cached_property
     def solved(self) -> np.ndarray:
@@ -294,9 +296,9 @@ class FeshbachPair:
         try:
             x = np.linalg.solve(self.m_h, self.fixed.right)
         except np.linalg.LinAlgError:
-            raise FeshbachPairError(verify_pair(self)) from None
+            raise FeshbachPairError(verify_pair(self.reportable())) from None
         if not np.isfinite(x).all():
-            raise FeshbachPairError(verify_pair(self))
+            raise FeshbachPairError(verify_pair(self.reportable()))
         return x
 
     def reportable(self) -> FeshbachPair:
@@ -323,7 +325,7 @@ class FeshbachPair:
         FeshbachPairError with the pair's report when the LU finds the block
         singular or the inverse is not finite."""
         if self._t_inverse is None:
-            raise FeshbachPairError(verify_pair(self))
+            raise FeshbachPairError(verify_pair(self.reportable()))
         return self._t_inverse
 
 
@@ -380,7 +382,7 @@ class SpectralForm:
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / (self.lam - pair.z[..., None])
         if not np.isfinite(inv).all():
-            raise FeshbachPairError(verify_pair(pair))
+            raise FeshbachPairError(verify_pair(pair.reportable()))
         if np.isrealobj(self.l) and np.iscomplexobj(inv):
             # a real form at a complex z: two real products, with no complex copy of L
             correction = np.empty(inv.shape[:-1] + (self.rows.size, self.cols.size), complex)

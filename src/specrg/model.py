@@ -9,7 +9,7 @@ rotation-invariant radial profiles times an atomic matrix polynomial, so the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -152,10 +152,12 @@ class ModelSpec:
         Computed once per s and returned read-only; ``p_at_samples`` fills
         the entries of many s at once, with the same bytes.
         """
-        key = ("p_at", complex(s))
-        if key not in self.built:
-            self.p_at_samples([s])
-        return self.built[key]
+        def build():
+            p = spectral_projection(self.h_at(s), self._cluster_center, self.contour_radius)
+            p.setflags(write=False)
+            return p
+
+        return self.memo(("p_at", complex(s)), build)
 
     def p_at_samples(self, samples) -> list:
         """``p_at`` at each s of samples.  The samples not yet kept are
@@ -269,17 +271,6 @@ IDEM_TOL = 1e-10   # spectral_projection's gate: ||P^2 - P|| <= IDEM_TOL max(1, 
 MIN_NODES = 64     # spectral_projection's floor on the quadrature nodes
 
 
-@lru_cache(maxsize=32)
-def _trapezoid_offsets(n_nodes: int, radius: float) -> np.ndarray:
-    """The trapezoid nodes' offsets from the centre, r exp(i theta_k) with
-    theta_k = 2 pi (k + 1/2) / n_nodes, read-only, along the node axis of a
-    stack of matrices."""
-    theta = 2 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
-    ws = (radius * np.exp(1j * theta))[:, None, None]
-    ws.setflags(write=False)
-    return ws
-
-
 def spectral_projection(h: np.ndarray, center: complex, radius: float) -> np.ndarray:
     """Contour-integral projection (2 pi i)^-1 oint (z - H)^-1 dz by the
     trapezoidal rule on a circle; exponentially convergent off-spectrum.
@@ -304,21 +295,23 @@ def spectral_projection(h: np.ndarray, center: complex, radius: float) -> np.nda
     h = np.asarray(h, dtype=complex)
     stack = h.reshape((-1,) + h.shape[-2:])
     dist = np.abs(np.linalg.eigvals(stack) - center)
-    near = ((dist > 0.9 * radius) & (dist < 1.1 * radius)).any(axis=-1)
+    near = ((dist > 0.9 * radius) & (dist < 1.1 * radius)).any(axis=-1).tolist()
     inside = dist < radius
-    q = np.maximum(dist.max(axis=-1, where=inside, initial=0.0) / radius,
-                   radius / dist.min(axis=-1, where=~inside, initial=np.inf))
-    with np.errstate(divide="ignore"):   # log 0 where q is 0, and for a matrix near the contour
-        raised = np.ceil(np.log(IDEM_TOL / 100) / np.log(np.where(near, 0.0, q)))
-    counts = np.maximum(MIN_NODES, raised).astype(int).tolist()
-    groups = {}
-    for k, (n_nodes, skip) in enumerate(zip(counts, near.tolist())):
+    qs = np.maximum(dist.max(axis=-1, where=inside, initial=0.0) / radius,
+                    radius / dist.min(axis=-1, where=~inside, initial=np.inf))
+    counts, groups = [], {}
+    for k, (q, skip) in enumerate(zip(qs, near)):
+        n_nodes = MIN_NODES
+        if q > 0.0 and not skip:
+            n_nodes = max(n_nodes, int(np.ceil(np.log(IDEM_TOL / 100) / np.log(q))))
+        counts.append(n_nodes)
         if not skip:
             groups.setdefault(n_nodes, []).append(k)
     eye = np.eye(stack.shape[-1])
-    p = np.zeros_like(stack)
+    p = np.empty_like(stack)   # a matrix near the contour gets no P: the gates raise at it
     for n_nodes, group in groups.items():
-        ws = _trapezoid_offsets(n_nodes, radius)
+        theta = 2 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
+        ws = (radius * np.exp(1j * theta))[:, None, None]
         whole = len(group) == len(stack)
         shifted = (center + ws) * eye - (stack if whole else stack[group])[:, None]
         sums = np.add.reduce(ws * np.linalg.solve(shifted, eye), axis=1,
@@ -328,20 +321,15 @@ def spectral_projection(h: np.ndarray, center: complex, radius: float) -> np.nda
             p = sums
         else:
             p[group] = sums
-    # the idempotency gate, passed at once by a stack whose P^2 - P has no
-    # entry above IDEM_TOL / 2n (so no Frobenius norm above IDEM_TOL / 2);
-    # else the matrices are gated one by one, in order
-    if not near.any() and np.abs(p @ p - p).max(initial=0.0) <= 0.5 * IDEM_TOL / stack.shape[-1]:
-        return p.reshape(h.shape)
-    for k in range(len(stack)):
-        if near[k]:
+    for n_nodes, skip, pk in zip(counts, near, p):   # the gates, matrix by matrix, in order
+        if skip:
             raise ContourError(
                 f"eigenvalue within 10% of the contour |z-{center}|={radius}")
-        residual = np.linalg.norm(p[k] @ p[k] - p[k])
-        if residual > IDEM_TOL * max(1.0, np.linalg.norm(p[k])):
+        residual = np.linalg.norm(pk @ pk - pk)
+        if residual > IDEM_TOL * max(1.0, np.linalg.norm(pk)):
             raise ContourError(
                 f"contour quadrature did not produce a projection "
-                f"({counts[k]} nodes, ||P^2-P|| = {residual:.3e})")
+                f"({n_nodes} nodes, ||P^2-P|| = {residual:.3e})")
     return p.reshape(h.shape)
 
 

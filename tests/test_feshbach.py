@@ -429,6 +429,19 @@ class TestSingularBlocks:
         with pytest.raises(FeshbachPairError):
             pair.inverse_t
 
+    def test_a_pair_error_keeps_no_solve_and_no_block_on_keep(self):
+        h, t, c, cb = singular_h_pair()
+        singular_t = pair_of(h, h.copy(), c, cb, 5)
+        for raises, pair in ((lambda p: p.require_margins(), spoiled_pair("t-zero-row")),
+                             (feshbach_map, pair_of(h, t, c, cb)),
+                             (lambda p: p.inverse_t, singular_t)):
+            with pytest.raises(FeshbachPairError) as exc:
+                raises(pair)
+            assert exc.value.report == verify_pair(pair)
+            kept = vars(exc.value.report.pair)
+            assert "solved" not in kept
+            assert not {"t", "base", "left", "right"} & set(vars(kept["fixed"]))
+
 
 def spoiled_pair(spoil):
     """``diagonal_pair`` with one coordinate i of Ran chibar, where chibar =

@@ -23,10 +23,9 @@ z makes it complex.
 T is block-diagonal, one d_at x d_at block per Fock state, so a step is
 gated by the smallest singular value of those blocks on Ran chibar (a
 batched SVD of d_at x d_at matrices) and by that LU solve; a singular block
-raises FeshbachPairError with ``verify_pair``'s report of the pair's
-``reportable`` part, so the error keeps no solve and no block on ``keep``;
-the report reads the same block margin and computes H_chibar's full-SVD
-margin and each contraction norm only where that value is read.
+raises FeshbachPairError with ``verify_pair``'s report, four floats: the
+same block margin, H_chibar's full-SVD margin and the two contraction norms
+(``contraction_norm``).
 
 H and T may carry leading axes, one stack of K matrices per z of a stacked
 ladder: every block, inverse and map then carries them too, the cutoffs and
@@ -142,59 +141,16 @@ class Cutoffs:
             self.t_blocks.append((..., rows[:, :, None], rows[:, None, :]))
 
 
+@dataclass(frozen=True)
 class FeshbachPairReport:
     """Quantitative pair-condition check of a pair: the invertibility margin
     of T (and H_chibar) on Ran chibar, and the two contraction norms whose
-    smallness certifies the Neumann expansion.  Each value is computed when
-    first read and kept, so a reader of ``t_margin`` and
-    ``contraction_left`` alone takes no SVD of H_chibar and no second
-    2-norm.  Reports compare and print by their four values."""
+    smallness certifies the Neumann expansion."""
 
-    FIELDS = ("t_margin", "h_margin", "contraction_left", "contraction_right")
-
-    def __init__(self, pair: FeshbachPair):
-        self.pair = pair
-        self.empty = not pair.fixed.cut.on.any()
-
-    @cached_property
-    def t_margin(self) -> float:
-        return np.inf if self.empty else self.pair.t_margin
-
-    @cached_property
-    def h_margin(self) -> float:
-        if self.empty:
-            return np.inf
-        return float(np.linalg.svd(self.pair.m_h, compute_uv=False)[..., -1].min())
-
-    def _contraction(self, left: bool) -> float:
-        if self.empty:
-            return 0.0
-        r0 = self.pair._t_inverse if self.t_margin > 0 else None
-        if r0 is None:
-            return np.inf
-        w_bar = self.pair.fixed.w_bar
-        k = r0 @ w_bar if left else w_bar @ r0
-        return float(np.linalg.norm(k, 2, axis=(-2, -1)).max())
-
-    @cached_property
-    def contraction_left(self) -> float:
-        return self._contraction(left=True)
-
-    @cached_property
-    def contraction_right(self) -> float:
-        return self._contraction(left=False)
-
-    def values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.FIELDS)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FeshbachPairReport):
-            return NotImplemented
-        return self.values() == other.values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.FIELDS, self.values()))
-        return f"FeshbachPairReport({fields})"
+    t_margin: float
+    h_margin: float
+    contraction_left: float
+    contraction_right: float
 
     @property
     def contractions_ok(self) -> bool:
@@ -241,8 +197,8 @@ class FeshbachPair:
     ``neumann_check`` all read that solve.  ``spectral`` is the
     ``SpectralForm`` of ``fixed``'s h_on, which the first decimation passes
     where it is exact, and ``pair_map`` then reads in place of the solve.
-    ``reportable`` is the part of the pair that ``verify_pair`` reads, and
-    the part that the report of a FeshbachPairError it raises keeps."""
+    ``reportable`` is the part of the pair that ``verify_pair`` reads, which
+    a flow keeps of each depth."""
 
     def __init__(self, fixed: AffinePair, z, spectral: SpectralForm | None = None):
         self.fixed = fixed
@@ -285,7 +241,7 @@ class FeshbachPair:
         """Raise FeshbachPairError unless ``t_margin`` is positive.  H_chibar
         is gated where it is solved (``solved``)."""
         if not self.t_margin > 0:
-            raise FeshbachPairError(verify_pair(self.reportable()))
+            raise FeshbachPairError(verify_pair(self))
 
     @cached_property
     def solved(self) -> np.ndarray:
@@ -296,9 +252,9 @@ class FeshbachPair:
         try:
             x = np.linalg.solve(self.m_h, self.fixed.right)
         except np.linalg.LinAlgError:
-            raise FeshbachPairError(verify_pair(self.reportable())) from None
+            raise FeshbachPairError(verify_pair(self)) from None
         if not np.isfinite(x).all():
-            raise FeshbachPairError(verify_pair(self.reportable()))
+            raise FeshbachPairError(verify_pair(self))
         return x
 
     def reportable(self) -> FeshbachPair:
@@ -311,35 +267,43 @@ class FeshbachPair:
         return FeshbachPair(fixed, self.z)
 
     @cached_property
-    def _t_inverse(self) -> np.ndarray | None:
-        """``inverse_t``, or None where it raises: ``verify_pair`` reads it."""
+    def inverse_t(self) -> np.ndarray | None:
+        """((T - z)|_Ran chibar)^-1 on the coordinates ``on``, or None where
+        the LU finds the block singular or the inverse is not finite."""
         try:
             inv = np.linalg.inv(self.m_t)
         except np.linalg.LinAlgError:
             return None
         return inv if np.isfinite(inv).all() else None
 
-    @property
-    def inverse_t(self) -> np.ndarray:
-        """((T - z)|_Ran chibar)^-1 on the coordinates ``on``.  Raise
-        FeshbachPairError with the pair's report when the LU finds the block
-        singular or the inverse is not finite."""
-        if self._t_inverse is None:
-            raise FeshbachPairError(verify_pair(self.reportable()))
-        return self._t_inverse
+
+def contraction_norm(pair: FeshbachPair, left: bool) -> float:
+    """||T^-1 chibar W chibar|| (left) or ||chibar W chibar T^-1|| (right)
+    on Ran chibar, the largest over a stack: 0 when Ran chibar is empty, inf
+    when T|_Ran chibar is singular."""
+    if not pair.fixed.cut.on.any():
+        return 0.0
+    r0 = pair.inverse_t if pair.t_margin > 0 else None
+    if r0 is None:
+        return np.inf
+    w_bar = pair.fixed.w_bar
+    k = r0 @ w_bar if left else w_bar @ r0
+    return float(np.linalg.norm(k, 2, axis=(-2, -1)).max())
 
 
 def verify_pair(pair: FeshbachPair) -> FeshbachPairReport:
-    """Check the sufficient pair conditions and report margins, each when
-    first read.
+    """Check the sufficient pair conditions and report margins.
 
     The margins are the gate's ``t_margin`` of (T - z)|_Ran chibar and the
     smallest singular value of H_chibar|_Ran chibar from a full SVD, the
     least over a stack, and inf when Ran chibar is empty; the contraction
-    norms ||T^-1 chibar W chibar||, ||chibar W T^-1 chibar|| are the largest
-    over a stack, and inf when T|_Ran chibar is singular.
+    norms are ``contraction_norm``'s.
     """
-    return FeshbachPairReport(pair)
+    h_margin = np.inf
+    if pair.fixed.cut.on.any():
+        h_margin = float(np.linalg.svd(pair.m_h, compute_uv=False)[..., -1].min())
+    return FeshbachPairReport(pair.t_margin, h_margin, contraction_norm(pair, True),
+                              contraction_norm(pair, False))
 
 
 class FeshbachPairError(ArithmeticError):
@@ -382,7 +346,7 @@ class SpectralForm:
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / (self.lam - pair.z[..., None])
         if not np.isfinite(inv).all():
-            raise FeshbachPairError(verify_pair(pair.reportable()))
+            raise FeshbachPairError(verify_pair(pair))
         if np.isrealobj(self.l) and np.iscomplexobj(inv):
             # a real form at a complex z: two real products, with no complex copy of L
             correction = np.empty(inv.shape[:-1] + (self.rows.size, self.cols.size), complex)
@@ -563,6 +527,8 @@ def neumann_check(pair: FeshbachPair) -> NeumannCheck:
     # with R0 the restricted inverse of T on Ran chibar and W = g W(s); the
     # factors between chi W chibar and chibar W chi act on Ran chibar.
     r0 = pair.inverse_t
+    if r0 is None:
+        raise FeshbachPairError(verify_pair(pair))
     t_outside = pair.minus_z(fixed.t)[..., outside]
     scale = max(1.0, float(np.hypot(np.linalg.norm(f_direct),
                                     np.linalg.norm(t_outside))))   # ||F||_F

@@ -149,15 +149,9 @@ class ModelSpec:
         """Spectral projection of H_at(s) onto the tracked degenerate
         cluster, via the declared isolation contour around E_at(s0).
 
-        Computed once per s and returned read-only; ``p_at_samples`` fills
-        the entries of many s at once, with the same bytes.
+        Computed once per s, by ``p_at_samples``, and returned read-only.
         """
-        def build():
-            p = spectral_projection(self.h_at(s), self._cluster_center, self.contour_radius)
-            p.setflags(write=False)
-            return p
-
-        return self.memo(("p_at", complex(s)), build)
+        return self.p_at_samples([s])[0]
 
     def p_at_samples(self, samples) -> list:
         """``p_at`` at each s of samples.  The samples not yet kept are
@@ -312,15 +306,10 @@ def spectral_projection(h: np.ndarray, center: complex, radius: float) -> np.nda
     for n_nodes, group in groups.items():
         theta = 2 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
         ws = (radius * np.exp(1j * theta))[:, None, None]
-        whole = len(group) == len(stack)
-        shifted = (center + ws) * eye - (stack if whole else stack[group])[:, None]
+        shifted = (center + ws) * eye - stack[group][:, None]
         sums = np.add.reduce(ws * np.linalg.solve(shifted, eye), axis=1,
                              initial=0.0)   # from 0, node by node
-        sums /= n_nodes
-        if whole:
-            p = sums
-        else:
-            p[group] = sums
+        p[group] = sums / n_nodes
     for n_nodes, skip, pk in zip(counts, near, p):   # the gates, matrix by matrix, in order
         if skip:
             raise ContourError(

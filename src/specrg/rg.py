@@ -65,13 +65,13 @@ cutoffs and blocks on Ran chibar), the top's extraction and the model's
 restricted generators; no ladder outlives the flow.  A depth's diagnostics
 are computed only when read: the pair's report where the convergence test
 reads its margins, at a depth whose root moved less than TOL_FIXED_POINT,
-or a trace line prints them, and of the report only the values read (a
-trace line prints ``t_margin`` and ``contraction_left``, so H_chibar's SVD
-and the right contraction are taken only where the flow stops); the Schur
-deviation of the extraction's vacuum block and the symmetry residual once
-per depth; and the polydisc radii, which only trace.txt prints, when a
-trace line is formed.  The analyticity probe and the coupling sweep read
-only z_inf and the report of the depth the flow stops on.
+so H_chibar's SVD and the right contraction are taken only where the flow
+stops (a trace line prints the pair's ``t_margin`` and left
+``contraction_norm`` and takes no report); the Schur deviation of the
+extraction's vacuum block and the symmetry residual once per depth; and
+the polydisc radii, which only trace.txt prints, when a trace line is
+formed.  The analyticity probe and the coupling sweep read only z_inf and
+the report of the depth the flow stops on.
 
 Each root's uniqueness is certified by the argument principle: the winding of
 E^(n) around 0 along a small circle about the root must be 1.  The count
@@ -104,6 +104,7 @@ from .feshbach import (
     CutoffSpec,
     FeshbachPair,
     FeshbachPairReport,
+    contraction_norm,
     feshbach_map,
     first_decimation,
     first_feshbach,
@@ -499,11 +500,11 @@ class DepthResult:
     at depth 0 and past the terminal space), the top's extraction ``ext``
     and the model's d x d generators.  Its diagnostics are computed when
     first read, and kept: the pair's report, whose margins the convergence
-    test reads where the root moved less than TOL_FIXED_POINT and whose
-    values are each computed when read; from
+    test reads where the root moved less than TOL_FIXED_POINT; from
     ``ext``, the Schur deviation of the vacuum block, which is ``ext``'s
     node 0, and the symmetry residual of each generator (x) 1; and the
-    polydisc radii, which only a trace line prints."""
+    polydisc radii, which only a trace line prints, with the pair's
+    ``t_margin`` and left ``contraction_norm``."""
 
     n: int
     z: complex
@@ -535,8 +536,9 @@ class DepthResult:
         """The trace.txt line of this depth; gamma_ratio is gamma_hat over
         ``prev_gamma``, the depth before's, and 0 when that is not positive."""
         w = "-" if self.winding is None else str(self.winding)
-        rep, radii = self.pair_report, self.polydisc
-        t_margin, contraction = (rep.t_margin, rep.contraction_left) if rep else (np.inf, 0.0)
+        pair, radii = self.pair, self.polydisc
+        t_margin, contraction = ((np.inf, 0.0) if pair is None
+                                 else (pair.t_margin, contraction_norm(pair, True)))
         gamma_ratio = radii.gamma_hat / prev_gamma if prev_gamma > 0 else 0.0
         return (f"n={self.n} z_re={self.z.real:.16e} z_im={self.z.imag:.16e} "
                 f"dz={self.dz:.3e} e_abs={self.e_abs:.3e} "

@@ -426,21 +426,47 @@ class TestSingularBlocks:
         assert report.t_margin > 0.0   # the SVD misses the singularity
         assert report.contraction_left == report.contraction_right == np.inf
         assert not report.passed
-        with pytest.raises(FeshbachPairError):
-            pair.inverse_t
+        assert pair.inverse_t is None
+        # T|_on with a zero row, and H_chibar that the LU solves: the Neumann
+        # check itself refuses R0
+        zero_row = spoiled_pair("t-zero-row")
+        assert zero_row.inverse_t is None and np.isfinite(zero_row.solved).all()
+        for singular in (pair, zero_row):
+            with pytest.raises(FeshbachPairError) as exc:
+                neumann_check(singular)
+            assert exc.value.report == verify_pair(singular)
 
     def test_a_pair_error_keeps_no_solve_and_no_block_on_keep(self):
         h, t, c, cb = singular_h_pair()
-        singular_t = pair_of(h, h.copy(), c, cb, 5)
         for raises, pair in ((lambda p: p.require_margins(), spoiled_pair("t-zero-row")),
                              (feshbach_map, pair_of(h, t, c, cb)),
-                             (lambda p: p.inverse_t, singular_t)):
+                             (neumann_check, spoiled_pair("t-zero-row"))):
             with pytest.raises(FeshbachPairError) as exc:
                 raises(pair)
-            assert exc.value.report == verify_pair(pair)
-            kept = vars(exc.value.report.pair)
-            assert "solved" not in kept
-            assert not {"t", "base", "left", "right"} & set(vars(kept["fixed"]))
+            report = exc.value.report
+            assert report == verify_pair(pair)
+            assert [f.name for f in dataclasses.fields(report)] == [
+                "t_margin", "h_margin", "contraction_left", "contraction_right"]
+            assert list(vars(report)) == [f.name for f in dataclasses.fields(report)]
+            assert all(type(value) is float for value in vars(report).values())
+
+    def test_the_error_text_is_the_report_of_four_floats(self):
+        # run.kv's flow.error prints this text
+        h, t, c, cb = diagonal_pair()
+        t = t.copy()
+        t[-1, -1] = 0.0
+        with pytest.raises(FeshbachPairError) as exc:
+            pair_of(h, t, c, cb).require_margins()
+        assert str(exc.value) == (
+            "Feshbach pair conditions failed: FeshbachPairReport(t_margin=0.0, "
+            "h_margin=1.2075980445070342, contraction_left=inf, contraction_right=inf)")
+        h, t, c, cb = singular_h_pair()
+        with pytest.raises(FeshbachPairError) as exc:
+            feshbach_map(pair_of(h, t, c, cb))
+        assert str(exc.value) == (
+            "Feshbach pair conditions failed: FeshbachPairReport(t_margin=3.0, "
+            "h_margin=4.418424751193367e-16, contraction_left=2.7726617355358463, "
+            "contraction_right=3.518694398235244)")
 
 
 def spoiled_pair(spoil):

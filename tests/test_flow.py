@@ -1002,44 +1002,41 @@ class TestCli:
         assert sorted(enumerated) == sorted([(J, spec.n_max, spec.e_cut), (J, spec.n_max, 1.0)])
         assert len(depths) == J + 1   # the reduced space down to the vacuum-only one
 
-        # with --out every depth's report is taken, and trace.txt is the trace
-        # of the reports of the pairs the root ladders stepped on
+        # with --out the trace takes no report, and trace.txt is the trace of
+        # the pairs the root ladders stepped on
         reports.clear()
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-        n_levels = int(read_kv(out / "run.kv")["n_levels"])
-        assert len(reports) == n_levels   # every depth but 0 has a pair
+        assert int(read_kv(out / "run.kv")["n_levels"]) >= 2
+        assert len(reports) == 1
         roots = record_roots(monkeypatch)
         res = iterate_to_fixed_point(spec, spec.s0, False)
         for depth, root in zip(res.depths, roots, strict=True):
             assert (depth.pair is None) == (root.ladder.pair is None) == (depth.n == 0)
             if depth.pair is not None:
                 assert not hasattr(depth.pair.fixed, "t") and "solved" not in vars(depth.pair)
-                depth.pair_report = verify_pair(root.ladder.pair)   # the eager report
+                depth.pair = root.ladder.pair   # the whole pair
         lines = res.trace_lines()
         assert (out / "trace.txt").read_text() == "\n".join(lines) + "\n"
 
     def test_the_trace_takes_the_h_chibar_svd_only_where_the_flow_stops(self, tmp_path,
                                                                        capsys, monkeypatch):
         # large-fock-run's input with --out: trace.txt prints t_margin and
-        # contraction_left of every depth's report, and only the convergence
-        # test, at the depth the flow stops on, reads h_margin and
-        # contraction_right
+        # the left contraction of every depth's pair, and only the
+        # convergence test, at the depth the flow stops on, takes the SVD of
+        # H_chibar and the 2-norm of the right contraction chibar W chibar T^-1
         config = large_fock_config(tmp_path, 1.0)
         svd, norm = np.linalg.svd, np.linalg.norm
-        h_svds, right_norms = [], []
+        svd_operands, norm_operands = [], []
 
-        def recorded_svd(*args, **kwargs):
-            caller = sys._getframe(1)
-            if caller.f_code.co_name == "h_margin":
-                h_svds.append(caller.f_locals["self"].pair)
-            return svd(*args, **kwargs)
+        def recorded_svd(a, *args, **kwargs):
+            svd_operands.append(a)
+            return svd(a, *args, **kwargs)
 
-        def recorded_norm(*args, **kwargs):
-            caller = sys._getframe(1)
-            if caller.f_code.co_name == "_contraction" and not caller.f_locals["left"]:
-                right_norms.append(caller.f_locals["self"].pair)
-            return norm(*args, **kwargs)
+        def recorded_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                norm_operands.append(np.array(x))
+            return norm(x, ord, *args, **kwargs)
 
         results = []
         iterate = rg.iterate_to_fixed_point
@@ -1053,11 +1050,20 @@ class TestCli:
         monkeypatch.setattr(cli, "iterate_to_fixed_point", recorded_flow)
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        monkeypatch.undo()
         [res] = results
         assert res.n_levels >= 2
         assert len((out / "trace.txt").read_text().splitlines()) == res.n_levels + 3
-        assert len(h_svds) == len(right_norms) == 1
-        assert h_svds[0] is right_norms[0] is res.depths[-1].pair
+        for depth in res.depths[1:]:
+            pair, last = depth.pair, depth is res.depths[-1]
+            assert sum(a is pair.m_h for a in svd_operands) == last
+            left, right = pair.inverse_t @ pair.fixed.w_bar, pair.fixed.w_bar @ pair.inverse_t
+            n_left, n_right = (sum(x.shape == k.shape and np.array_equal(x, k)
+                                   for x in norm_operands) for k in (left, right))
+            if np.array_equal(left, right):   # where T|_on commutes with W_bar
+                assert n_left == n_right == 1 + 2 * last
+            else:   # the trace line's left norm, and the report's two at the last depth
+                assert (n_left, n_right) == (1 + last, last)
 
 
 class TestExitCodes:
